@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .config import (
@@ -32,13 +33,8 @@ from .dynamics import (
     SAMPLED,
     SECOND_ORDER,
     DynamicsParams,
-    apply_mutation_with_flows,
-    energy,
-    mutation_rates_first,
-    mutation_rates_second,
     seed_ensemble,
     stationary_oracle,
-    update_potential,
 )
 from .errors import (
     BadConfig,
@@ -54,15 +50,15 @@ from .errors import (
 from .graph import complete_graph
 from .morphisms import build_local_graph
 from .nn import (
-    NetSpec,
     evaluate,
     load_checkpoint,
+    loss_only,
     param_count,
     save_checkpoint,
     spec_digest,
 )
 from .recording import MetricsWriter, utc_now, write_manifest
-from .search import MODES, pretrain, run_search, _rng
+from .search import MODES, particle_step, pretrain_start, run_search, _rng
 
 log = logging.getLogger("semiflow")
 
@@ -104,8 +100,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="run directory (default semiflow_run_<mode>_s<seed>)")
     p.add_argument("--strict", action="store_true",
                    help="fail with exit 4 when a round times out")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker cap; the engine is single-threaded")
 
     p = sub.add_parser("eval", help="score a checkpoint on a dataset split")
     common(p)
@@ -217,24 +211,20 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _untrained_start(config, data):
+    """A search's starting network before pretraining: the pretrain recipe
+    run for zero epochs returns the initialized parameters."""
+    return pretrain_start(replace(config, pretrain_epochs=0), data)
+
+
 def _cmd_pretrain(args) -> int:
     table = _load_table(args)
     config = build_search_config(table)
     data = build_dataset(table)
-    spec = NetSpec(data.input_dim, data.n_classes, config.hidden)
-    from .nn import init_params, loss_only
-    from .search import _stream_seed
-
-    rng = _rng(config.seed, 1)
-    params0 = init_params(spec, rng)
+    spec, params0 = _untrained_start(config, data)
+    _, params = pretrain_start(config, data)
     train_x, train_y = data.split("train")
     initial_loss = loss_only(spec, params0, train_x, train_y)
-    params = pretrain(
-        spec, data, config.pretrain_epochs,
-        config.pretrain_lam_start, config.pretrain_lam_final,
-        params=params0, grad_clip=config.grad_clip, batch_size=config.s_x,
-        stream_seed=_stream_seed(config.seed, 5, 0, 0, 0),
-    )
     final_loss = loss_only(spec, params, train_x, train_y)
     save_checkpoint(args.out, spec, params)
     _emit({"initial_loss": initial_loss, "final_loss": final_loss,
@@ -267,30 +257,21 @@ def _bench_point(index, beta, kappa, gamma, args, seed, out_dir):
     # No floor: off-support mass must be free to drain toward the oracle.
     ensemble = seed_ensemble(graph, args.particles, ghosts=False)
     phi = {g: 0.0 for g in graph}
-    move_rng = _rng(seed, 41, index) if args.sampled else None
+    move_rng = _rng(seed, 41, index)
     csv_path = os.path.join(out_dir, f"bench_{index:03d}.csv")
     with MetricsWriter(csv_path) as writer:
         for k in range(args.iters):
-            if dyn.mode == SECOND_ORDER:
-                laws = mutation_rates_second(phi, graph, dyn, args.tau)
-            else:
-                laws = mutation_rates_first(
-                    ensemble.marginal(), values, graph, dyn, args.tau
-                )
-            moved = apply_mutation_with_flows(ensemble, laws, move_rng)
-            ensemble = moved.ensemble
-            out_flow = {g: 0.0 for g in graph}
-            for (g, _h), amount in moved.flows.items():
-                out_flow[g] += amount
-            if dyn.mode == SECOND_ORDER:
-                phi = update_potential(phi, ensemble, values, graph, dyn, args.tau)
-            e_now = energy(ensemble, values, beta)
+            step = particle_step(
+                ensemble, phi, values, graph, dyn, args.tau, move_rng,
+                restart=False,
+            )
+            ensemble, phi = step.ensemble, step.phi
             for g in graph.nodes():
                 writer.write_row(
                     k, 1, g, ensemble.counts[g],
                     ensemble.counts[g] / ensemble.total,
-                    values[g], values[g], phi[g], args.tau, e_now,
-                    out_flow[g],
+                    values[g], values[g], phi[g], args.tau, step.energy,
+                    step.out_flow[g],
                 )
     target = stationary_oracle(values, beta)
     marginal = ensemble.marginal()
@@ -341,11 +322,7 @@ def _cmd_graph_dump(args) -> int:
     if args.checkpoint:
         spec, flat = load_checkpoint(args.checkpoint)
     else:
-        data = build_dataset(table)
-        spec = NetSpec(data.input_dim, data.n_classes, config.hidden)
-        from .nn import init_params
-
-        flat = init_params(spec, _rng(config.seed, 1))
+        spec, flat = _untrained_start(config, build_dataset(table))
     graph, _audit = build_local_graph(
         spec, flat, config.n_neigh, config.constraints, config.mix,
         _rng(config.seed, 2, 1), topology=config.topology,

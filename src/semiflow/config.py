@@ -2,7 +2,9 @@
 
 A config file is a single JSON object mapping dotted keys to scalars (or a
 list of ints for net.hidden). Unknown keys are rejected by name, values are
-type-checked, and anything not given falls back to the defaults below. The
+type-checked, and anything not given falls back to its default: the data.*
+defaults are listed below, every other key takes its default and type from
+the SearchConfig, Constraints or default_mix() field it sets. The
 normalized table is what gets snapshotted into a run manifest, so a manifest
 alone is enough to replay a run bit for bit.
 """
@@ -10,16 +12,18 @@ alone is enough to replay a run bit for bit.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from typing import Any
 
 from .data import Dataset, load_csv, make_blobs, two_spirals
 from .errors import BadConfig, MissingFile
-from .morphisms import Constraints
-from .search import DEFAULT_N_STEPS, MODES, SearchConfig
+from .morphisms import Constraints, default_mix
+from .search import MODES, SearchConfig
 
-# key -> (type tag, default); None means "no default, must be supplied
-# when a command needs it".
-SCHEMA: dict[str, tuple[str, Any]] = {
+# The data.* keys feed build_dataset, not a dataclass, so they are listed
+# here as key -> (type tag, default); None means "no default, must be
+# supplied when a command needs it".
+_DATA_SCHEMA: dict[str, tuple[str, Any]] = {
     "data.kind": ("str", None),
     "data.n": ("int", 2000),
     "data.noise": ("float", 0.1),
@@ -31,49 +35,53 @@ SCHEMA: dict[str, tuple[str, Any]] = {
     "data.has_header": ("bool", False),
     "data.seed": ("opt_int", None),
     "data.standardize": ("bool", False),
-    "search.mode": ("str", "nasgd"),
-    "search.seed": ("int", 0),
-    "search.n_particles": ("int", 100),
-    "search.n_neigh": ("int", 8),
-    "search.epochs_neigh": ("int", 18),
-    "search.n_steps": ("opt_float", None),
-    "search.lam_start": ("float", 0.05),
-    "search.lam_final": ("float", 1e-7),
-    "search.s_x": ("int", 64),
-    "search.s_y": ("int", 32),
-    "search.size_threshold": ("int", 20000),
-    "search.topology": ("str", "star"),
-    "search.round_timeout_factor": ("float", 5.0),
-    "search.grad_clip": ("float", 1.0),
-    "dynamics.kappa": ("float", 3.0),
-    "dynamics.beta": ("float", 2.0),
-    "dynamics.gamma": ("float", 0.0),
-    "dynamics.rate_mode": ("str", "sampled"),
-    "dynamics.flow": ("str", "toward_high_phi"),
-    "dynamics.damping": ("float", 1.0),
-    "dynamics.pure_gradient": ("bool", False),
-    "dynamics.speed_penalty": ("bool", False),
-    "dynamics.friction_potential": ("bool", False),
-    "dynamics.restart_literal": ("bool", False),
-    "dynamics.entropy": ("str", "power"),
-    "dynamics.val_decay": ("float", 0.9),
-    "net.hidden": ("int_list", [16, 16]),
-    "morphisms.p_deepen": ("float", 0.25),
-    "morphisms.p_widen": ("float", 0.25),
-    "morphisms.p_add_skip": ("float", 0.2),
-    "morphisms.p_narrow": ("float", 0.1),
-    "morphisms.p_remove_layer": ("float", 0.1),
-    "morphisms.p_remove_skip": ("float", 0.1),
-    "constraints.max_layers": ("int", 8),
-    "constraints.max_width": ("int", 64),
-    "constraints.max_incoming": ("int", 3),
-    "constraints.max_params": ("int", 20000),
-    "pretrain.epochs": ("int", 20),
-    "pretrain.lam_start": ("float", 0.5),
-    "pretrain.lam_final": ("float", 1e-7),
-    "final.budget": ("int", 300),
-    "final.plateau_cycles": ("int", 3),
-    "final.plateau_tol": ("float", 1e-4),
+}
+
+# SearchConfig fields whose key is not "search.<field>". Constraints fields
+# are "constraints.<field>", the mix entries "morphisms.p_<kind>", and
+# strict is a command-line flag with no key.
+_RENAMED = {
+    **{name: f"dynamics.{name}" for name in (
+        "kappa", "beta", "gamma", "rate_mode", "flow", "damping",
+        "pure_gradient", "speed_penalty", "friction_potential",
+        "restart_literal", "entropy", "val_decay",
+    )},
+    "hidden": "net.hidden",
+    "pretrain_epochs": "pretrain.epochs",
+    "pretrain_lam_start": "pretrain.lam_start",
+    "pretrain_lam_final": "pretrain.lam_final",
+    "final_budget": "final.budget",
+    "plateau_cycles": "final.plateau_cycles",
+    "plateau_tol": "final.plateau_tol",
+}
+_TAGS = {
+    "bool": "bool", "int": "int", "float": "float", "str": "str",
+    "float | None": "opt_float", "tuple[int, ...]": "int_list",
+}
+
+
+def _search_keys() -> dict[str, tuple[str, Any, str, str | None]]:
+    """key -> (type tag, default, SearchConfig field, entry within that
+    field or None), read off the dataclasses."""
+    keys = {}
+    for f in fields(SearchConfig):
+        if f.name == "constraints":
+            for c in fields(Constraints):
+                keys[f"constraints.{c.name}"] = (_TAGS[c.type], c.default, f.name, c.name)
+        elif f.name == "mix":
+            for kind, p in default_mix().items():
+                keys[f"morphisms.p_{kind}"] = ("float", p, f.name, kind)
+        elif f.name != "strict":
+            default = list(f.default) if _TAGS[f.type] == "int_list" else f.default
+            key = _RENAMED.get(f.name, f"search.{f.name}")
+            keys[key] = (_TAGS[f.type], default, f.name, None)
+    return keys
+
+
+_SEARCH_KEYS = _search_keys()
+SCHEMA: dict[str, tuple[str, Any]] = {
+    **_DATA_SCHEMA,
+    **{key: (tag, default) for key, (tag, default, _f, _e) in _SEARCH_KEYS.items()},
 }
 
 
@@ -185,58 +193,14 @@ def build_search_config(cfg: dict[str, Any]) -> SearchConfig:
         raise BadConfig(
             f"config key search.mode wants one of {'/'.join(MODES)}, got {mode!r}"
         )
-    mix = {
-        "deepen": cfg["morphisms.p_deepen"],
-        "widen": cfg["morphisms.p_widen"],
-        "add_skip": cfg["morphisms.p_add_skip"],
-        "narrow": cfg["morphisms.p_narrow"],
-        "remove_layer": cfg["morphisms.p_remove_layer"],
-        "remove_skip": cfg["morphisms.p_remove_skip"],
-    }
+    kwargs: dict[str, Any] = {"constraints": {}, "mix": {}}
+    for key, (_tag, _default, name, entry) in _SEARCH_KEYS.items():
+        if entry is None:
+            kwargs[name] = cfg[key]
+        else:
+            kwargs[name][entry] = cfg[key]
     try:
-        return SearchConfig(
-            mode=mode,
-            seed=cfg["search.seed"],
-            n_particles=cfg["search.n_particles"],
-            n_neigh=cfg["search.n_neigh"],
-            epochs_neigh=cfg["search.epochs_neigh"],
-            n_steps=cfg["search.n_steps"],
-            lam_start=cfg["search.lam_start"],
-            lam_final=cfg["search.lam_final"],
-            kappa=cfg["dynamics.kappa"],
-            beta=cfg["dynamics.beta"],
-            gamma=cfg["dynamics.gamma"],
-            s_x=cfg["search.s_x"],
-            s_y=cfg["search.s_y"],
-            constraints=Constraints(
-                cfg["constraints.max_layers"],
-                cfg["constraints.max_width"],
-                cfg["constraints.max_incoming"],
-                cfg["constraints.max_params"],
-            ),
-            size_threshold=cfg["search.size_threshold"],
-            hidden=tuple(cfg["net.hidden"]),
-            mix=mix,
-            topology=cfg["search.topology"],
-            rate_mode=cfg["dynamics.rate_mode"],
-            flow=cfg["dynamics.flow"],
-            damping=cfg["dynamics.damping"],
-            pure_gradient=cfg["dynamics.pure_gradient"],
-            speed_penalty=cfg["dynamics.speed_penalty"],
-            friction_potential=cfg["dynamics.friction_potential"],
-            restart_literal=cfg["dynamics.restart_literal"],
-            entropy=cfg["dynamics.entropy"],
-            val_decay=cfg["dynamics.val_decay"],
-            grad_clip=cfg["search.grad_clip"],
-            round_timeout_factor=cfg["search.round_timeout_factor"],
-            pretrain_epochs=cfg["pretrain.epochs"],
-            pretrain_lam_start=cfg["pretrain.lam_start"],
-            pretrain_lam_final=cfg["pretrain.lam_final"],
-            final_budget=cfg["final.budget"],
-            plateau_cycles=cfg["final.plateau_cycles"],
-            plateau_tol=cfg["final.plateau_tol"],
-            # build_dataset already standardized the data when asked to
-            standardize=False,
-        )
+        kwargs["constraints"] = Constraints(**kwargs["constraints"])
+        return SearchConfig(**kwargs)
     except ValueError as exc:
         raise BadConfig(str(exc)) from exc

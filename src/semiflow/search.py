@@ -20,14 +20,15 @@ epochs, keep the best) is included for exploration-throughput comparisons.
 from __future__ import annotations
 
 import math
+import os
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping
+from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .dynamics import (
-    EXPECTED,
     FIRST_ORDER,
     SAMPLED,
     SECOND_ORDER,
@@ -58,7 +59,7 @@ from .nn import (
 )
 from .objective import ObjectiveHandle, ValTracker, clip_gradient, eval_val
 from .data import BatchStream, Dataset
-from .recording import MetricsWriter
+from .recording import JsonlWriter, MetricsWriter
 
 MODES = ("nasgd", "nasagd", "hillclimb")
 DEFAULT_N_STEPS = {"nasgd": 0.89, "nasagd": 2.54, "hillclimb": 5.0}
@@ -67,7 +68,11 @@ DEFAULT_N_STEPS = {"nasgd": 0.89, "nasagd": 2.54, "hillclimb": 5.0}
 @dataclass
 class SearchConfig:
     """Every knob of a search run; defaults follow the reference recipe
-    (8 neighbors, 18-epoch schedule period, 0.05 to 1e-7 cosine)."""
+    (8 neighbors, 18-epoch schedule period, 0.05 to 1e-7 cosine).
+
+    The config keys, their defaults and their type checks are read off these
+    fields (see config.py), so a field's default is stated only here.
+    """
 
     mode: str = "nasgd"
     seed: int = 0
@@ -108,7 +113,6 @@ class SearchConfig:
     final_budget: int = 300
     plateau_cycles: int = 3
     plateau_tol: float = 1e-4
-    standardize: bool = False
     strict: bool = False
 
     def __post_init__(self) -> None:
@@ -204,6 +208,69 @@ class SearchResult:
 BatchFn = Callable[[int, str], Any]
 
 
+class ParticleStep(NamedTuple):
+    """What one particle step left: flows per edge, out_flow per source."""
+
+    ensemble: ParticleEnsemble
+    phi: dict[int, float]
+    flows: dict[tuple[int, int], float]
+    out_flow: dict[int, float]
+    energy: float
+
+
+def particle_step(
+    ensemble: ParticleEnsemble,
+    phi: dict[int, float],
+    values: Mapping[int, float],
+    graph: ArchGraph,
+    dyn: DynamicsParams,
+    tau: float,
+    rng: np.random.Generator | None,
+    velocities: Mapping[int, np.ndarray] | None = None,
+    restart: bool = True,
+) -> ParticleStep:
+    """One mutation step of the swarm at step size tau: rates, moves, the
+    potential update (second order only) and the energy monitor.
+
+    rng drives the moves in sampled rate mode and is ignored otherwise.
+    """
+    nodes = graph.nodes()
+    if dyn.mode == FIRST_ORDER:
+        laws = mutation_rates_first(ensemble.marginal(), values, graph, dyn, tau)
+    else:
+        laws = mutation_rates_second(phi, graph, dyn, tau)
+    moved = apply_mutation_with_flows(
+        ensemble, laws, rng if dyn.rate_mode == SAMPLED else None
+    )
+    ensemble = moved.ensemble
+    out_flow = {g: 0.0 for g in nodes}
+    for (g, _h), amount in moved.flows.items():
+        out_flow[g] += amount
+
+    # restart=False (dynamics-bench) runs the bare integrator against the
+    # stationary law: no potential resets, so a blow-up surfaces as an error.
+    if dyn.mode == SECOND_ORDER:
+        try:
+            phi = update_potential(
+                phi, ensemble, values, graph, dyn, tau, velocities=velocities
+            )
+        except NonFiniteValue:
+            if not restart:
+                raise
+            # The potential has a finite-time blow-up when a round runs
+            # long with the drift check quiet; a reset is the same remedy
+            # the restart rule applies, triggered at the integrator's limit.
+            phi = {g: 0.0 for g in nodes}
+        if restart and restart_check(
+            phi, values, graph, ensemble.marginal(),
+            literal=dyn.restart_literal, flow=dyn.flow,
+        ):
+            phi = {g: 0.0 for g in nodes}
+
+    e_now = energy(ensemble, values, dyn.beta, dyn.entropy)
+    return ParticleStep(ensemble, phi, moved.flows, out_flow, e_now)
+
+
 def dynamics_round(
     graph: ArchGraph,
     objective: ObjectiveHandle,
@@ -231,7 +298,6 @@ def dynamics_round(
     ensemble = seed_ensemble(graph, config.n_particles)
     tracker = ValTracker(decay=config.val_decay)
     phi = {g: 0.0 for g in nodes}
-    sampled = dyn.rate_mode == SAMPLED
     if batches is None:
         batches = lambda g, kind: None
     timeout_iters = max(
@@ -242,6 +308,8 @@ def dynamics_round(
 
     while True:
         tau = clock.tau()
+        # Not _fit: all candidates take one step each per clock tick, through
+        # the objective handle, and each train loss is recorded.
         for g in nodes:
             batch = batches(g, "train")
             loss, grad_vec = _value_and_grad(objective, states[g].x, g, batch)
@@ -255,42 +323,20 @@ def dynamics_round(
             eval_val(objective, tracker, states[g].x, g, batches(g, "val"))
         values = tracker.snapshot()
 
-        if dyn.mode == FIRST_ORDER:
-            laws = mutation_rates_first(ensemble.marginal(), values, graph, dyn, tau)
-        else:
-            laws = mutation_rates_second(phi, graph, dyn, tau)
-        moved = apply_mutation_with_flows(ensemble, laws, rng if sampled else None)
-        ensemble = moved.ensemble
-        out_per_node = {g: 0.0 for g in nodes}
-        for (g, _h), amount in moved.flows.items():
-            out_per_node[g] += amount
+        step = particle_step(
+            ensemble, phi, values, graph, dyn, tau, rng,
+            velocities={g: states[g].v for g in nodes},
+        )
+        ensemble, phi = step.ensemble, step.phi
+        for amount in step.flows.values():
             stats.movers += amount
-
-        if dyn.mode == SECOND_ORDER:
-            try:
-                phi = update_potential(
-                    phi, ensemble, values, graph, dyn, tau,
-                    velocities={g: states[g].v for g in nodes},
-                )
-            except NonFiniteValue:
-                # The potential has a finite-time blow-up when a round runs
-                # long with the drift check quiet; a reset is the same remedy
-                # the restart rule applies, triggered at the integrator's limit.
-                phi = {g: 0.0 for g in nodes}
-            if restart_check(
-                phi, values, graph, ensemble.marginal(),
-                literal=dyn.restart_literal, flow=dyn.flow,
-            ):
-                phi = {g: 0.0 for g in nodes}
-
-        e_now = energy(ensemble, values, dyn.beta, dyn.entropy)
-        stats.energy_trace.append(e_now)
+        stats.energy_trace.append(step.energy)
         if metrics is not None:
             for g in nodes:
                 metrics.write_row(
                     clock.k, round_idx, g, ensemble.counts[g],
                     ensemble.counts[g] / ensemble.total, v_train[g], values[g],
-                    phi[g], tau, e_now, out_per_node[g],
+                    phi[g], tau, step.energy, step.out_flow[g],
                 )
             metrics.flush()
 
@@ -380,7 +426,6 @@ def run_round(
     incumbent: Candidate,
     config: SearchConfig,
     data: Dataset,
-    mode: str | None = None,
     clock: GlobalClock | None = None,
     morph_rng: np.random.Generator | None = None,
     mutation_rng: np.random.Generator | None = None,
@@ -395,8 +440,6 @@ def run_round(
     returns (next incumbent, stats, audit records). The incumbent comes back
     unchanged when the budget ran out before any stopping rule fired.
     """
-    if mode is not None:
-        config = replace(config, mode=mode, n_steps=None)
     if clock is None:
         clock = GlobalClock(
             iters_per_epoch(data, config), config.epochs_neigh,
@@ -441,6 +484,37 @@ def run_round(
     return next_incumbent, stats, audit
 
 
+def _fit(
+    spec: NetSpec,
+    state: NodeState,
+    stream: BatchStream,
+    clock: GlobalClock,
+    iters: int,
+    grad_clip: float,
+    what: str,
+    gamma: float = 1.0,
+    momentum: bool = True,
+) -> NodeState:
+    """Train one network for iters minibatch steps at the clock's step sizes.
+
+    Raises Divergence, naming what was being trained, if the loss or the
+    parameters stop being finite.
+    """
+    for _ in range(iters):
+        inputs, labels = stream.next_batch()
+        loss, grad_vec = loss_and_grad(spec, state.x, inputs, labels)
+        if not math.isfinite(loss):
+            raise Divergence(f"{what} loss became {loss}")
+        grad_vec = clip_gradient(grad_vec, grad_clip)
+        state = train_step(
+            state, grad_vec, clock.tau(), gamma=gamma, momentum=momentum
+        )
+        clock.advance()
+    if not np.all(np.isfinite(state.x)):
+        raise Divergence(f"{what} produced non-finite parameters")
+    return state
+
+
 def pretrain(
     spec: NetSpec,
     data: Dataset,
@@ -469,19 +543,27 @@ def pretrain(
         x_feat, x_lab, batch_size,
         stream_seed if stream_seed is not None else _stream_seed(0, 5, 0, 0, 0),
     )
-    total_iters = epochs * stream.batches_per_epoch
+    # The first cycle of a warm-restart clock is exactly one cosine arc.
+    clock = GlobalClock(stream.batches_per_epoch, epochs, lam_hi, lam_lo)
     state = NodeState(np.asarray(params, dtype=float), np.zeros_like(params))
-    for k in range(total_iters):
-        tau = cosine_lr(k / stream.batches_per_epoch, epochs, lam_hi, lam_lo)
-        inputs, labels = stream.next_batch()
-        loss, grad_vec = loss_and_grad(spec, state.x, inputs, labels)
-        if not math.isfinite(loss):
-            raise Divergence(f"pretraining loss became {loss}")
-        grad_vec = clip_gradient(grad_vec, grad_clip)
-        state = train_step(state, grad_vec, tau)
-    if not np.all(np.isfinite(state.x)):
-        raise Divergence("pretraining produced non-finite parameters")
-    return state.x
+    return _fit(
+        spec, state, stream, clock, epochs * stream.batches_per_epoch,
+        grad_clip, "pretraining",
+    ).x
+
+
+def pretrain_start(config: SearchConfig, data: Dataset) -> tuple[NetSpec, np.ndarray]:
+    """The network every search starts from: config.hidden on the data's
+    shape, initialized and pretrained from the config's seed and recipe."""
+    spec = NetSpec(data.input_dim, data.n_classes, config.hidden)
+    params = pretrain(
+        spec, data, config.pretrain_epochs,
+        config.pretrain_lam_start, config.pretrain_lam_final,
+        rng=_rng(config.seed, 1),
+        grad_clip=config.grad_clip, batch_size=config.s_x,
+        stream_seed=_stream_seed(config.seed, 5, 0, 0, 0),
+    )
+    return spec, params
 
 
 def final_train(
@@ -533,20 +615,11 @@ def final_train(
     epochs_this_cycle = 0
 
     while epochs_done < budget:
-        for _ in range(stream.batches_per_epoch):
-            tau = clock.tau()
-            inputs, labels = stream.next_batch()
-            loss, grad_vec = loss_and_grad(spec, state.x, inputs, labels)
-            if not math.isfinite(loss):
-                raise Divergence(f"final training loss became {loss}")
-            grad_vec = clip_gradient(grad_vec, config.grad_clip)
-            state = train_step(
-                state, grad_vec, tau,
-                gamma=config.damping, momentum=not config.pure_gradient,
-            )
-            clock.advance()
-        if not np.all(np.isfinite(state.x)):
-            raise Divergence("final training produced non-finite parameters")
+        state = _fit(
+            spec, state, stream, clock, stream.batches_per_epoch,
+            config.grad_clip, "final training",
+            gamma=config.damping, momentum=not config.pure_gradient,
+        )
         epochs_done += 1
         epochs_this_cycle += 1
         val_loss = evaluate(spec, state.x, val_x, val_y)[0]
@@ -571,50 +644,53 @@ def final_train(
     return best_params, out
 
 
+@contextmanager
+def _open_run(
+    config: SearchConfig, data: Dataset, out_dir: str | None, audit_writer,
+    with_metrics: bool,
+) -> Iterator[tuple[Candidate, MetricsWriter | None, Any, str | None]]:
+    """Set up a search run and yield (pretrained incumbent, metrics writer,
+    audit writer, best.json path).
+
+    With an out_dir, opens morphisms.jsonl (and metrics.csv if asked) there;
+    a caller-provided audit writer wins over out_dir. Writers opened here
+    are closed on exit.
+    """
+    with ExitStack() as owned:
+        metrics = best_path = None
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            if with_metrics:
+                metrics = owned.enter_context(
+                    MetricsWriter(os.path.join(out_dir, "metrics.csv"))
+                )
+            if audit_writer is None:
+                audit_writer = owned.enter_context(
+                    JsonlWriter(os.path.join(out_dir, "morphisms.jsonl"))
+                )
+            best_path = os.path.join(out_dir, "best.json")
+        spec, params = pretrain_start(config, data)
+        incumbent = Candidate(spec, params, np.zeros_like(params), None)
+        yield incumbent, metrics, audit_writer, best_path
+
+
 def run_search(
     config: SearchConfig,
     data: Dataset,
     out_dir: str | None = None,
     audit_writer=None,
-    metrics: MetricsWriter | None = None,
 ) -> SearchResult:
     """Full pipeline: pretrain, particle-dynamics rounds, final training.
 
     With an out_dir, writes metrics.csv, morphisms.jsonl, and best.json
-    there (a caller-provided writer wins over out_dir for each artifact).
+    there (a caller-provided audit writer wins over out_dir).
     """
-    t_start = time.perf_counter()
     if config.mode == "hillclimb":
         return hill_climb_baseline(config, data, out_dir, audit_writer=audit_writer)
-    data = data.standardized() if config.standardize else data
-
-    own_metrics = own_audit = False
-    best_path = None
-    if out_dir is not None:
-        import os
-
-        os.makedirs(out_dir, exist_ok=True)
-        if metrics is None:
-            metrics = MetricsWriter(os.path.join(out_dir, "metrics.csv"))
-            own_metrics = True
-        if audit_writer is None:
-            from .recording import JsonlWriter
-
-            audit_writer = JsonlWriter(os.path.join(out_dir, "morphisms.jsonl"))
-            own_audit = True
-        best_path = os.path.join(out_dir, "best.json")
-
-    try:
-        spec = NetSpec(data.input_dim, data.n_classes, config.hidden)
-        params = pretrain(
-            spec, data, config.pretrain_epochs,
-            config.pretrain_lam_start, config.pretrain_lam_final,
-            rng=_rng(config.seed, 1),
-            grad_clip=config.grad_clip, batch_size=config.s_x,
-            stream_seed=_stream_seed(config.seed, 5, 0, 0, 0),
-        )
-        incumbent = Candidate(spec, params, np.zeros_like(params), None)
-
+    t_start = time.perf_counter()
+    with _open_run(config, data, out_dir, audit_writer, with_metrics=True) as (
+        incumbent, metrics, audit_writer, best_path
+    ):
         ipe = iters_per_epoch(data, config)
         clock = GlobalClock(
             ipe, config.epochs_neigh, config.lam_start, config.lam_final
@@ -667,11 +743,6 @@ def run_search(
             test_metrics=test_metrics,
             timed_out_rounds=timed_out,
         )
-    finally:
-        if own_metrics and metrics is not None:
-            metrics.close()
-        if own_audit and audit_writer is not None:
-            audit_writer.close()
 
 
 def hill_climb_baseline(
@@ -679,7 +750,6 @@ def hill_climb_baseline(
     data: Dataset,
     out_dir: str | None = None,
     wallclock_cap: float | None = None,
-    initial: Candidate | None = None,
     audit_writer=None,
 ) -> SearchResult:
     """Sequential-training baseline: each cycle trains every child for
@@ -690,57 +760,11 @@ def hill_climb_baseline(
     training; children already built still count as explored.
     """
     t_start = time.perf_counter()
-    data = data.standardized() if config.standardize else data
-    own_audit = False
-    best_path = None
-    if out_dir is not None:
-        import os
-
-        os.makedirs(out_dir, exist_ok=True)
-        if audit_writer is None:
-            from .recording import JsonlWriter
-
-            audit_writer = JsonlWriter(os.path.join(out_dir, "morphisms.jsonl"))
-            own_audit = True
-        best_path = os.path.join(out_dir, "best.json")
-
+    train_x, train_y = data.split("train")
     val_x, val_y = data.split("val")
-
-    def train_child(spec, params):
-        stream = BatchStream(
-            data.split("train")[0], data.split("train")[1], config.s_x,
-            _stream_seed(config.seed, 7, cycle, child_counter),
-        )
-        state = NodeState(np.asarray(params, dtype=float).copy(),
-                          np.zeros(np.asarray(params).size))
-        for k in range(config.epochs_neigh * stream.batches_per_epoch):
-            t = math.fmod(k / stream.batches_per_epoch, config.epochs_neigh)
-            tau = cosine_lr(t, config.epochs_neigh, config.lam_start, config.lam_final)
-            inputs, labels = stream.next_batch()
-            loss, grad_vec = loss_and_grad(spec, state.x, inputs, labels)
-            if not math.isfinite(loss):
-                raise Divergence(f"baseline training loss became {loss}")
-            grad_vec = clip_gradient(grad_vec, config.grad_clip)
-            state = train_step(state, grad_vec, tau)
-        return state.x
-
-    try:
-        if initial is None:
-            spec = NetSpec(data.input_dim, data.n_classes, config.hidden)
-            params = pretrain(
-                spec, data, config.pretrain_epochs,
-                config.pretrain_lam_start, config.pretrain_lam_final,
-                rng=_rng(config.seed, 1),
-                grad_clip=config.grad_clip, batch_size=config.s_x,
-                stream_seed=_stream_seed(config.seed, 5, 0, 0, 0),
-            )
-            incumbent = Candidate(spec, params, None, None)
-        else:
-            incumbent = Candidate(
-                initial.spec, np.asarray(initial.params, dtype=float).copy(),
-                None, None,
-            )
-
+    with _open_run(config, data, out_dir, audit_writer, with_metrics=False) as (
+        incumbent, _metrics, audit_writer, best_path
+    ):
         cycles = max(1, int(round(config.n_steps)))
         explored = 1
         rounds_done = 0
@@ -771,7 +795,21 @@ def hill_climb_baseline(
                     capped = True
                     break
                 child = graph.payload(g)
-                trained = train_child(child.spec, child.params)
+                stream = BatchStream(
+                    train_x, train_y, config.s_x,
+                    _stream_seed(config.seed, 7, cycle, child_counter),
+                )
+                # Each child trains on a fresh clock: one epochs_neigh cycle.
+                clock = GlobalClock(
+                    stream.batches_per_epoch, config.epochs_neigh,
+                    config.lam_start, config.lam_final,
+                )
+                params = np.asarray(child.params, dtype=float)
+                trained = _fit(
+                    child.spec, NodeState(params.copy(), np.zeros(params.size)),
+                    stream, clock, config.epochs_neigh * stream.batches_per_epoch,
+                    config.grad_clip, "baseline training",
+                ).x
                 scored.append(
                     (evaluate(child.spec, trained, val_x, val_y)[0],
                      child.spec, trained)
@@ -805,6 +843,3 @@ def hill_climb_baseline(
             search_wallclock=search_secs,
             test_metrics=test_metrics,
         )
-    finally:
-        if own_audit and audit_writer is not None:
-            audit_writer.close()

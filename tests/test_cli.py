@@ -46,6 +46,26 @@ def test_search_writes_artifacts(tmp_path):
     assert manifest["config"]["search.n_particles"] == 20
 
 
+def test_search_hillclimb_artifacts(tmp_path):
+    cfg = write_config(tmp_path, {"search.n_neigh": 3})
+    out_dir = str(tmp_path / "run")
+    code, summary = run_cli(["search", "--config", cfg, "--mode", "hillclimb",
+                             "--out", out_dir])
+    assert code == 0
+    assert summary["mode"] == "hillclimb"
+    outputs = ["manifest.json", "best.json", "morphisms.jsonl"]
+    assert sorted(os.listdir(out_dir)) == sorted(outputs)
+    manifest = sf.read_manifest(os.path.join(out_dir, "manifest.json"))
+    assert manifest["outputs"] == outputs
+    assert manifest["config"]["search.mode"] == "hillclimb"
+    audit = open(os.path.join(out_dir, "morphisms.jsonl")).read().splitlines()
+    assert len(audit) == summary["architectures_explored"] - 1
+    code, report = run_cli(["eval", "--config", cfg,
+                            "--checkpoint", os.path.join(out_dir, "best.json")])
+    assert code == 0
+    assert report["accuracy"] == summary["test_accuracy"]
+
+
 def test_search_missing_data_kind(tmp_path, caplog):
     p = tmp_path / "config.json"
     p.write_text(json.dumps({"search.mode": "nasgd"}))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -6,17 +7,141 @@ import semiflow as sf
 from semiflow.errors import BadConfig, MissingFile
 
 
+# The normalized table a manifest snapshots when no key is overridden.
+DEFAULT_TABLE = {
+    "data.kind": None,
+    "data.n": 2000,
+    "data.noise": 0.1,
+    "data.spread": 0.6,
+    "data.d": 2,
+    "data.classes": 4,
+    "data.path": None,
+    "data.label_column": -1,
+    "data.has_header": False,
+    "data.seed": None,
+    "data.standardize": False,
+    "search.mode": "nasgd",
+    "search.seed": 0,
+    "search.n_particles": 100,
+    "search.n_neigh": 8,
+    "search.epochs_neigh": 18,
+    "search.n_steps": None,
+    "search.lam_start": 0.05,
+    "search.lam_final": 1e-7,
+    "search.s_x": 64,
+    "search.s_y": 32,
+    "search.size_threshold": 20000,
+    "search.topology": "star",
+    "search.round_timeout_factor": 5.0,
+    "search.grad_clip": 1.0,
+    "dynamics.kappa": 3.0,
+    "dynamics.beta": 2.0,
+    "dynamics.gamma": 0.0,
+    "dynamics.rate_mode": "sampled",
+    "dynamics.flow": "toward_high_phi",
+    "dynamics.damping": 1.0,
+    "dynamics.pure_gradient": False,
+    "dynamics.speed_penalty": False,
+    "dynamics.friction_potential": False,
+    "dynamics.restart_literal": False,
+    "dynamics.entropy": "power",
+    "dynamics.val_decay": 0.9,
+    "net.hidden": [16, 16],
+    "morphisms.p_deepen": 0.25,
+    "morphisms.p_widen": 0.25,
+    "morphisms.p_add_skip": 0.2,
+    "morphisms.p_narrow": 0.1,
+    "morphisms.p_remove_layer": 0.1,
+    "morphisms.p_remove_skip": 0.1,
+    "constraints.max_layers": 8,
+    "constraints.max_width": 64,
+    "constraints.max_incoming": 3,
+    "constraints.max_params": 20000,
+    "pretrain.epochs": 20,
+    "pretrain.lam_start": 0.5,
+    "pretrain.lam_final": 1e-7,
+    "final.budget": 300,
+    "final.plateau_cycles": 3,
+    "final.plateau_tol": 1e-4,
+}
+
+# key -> (a valid non-default value, the SearchConfig field it must set;
+# "constraints.<f>" and "mix.<kind>" name entries of those fields).
+SEARCH_KEYS = {
+    "search.mode": ("nasagd", "mode"),
+    "search.seed": (7, "seed"),
+    "search.n_particles": (33, "n_particles"),
+    "search.n_neigh": (5, "n_neigh"),
+    "search.epochs_neigh": (9, "epochs_neigh"),
+    "search.n_steps": (1.5, "n_steps"),
+    "search.lam_start": (0.07, "lam_start"),
+    "search.lam_final": (1e-5, "lam_final"),
+    "search.s_x": (48, "s_x"),
+    "search.s_y": (24, "s_y"),
+    "search.size_threshold": (12345, "size_threshold"),
+    "search.topology": ("complete", "topology"),
+    "search.round_timeout_factor": (2.5, "round_timeout_factor"),
+    "search.grad_clip": (0.5, "grad_clip"),
+    "dynamics.kappa": (1.5, "kappa"),
+    "dynamics.beta": (1.25, "beta"),
+    "dynamics.gamma": (0.3, "gamma"),
+    "dynamics.rate_mode": ("expected", "rate_mode"),
+    "dynamics.flow": ("toward_low_phi", "flow"),
+    "dynamics.damping": (0.5, "damping"),
+    "dynamics.pure_gradient": (True, "pure_gradient"),
+    "dynamics.speed_penalty": (True, "speed_penalty"),
+    "dynamics.friction_potential": (True, "friction_potential"),
+    "dynamics.restart_literal": (True, "restart_literal"),
+    "dynamics.entropy": ("log", "entropy"),
+    "dynamics.val_decay": (0.75, "val_decay"),
+    "net.hidden": ([4, 6], "hidden"),
+    "morphisms.p_deepen": (0.3, "mix.deepen"),
+    "morphisms.p_widen": (0.3, "mix.widen"),
+    "morphisms.p_add_skip": (0.3, "mix.add_skip"),
+    "morphisms.p_narrow": (0.3, "mix.narrow"),
+    "morphisms.p_remove_layer": (0.3, "mix.remove_layer"),
+    "morphisms.p_remove_skip": (0.3, "mix.remove_skip"),
+    "constraints.max_layers": (5, "constraints.max_layers"),
+    "constraints.max_width": (32, "constraints.max_width"),
+    "constraints.max_incoming": (2, "constraints.max_incoming"),
+    "constraints.max_params": (5000, "constraints.max_params"),
+    "pretrain.epochs": (3, "pretrain_epochs"),
+    "pretrain.lam_start": (0.25, "pretrain_lam_start"),
+    "pretrain.lam_final": (1e-6, "pretrain_lam_final"),
+    "final.budget": (40, "final_budget"),
+    "final.plateau_cycles": (2, "plateau_cycles"),
+    "final.plateau_tol": (1e-3, "plateau_tol"),
+}
+
+
 def test_defaults_table():
     cfg = sf.default_config()
-    assert cfg["search.n_neigh"] == 8
-    assert cfg["search.epochs_neigh"] == 18
-    assert cfg["search.lam_start"] == 0.05
-    assert cfg["search.lam_final"] == 1e-7
-    assert cfg["search.s_x"] == 64
-    assert cfg["search.s_y"] == 32
-    assert cfg["dynamics.kappa"] == 3.0
-    assert cfg["dynamics.beta"] == 2.0
-    assert cfg["dynamics.gamma"] == 0.0
+    assert len(cfg) == 54
+    assert cfg == DEFAULT_TABLE
+    assert {k: type(v) for k, v in cfg.items()} == {
+        k: type(v) for k, v in DEFAULT_TABLE.items()
+    }
+    assert {k for k in cfg if not k.startswith("data.")} == set(SEARCH_KEYS)
+
+
+def _search_fields(sc):
+    flat = {f.name: getattr(sc, f.name) for f in dataclasses.fields(sc)}
+    for name, value in dataclasses.asdict(flat.pop("constraints")).items():
+        flat[f"constraints.{name}"] = value
+    for kind, p in flat.pop("mix").items():
+        flat[f"mix.{kind}"] = p
+    return flat
+
+
+@pytest.mark.parametrize("key", list(SEARCH_KEYS))
+def test_key_sets_only_its_field(key):
+    value, target = SEARCH_KEYS[key]
+    # pin n_steps so that changing the mode does not also change it
+    base = {"search.n_steps": 1.0}
+    before = _search_fields(sf.build_search_config(sf.normalize(base)))
+    after = _search_fields(sf.build_search_config(sf.normalize({**base, key: value})))
+    assert {name for name in before if before[name] != after[name]} == {target}
+    assert after[target] == (tuple(value) if isinstance(value, list) else value)
 
 
 def test_unknown_key_named_in_error():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import semiflow as sf
+from semiflow import search
 from semiflow.errors import RoundTimeout
 from semiflow.search import DEFAULT_N_STEPS, GlobalClock, dynamics_round
 
@@ -25,12 +26,23 @@ def incumbent_for(data, config):
 
 # ---------------------------------------------------------------- global clock
 
-def test_clock_matches_cosine_schedule():
-    ipe = 4
-    clock = GlobalClock(ipe, 6, 0.05, 1e-7)
-    for k in range(60):
-        t = math.fmod(k / ipe, 6)
-        assert clock.tau() == sf.cosine_lr(t, 6, 0.05, 1e-7)
+@pytest.mark.parametrize("ipe, period, lam_start, lam_final", [
+    pytest.param(4, 6, 0.05, 1e-7, id="search"),
+    # pretrain's one arc: 20 epochs, 0.5 -> 1e-7, 21 batches per spirals epoch
+    pytest.param(21, 20, 0.5, 1e-7, id="pretrain"),
+    # a hill-climb child: one epochs_neigh cycle on a fresh clock
+    pytest.param(21, 18, 0.05, 1e-7, id="hillclimb-child"),
+])
+def test_clock_matches_cosine_schedule(ipe, period, lam_start, lam_final):
+    # The first cycle of the clock is one plain cosine arc, which is what
+    # lets pretraining, child training and final training share one loop.
+    clock = GlobalClock(ipe, period, lam_start, lam_final)
+    for k in range(period * ipe):
+        assert clock.tau() == sf.cosine_lr(k / ipe, period, lam_start, lam_final)
+        clock.advance()
+    for k in range(period * ipe, 2 * period * ipe + ipe):
+        t = math.fmod(k / ipe, period)
+        assert clock.tau() == sf.cosine_lr(t, period, lam_start, lam_final)
         clock.advance()
 
 
@@ -234,6 +246,21 @@ def test_hillclimb_respects_wallclock_cap(blobs_small):
     res = sf.hill_climb_baseline(cfg, blobs_small, wallclock_cap=0.0)
     assert res.rounds == 0
     assert res.architectures_explored == 1
+
+
+@pytest.mark.parametrize("mode", ["nasgd", "nasagd", "hillclimb"])
+def test_each_phase_runs_once_per_search(monkeypatch, blobs_small, mode):
+    # Wrapping these two module names is how a search's phases get timed
+    # from outside, so every search must enter each exactly once.
+    calls = {"pretrain": 0, "final_train": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(search, name), **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(search, name, counted)
+    sf.run_search(small_config(mode=mode, n_neigh=4), blobs_small)
+    assert calls == {"pretrain": 1, "final_train": 1}
 
 
 # ---------------------------------------------------------------- final training
