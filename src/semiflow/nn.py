@@ -9,6 +9,14 @@ layer be inserted anywhere without changing the function.
 
 All parameters live in one flat float64 vector with a fixed layout:
 per hidden layer W then b, then the output layer, then one scale per skip.
+layout(spec) is the only code that walks it. It compiles the offsets and
+shapes of every block, and the skips into each layer, once per spec.
+param_count, unflatten, flatten, init_params and the kernels all read it.
+
+The kernels read W and b as views into the flat vector, and loss_and_grad
+writes the gradient straight into slices of one fresh flat vector.
+NetParts is for code that edits architectures (morphisms); the training
+path never builds one.
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,14 +85,58 @@ class NetSpec:
         return sum(1 for _, d in self.skips if d == dst)
 
 
-def param_count(spec: NetSpec) -> int:
+class LayerSlots(NamedTuple):
+    """Where hidden layer i's W (shape w_shape) and b sit in the flat vector,
+    and the skips into it as (index of the skip's scale, source
+    activation), in spec order."""
+
+    w: slice
+    w_shape: tuple[int, int]
+    b: slice
+    skips: tuple[tuple[int, int], ...]
+
+
+class Layout(NamedTuple):
+    """The compiled parameter layout of one NetSpec."""
+
+    layers: tuple[LayerSlots, ...]
+    w_out: slice
+    w_out_shape: tuple[int, int]
+    b_out: slice
+    scales: slice
+    n_params: int
+
+
+@lru_cache(maxsize=256)
+def layout(spec: NetSpec) -> Layout:
+    """Walk the flat layout once: per hidden layer W then b, then the
+    output layer, then one scale per skip.
+
+    Every other function reads the layout from here. It is cached per spec
+    (NetSpec is frozen and hashable) and holds only immutable values.
+    """
+    end = 0
+
+    def take(size: int) -> slice:
+        nonlocal end
+        end += size
+        return slice(end - size, end)
+
     widths = spec.widths()
-    n = 0
+    layers = []
     for i in range(1, len(widths)):
-        n += widths[i] * widths[i - 1] + widths[i]
-    n += spec.output_dim * widths[-1] + spec.output_dim
-    n += len(spec.skips)
-    return n
+        h, p = widths[i], widths[i - 1]
+        w, b = take(h * p), take(h)
+        into = tuple((k, s) for k, (s, d) in enumerate(spec.skips) if d == i)
+        layers.append(LayerSlots(w, (h, p), b, into))
+    out, h_last = spec.output_dim, widths[-1]
+    w_out, b_out = take(out * h_last), take(out)
+    scales = take(len(spec.skips))
+    return Layout(tuple(layers), w_out, (out, h_last), b_out, scales, end)
+
+
+def param_count(spec: NetSpec) -> int:
+    return layout(spec).n_params
 
 
 @dataclass
@@ -97,58 +150,66 @@ class NetParts:
     scales: np.ndarray          # one scalar per skip, spec order
 
 
-def unflatten(spec: NetSpec, flat: np.ndarray) -> NetParts:
+def _check_params(lay: Layout, flat: np.ndarray) -> np.ndarray:
     flat = np.asarray(flat, dtype=float)
-    if flat.ndim != 1 or flat.size != param_count(spec):
+    if flat.ndim != 1 or flat.size != lay.n_params:
         raise BadParams(
-            f"expected {param_count(spec)} parameters, got shape {flat.shape}"
+            f"expected {lay.n_params} parameters, got shape {flat.shape}"
         )
-    widths = spec.widths()
-    weights, biases = [], []
-    k = 0
-    for i in range(1, len(widths)):
-        h, p = widths[i], widths[i - 1]
-        weights.append(flat[k:k + h * p].reshape(h, p))
-        k += h * p
-        biases.append(flat[k:k + h])
-        k += h
-    out, h_last = spec.output_dim, widths[-1]
-    w_out = flat[k:k + out * h_last].reshape(out, h_last)
-    k += out * h_last
-    b_out = flat[k:k + out]
-    k += out
-    scales = flat[k:k + len(spec.skips)]
-    return NetParts(weights, biases, w_out, b_out, scales)
+    return flat
+
+
+def unflatten(spec: NetSpec, flat: np.ndarray) -> NetParts:
+    """NetParts of views into flat: writing to a part writes to flat."""
+    lay = layout(spec)
+    flat = _check_params(lay, flat)
+    return NetParts(
+        _weights(lay, flat),
+        [flat[layer.b] for layer in lay.layers],
+        flat[lay.w_out].reshape(lay.w_out_shape),
+        flat[lay.b_out],
+        flat[lay.scales],
+    )
+
+
+def _weights(lay: Layout, flat: np.ndarray) -> list[np.ndarray]:
+    """Views of the hidden layers' weight matrices."""
+    return [flat[layer.w].reshape(layer.w_shape) for layer in lay.layers]
 
 
 def flatten(spec: NetSpec, parts: NetParts) -> np.ndarray:
-    pieces = []
-    for w, b in zip(parts.weights, parts.biases):
-        pieces.append(np.asarray(w, dtype=float).ravel())
-        pieces.append(np.asarray(b, dtype=float).ravel())
-    pieces.append(np.asarray(parts.w_out, dtype=float).ravel())
-    pieces.append(np.asarray(parts.b_out, dtype=float).ravel())
-    pieces.append(np.asarray(parts.scales, dtype=float).ravel())
-    flat = np.concatenate(pieces) if pieces else np.empty(0)
-    if flat.size != param_count(spec):
+    lay = layout(spec)
+    n_layers = len(lay.layers)
+    if len(parts.weights) != n_layers or len(parts.biases) != n_layers:
         raise BadParams(
-            f"parts hold {flat.size} parameters, spec wants {param_count(spec)}"
+            f"parts hold {len(parts.weights)} weight and {len(parts.biases)} "
+            f"bias blocks, spec has {n_layers} hidden layers"
         )
+    slots = [s for layer in lay.layers for s in (layer.w, layer.b)]
+    pieces = [p for wb in zip(parts.weights, parts.biases) for p in wb]
+    slots += [lay.w_out, lay.b_out, lay.scales]
+    pieces += [parts.w_out, parts.b_out, parts.scales]
+    flat = np.empty(lay.n_params)
+    for slot, piece in zip(slots, pieces):
+        piece = np.asarray(piece, dtype=float)
+        if piece.size != slot.stop - slot.start:
+            raise BadParams(
+                f"a part holds {piece.size} parameters where the spec wants "
+                f"{slot.stop - slot.start}"
+            )
+        flat[slot] = piece.ravel()
     return flat
 
 
 def init_params(spec: NetSpec, rng: np.random.Generator) -> np.ndarray:
     """He-scaled weights (std sqrt(2/fan_in)), zero biases and skip scales."""
-    widths = spec.widths()
-    weights, biases = [], []
-    for i in range(1, len(widths)):
-        h, p = widths[i], widths[i - 1]
-        weights.append(rng.normal(0.0, np.sqrt(2.0 / p), size=(h, p)))
-        biases.append(np.zeros(h))
-    w_out = rng.normal(0.0, np.sqrt(2.0 / widths[-1]), size=(spec.output_dim, widths[-1]))
-    b_out = np.zeros(spec.output_dim)
-    scales = np.zeros(len(spec.skips))
-    return flatten(spec, NetParts(weights, biases, w_out, b_out, scales))
+    lay = layout(spec)
+    flat = np.zeros(lay.n_params)
+    slots = [(layer.w, layer.w_shape) for layer in lay.layers]
+    for w, shape in slots + [(lay.w_out, lay.w_out_shape)]:
+        fan_in = shape[1]
+        flat[w] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).ravel()
+    return flat
 
 
 def _check_inputs(spec: NetSpec, inputs: np.ndarray) -> np.ndarray:
@@ -160,27 +221,39 @@ def _check_inputs(spec: NetSpec, inputs: np.ndarray) -> np.ndarray:
     return inputs
 
 
-def _activations(
-    spec: NetSpec, parts: NetParts, inputs: np.ndarray
+def _forward(
+    lay: Layout,
+    params: np.ndarray,
+    weights: list[np.ndarray],
+    inputs: np.ndarray,
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Returns (post-activations a_0..a_L, pre-activations z_1..z_L, logits)."""
+    """Returns (post-activations a_0..a_L, pre-activations z_1..z_L, logits).
+
+    weights are _weights(lay, params).
+    """
+    scales = params[lay.scales]
     acts = [inputs]
     pres = []
-    for i, (w, b) in enumerate(zip(parts.weights, parts.biases), start=1):
-        z = acts[i - 1] @ w.T + b
-        for k, (s, d) in enumerate(spec.skips):
-            if d == i:
-                z = z + parts.scales[k] * acts[s]
+    for layer, w in zip(lay.layers, weights):
+        z = acts[-1] @ w.T
+        z += params[layer.b]
+        for k, s in layer.skips:
+            z += scales[k] * acts[s]
         pres.append(z)
         acts.append(np.maximum(z, 0.0))
-    logits = acts[-1] @ parts.w_out.T + parts.b_out
+    w_out = params[lay.w_out].reshape(lay.w_out_shape)
+    logits = acts[-1] @ w_out.T + params[lay.b_out]
     return acts, pres, logits
 
 
+def _logits(lay: Layout, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    return _forward(lay, params, _weights(lay, params), inputs)[2]
+
+
 def logits(spec: NetSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    lay = layout(spec)
     inputs = _check_inputs(spec, inputs)
-    parts = unflatten(spec, params)
-    return _activations(spec, parts, inputs)[2]
+    return _logits(lay, _check_params(lay, params), inputs)
 
 
 def forward(spec: NetSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -201,7 +274,7 @@ def _check_labels(spec: NetSpec, inputs: np.ndarray, labels: np.ndarray) -> np.n
         raise ShapeMismatch(
             f"labels shape {labels.shape} does not match batch {inputs.shape[0]}"
         )
-    if not np.issubdtype(labels.dtype, np.integer):
+    if labels.dtype.kind not in "iu":  # not an integer dtype
         if not np.all(labels == labels.astype(int)):
             raise BadLabel("labels must be integers")
         labels = labels.astype(int)
@@ -213,6 +286,21 @@ def _check_labels(spec: NetSpec, inputs: np.ndarray, labels: np.ndarray) -> np.n
     return labels
 
 
+def _cross_entropy(
+    z: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean cross-entropy of the logits z, with the logsumexp pieces
+    exp(z - max) and their row sums, from which the softmax follows."""
+    m = z.max(axis=1)
+    e = np.exp(z - m[:, None])
+    sums = e.sum(axis=1)
+    lse = m + np.log(sums)
+    batch = z.shape[0]
+    # sum / batch is the arithmetic of np.mean, without its dispatch.
+    loss = float((lse - z[np.arange(batch), labels]).sum() / batch)
+    return loss, e, sums
+
+
 def loss_only(
     spec: NetSpec,
     params: np.ndarray,
@@ -220,16 +308,11 @@ def loss_only(
     labels: np.ndarray,
 ) -> float:
     """Mean cross-entropy without the gradient."""
+    lay = layout(spec)
     inputs = _check_inputs(spec, inputs)
     labels = _check_labels(spec, inputs, labels)
-    z = logits(spec, params, inputs)
-    lse = _logsumexp(z)
-    return float(np.mean(lse - z[np.arange(z.shape[0]), labels]))
-
-
-def _logsumexp(z: np.ndarray) -> np.ndarray:
-    m = z.max(axis=1)
-    return m + np.log(np.exp(z - m[:, None]).sum(axis=1))
+    z = _logits(lay, _check_params(lay, params), inputs)
+    return _cross_entropy(z, labels)[0]
 
 
 def loss_and_grad(
@@ -239,43 +322,46 @@ def loss_and_grad(
     labels: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and its gradient in the flat parameter vector."""
+    lay = layout(spec)
     inputs = _check_inputs(spec, inputs)
     labels = _check_labels(spec, inputs, labels)
-    parts = unflatten(spec, params)
-    acts, pres, z = _activations(spec, parts, inputs)
+    params = _check_params(lay, params)
+    out = np.empty(lay.n_params)
+    weights = _weights(lay, params)
+    acts, pres, z = _forward(lay, params, weights, inputs)
     batch = inputs.shape[0]
 
-    lse = _logsumexp(z)
-    loss = float(np.mean(lse - z[np.arange(batch), labels]))
-
-    dlogits = softmax(z)
+    loss, dlogits, sums = _cross_entropy(z, labels)
+    dlogits /= sums[:, None]
     dlogits[np.arange(batch), labels] -= 1.0
     dlogits /= batch
 
-    d_w_out = dlogits.T @ acts[-1]
-    d_b_out = dlogits.sum(axis=0)
+    np.matmul(dlogits.T, acts[-1], out=out[lay.w_out].reshape(lay.w_out_shape))
+    np.add.reduce(dlogits, axis=0, out=out[lay.b_out])
 
-    n_hidden = len(spec.hidden)
-    d_acts = [np.zeros_like(a) for a in acts]
-    d_acts[n_hidden] = dlogits @ parts.w_out
-
-    d_weights = [None] * n_hidden
-    d_biases = [None] * n_hidden
-    d_scales = np.zeros(len(spec.skips))
+    scales = params[lay.scales]
+    d_scales = out[lay.scales]
+    d_scales[:] = 0.0
+    # Activation gradients start as the float 0.0 and become arrays at their
+    # first contribution; 0.0 + c keeps the signed zeros a zero-filled
+    # accumulator would. The input's gradient (index 0) is never read, so it
+    # is never formed.
+    n_hidden = len(lay.layers)
+    d_acts: list = [0.0] * n_hidden
+    d_acts.append(dlogits @ params[lay.w_out].reshape(lay.w_out_shape))
     for i in range(n_hidden, 0, -1):
-        dz = d_acts[i] * (pres[i - 1] > 0.0)
-        d_weights[i - 1] = dz.T @ acts[i - 1]
-        d_biases[i - 1] = dz.sum(axis=0)
-        d_acts[i - 1] += dz @ parts.weights[i - 1]
-        for k, (s, d) in enumerate(spec.skips):
-            if d == i:
-                d_scales[k] += float(np.sum(dz * acts[s]))
-                d_acts[s] += parts.scales[k] * dz
-
-    grad = flatten(
-        spec, NetParts(d_weights, d_biases, d_w_out, d_b_out, d_scales)
-    )
-    return loss, grad
+        layer = lay.layers[i - 1]
+        dz = d_acts[i]
+        dz *= pres[i - 1] > 0.0
+        np.matmul(dz.T, acts[i - 1], out=out[layer.w].reshape(layer.w_shape))
+        np.add.reduce(dz, axis=0, out=out[layer.b])
+        if i > 1:
+            d_acts[i - 1] += dz @ weights[i - 1]
+        for k, s in layer.skips:
+            d_scales[k] += float(np.sum(dz * acts[s]))
+            if s > 0:
+                d_acts[s] += scales[k] * dz
+    return loss, out
 
 
 def predict(spec: NetSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -288,9 +374,14 @@ def evaluate(
     inputs: np.ndarray,
     labels: np.ndarray,
 ) -> tuple[float, float]:
-    """(mean cross-entropy, accuracy) on the given arrays."""
-    loss = loss_only(spec, params, inputs, labels)
-    acc = float(np.mean(predict(spec, params, inputs) == np.asarray(labels)))
+    """(mean cross-entropy, accuracy) on the given arrays, from one forward
+    pass."""
+    lay = layout(spec)
+    inputs = _check_inputs(spec, inputs)
+    checked = _check_labels(spec, inputs, labels)
+    z = _logits(lay, _check_params(lay, params), inputs)
+    loss = _cross_entropy(z, checked)[0]
+    acc = float(np.mean(np.argmax(z, axis=1) == np.asarray(labels)))
     return loss, acc
 
 
