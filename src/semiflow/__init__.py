@@ -58,7 +58,6 @@ from .objective import (
     clip_gradient,
     eval_train,
     eval_val,
-    grad,
 )
 from .nn import (
     NetSpec,

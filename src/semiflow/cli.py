@@ -133,6 +133,22 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+def _seed(args) -> int | None:
+    """The run seed: --seed, else $SEMIFLOW_SEED, else None."""
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get(SEED_ENV)
+        if raw is None:
+            return None
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise BadConfig(f"{SEED_ENV} must be an integer, got {raw!r}")
+    if seed < 0:
+        raise BadConfig(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def _load_table(args) -> dict:
     overrides = load_config(args.config) if args.config else {}
     table = normalize(overrides)
@@ -142,14 +158,9 @@ def _load_table(args) -> dict:
         table["search.mode"] = args.mode
     if getattr(args, "n_steps", None) is not None:
         table["search.n_steps"] = args.n_steps
-    if args.seed is not None:
-        table["search.seed"] = args.seed
-    elif SEED_ENV in os.environ:
-        raw = os.environ[SEED_ENV]
-        try:
-            table["search.seed"] = int(raw)
-        except ValueError:
-            raise BadConfig(f"{SEED_ENV} must be an integer, got {raw!r}")
+    seed = _seed(args)
+    if seed is not None:
+        table["search.seed"] = seed
     return table
 
 
@@ -284,9 +295,9 @@ def _bench_point(index, beta, kappa, gamma, args, seed, out_dir):
 
 
 def _cmd_bench(args) -> int:
-    seed = args.seed
+    seed = _seed(args)
     if seed is None:
-        seed = int(os.environ[SEED_ENV]) if SEED_ENV in os.environ else 0
+        seed = 0
     betas = _grid(args.betas, "betas")
     kappas = _grid(args.kappas, "kappas")
     gammas = _grid(args.gammas, "gammas")

@@ -258,6 +258,15 @@ def mutation_rates_first(
     return _finish_laws(raw, params.kappa, tau_k)
 
 
+def _bracket(
+    phi: Mapping[int, float], g: int, h: int, toward_high: bool
+) -> float:
+    """One-sided potential difference across edge g -> h: (phi(g) - phi(h))^-
+    toward higher phi, its positive part toward lower phi."""
+    diff = phi[g] - phi[h]
+    return negative_part(diff) if toward_high else max(0.0, diff)
+
+
 def mutation_rates_second(
     phi: Mapping[int, float],
     graph: ArchGraph,
@@ -278,9 +287,7 @@ def mutation_rates_second(
             raise NonFiniteValue(f"potential at node {g} is {phi[g]}")
         out = {}
         for h in graph.neighbors(g):
-            diff = phi[g] - phi[h]
-            r = negative_part(diff) if toward_high else max(0.0, diff)
-            r *= graph.kernel(g, h)
+            r = _bracket(phi, g, h, toward_high) * graph.kernel(g, h)
             if r > 0.0:
                 out[h] = r
         raw[g] = out
@@ -367,9 +374,7 @@ def update_potential(
     for g in graph:
         quad = 0.0
         for h in graph.neighbors(g):
-            diff = phi[g] - phi[h]
-            bracket = negative_part(diff) if toward_high else max(0.0, diff)
-            q = bracket * graph.kernel(g, h)
+            q = _bracket(phi, g, h, toward_high) * graph.kernel(g, h)
             quad += q * q
         val = phi[g] - tau_k * quad - tau_k * (f[g] ** params.beta + values[g])
         if params.friction_potential:
@@ -403,8 +408,7 @@ def restart_check(
     total = 0.0
     for g in graph:
         for h in graph.neighbors(g):
-            diff = phi[g] - phi[h]
-            bracket = negative_part(diff) if toward_high else max(0.0, diff)
+            bracket = _bracket(phi, g, h, toward_high)
             if bracket <= 0.0:
                 continue
             k = graph.kernel(g, h)

@@ -21,10 +21,6 @@ class DimensionMismatch(ValueError):
     """Array arguments disagree on dimensionality."""
 
 
-# Short alias kept for call sites that prefer the compact name.
-DimMismatch = DimensionMismatch
-
-
 class NonFiniteGradient(FloatingPointError):
     """A gradient contained NaN or +/-inf."""
 

@@ -3,8 +3,12 @@
 A graph holds one payload per node (anything hashable-free: net descriptors,
 plain labels, coordinates) plus a symmetric nonnegative kernel. Node ids are
 small ints handed out in insertion order, with the center always id 0. The
-search loop rebuilds one of these per round, so the structure stays simple:
-dicts, no adjacency matrices.
+kernel is stored as one adjacency row per node, `{neighbor: weight}`, with
+each edge written into both rows: the particle dynamics only ask for the
+neighbors of g and for K(g, h), and each reads one row. Absent entries,
+including the diagonal, are zero weight. The search loop rebuilds one of
+these per round, so the structure stays simple: dicts, no adjacency
+matrices.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ class ArchGraph:
 
     def __init__(self) -> None:
         self._payloads: dict[int, Any] = {}
-        self._weights: dict[tuple[int, int], float] = {}
+        self._adj: dict[int, dict[int, float]] = {}
         self._next_id = 0
 
     # -- construction -----------------------------------------------------
@@ -28,6 +32,7 @@ class ArchGraph:
         gid = self._next_id
         self._next_id += 1
         self._payloads[gid] = payload
+        self._adj[gid] = {}
         return gid
 
     def add_node(self, payload: Any, weight_to_center: float = 1.0) -> int:
@@ -48,8 +53,7 @@ class ArchGraph:
             raise NonPositiveWeight("self-edges are not allowed")
         if not weight > 0.0:
             raise NonPositiveWeight(f"edge ({a},{b}) weight {weight!r}")
-        key = (min(a, b), max(a, b))
-        self._weights[key] = float(weight)
+        self._adj[a][b] = self._adj[b][a] = float(weight)
 
     # -- queries ----------------------------------------------------------
 
@@ -62,11 +66,6 @@ class ArchGraph:
             return self._payloads[g]
         except KeyError:
             raise UnknownNode(g) from None
-
-    def set_payload(self, g: int, payload: Any) -> None:
-        if g not in self._payloads:
-            raise UnknownNode(g)
-        self._payloads[g] = payload
 
     def nodes(self) -> list[int]:
         """All node ids, ascending."""
@@ -87,38 +86,33 @@ class ArchGraph:
             raise UnknownNode(a)
         if b not in self._payloads:
             raise UnknownNode(b)
-        if a == b:
-            return 0.0
-        return self._weights.get((min(a, b), max(a, b)), 0.0)
+        return self._adj[a].get(b, 0.0)
 
     def neighbors(self, g: int) -> list[int]:
         """Ids adjacent to g with positive weight, ascending."""
-        if g not in self._payloads:
-            raise UnknownNode(g)
-        out = []
-        for (a, b), w in self._weights.items():
-            if w <= 0.0:
-                continue
-            if a == g:
-                out.append(b)
-            elif b == g:
-                out.append(a)
-        return sorted(out)
+        try:
+            return sorted(self._adj[g])
+        except KeyError:
+            raise UnknownNode(g) from None
 
     def edges(self) -> list[tuple[int, int, float]]:
         """All edges as (a, b, weight) with a < b, sorted."""
-        return sorted((a, b, w) for (a, b), w in self._weights.items())
+        return sorted(
+            (a, b, w) for a, row in self._adj.items() for b, w in row.items()
+            if a < b
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArchGraph):
             return NotImplemented
         return (
             self._payloads == other._payloads
-            and self._weights == other._weights
+            and self._adj == other._adj
         )
 
     def __repr__(self) -> str:
-        return f"ArchGraph(nodes={len(self._payloads)}, edges={len(self._weights)})"
+        n_edges = sum(len(row) for row in self._adj.values()) // 2
+        return f"ArchGraph(nodes={len(self._payloads)}, edges={n_edges})"
 
 
 def new_graph(center_payload: Any) -> ArchGraph:

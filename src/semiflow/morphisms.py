@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadPosition, ConstraintViolated, DimensionMismatch
-from .graph import ArchGraph, new_graph
+from .graph import ArchGraph, complete_graph, star_graph
 from .nn import NetParts, NetSpec, flatten, forward, param_count, unflatten
 
 
@@ -445,10 +445,7 @@ def build_local_graph(
         probe = rng.normal(size=(64, incumbent_spec.input_dim))
     base_out = forward(incumbent_spec, incumbent_params, probe)
 
-    graph = new_graph(
-        Candidate(incumbent_spec, np.asarray(incumbent_params, dtype=float),
-                  velocity, None)
-    )
+    children = []
     audit = []
     for _ in range(n_neigh):
         morphed = record = None
@@ -469,22 +466,24 @@ def build_local_graph(
             )
         child_out = forward(morphed.spec, morphed.params, probe)
         dev = float(np.max(np.abs(child_out - base_out)))
-        child_id = graph.add_node(
-            Candidate(morphed.spec, morphed.params, morphed.velocity, record),
-            1.0,
+        children.append(
+            Candidate(morphed.spec, morphed.params, morphed.velocity, record)
         )
         audit.append(
             {
-                "child_id": child_id,
+                # Both builders number the children 1..n_neigh in list order.
+                "child_id": len(children),
                 "kind": record.kind,
                 "args": record.args_dict(),
                 "preserved": bool(dev <= 1e-6),
                 "dev": dev,
             }
         )
+    center = Candidate(
+        incumbent_spec, np.asarray(incumbent_params, dtype=float), velocity, None
+    )
     if topology == "complete":
-        children = [g for g in graph if g != graph.center]
-        for i, a in enumerate(children):
-            for b in children[i + 1:]:
-                graph.connect(a, b, 1.0)
+        graph = complete_graph([center, *children])
+    else:
+        graph = star_graph(center, children)
     return graph, audit

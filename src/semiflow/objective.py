@@ -1,10 +1,12 @@
 """Objective handles: V(x, g) evaluation, gradients, and the running
 validation average that drives mutation.
 
-An objective is anything with value/grad/dim. Two implementations ship: an
-analytic quadratic (for dynamics tests and benches) and a wrapper around the
-miniature networks (the real workload). Validation losses are smoothed per
-node by an exponential moving average and are never backpropagated.
+An objective is anything with value/value_and_grad: a round trains each
+node through value_and_grad and scores it on validation batches by value.
+Two implementations ship: an analytic quadratic (for dynamics tests and
+benches) and a wrapper around the miniature networks (the real workload).
+Validation losses are smoothed per node by an exponential moving average
+and are never backpropagated.
 """
 
 from __future__ import annotations
@@ -15,15 +17,15 @@ from typing import Any, Protocol
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteValue
+from .errors import NonFiniteValue
 
 
 class ObjectiveHandle(Protocol):
     def value(self, x: np.ndarray, g: int, batch: Any) -> float: ...
 
-    def grad(self, x: np.ndarray, g: int, batch: Any) -> np.ndarray: ...
-
-    def dim(self, g: int) -> int: ...
+    def value_and_grad(
+        self, x: np.ndarray, g: int, batch: Any
+    ) -> tuple[float, np.ndarray]: ...
 
 
 @dataclass
@@ -45,8 +47,10 @@ class QuadraticObjective:
     def grad(self, x: np.ndarray, g: int, batch: Any = None) -> np.ndarray:
         return np.asarray(x, dtype=float) - self.centers[g]
 
-    def dim(self, g: int) -> int:
-        return self.centers[g].size
+    def value_and_grad(
+        self, x: np.ndarray, g: int, batch: Any = None
+    ) -> tuple[float, np.ndarray]:
+        return self.value(x, g, batch), self.grad(x, g, batch)
 
 
 @dataclass
@@ -103,23 +107,6 @@ def eval_val(
     if not math.isfinite(sample):
         raise NonFiniteValue(f"validation loss at node {g} is {sample}")
     return tracker.update(g, sample)
-
-
-def grad(obj: ObjectiveHandle, x: np.ndarray, g: int, batch: Any) -> np.ndarray:
-    """Training gradient with finiteness and dimension checks."""
-    x = np.asarray(x, dtype=float)
-    if x.size != obj.dim(g):
-        raise DimensionMismatch(
-            f"x has {x.size} entries, node {g} expects {obj.dim(g)}"
-        )
-    out = np.asarray(obj.grad(x, g, batch), dtype=float)
-    if out.size != obj.dim(g):
-        raise DimensionMismatch(
-            f"gradient has {out.size} entries, node {g} expects {obj.dim(g)}"
-        )
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteGradient(f"gradient at node {g} is not finite")
-    return out
 
 
 def clip_gradient(vec: np.ndarray, max_norm: float) -> np.ndarray:

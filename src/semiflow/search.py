@@ -23,7 +23,7 @@ import math
 import os
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -136,20 +136,12 @@ class SearchConfig:
         self.hidden = tuple(int(w) for w in self.hidden)
 
     def dynamics(self) -> DynamicsParams:
-        return DynamicsParams(
-            kappa=self.kappa,
-            beta=self.beta,
-            gamma=self.gamma,
-            mode=SECOND_ORDER if self.mode == "nasagd" else FIRST_ORDER,
-            rate_mode=self.rate_mode,
-            damping=self.damping,
-            pure_gradient=self.pure_gradient,
-            speed_penalty=self.speed_penalty,
-            friction_potential=self.friction_potential,
-            flow=self.flow,
-            restart_literal=self.restart_literal,
-            entropy=self.entropy,
-        )
+        """The particle-dynamics knobs: every DynamicsParams field but mode
+        has a same-named field here; mode follows the search mode."""
+        knobs = {f.name: getattr(self, f.name)
+                 for f in fields(DynamicsParams) if f.name != "mode"}
+        mode = SECOND_ORDER if self.mode == "nasagd" else FIRST_ORDER
+        return DynamicsParams(mode=mode, **knobs)
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -276,7 +268,6 @@ def dynamics_round(
     objective: ObjectiveHandle,
     states: dict[int, NodeState],
     config: SearchConfig,
-    dyn: DynamicsParams,
     clock: GlobalClock,
     rng: np.random.Generator,
     batches: BatchFn | None = None,
@@ -293,6 +284,7 @@ def dynamics_round(
     RoundTimeout if asked to), or when budget_iters run out (stats.adopted
     stays None: the caller keeps its incumbent).
     """
+    dyn = config.dynamics()
     nodes = graph.nodes()
     center = graph.center
     ensemble = seed_ensemble(graph, config.n_particles)
@@ -312,7 +304,7 @@ def dynamics_round(
         # the objective handle, and each train loss is recorded.
         for g in nodes:
             batch = batches(g, "train")
-            loss, grad_vec = _value_and_grad(objective, states[g].x, g, batch)
+            loss, grad_vec = objective.value_and_grad(states[g].x, g, batch)
             v_train[g] = loss
             grad_vec = clip_gradient(grad_vec, config.grad_clip)
             states[g] = train_step(
@@ -365,13 +357,6 @@ def dynamics_round(
     return stats
 
 
-def _value_and_grad(obj: ObjectiveHandle, x, g, batch):
-    fn = getattr(obj, "value_and_grad", None)
-    if fn is not None:
-        return fn(x, g, batch)
-    return float(obj.value(x, g, batch)), np.asarray(obj.grad(x, g, batch))
-
-
 class NetObjective:
     """ObjectiveHandle over per-node architectures; batches are (X, y)."""
 
@@ -382,16 +367,9 @@ class NetObjective:
         inputs, labels = batch
         return loss_only(self.specs[g], x, inputs, labels)
 
-    def grad(self, x, g, batch):
-        inputs, labels = batch
-        return loss_and_grad(self.specs[g], x, inputs, labels)[1]
-
     def value_and_grad(self, x, g, batch):
         inputs, labels = batch
         return loss_and_grad(self.specs[g], x, inputs, labels)
-
-    def dim(self, g):
-        return param_count(self.specs[g])
 
 
 def _node_streams(
@@ -427,8 +405,6 @@ def run_round(
     config: SearchConfig,
     data: Dataset,
     clock: GlobalClock | None = None,
-    morph_rng: np.random.Generator | None = None,
-    mutation_rng: np.random.Generator | None = None,
     metrics: MetricsWriter | None = None,
     round_idx: int = 1,
     budget_iters: int | None = None,
@@ -445,15 +421,11 @@ def run_round(
             iters_per_epoch(data, config), config.epochs_neigh,
             config.lam_start, config.lam_final,
         )
-    if morph_rng is None:
-        morph_rng = _rng(config.seed, 2, round_idx)
-    if mutation_rng is None:
-        mutation_rng = _rng(config.seed, 3, round_idx)
 
     graph, audit = build_local_graph(
         incumbent.spec, incumbent.params, config.n_neigh, config.constraints,
-        config.mix, morph_rng, velocity=incumbent.velocity,
-        topology=config.topology,
+        config.mix, _rng(config.seed, 2, round_idx),
+        velocity=incumbent.velocity, topology=config.topology,
     )
     objective = NetObjective(
         {g: graph.payload(g).spec for g in graph}
@@ -468,9 +440,9 @@ def run_round(
     batches = _node_streams(data, config, round_idx, graph.nodes())
 
     stats = dynamics_round(
-        graph, objective, states, config, config.dynamics(), clock,
-        mutation_rng, batches, metrics, round_idx, budget_iters,
-        raise_on_timeout,
+        graph, objective, states, config, clock,
+        _rng(config.seed, 3, round_idx), batches, metrics, round_idx,
+        budget_iters, raise_on_timeout,
     )
     if stats.adopted is None:
         return incumbent, stats, audit
@@ -708,8 +680,6 @@ def run_search(
             incumbent, stats, audit = run_round(
                 incumbent, config, data,
                 clock=clock,
-                morph_rng=_rng(config.seed, 2, round_idx),
-                mutation_rng=_rng(config.seed, 3, round_idx),
                 metrics=metrics,
                 round_idx=round_idx,
                 budget_iters=budget_iters - clock.k,

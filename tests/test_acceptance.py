@@ -246,7 +246,7 @@ def rigged_round(mode, seed, margin=1.0, n_particles=1000):
     cfg = sf.SearchConfig(mode=mode, seed=seed, epochs_neigh=6,
                           n_particles=n_particles)
     clock = GlobalClock(4, 6, 0.05, 1e-7)
-    return dynamics_round(g, obj, states, cfg, cfg.dynamics(), clock,
+    return dynamics_round(g, obj, states, cfg, clock,
                           np.random.default_rng(seed))
 
 

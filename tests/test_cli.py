@@ -106,6 +106,26 @@ def test_seed_flag_beats_env(tmp_path, monkeypatch):
     assert summary["seed"] == 5
 
 
+@pytest.mark.parametrize("command", ["search", "dynamics-bench"])
+@pytest.mark.parametrize("raw, message", [
+    pytest.param("abc", "SEMIFLOW_SEED must be an integer, got 'abc'",
+                 id="not-int"),
+    pytest.param("-1", "seed must be nonnegative, got -1", id="negative"),
+])
+def test_bad_env_seed_is_config_error(command, raw, message, tmp_path,
+                                      monkeypatch, caplog):
+    # Every subcommand resolves and checks the seed the same way.
+    monkeypatch.setenv("SEMIFLOW_SEED", raw)
+    argv = [command, "--out", str(tmp_path / "run")]
+    if command == "search":
+        argv += ["--config", write_config(tmp_path, {})]
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, out, err = run_cli_all(argv)
+    assert code == 2
+    assert message in caplog.text
+    assert out == ""
+
+
 def test_strict_timeout_exit_code(tmp_path):
     cfg = write_config(tmp_path, {"dynamics.kappa": 1e-9,
                                   "search.n_steps": 6.0,

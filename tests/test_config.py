@@ -181,6 +181,30 @@ def test_build_search_config_maps_fields():
     assert sc.hidden == (4, 4)
 
 
+# A valid value for every DynamicsParams field but mode, different from the
+# SearchConfig default and from the DynamicsParams default.
+DYNAMICS_OVERRIDES = {
+    "kappa": 7.0, "beta": 3.5, "gamma": 0.25, "rate_mode": sf.EXPECTED,
+    "damping": 0.5, "pure_gradient": True, "speed_penalty": True,
+    "friction_potential": True, "flow": sf.TOWARD_LOW_PHI,
+    "restart_literal": True, "entropy": "log",
+}
+
+
+def test_search_config_dynamics_carries_every_field():
+    fields = {f.name for f in dataclasses.fields(sf.DynamicsParams)}
+    assert set(DYNAMICS_OVERRIDES) == fields - {"mode"}
+    defaults = sf.SearchConfig()
+    for name, value in DYNAMICS_OVERRIDES.items():
+        assert getattr(defaults, name) != value
+        assert getattr(sf.DynamicsParams(), name) != value
+        dyn = sf.SearchConfig(**{name: value}).dynamics()
+        assert getattr(dyn, name) == value
+    assert sf.SearchConfig(mode="nasagd").dynamics().mode == sf.SECOND_ORDER
+    assert sf.SearchConfig(mode="nasgd").dynamics().mode == sf.FIRST_ORDER
+    assert sf.SearchConfig(mode="hillclimb").dynamics().mode == sf.FIRST_ORDER
+
+
 def test_build_search_config_rejects_bad_values():
     with pytest.raises(BadConfig):
         sf.build_search_config(sf.normalize({"search.n_particles": 0}))

@@ -172,7 +172,7 @@ def rigged_round(mode, seed, margin=1.0, n_particles=1000):
     cfg = sf.SearchConfig(mode=mode, seed=seed, epochs_neigh=6,
                           n_particles=n_particles)
     clock = GlobalClock(4, 6, 0.05, 1e-7)
-    stats = dynamics_round(g, obj, states, cfg, cfg.dynamics(), clock,
+    stats = dynamics_round(g, obj, states, cfg, clock,
                            np.random.default_rng(seed))
     return stats, offs
 
@@ -201,7 +201,7 @@ def test_identical_scores_time_out():
     cfg = sf.SearchConfig(mode="nasgd", seed=0, epochs_neigh=2, n_particles=50)
     clock = GlobalClock(4, 2, 0.05, 1e-7)
     with pytest.raises(RoundTimeout):
-        dynamics_round(g, obj, states, cfg, cfg.dynamics(), clock,
+        dynamics_round(g, obj, states, cfg, clock,
                        np.random.default_rng(0), raise_on_timeout=True)
 
 
