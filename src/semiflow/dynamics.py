@@ -15,16 +15,25 @@ of momentum: rates read phi, and phi is in turn pushed down by mass and loss.
 
 A cosine step-size schedule with warm restarts, an energy monitor, and a
 closed-form stationary-distribution oracle round out the toolbox.
+
+The edge work of a step is done on whole matrices. Node values become one
+array over ids 0..n-1; the one-sided brackets, the raw rates R = bracket * K
+against the graph's dense `kernel_matrix()`, the squared outflow of the
+potential and the restart drift are n x n array expressions, each term
+multiplied in the order the per-edge formula gives. Sums over neighbours
+add left to right in ascending id, as the per-edge loops did, so a step
+gives the same bits as they did. Per-node work (scores, f**beta, finiteness
+checks, the optional friction and speed terms, the draws) stays scalar.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DimensionMismatch,
@@ -206,17 +215,53 @@ class MoveLaw(NamedTuple):
     dest: dict[int, float]
 
 
+def _node_array(by_node: Mapping[int, float], n: int) -> np.ndarray:
+    """by_node[0..n-1] as one float array, indexed like kernel_matrix()."""
+    return np.fromiter(map(by_node.__getitem__, range(n)), float, n)
+
+
+def _gap(u: np.ndarray, toward_high: bool) -> np.ndarray:
+    """Matrix of u(h) - u(g) (toward_high) or u(g) - u(h) over pairs [g, h].
+
+    Its positive part is the one-sided bracket of g -> h: (u(g) - u(h))^-
+    or (u(g) - u(h))^+. np.fmax(x, 0.0) takes that part and maps NaN to 0,
+    as the scalar comparisons did.
+    """
+    return u[None, :] - u[:, None] if toward_high else u[:, None] - u[None, :]
+
+
+def _row_totals(m: np.ndarray) -> np.ndarray:
+    """Each row of m summed left to right, as `total += x` adds; np.sum adds
+    pairwise, which can round differently."""
+    if m.size == 0:
+        return np.zeros(len(m))
+    return np.add.accumulate(m, axis=1)[:, -1]
+
+
 def _finish_laws(
-    raw: dict[int, dict[int, float]], kappa: float, tau_k: float
+    raw: np.ndarray, kappa: float, tau_k: float
 ) -> dict[int, MoveLaw]:
+    """Move laws from the raw rate matrix R: node g moves with probability
+    min(1, kappa*tau_k*sum_h R[g, h]), to h in proportion to R[g, h].
+
+    Only entries > 0 are rates: fmax also clears the NaN of an infinite
+    bracket times the zero kernel of a non-edge.
+    """
+    rates = np.fmax(raw, 0.0)
+    totals = _row_totals(rates)
+    rows, cols = rates.nonzero()
+    shares = (rates[rows, cols] / totals[rows]).tolist()
+    rows, cols = rows.tolist(), cols.tolist()
     laws = {}
-    for g, out in raw.items():
-        total = sum(out.values())
-        if total <= 0.0:
+    start = 0
+    for g, total in enumerate(totals.tolist()):
+        if total > 0.0:
+            end = bisect_right(rows, g, start)
+            prob = min(1.0, kappa * tau_k * total)
+            laws[g] = MoveLaw(prob, dict(zip(cols[start:end], shares[start:end])))
+            start = end
+        else:
             laws[g] = MoveLaw(0.0, {})
-            continue
-        prob = min(1.0, kappa * tau_k * total)
-        laws[g] = MoveLaw(prob, {h: r / total for h, r in out.items()})
     return laws
 
 
@@ -241,30 +286,14 @@ def mutation_rates_first(
     The move probability is min(1, kappa*tau_k*sum of raw rates).
     """
     _check_rate_inputs(graph, tau_k)
-    score = {}
+    score = []
     for g in graph:
         s = marginal[g] ** params.beta + values[g]
         if not math.isfinite(s):
             raise NonFiniteValue(f"score at node {g} is {s}")
-        score[g] = s
-    raw: dict[int, dict[int, float]] = {}
-    for g in graph:
-        out = {}
-        for h in graph.neighbors(g):
-            r = negative_part(score[h] - score[g]) * graph.kernel(g, h)
-            if r > 0.0:
-                out[h] = r
-        raw[g] = out
+        score.append(s)
+    raw = _gap(np.array(score), False) * graph.kernel_matrix()
     return _finish_laws(raw, params.kappa, tau_k)
-
-
-def _bracket(
-    phi: Mapping[int, float], g: int, h: int, toward_high: bool
-) -> float:
-    """One-sided potential difference across edge g -> h: (phi(g) - phi(h))^-
-    toward higher phi, its positive part toward lower phi."""
-    diff = phi[g] - phi[h]
-    return negative_part(diff) if toward_high else max(0.0, diff)
 
 
 def mutation_rates_second(
@@ -280,18 +309,12 @@ def mutation_rates_second(
     (positive part, flow toward smaller phi) is selectable via params.flow.
     """
     _check_rate_inputs(graph, tau_k)
-    toward_high = params.flow == TOWARD_HIGH_PHI
-    raw: dict[int, dict[int, float]] = {}
-    for g in graph:
-        if not math.isfinite(phi[g]):
-            raise NonFiniteValue(f"potential at node {g} is {phi[g]}")
-        out = {}
-        for h in graph.neighbors(g):
-            r = _bracket(phi, g, h, toward_high) * graph.kernel(g, h)
-            if r > 0.0:
-                out[h] = r
-        raw[g] = out
-    return _finish_laws(raw, params.kappa, tau_k)
+    potential = _node_array(phi, len(graph))
+    for g, p in enumerate(potential.tolist()):
+        if not math.isfinite(p):
+            raise NonFiniteValue(f"potential at node {g} is {p}")
+    gap = _gap(potential, params.flow == TOWARD_HIGH_PHI)
+    return _finish_laws(gap * graph.kernel_matrix(), params.kappa, tau_k)
 
 
 class MutationResult(NamedTuple):
@@ -315,8 +338,10 @@ def apply_mutation_with_flows(
     flows: dict[tuple[int, int], float] = {}
     for g in sorted(laws):
         law = laws[g]
+        if law.move_prob <= 0.0 or not law.dest:
+            continue
         movable = ensemble.movable(g)
-        if movable <= 0 or law.move_prob <= 0.0 or not law.dest:
+        if movable <= 0:
             continue
         dests = sorted(law.dest)
         weights = np.array([law.dest[h] for h in dests])
@@ -332,7 +357,7 @@ def apply_mutation_with_flows(
             if movers == 0:
                 continue
             alloc = rng.multinomial(movers, weights)
-            for h, k in zip(dests, alloc):
+            for h, k in zip(dests, alloc.tolist()):
                 if k > 0:
                     flows[(g, h)] = float(k)
     for (g, h), amount in flows.items():
@@ -350,6 +375,9 @@ def apply_mutation(
     return apply_mutation_with_flows(ensemble, laws, rng).ensemble
 
 
+# A potential that blows up overflows its squared outflow; the inf it leaves
+# is reported as NonFiniteValue, so numpy need not warn as well.
+@np.errstate(over="ignore", invalid="ignore")
 def update_potential(
     phi: Mapping[int, float],
     ensemble: ParticleEnsemble,
@@ -368,18 +396,19 @@ def update_potential(
 
     The squared bracket follows the same orientation as the mutation flow.
     """
-    toward_high = params.flow == TOWARD_HIGH_PHI
     f = ensemble.marginal()
+    gap = _gap(_node_array(phi, len(graph)), params.flow == TOWARD_HIGH_PHI)
+    # fmax after the product also drops the NaN of inf * 0 across a non-edge.
+    q = np.fmax(gap * graph.kernel_matrix(), 0.0)
+    quads = _row_totals(q * q).tolist()
+    beta, friction = params.beta, params.friction_potential
+    speed = params.speed_penalty and velocities is not None
     new = {}
-    for g in graph:
-        quad = 0.0
-        for h in graph.neighbors(g):
-            q = _bracket(phi, g, h, toward_high) * graph.kernel(g, h)
-            quad += q * q
-        val = phi[g] - tau_k * quad - tau_k * (f[g] ** params.beta + values[g])
-        if params.friction_potential:
+    for g, quad in enumerate(quads):
+        val = phi[g] - tau_k * quad - tau_k * (f[g] ** beta + values[g])
+        if friction:
             val -= tau_k * params.gamma * phi[g]
-        if params.speed_penalty and velocities is not None:
+        if speed:
             v = np.asarray(velocities[g], dtype=float)
             val -= tau_k * 0.5 * float(v @ v)
         if not math.isfinite(val):
@@ -388,6 +417,9 @@ def update_potential(
     return new
 
 
+# Right after a blow-up the drift terms may overflow; inf and NaN then decide
+# the comparison as they did in scalar code, without a numpy warning.
+@np.errstate(over="ignore", invalid="ignore")
 def restart_check(
     phi: Mapping[int, float],
     values: Mapping[int, float],
@@ -404,19 +436,16 @@ def restart_check(
     variant replaces the signed loss difference with its one-sided part
     (V~(g)-V~(g'))^-, giving a nonnegative quantity thresholded at zero.
     """
-    toward_high = flow == TOWARD_HIGH_PHI
-    total = 0.0
-    for g in graph:
-        for h in graph.neighbors(g):
-            bracket = _bracket(phi, g, h, toward_high)
-            if bracket <= 0.0:
-                continue
-            k = graph.kernel(g, h)
-            if literal:
-                total += bracket * negative_part(values[g] - values[h]) * k * marginal[g]
-            else:
-                total += bracket * (values[h] - values[g]) * k * marginal[g]
-    return total > 0.0
+    n = len(graph)
+    kernel = graph.kernel_matrix()
+    bracket = np.fmax(_gap(_node_array(phi, n), flow == TOWARD_HIGH_PHI), 0.0)
+    dv = _gap(_node_array(values, n), True)
+    if literal:
+        dv = np.fmax(dv, 0.0)
+    terms = bracket * dv * kernel * _node_array(marginal, n)[:, None]
+    # Row-major order is the order the pairs were summed in.
+    flowing = terms[np.fmin(bracket, kernel) > 0.0]
+    return bool(_row_totals(flowing[None, :])[0] > 0.0)
 
 
 def cosine_lr(
@@ -470,6 +499,10 @@ def stationary_oracle(
     level c by bracketed root finding. At this profile every occupied node has
     equal score, so all one-sided rates vanish.
     """
+    # Imported here: importing scipy.optimize costs most of a search's
+    # start-up, and nothing else in the package needs it.
+    from scipy.optimize import brentq
+
     if not values:
         raise EmptyGraph("no nodes given")
     if not beta > 0:

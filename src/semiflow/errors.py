@@ -6,7 +6,7 @@ catch a precise failure mode instead of string-matching messages.
 
 
 class NonPositiveWeight(ValueError):
-    """An edge weight was zero or negative."""
+    """An edge weight was zero, negative, NaN or infinite."""
 
 
 class UnknownNode(KeyError):

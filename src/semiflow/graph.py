@@ -4,16 +4,19 @@ A graph holds one payload per node (anything hashable-free: net descriptors,
 plain labels, coordinates) plus a symmetric nonnegative kernel. Node ids are
 small ints handed out in insertion order, with the center always id 0. The
 kernel is stored as one adjacency row per node, `{neighbor: weight}`, with
-each edge written into both rows: the particle dynamics only ask for the
-neighbors of g and for K(g, h), and each reads one row. Absent entries,
-including the diagonal, are zero weight. The search loop rebuilds one of
-these per round, so the structure stays simple: dicts, no adjacency
-matrices.
+each edge written into both rows. Absent entries, including the diagonal, are
+zero weight. The particle dynamics read the kernel whole, as the dense n x n
+array `kernel_matrix()`, which is built from the rows on first use and kept
+until the next `add_node` or `connect`. The search loop builds one graph per
+round, so that array is built once per round.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterator
+
+import numpy as np
 
 from .errors import NonPositiveWeight, UnknownNode
 
@@ -25,6 +28,7 @@ class ArchGraph:
         self._payloads: dict[int, Any] = {}
         self._adj: dict[int, dict[int, float]] = {}
         self._next_id = 0
+        self._matrix: np.ndarray | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -33,6 +37,7 @@ class ArchGraph:
         self._next_id += 1
         self._payloads[gid] = payload
         self._adj[gid] = {}
+        self._matrix = None
         return gid
 
     def add_node(self, payload: Any, weight_to_center: float = 1.0) -> int:
@@ -44,16 +49,18 @@ class ArchGraph:
         return gid
 
     def connect(self, a: int, b: int, weight: float = 1.0) -> None:
-        """Set the symmetric edge weight between two existing nodes."""
+        """Set the symmetric edge weight, a positive finite number, between two
+        existing nodes."""
         if a not in self._payloads:
             raise UnknownNode(a)
         if b not in self._payloads:
             raise UnknownNode(b)
         if a == b:
             raise NonPositiveWeight("self-edges are not allowed")
-        if not weight > 0.0:
+        if not 0.0 < weight < math.inf:
             raise NonPositiveWeight(f"edge ({a},{b}) weight {weight!r}")
         self._adj[a][b] = self._adj[b][a] = float(weight)
+        self._matrix = None
 
     # -- queries ----------------------------------------------------------
 
@@ -87,6 +94,16 @@ class ArchGraph:
         if b not in self._payloads:
             raise UnknownNode(b)
         return self._adj[a].get(b, 0.0)
+
+    def kernel_matrix(self) -> np.ndarray:
+        """K as a read-only n x n array: entry [a, b] is kernel(a, b)."""
+        if self._matrix is None:
+            matrix = np.zeros((len(self._adj), len(self._adj)))
+            for a, row in self._adj.items():
+                matrix[a, list(row)] = list(row.values())
+            matrix.flags.writeable = False
+            self._matrix = matrix
+        return self._matrix
 
     def neighbors(self, g: int) -> list[int]:
         """Ids adjacent to g with positive weight, ascending."""

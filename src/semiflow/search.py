@@ -726,8 +726,11 @@ def hill_climb_baseline(
     epochs_neigh epochs and keeps the best validation loss.
 
     n_steps is the number of cycles. With a wallclock_cap, the run stops as
-    soon as the cap is exceeded (checked between children) and skips final
-    training; children already built still count as explored.
+    soon as the search phase has run that long (checked between children)
+    and skips final training; children already built still count as
+    explored. The search phase starts after pretraining, as in run_search,
+    so a cap taken from a particle search's search_wallclock buys the same
+    search time.
     """
     t_start = time.perf_counter()
     train_x, train_y = data.split("train")
@@ -735,13 +738,14 @@ def hill_climb_baseline(
     with _open_run(config, data, out_dir, audit_writer, with_metrics=False) as (
         incumbent, _metrics, audit_writer, best_path
     ):
+        t_search = time.perf_counter()
         cycles = max(1, int(round(config.n_steps)))
         explored = 1
         rounds_done = 0
         child_counter = 0
         capped = False
         for cycle in range(1, cycles + 1):
-            if wallclock_cap is not None and time.perf_counter() - t_start >= wallclock_cap:
+            if wallclock_cap is not None and time.perf_counter() - t_search >= wallclock_cap:
                 capped = True
                 break
             graph, audit = build_local_graph(
@@ -761,7 +765,7 @@ def hill_climb_baseline(
                     continue
                 child_counter += 1
                 explored += 1
-                if wallclock_cap is not None and time.perf_counter() - t_start >= wallclock_cap:
+                if wallclock_cap is not None and time.perf_counter() - t_search >= wallclock_cap:
                     capped = True
                     break
                 child = graph.payload(g)
@@ -793,7 +797,7 @@ def hill_climb_baseline(
             if capped:
                 break
 
-        search_secs = time.perf_counter() - t_start
+        search_secs = time.perf_counter() - t_search
         test_metrics: dict[str, float] = {}
         best_params = incumbent.params
         if wallclock_cap is None:

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -231,3 +233,14 @@ def test_bench_single_node_never_moves(tmp_path):
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         run_cli(["frobnicate"])
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.optimize serves only stationary_oracle (dynamics-bench); a
+    # search process must not pay for importing it.
+    src = os.path.dirname(os.path.dirname(sf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, semiflow.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

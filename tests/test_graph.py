@@ -36,6 +36,10 @@ def test_nonpositive_weight_rejected():
         g.add_node("x", 0.0)
     with pytest.raises(NonPositiveWeight):
         g.add_node("x", -1.0)
+    with pytest.raises(NonPositiveWeight):
+        g.add_node("x", float("nan"))
+    with pytest.raises(NonPositiveWeight):
+        g.add_node("x", float("inf"))
 
 
 def test_star_neighbors():
@@ -87,3 +91,41 @@ def test_unweighted_pair_has_zero_kernel():
     g = sf.star_graph(None, ["a", "b"])
     assert g.kernel(1, 2) == 0.0
     assert 2 not in g.neighbors(1)
+
+
+# ---------------------------------------------------------------- dense kernel
+
+def test_kernel_matrix_matches_kernel():
+    g = sf.new_graph("c")
+    for leaf, w in enumerate([0.5, 2.0, 1.0], start=1):
+        g.add_node(leaf, w)
+    g.connect(1, 2, 3.5)
+    g.connect(2, 1, 0.25)
+    k = g.kernel_matrix()
+    assert k.shape == (4, 4)
+    for a in g:
+        assert k[a, a] == 0.0
+        for b in g:
+            assert k[a, b] == g.kernel(a, b)
+
+
+def test_kernel_matrix_is_read_only():
+    k = sf.star_graph(None, [None, None]).kernel_matrix()
+    with pytest.raises(ValueError):
+        k[0, 1] = 5.0
+
+
+def test_kernel_matrix_follows_edits():
+    g = sf.star_graph(None, [None, None])
+    first = g.kernel_matrix()
+    assert g.kernel_matrix() is first
+    g.connect(1, 2, 2.0)
+    second = g.kernel_matrix()
+    assert second is not first
+    assert second[1, 2] == second[2, 1] == 2.0
+    assert first[1, 2] == 0.0
+    g.add_node(None, 0.5)
+    third = g.kernel_matrix()
+    assert third.shape == (4, 4)
+    assert third[0, 3] == third[3, 0] == 0.5
+    assert third[1, 2] == 2.0

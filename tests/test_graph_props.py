@@ -49,6 +49,8 @@ def test_kernel_rows_match_last_write(run):
         assert ns == sorted(ns)
         assert ns == [h for h in nodes if graph.kernel(a, h) > 0.0]
     assert graph.edges() == sorted((a, b, w) for (a, b), w in last.items())
+    dense = [[graph.kernel(a, b) for b in nodes] for a in nodes]
+    assert graph.kernel_matrix().tolist() == dense
 
 
 def test_unknown_ids_rejected_by_kernel():

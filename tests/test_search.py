@@ -1,6 +1,7 @@
 """Outer-loop behavior: rounds, budgets, baselines, final training."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -246,6 +247,31 @@ def test_hillclimb_respects_wallclock_cap(blobs_small):
     res = sf.hill_climb_baseline(cfg, blobs_small, wallclock_cap=0.0)
     assert res.rounds == 0
     assert res.architectures_explored == 1
+
+
+def test_hillclimb_cap_starts_after_pretraining(monkeypatch, blobs_small):
+    # The cap bounds the search phase, which search_wallclock measures from
+    # the end of pretraining: a cap shorter than pretraining still leaves
+    # the baseline its search time.
+    pretrain_start, fit = search.pretrain_start, search._fit
+
+    def slow_pretrain_start(*args, **kw):
+        time.sleep(0.5)
+        return pretrain_start(*args, **kw)
+
+    labels = []
+
+    def counted_fit(*args, **kw):
+        labels.append(args[6])
+        return fit(*args, **kw)
+
+    monkeypatch.setattr(search, "pretrain_start", slow_pretrain_start)
+    monkeypatch.setattr(search, "_fit", counted_fit)
+    cfg = small_config(mode="hillclimb", n_steps=50.0, n_neigh=4)
+    res = sf.hill_climb_baseline(cfg, blobs_small, wallclock_cap=0.4)
+    assert "baseline training" in labels
+    assert res.architectures_explored > 1
+    assert res.search_wallclock < res.wallclock - 0.5
 
 
 @pytest.mark.parametrize("mode", ["nasgd", "nasagd", "hillclimb"])
