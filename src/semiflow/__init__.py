@@ -88,7 +88,6 @@ from .morphisms import (
     default_mix,
     draw_morphism,
     narrow,
-    negative_morphism,
     remove_layer,
     remove_skip,
     widen,

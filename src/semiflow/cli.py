@@ -116,7 +116,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="bench_out")
     p.add_argument("--betas", default="1.0", help="comma-separated grid")
     p.add_argument("--kappas", default="1.0", help="comma-separated grid")
-    p.add_argument("--gammas", default="0.0", help="comma-separated grid")
     p.add_argument("--nodes", type=int, default=5)
     p.add_argument("--particles", type=int, default=10000)
     p.add_argument("--iters", type=int, default=2000)
@@ -253,13 +252,13 @@ def _grid(raw: str, name: str) -> list[float]:
     return values
 
 
-def _bench_point(index, beta, kappa, gamma, args, seed, out_dir):
+def _bench_point(index, beta, kappa, args, seed, out_dir):
     rng = _rng(seed, 40, index)
     values = {g: float(v) for g, v in enumerate(rng.uniform(0.0, 1.0, args.nodes))}
     graph = complete_graph([None] * args.nodes)
     try:
         dyn = DynamicsParams(
-            kappa=kappa, beta=beta, gamma=gamma,
+            kappa=kappa, beta=beta,
             mode=SECOND_ORDER if args.order == 2 else FIRST_ORDER,
             rate_mode=SAMPLED if args.sampled else EXPECTED,
         )
@@ -288,7 +287,7 @@ def _bench_point(index, beta, kappa, gamma, args, seed, out_dir):
     marginal = ensemble.marginal()
     l1 = sum(abs(marginal[g] - target[g]) for g in graph)
     return {
-        "beta": beta, "kappa": kappa, "gamma": gamma,
+        "beta": beta, "kappa": kappa,
         "l1_to_stationary": l1, "iterations": args.iters,
         "csv": os.path.basename(csv_path),
     }
@@ -300,18 +299,14 @@ def _cmd_bench(args) -> int:
         seed = 0
     betas = _grid(args.betas, "betas")
     kappas = _grid(args.kappas, "kappas")
-    gammas = _grid(args.gammas, "gammas")
     os.makedirs(args.out, exist_ok=True)
     points = []
     index = 0
     for beta in betas:
         for kappa in kappas:
-            for gamma in gammas:
-                log.info("bench point beta=%s kappa=%s gamma=%s", beta, kappa, gamma)
-                points.append(
-                    _bench_point(index, beta, kappa, gamma, args, seed, args.out)
-                )
-                index += 1
+            log.info("bench point beta=%s kappa=%s", beta, kappa)
+            points.append(_bench_point(index, beta, kappa, args, seed, args.out))
+            index += 1
     summary = {
         "points": points,
         "nodes": args.nodes,

@@ -17,8 +17,9 @@ builder simply retries with a fresh draw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,11 +70,6 @@ class Candidate:
     origin: Morphism | None = None
 
 
-POSITIVE_KINDS = ("deepen", "widen", "add_skip")
-NEGATIVE_KINDS = ("remove_layer", "narrow", "remove_skip")
-ALL_KINDS = POSITIVE_KINDS + NEGATIVE_KINDS
-
-
 def default_mix() -> dict[str, float]:
     return {
         "deepen": 0.25,
@@ -96,15 +92,35 @@ def _skip_touches(spec: NetSpec, layer: int) -> bool:
     return any(s == layer or d == layer for s, d in spec.skips)
 
 
-def _split_vectors(params, velocity, spec):
-    p = unflatten(spec, params)
-    v = unflatten(spec, velocity) if velocity is not None else None
-    return p, v
+def _replace_reader(
+    parts: NetParts, index: int, edit: Callable[[np.ndarray], np.ndarray]
+) -> None:
+    """Replace matrix `index` of weights + [w_out] by edit(matrix)."""
+    if index < len(parts.weights):
+        parts.weights[index] = edit(parts.weights[index])
+    else:
+        parts.w_out = edit(parts.w_out)
 
 
-def _merge(spec: NetSpec, p: NetParts, v: NetParts | None) -> Morphed:
+def _transform(
+    spec: NetSpec,
+    new_spec: NetSpec,
+    params: np.ndarray,
+    velocity: np.ndarray | None,
+    change: Callable[[NetParts, float], None],
+) -> Morphed:
+    """Apply one edit's index transform to the parameters and, if given, the
+    velocity. change(parts, fill) edits parts in place; fill is 1.0 for
+    parameters and 0.0 for velocity, the scale of any new identity block."""
+
+    def one(vec: np.ndarray, fill: float) -> np.ndarray:
+        parts = unflatten(spec, vec)
+        change(parts, fill)
+        return flatten(new_spec, parts)
+
     return Morphed(
-        spec, flatten(spec, p), flatten(spec, v) if v is not None else None
+        new_spec, one(params, 1.0),
+        one(velocity, 0.0) if velocity is not None else None,
     )
 
 
@@ -133,13 +149,11 @@ def deepen(
     new_spec = NetSpec(spec.input_dim, spec.output_dim, hidden, skips)
     _check_params_budget(new_spec, constraints)
 
-    p, v = _split_vectors(params, velocity, spec)
-    p.weights.insert(position, np.eye(width))
-    p.biases.insert(position, np.zeros(width))
-    if v is not None:
-        v.weights.insert(position, np.zeros((width, width)))
-        v.biases.insert(position, np.zeros(width))
-    return _merge(new_spec, p, v)
+    def change(parts: NetParts, fill: float) -> None:
+        parts.weights.insert(position, fill * np.eye(width))
+        parts.biases.insert(position, np.zeros(width))
+
+    return _transform(spec, new_spec, params, velocity, change)
 
 
 def widen(
@@ -174,31 +188,20 @@ def widen(
     _check_params_budget(new_spec, constraints)
 
     chosen = rng.integers(0, width, size=delta)
-    multiplicity = np.ones(width)
-    for u in chosen:
-        multiplicity[u] += 1
+    multiplicity = 1.0 + np.bincount(chosen, minlength=width)
 
-    def widen_parts(parts: NetParts) -> None:
+    def split_out(out: np.ndarray) -> np.ndarray:
+        out = out / multiplicity
+        return np.hstack([out, out[:, chosen]])
+
+    def change(parts: NetParts, fill: float) -> None:
         w_in = parts.weights[layer - 1]
         b_in = parts.biases[layer - 1]
         parts.weights[layer - 1] = np.vstack([w_in, w_in[chosen]])
         parts.biases[layer - 1] = np.concatenate([b_in, b_in[chosen]])
-        if layer == n:
-            out = parts.w_out.copy()
-        else:
-            out = parts.weights[layer].copy()
-        out[:, :width] = out[:, :width] / multiplicity
-        out = np.hstack([out, out[:, chosen]])
-        if layer == n:
-            parts.w_out = out
-        else:
-            parts.weights[layer] = out
+        _replace_reader(parts, layer, split_out)
 
-    p, v = _split_vectors(params, velocity, spec)
-    widen_parts(p)
-    if v is not None:
-        widen_parts(v)
-    return _merge(new_spec, p, v)
+    return _transform(spec, new_spec, params, velocity, change)
 
 
 def add_skip(
@@ -229,11 +232,10 @@ def add_skip(
     )
     _check_params_budget(new_spec, constraints)
 
-    p, v = _split_vectors(params, velocity, spec)
-    p.scales = np.concatenate([p.scales, [0.0]])
-    if v is not None:
-        v.scales = np.concatenate([v.scales, [0.0]])
-    return _merge(new_spec, p, v)
+    def change(parts: NetParts, fill: float) -> None:
+        parts.scales = np.concatenate([parts.scales, [0.0]])
+
+    return _transform(spec, new_spec, params, velocity, change)
 
 
 def remove_layer(
@@ -254,34 +256,22 @@ def remove_layer(
         raise ConstraintViolated(
             f"layer {position} is tied to a skip connection"
         )
-    widths = spec.widths()
-    w_removed = widths[position]
-    w_feed = widths[position - 1]
+    w_feed = spec.widths()[position - 1]
+    pad = max(0, w_feed - spec.hidden[position - 1])
     hidden = spec.hidden[:position - 1] + spec.hidden[position:]
     skips = tuple(
         (s - (s > position), d - (d > position)) for s, d in spec.skips
     )
     new_spec = NetSpec(spec.input_dim, spec.output_dim, hidden, skips)
 
-    def adjust_columns(mat: np.ndarray) -> np.ndarray:
-        if w_feed <= w_removed:
-            return mat[:, :w_feed]
-        pad = np.zeros((mat.shape[0], w_feed - w_removed))
-        return np.hstack([mat, pad])
-
-    def cut(parts: NetParts) -> None:
+    def change(parts: NetParts, fill: float) -> None:
         del parts.weights[position - 1]
         del parts.biases[position - 1]
-        if position - 1 < len(parts.weights):
-            parts.weights[position - 1] = adjust_columns(parts.weights[position - 1])
-        else:
-            parts.w_out = adjust_columns(parts.w_out)
+        _replace_reader(
+            parts, position - 1, lambda m: np.pad(m[:, :w_feed], ((0, 0), (0, pad)))
+        )
 
-    p, v = _split_vectors(params, velocity, spec)
-    cut(p)
-    if v is not None:
-        cut(v)
-    return _merge(new_spec, p, v)
+    return _transform(spec, new_spec, params, velocity, change)
 
 
 def narrow(
@@ -310,19 +300,12 @@ def narrow(
     hidden[layer - 1] = width - delta
     new_spec = NetSpec(spec.input_dim, spec.output_dim, tuple(hidden), spec.skips)
 
-    def cut(parts: NetParts) -> None:
+    def change(parts: NetParts, fill: float) -> None:
         parts.weights[layer - 1] = parts.weights[layer - 1][:-delta]
         parts.biases[layer - 1] = parts.biases[layer - 1][:-delta]
-        if layer == n:
-            parts.w_out = parts.w_out[:, :-delta]
-        else:
-            parts.weights[layer] = parts.weights[layer][:, :-delta]
+        _replace_reader(parts, layer, lambda out: out[:, :-delta])
 
-    p, v = _split_vectors(params, velocity, spec)
-    cut(p)
-    if v is not None:
-        cut(v)
-    return _merge(new_spec, p, v)
+    return _transform(spec, new_spec, params, velocity, change)
 
 
 def remove_skip(
@@ -340,41 +323,16 @@ def remove_skip(
     skips = spec.skips[:index] + spec.skips[index + 1:]
     new_spec = NetSpec(spec.input_dim, spec.output_dim, spec.hidden, skips)
 
-    p, v = _split_vectors(params, velocity, spec)
-    p.scales = np.delete(p.scales, index)
-    if v is not None:
-        v.scales = np.delete(v.scales, index)
-    return _merge(new_spec, p, v)
+    def change(parts: NetParts, fill: float) -> None:
+        parts.scales = np.delete(parts.scales, index)
+
+    return _transform(spec, new_spec, params, velocity, change)
 
 
-def negative_morphism(
-    spec: NetSpec,
-    params: np.ndarray,
-    kind: str,
-    rng: np.random.Generator,
-    velocity: np.ndarray | None = None,
-    constraints: Constraints | None = None,
-) -> tuple[Morphed, Morphism]:
-    """Apply one size-reducing edit with randomly drawn arguments."""
-    if kind not in NEGATIVE_KINDS:
-        raise ValueError(f"unknown negative morphism {kind!r}")
-    n = len(spec.hidden)
-    if kind == "remove_layer":
-        position = int(rng.integers(1, n + 1))
-        morphed = remove_layer(spec, params, position, velocity, constraints)
-        record = Morphism("remove_layer", (("position", position),))
-    elif kind == "narrow":
-        layer = int(rng.integers(1, n + 1))
-        delta = int(rng.integers(1, 5))
-        morphed = narrow(spec, params, layer, delta, velocity, constraints)
-        record = Morphism("narrow", (("layer", layer), ("delta", delta)))
-    else:
-        if not spec.skips:
-            raise ConstraintViolated("no skip to remove")
-        index = int(rng.integers(0, len(spec.skips)))
-        morphed = remove_skip(spec, params, index, velocity, constraints)
-        record = Morphism("remove_skip", (("index", index),))
-    return morphed, record
+# Each edit is named after its kind.
+_EDITS = {f.__name__: f for f in (
+    deepen, widen, add_skip, remove_layer, narrow, remove_skip)}
+ALL_KINDS = tuple(_EDITS)
 
 
 def draw_morphism(
@@ -385,27 +343,59 @@ def draw_morphism(
     velocity: np.ndarray | None = None,
     constraints: Constraints | None = None,
 ) -> tuple[Morphed, Morphism]:
-    """Apply one edit of the given kind with randomly drawn arguments."""
-    if kind in NEGATIVE_KINDS:
-        return negative_morphism(spec, params, kind, rng, velocity, constraints)
-    n = len(spec.hidden)
-    if kind == "deepen":
-        position = int(rng.integers(1, n + 1))
-        morphed = deepen(spec, params, position, velocity, constraints)
-        record = Morphism("deepen", (("position", position),))
-    elif kind == "widen":
-        layer = int(rng.integers(1, n + 1))
-        delta = int(rng.integers(1, 5))
-        morphed = widen(spec, params, layer, delta, rng, velocity, constraints)
-        record = Morphism("widen", (("layer", layer), ("delta", delta)))
-    elif kind == "add_skip":
-        dst = int(rng.integers(1, n + 1))
-        src = int(rng.integers(0, dst))
-        morphed = add_skip(spec, params, src, dst, velocity, constraints)
-        record = Morphism("add_skip", (("src", src), ("dst", dst)))
-    else:
+    """Apply one edit of the given kind with randomly drawn arguments.
+
+    Raises ConstraintViolated, BadPosition or DimensionMismatch when the
+    drawn edit is inadmissible."""
+    if kind not in _EDITS:
         raise ValueError(f"unknown morphism {kind!r}")
-    return morphed, record
+    # Arguments are drawn in the order below and recorded in dict order.
+    if kind == "remove_skip":
+        if not spec.skips:
+            raise ConstraintViolated("no skip to remove")
+        args = {"index": int(rng.integers(0, len(spec.skips)))}
+    else:
+        layer = int(rng.integers(1, len(spec.hidden) + 1))
+        if kind in ("deepen", "remove_layer"):
+            args = {"position": layer}
+        elif kind == "add_skip":
+            args = {"src": int(rng.integers(0, layer)), "dst": layer}
+        else:
+            args = {"layer": layer, "delta": int(rng.integers(1, 5))}
+    # widen draws the units it duplicates itself, after its checks
+    extra = {"rng": rng} if kind == "widen" else {}
+    morphed = _EDITS[kind](
+        spec, params, **args, **extra, velocity=velocity, constraints=constraints
+    )
+    return morphed, Morphism(kind, tuple(args.items()))
+
+
+MAX_ATTEMPTS = 50  # draws per child before build_local_graph gives up
+
+
+def draw_table(
+    n_neigh: int, topology: str, mix: dict[str, float] | None
+) -> tuple[list[str], np.ndarray]:
+    """Check build_local_graph's arguments; return the kinds it draws from
+    and their probabilities. No mix means default_mix()."""
+    if n_neigh < 1:
+        raise ValueError(f"n_neigh must be >= 1, got {n_neigh}")
+    if topology not in ("star", "complete"):
+        raise ValueError(f"unknown topology {topology!r}")
+    mix = dict(mix) if mix else default_mix()
+    for kind, weight in mix.items():
+        if kind not in ALL_KINDS:
+            raise ValueError(f"unknown morphism kind {kind!r} in mix")
+        if not (math.isfinite(weight) and weight >= 0.0):
+            raise ValueError(
+                f"morphism weight for {kind} must be finite and nonnegative, "
+                f"got {weight}"
+            )
+    kinds = [k for k in ALL_KINDS if mix.get(k, 0.0) > 0.0]
+    if not kinds:
+        raise ValueError("morphism mix has no positive weights")
+    probs = np.array([mix[k] for k in kinds])
+    return kinds, probs / probs.sum()
 
 
 def build_local_graph(
@@ -417,40 +407,22 @@ def build_local_graph(
     rng: np.random.Generator,
     velocity: np.ndarray | None = None,
     topology: str = "star",
-    probe: np.ndarray | None = None,
-    max_attempts: int = 50,
 ) -> tuple[ArchGraph, list[dict]]:
     """Incumbent at the center plus n_neigh one-edit children, unit weights.
 
     Each child comes from a single morphism drawn from `mix`; draws that hit
-    a constraint are retried up to max_attempts times. Returns the graph and
-    one audit record per child with the measured output deviation on a probe
-    batch (preserved means deviation <= 1e-6).
+    a constraint are retried up to MAX_ATTEMPTS times. Returns the graph and
+    one audit record per child with the measured output deviation on a
+    64-row probe batch drawn from rng (preserved means deviation <= 1e-6).
     """
-    if n_neigh < 1:
-        raise ValueError(f"n_neigh must be >= 1, got {n_neigh}")
-    if topology not in ("star", "complete"):
-        raise ValueError(f"unknown topology {topology!r}")
-    mix = dict(mix) if mix else default_mix()
-    for kind in mix:
-        if kind not in ALL_KINDS:
-            raise ValueError(f"unknown morphism kind {kind!r} in mix")
-    kinds = [k for k in ALL_KINDS if mix.get(k, 0.0) > 0.0]
-    if not kinds:
-        raise ValueError("morphism mix has no positive weights")
-    probs = np.array([mix[k] for k in kinds])
-    probs = probs / probs.sum()
-
-    if probe is None:
-        probe = rng.normal(size=(64, incumbent_spec.input_dim))
+    kinds, probs = draw_table(n_neigh, topology, mix)
+    probe = rng.normal(size=(64, incumbent_spec.input_dim))
     base_out = forward(incumbent_spec, incumbent_params, probe)
 
     children = []
     audit = []
     for _ in range(n_neigh):
-        morphed = record = None
-        last_error = None
-        for _attempt in range(max_attempts):
+        for _attempt in range(MAX_ATTEMPTS):
             kind = kinds[int(rng.choice(len(kinds), p=probs))]
             try:
                 morphed, record = draw_morphism(
@@ -460,15 +432,13 @@ def build_local_graph(
                 break
             except (ConstraintViolated, BadPosition, DimensionMismatch) as exc:
                 last_error = exc
-        if morphed is None:
+        else:
             raise ConstraintViolated(
-                f"no admissible morphism after {max_attempts} draws: {last_error}"
+                f"no admissible morphism after {MAX_ATTEMPTS} draws: {last_error}"
             )
         child_out = forward(morphed.spec, morphed.params, probe)
         dev = float(np.max(np.abs(child_out - base_out)))
-        children.append(
-            Candidate(morphed.spec, morphed.params, morphed.velocity, record)
-        )
+        children.append(Candidate(*morphed, record))
         audit.append(
             {
                 # Both builders number the children 1..n_neigh in list order.

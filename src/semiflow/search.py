@@ -47,7 +47,13 @@ from .dynamics import (
 )
 from .errors import Divergence, NonFiniteValue, RoundTimeout, SplitTooSmall
 from .graph import ArchGraph
-from .morphisms import Candidate, Constraints, build_local_graph, default_mix
+from .morphisms import (
+    Candidate,
+    Constraints,
+    build_local_graph,
+    default_mix,
+    draw_table,
+)
 from .nn import (
     NetSpec,
     evaluate,
@@ -133,7 +139,14 @@ class SearchConfig:
             )
         if self.epochs_neigh < 1:
             raise ValueError(f"epochs_neigh must be >= 1, got {self.epochs_neigh}")
+        if not 0.0 < self.val_decay < 1.0:
+            raise ValueError(f"val_decay must be in (0,1), got {self.val_decay}")
         self.hidden = tuple(int(w) for w in self.hidden)
+        if not self.hidden or min(self.hidden) < 1:
+            raise ValueError(f"hidden widths must be positive, got {self.hidden}")
+        # A bad graph or dynamics knob raises here, not mid-run.
+        draw_table(self.n_neigh, self.topology, self.mix)
+        self.dynamics()
 
     def dynamics(self) -> DynamicsParams:
         """The particle-dynamics knobs: every DynamicsParams field but mode
@@ -488,39 +501,30 @@ def _fit(
 
 
 def pretrain(
-    spec: NetSpec,
-    data: Dataset,
-    epochs: int = 20,
-    lam_hi: float = 0.5,
-    lam_lo: float = 1e-7,
-    rng: np.random.Generator | None = None,
-    params: np.ndarray | None = None,
-    grad_clip: float = 1.0,
-    batch_size: int = 64,
-    stream_seed: int | None = None,
+    spec: NetSpec, data: Dataset, config: SearchConfig, params: np.ndarray
 ) -> np.ndarray:
-    """Train a fresh (or given) network with one cosine arc over all epochs.
+    """Train params with one cosine arc over config.pretrain_epochs epochs,
+    from pretrain_lam_start to pretrain_lam_final, on batches of s_x.
 
     Returns the trained flat parameter vector. Raises Divergence if the loss
     or parameters stop being finite.
     """
-    if rng is None:
-        rng = _rng(0, 1)
-    if params is None:
-        params = init_params(spec, rng)
+    epochs = config.pretrain_epochs
     if epochs == 0:
         return np.asarray(params, dtype=float)
     x_feat, x_lab = data.split("train")
     stream = BatchStream(
-        x_feat, x_lab, batch_size,
-        stream_seed if stream_seed is not None else _stream_seed(0, 5, 0, 0, 0),
+        x_feat, x_lab, config.s_x, _stream_seed(config.seed, 5, 0, 0, 0)
     )
     # The first cycle of a warm-restart clock is exactly one cosine arc.
-    clock = GlobalClock(stream.batches_per_epoch, epochs, lam_hi, lam_lo)
+    clock = GlobalClock(
+        stream.batches_per_epoch, epochs,
+        config.pretrain_lam_start, config.pretrain_lam_final,
+    )
     state = NodeState(np.asarray(params, dtype=float), np.zeros_like(params))
     return _fit(
         spec, state, stream, clock, epochs * stream.batches_per_epoch,
-        grad_clip, "pretraining",
+        config.grad_clip, "pretraining",
     ).x
 
 
@@ -528,29 +532,22 @@ def pretrain_start(config: SearchConfig, data: Dataset) -> tuple[NetSpec, np.nda
     """The network every search starts from: config.hidden on the data's
     shape, initialized and pretrained from the config's seed and recipe."""
     spec = NetSpec(data.input_dim, data.n_classes, config.hidden)
-    params = pretrain(
-        spec, data, config.pretrain_epochs,
-        config.pretrain_lam_start, config.pretrain_lam_final,
-        rng=_rng(config.seed, 1),
-        grad_clip=config.grad_clip, batch_size=config.s_x,
-        stream_seed=_stream_seed(config.seed, 5, 0, 0, 0),
-    )
-    return spec, params
+    params = init_params(spec, _rng(config.seed, 1))
+    return spec, pretrain(spec, data, config, params)
 
 
 def final_train(
     spec: NetSpec,
     params: np.ndarray,
     data: Dataset,
-    budget: int = 300,
-    config: SearchConfig | None = None,
+    config: SearchConfig,
     clock: GlobalClock | None = None,
     velocity: np.ndarray | None = None,
     checkpoint_path: str | None = None,
 ) -> tuple[np.ndarray, dict[str, float]]:
     """Polish with warm-restart cosine training until the validation loss
-    stalls for plateau_cycles consecutive cycles or the epoch budget ends."""
-    config = config or SearchConfig()
+    stalls for plateau_cycles consecutive cycles or the final_budget of
+    epochs ends."""
     x_feat, x_lab = data.split("train")
     val_x, val_y = data.split("val")
     test_x, test_y = data.split("test")
@@ -566,7 +563,7 @@ def final_train(
             "test_accuracy": test_acc,
         }
 
-    if budget == 0:
+    if config.final_budget == 0:
         return params, metrics_now(params)
 
     stream = BatchStream(
@@ -586,7 +583,7 @@ def final_train(
     epochs_done = 0
     epochs_this_cycle = 0
 
-    while epochs_done < budget:
+    while epochs_done < config.final_budget:
         state = _fit(
             spec, state, stream, clock, stream.batches_per_epoch,
             config.grad_clip, "final training",
@@ -696,9 +693,8 @@ def run_search(
         search_secs = time.perf_counter() - t_search
 
         best_params, test_metrics = final_train(
-            incumbent.spec, incumbent.params, data, config.final_budget,
-            config, clock=clock, velocity=incumbent.velocity,
-            checkpoint_path=best_path,
+            incumbent.spec, incumbent.params, data, config,
+            clock=clock, velocity=incumbent.velocity, checkpoint_path=best_path,
         )
         if best_path is not None:
             save_checkpoint(best_path, incumbent.spec, best_params)
@@ -802,8 +798,8 @@ def hill_climb_baseline(
         best_params = incumbent.params
         if wallclock_cap is None:
             best_params, test_metrics = final_train(
-                incumbent.spec, incumbent.params, data, config.final_budget,
-                config, checkpoint_path=best_path,
+                incumbent.spec, incumbent.params, data, config,
+                checkpoint_path=best_path,
             )
             if best_path is not None:
                 save_checkpoint(best_path, incumbent.spec, best_params)

@@ -19,7 +19,8 @@ def test_pretrain_leaves_given_params_unchanged(blobs_small):
     spec = sf.NetSpec(2, 4, (8, 8))
     params = sf.init_params(spec, np.random.default_rng(0))
     before = params.copy()
-    trained = sf.pretrain(spec, blobs_small, epochs=1, params=params)
+    trained = sf.pretrain(spec, blobs_small, sf.SearchConfig(pretrain_epochs=1),
+                          params)
     assert np.array_equal(params, before)
     assert not np.array_equal(trained, before)
 
@@ -30,8 +31,7 @@ def test_final_train_leaves_params_and_velocity_unchanged(blobs_small):
     params = sf.init_params(spec, rng)
     velocity = rng.normal(0.0, 0.01, params.size)
     p0, v0 = params.copy(), velocity.copy()
-    sf.final_train(spec, params, blobs_small, budget=2, config=small_config(),
-                   velocity=velocity)
+    sf.final_train(spec, params, blobs_small, small_config(), velocity=velocity)
     assert np.array_equal(params, p0)
     assert np.array_equal(velocity, v0)
 

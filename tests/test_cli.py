@@ -88,6 +88,40 @@ def test_search_unknown_key(tmp_path, caplog):
     assert "serach.mode" in caplog.text
 
 
+NO_KINDS = {f"morphisms.p_{kind}": 0.0 for kind in sf.ALL_KINDS}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    pytest.param(NO_KINDS, "no positive weights", id="all-weights-zero"),
+    pytest.param({"morphisms.p_widen": float("inf")}, "widen", id="infinite-weight"),
+    pytest.param({"morphisms.p_narrow": float("nan")}, "narrow", id="nan-weight"),
+    pytest.param({"morphisms.p_deepen": -0.5}, "deepen", id="negative-weight"),
+    pytest.param({"search.topology": "ring"}, "topology", id="topology"),
+    pytest.param({"search.n_neigh": 0}, "n_neigh", id="n_neigh"),
+    pytest.param({"dynamics.kappa": 0.0}, "kappa", id="kappa"),
+    pytest.param({"dynamics.beta": 0.0}, "beta", id="beta"),
+    pytest.param({"dynamics.rate_mode": "fast"}, "rate_mode", id="rate_mode"),
+    pytest.param({"dynamics.flow": "sideways"}, "flow", id="flow"),
+    pytest.param({"dynamics.entropy": "shannon"}, "entropy", id="entropy"),
+    pytest.param({"dynamics.val_decay": 1.5}, "val_decay", id="val_decay"),
+    pytest.param({"net.hidden": [0]}, "hidden", id="hidden"),
+])
+def test_bad_config_value_exits_2_before_running(overrides, message, tmp_path,
+                                                 caplog):
+    # Each of these once passed the config build and failed mid-run.
+    out_dir = tmp_path / "run"
+    argv = ["search", "--config", write_config(tmp_path, overrides),
+            "--out", str(out_dir)]
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, out, err = run_cli_all(argv)
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    [record] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert message in record.getMessage()
+    assert "\n" not in record.getMessage()
+    assert not out_dir.exists()
+
+
 def test_env_seed_override(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {})
     out_dir = str(tmp_path / "run")
@@ -206,7 +240,7 @@ def test_bench_writes_grid(tmp_path):
     out_dir = str(tmp_path / "bench")
     code, report = run_cli(["dynamics-bench", "--out", out_dir,
                             "--betas", "1.0", "--kappas", "1.0",
-                            "--gammas", "0.0", "--nodes", "2",
+                            "--nodes", "2",
                             "--particles", "500", "--iters", "300",
                             "--tau", "0.05"])
     assert code == 0
@@ -221,7 +255,7 @@ def test_bench_single_node_never_moves(tmp_path):
     out_dir = str(tmp_path / "bench1")
     code, report = run_cli(["dynamics-bench", "--out", out_dir,
                             "--betas", "1.0", "--kappas", "2.0",
-                            "--gammas", "0.0", "--nodes", "1",
+                            "--nodes", "1",
                             "--particles", "100", "--iters", "200",
                             "--tau", "0.05", "--sampled"])
     assert code == 0

@@ -116,8 +116,8 @@ def test_remove_zero_scale_skip_neutral():
 
 def test_negative_morphism_dispatch():
     spec, params = fresh(skips=((1, 2),))
-    m, morph = sf.negative_morphism(spec, params, "remove_skip",
-                                    np.random.default_rng(0))
+    m, morph = sf.draw_morphism(spec, params, "remove_skip",
+                                np.random.default_rng(0))
     assert morph.kind == "remove_skip"
     assert m.spec.skips == ()
 

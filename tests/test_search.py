@@ -94,16 +94,16 @@ def test_pretrain_reduces_loss(blobs_small):
     params = sf.init_params(spec, np.random.default_rng(1))
     X, y = blobs_small.split("train")
     before = sf.loss_only(spec, params, X, y)
-    out = sf.pretrain(spec, blobs_small, epochs=5,
-                      rng=np.random.default_rng(2), params=params.copy())
+    out = sf.pretrain(spec, blobs_small, sf.SearchConfig(pretrain_epochs=5),
+                      params.copy())
     assert sf.loss_only(spec, out, X, y) < before
 
 
 def test_pretrain_zero_epochs_noop(blobs_small):
     spec = sf.NetSpec(2, 4, (8,))
     params = sf.init_params(spec, np.random.default_rng(3))
-    out = sf.pretrain(spec, blobs_small, epochs=0,
-                      rng=np.random.default_rng(4), params=params.copy())
+    out = sf.pretrain(spec, blobs_small, sf.SearchConfig(pretrain_epochs=0),
+                      params.copy())
     assert np.array_equal(out, params)
 
 
@@ -112,8 +112,8 @@ def test_pretrain_deterministic(blobs_small):
     params = sf.init_params(spec, np.random.default_rng(5))
 
     def run():
-        return sf.pretrain(spec, blobs_small, epochs=3,
-                           rng=np.random.default_rng(6), params=params.copy())
+        return sf.pretrain(spec, blobs_small, sf.SearchConfig(pretrain_epochs=3),
+                           params.copy())
 
     assert np.array_equal(run(), run())
 
@@ -294,19 +294,18 @@ def test_each_phase_runs_once_per_search(monkeypatch, blobs_small, mode):
 def test_final_train_zero_budget(blobs_small):
     spec = sf.NetSpec(2, 4, (8, 8))
     params = sf.init_params(spec, np.random.default_rng(7))
-    out, metrics = sf.final_train(spec, params, blobs_small, budget=0)
+    out, metrics = sf.final_train(spec, params, blobs_small,
+                                  sf.SearchConfig(final_budget=0))
     assert np.array_equal(out, params)
     assert {"val_loss", "val_accuracy", "test_loss", "test_accuracy"} <= set(metrics)
 
 
 def test_final_train_plateau_stops_early(blobs_small):
-    cfg = small_config(epochs_neigh=1, plateau_cycles=3)
+    cfg = small_config(epochs_neigh=1, plateau_cycles=3, final_budget=100)
     spec = sf.NetSpec(2, 4, (8, 8))
     params = sf.init_params(spec, np.random.default_rng(8))
-    trained, m1 = sf.final_train(spec, params, blobs_small, budget=100,
-                                 config=cfg)
-    again, m2 = sf.final_train(spec, trained, blobs_small, budget=100,
-                               config=cfg)
+    trained, m1 = sf.final_train(spec, params, blobs_small, cfg)
+    again, m2 = sf.final_train(spec, trained, blobs_small, cfg)
     # a converged start should exit on the plateau rule, well inside budget
     assert m2["epochs"] < 100
 
@@ -316,5 +315,6 @@ def test_final_train_improves_accuracy(blobs_small):
     params = sf.init_params(spec, np.random.default_rng(9))
     X, y = blobs_small.split("test")
     _, acc0 = sf.evaluate(spec, params, X, y)
-    out, metrics = sf.final_train(spec, params, blobs_small, budget=30)
+    out, metrics = sf.final_train(spec, params, blobs_small,
+                                  sf.SearchConfig(final_budget=30))
     assert metrics["test_accuracy"] > acc0
