@@ -26,7 +26,12 @@ class NonFiniteGradient(FloatingPointError):
 
 
 class NonFiniteValue(FloatingPointError):
-    """A scalar evaluation produced NaN or +/-inf."""
+    """A scalar evaluation produced NaN or +/-inf. node names the node it
+    was evaluated at, where the raiser knows one."""
+
+    def __init__(self, message: str, node: int | None = None):
+        super().__init__(message)
+        self.node = node
 
 
 class ShapeMismatch(ValueError):

@@ -17,6 +17,15 @@ The kernels read W and b as views into the flat vector, and loss_and_grad
 writes the gradient straight into slices of one fresh flat vector.
 NetParts is for code that edits architectures (morphisms); the training
 path never builds one.
+
+The kernels take a leading stack axis: params (..., P), inputs
+(..., batch, input_dim) and labels (..., batch) train or score a stack of
+networks of one spec in one call, so a search round pays numpy's per-call
+cost once per architecture instead of once per candidate. Each row comes
+out bit for bit as its own call would give it: a stacked matmul makes the
+same per-matrix BLAS call, and every sum runs per row over the same
+contiguous data in the same order. A single network is the 1-D case of the
+same code.
 """
 
 from __future__ import annotations
@@ -172,11 +181,6 @@ def unflatten(spec: NetSpec, flat: np.ndarray) -> NetParts:
     )
 
 
-def _weights(lay: Layout, flat: np.ndarray) -> list[np.ndarray]:
-    """Views of the hidden layers' weight matrices."""
-    return [flat[layer.w].reshape(layer.w_shape) for layer in lay.layers]
-
-
 def flatten(spec: NetSpec, parts: NetParts) -> np.ndarray:
     lay = layout(spec)
     n_layers = len(lay.layers)
@@ -212,13 +216,33 @@ def init_params(spec: NetSpec, rng: np.random.Generator) -> np.ndarray:
     return flat
 
 
-def _check_inputs(spec: NetSpec, inputs: np.ndarray) -> np.ndarray:
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 2 or inputs.shape[1] != spec.input_dim:
-        raise ShapeMismatch(
-            f"inputs shape {inputs.shape}, expected (batch, {spec.input_dim})"
+def _check_call(
+    spec: NetSpec, params: np.ndarray, inputs: np.ndarray
+) -> tuple[Layout, np.ndarray, np.ndarray]:
+    """The layout, params (..., P) and inputs (..., batch, input_dim) of one
+    call, checked once. The leading stack shape is params' own; inputs must
+    share it."""
+    lay = layout(spec)
+    params = np.asarray(params, dtype=float)
+    if params.ndim < 1 or params.shape[-1] != lay.n_params:
+        raise BadParams(
+            f"expected {lay.n_params} parameters, got shape {params.shape}"
         )
-    return inputs
+    inputs = np.asarray(inputs, dtype=float)
+    lead = params.shape[:-1]
+    if (inputs.ndim != len(lead) + 2 or inputs.shape[:-2] != lead
+            or inputs.shape[-1] != spec.input_dim):
+        raise ShapeMismatch(
+            f"inputs shape {inputs.shape}, expected "
+            f"({', '.join(map(str, lead + ('batch',)))}, {spec.input_dim})"
+        )
+    return lay, params, inputs
+
+
+def _weights(lay: Layout, params: np.ndarray) -> list[np.ndarray]:
+    """Views of the hidden layers' weight matrices, (..., h, p) each."""
+    lead = params.shape[:-1]
+    return [params[..., layer.w].reshape(lead + layer.w_shape) for layer in lay.layers]
 
 
 def _forward(
@@ -226,34 +250,32 @@ def _forward(
     params: np.ndarray,
     weights: list[np.ndarray],
     inputs: np.ndarray,
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Returns (post-activations a_0..a_L, pre-activations z_1..z_L, logits).
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Returns (post-activations a_0..a_L, logits).
 
-    weights are _weights(lay, params).
+    weights are _weights(lay, params). The ReLU is taken in place: a_i > 0
+    exactly where the pre-activation is, so the backward pass needs no
+    pre-activations.
     """
-    scales = params[lay.scales]
+    scales = params[..., lay.scales]
     acts = [inputs]
-    pres = []
     for layer, w in zip(lay.layers, weights):
-        z = acts[-1] @ w.T
-        z += params[layer.b]
+        z = acts[-1] @ w.mT
+        z += params[..., None, layer.b]
         for k, s in layer.skips:
-            z += scales[k] * acts[s]
-        pres.append(z)
-        acts.append(np.maximum(z, 0.0))
-    w_out = params[lay.w_out].reshape(lay.w_out_shape)
-    logits = acts[-1] @ w_out.T + params[lay.b_out]
-    return acts, pres, logits
+            z += scales[..., k, None, None] * acts[s]
+        acts.append(np.maximum(z, 0.0, out=z))
+    w_out = params[..., lay.w_out].reshape(params.shape[:-1] + lay.w_out_shape)
+    logits = acts[-1] @ w_out.mT + params[..., None, lay.b_out]
+    return acts, logits
 
 
 def _logits(lay: Layout, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    return _forward(lay, params, _weights(lay, params), inputs)[2]
+    return _forward(lay, params, _weights(lay, params), inputs)[1]
 
 
 def logits(spec: NetSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    lay = layout(spec)
-    inputs = _check_inputs(spec, inputs)
-    return _logits(lay, _check_params(lay, params), inputs)
+    return _logits(*_check_call(spec, params, inputs))
 
 
 def forward(spec: NetSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -270,9 +292,9 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 def _check_labels(spec: NetSpec, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != inputs.shape[0]:
+    if labels.shape != inputs.shape[:-1]:
         raise ShapeMismatch(
-            f"labels shape {labels.shape} does not match batch {inputs.shape[0]}"
+            f"labels shape {labels.shape} does not match inputs {inputs.shape[:-1]}"
         )
     if labels.dtype.kind not in "iu":  # not an integer dtype
         if not np.all(labels == labels.astype(int)):
@@ -288,17 +310,30 @@ def _check_labels(spec: NetSpec, inputs: np.ndarray, labels: np.ndarray) -> np.n
 
 def _cross_entropy(
     z: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy of the logits z, with the logsumexp pieces
-    exp(z - max) and their row sums, from which the softmax follows."""
-    m = z.max(axis=1)
-    e = np.exp(z - m[:, None])
-    sums = e.sum(axis=1)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Mean cross-entropy of each network's logits z (..., batch, classes),
+    with the logsumexp pieces exp(z - max) and their row sums, from which
+    the softmax follows, and the index pair that picks each row's label
+    logit out of z.reshape(-1, classes)."""
+    # A running maximum over the class columns is the row max (max is
+    # exact), without a reduction's per-row cost over a short axis.
+    m = z[..., 0]
+    for c in range(1, z.shape[-1]):
+        m = np.maximum(m, z[..., c])
+    e = np.exp(z - m[..., None])
+    sums = e.sum(axis=-1)
     lse = m + np.log(sums)
-    batch = z.shape[0]
-    # sum / batch is the arithmetic of np.mean, without its dispatch.
-    loss = float((lse - z[np.arange(batch), labels]).sum() / batch)
-    return loss, e, sums
+    picks = (np.arange(labels.size), labels.ravel())
+    picked = z.reshape(-1, z.shape[-1])[picks].reshape(labels.shape)
+    # A per-row sum over contiguous rows is the pairwise sum a single
+    # network's sum() takes; / batch is the arithmetic of np.mean.
+    loss = (lse - picked).sum(axis=-1) / z.shape[-2]
+    return loss, e, sums, picks
+
+
+def _per_net(values: np.ndarray, params: np.ndarray):
+    """One float for a single network, the array of values for a stack."""
+    return values if params.ndim > 1 else float(values)
 
 
 def loss_only(
@@ -306,13 +341,13 @@ def loss_only(
     params: np.ndarray,
     inputs: np.ndarray,
     labels: np.ndarray,
-) -> float:
-    """Mean cross-entropy without the gradient."""
-    lay = layout(spec)
-    inputs = _check_inputs(spec, inputs)
+) -> float | np.ndarray:
+    """Mean cross-entropy without the gradient (one per network of a
+    stack; see loss_and_grad)."""
+    lay, params, inputs = _check_call(spec, params, inputs)
     labels = _check_labels(spec, inputs, labels)
-    z = _logits(lay, _check_params(lay, params), inputs)
-    return _cross_entropy(z, labels)[0]
+    z = _logits(lay, params, inputs)
+    return _per_net(_cross_entropy(z, labels)[0], params)
 
 
 def loss_and_grad(
@@ -320,52 +355,63 @@ def loss_and_grad(
     params: np.ndarray,
     inputs: np.ndarray,
     labels: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient in the flat parameter vector."""
-    lay = layout(spec)
-    inputs = _check_inputs(spec, inputs)
+) -> tuple[float | np.ndarray, np.ndarray]:
+    """Mean cross-entropy and its gradient in the flat parameter vector.
+
+    A stack of networks of one spec takes one call: params (..., P), inputs
+    (..., batch, input_dim) and labels (..., batch) give one loss per
+    network (an array) and gradients (..., P), each network's bit for bit
+    what its own call gives.
+    """
+    lay, params, inputs = _check_call(spec, params, inputs)
     labels = _check_labels(spec, inputs, labels)
-    params = _check_params(lay, params)
-    out = np.empty(lay.n_params)
+    lead = params.shape[:-1]
+    out = np.empty(params.shape)
+
+    def block(slot: slice, shape: tuple[int, int]) -> np.ndarray:
+        """The view of out where a weight matrix's gradient goes."""
+        return out[..., slot].reshape(lead + shape)
+
     weights = _weights(lay, params)
-    acts, pres, z = _forward(lay, params, weights, inputs)
-    batch = inputs.shape[0]
+    acts, z = _forward(lay, params, weights, inputs)
 
-    loss, dlogits, sums = _cross_entropy(z, labels)
-    dlogits /= sums[:, None]
-    dlogits[np.arange(batch), labels] -= 1.0
-    dlogits /= batch
+    loss, dlogits, sums, picks = _cross_entropy(z, labels)
+    dlogits /= sums[..., None]
+    dlogits.reshape(-1, z.shape[-1])[picks] -= 1.0
+    dlogits /= inputs.shape[-2]
 
-    np.matmul(dlogits.T, acts[-1], out=out[lay.w_out].reshape(lay.w_out_shape))
-    np.add.reduce(dlogits, axis=0, out=out[lay.b_out])
+    np.matmul(dlogits.mT, acts[-1], out=block(lay.w_out, lay.w_out_shape))
+    np.add.reduce(dlogits, axis=-2, out=out[..., lay.b_out])
 
-    scales = params[lay.scales]
-    d_scales = out[lay.scales]
-    d_scales[:] = 0.0
+    scales = params[..., lay.scales]
+    d_scales = out[..., lay.scales]
+    d_scales[...] = 0.0
     # Activation gradients start as the float 0.0 and become arrays at their
     # first contribution; 0.0 + c keeps the signed zeros a zero-filled
     # accumulator would. The input's gradient (index 0) is never read, so it
     # is never formed.
     n_hidden = len(lay.layers)
     d_acts: list = [0.0] * n_hidden
-    d_acts.append(dlogits @ params[lay.w_out].reshape(lay.w_out_shape))
+    d_acts.append(dlogits @ params[..., lay.w_out].reshape(lead + lay.w_out_shape))
     for i in range(n_hidden, 0, -1):
         layer = lay.layers[i - 1]
         dz = d_acts[i]
-        dz *= pres[i - 1] > 0.0
-        np.matmul(dz.T, acts[i - 1], out=out[layer.w].reshape(layer.w_shape))
-        np.add.reduce(dz, axis=0, out=out[layer.b])
+        dz *= acts[i] > 0.0
+        # No lower layer reads this layer's activation or its gradient.
+        acts[i] = d_acts[i] = None
+        np.matmul(dz.mT, acts[i - 1], out=block(layer.w, layer.w_shape))
+        np.add.reduce(dz, axis=-2, out=out[..., layer.b])
         if i > 1:
             d_acts[i - 1] += dz @ weights[i - 1]
         for k, s in layer.skips:
-            d_scales[k] += float(np.sum(dz * acts[s]))
+            d_scales[..., k] += (dz * acts[s]).reshape(lead + (-1,)).sum(axis=-1)
             if s > 0:
-                d_acts[s] += scales[k] * dz
-    return loss, out
+                d_acts[s] += scales[..., k, None, None] * dz
+    return _per_net(loss, params), out
 
 
 def predict(spec: NetSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    return np.argmax(logits(spec, params, inputs), axis=1)
+    return np.argmax(logits(spec, params, inputs), axis=-1)
 
 
 def evaluate(
@@ -376,13 +422,12 @@ def evaluate(
 ) -> tuple[float, float]:
     """(mean cross-entropy, accuracy) on the given arrays, from one forward
     pass."""
-    lay = layout(spec)
-    inputs = _check_inputs(spec, inputs)
-    checked = _check_labels(spec, inputs, labels)
-    z = _logits(lay, _check_params(lay, params), inputs)
-    loss = _cross_entropy(z, checked)[0]
-    acc = float(np.mean(np.argmax(z, axis=1) == np.asarray(labels)))
-    return loss, acc
+    lay, params, inputs = _check_call(spec, params, inputs)
+    labels = _check_labels(spec, inputs, labels)
+    z = _logits(lay, params, inputs)
+    loss = _cross_entropy(z, labels)[0]
+    acc = np.mean(np.argmax(z, axis=-1) == labels, axis=-1)
+    return _per_net(loss, params), _per_net(acc, params)
 
 
 # -- serialization --------------------------------------------------------

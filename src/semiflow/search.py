@@ -141,6 +141,22 @@ class SearchConfig:
             raise ValueError(f"epochs_neigh must be >= 1, got {self.epochs_neigh}")
         if not 0.0 < self.val_decay < 1.0:
             raise ValueError(f"val_decay must be in (0,1), got {self.val_decay}")
+        for name in ("s_x", "s_y"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"batch size {name} must be >= 1, got {getattr(self, name)}"
+                )
+        if self.final_budget < 0:
+            raise ValueError(
+                f"final_budget must be nonnegative, got {self.final_budget}"
+            )
+        if not self.round_timeout_factor > 0:
+            raise ValueError(
+                f"round_timeout_factor must be positive, got "
+                f"{self.round_timeout_factor}"
+            )
+        if not self.damping >= 0:
+            raise ValueError(f"damping must be nonnegative, got {self.damping}")
         self.hidden = tuple(int(w) for w in self.hidden)
         if not self.hidden or min(self.hidden) < 1:
             raise ValueError(f"hidden widths must be positive, got {self.hidden}")
@@ -296,6 +312,10 @@ def dynamics_round(
     epochs expires (adopts the node with most particles, or raises
     RoundTimeout if asked to), or when budget_iters run out (stats.adopted
     stays None: the caller keeps its incumbent).
+
+    Each clock tick trains and scores every group of nodes with one
+    objective.group_key through one call on their stacked parameters.
+    states[g] holds each node's last x and v when the round ends.
     """
     dyn = config.dynamics()
     nodes = graph.nodes()
@@ -310,79 +330,119 @@ def dynamics_round(
     )
     stats = RoundStats()
     v_train: dict[int, float] = {}
+    # One stacked state per group of nodes that share a kernel call; row i
+    # of a group's x and v is its i-th node's. The stacks take the nodes'
+    # states out of states for the round (so no second copy stays alive)
+    # and put them back, as row views, however the round ends.
+    by_key: dict = {}
+    for g in nodes:
+        by_key.setdefault(objective.group_key(g), []).append(g)
+    groups = [tuple(group) for group in by_key.values()]
 
-    while True:
-        tau = clock.tau()
-        # Not _fit: all candidates take one step each per clock tick, through
-        # the objective handle, and each train loss is recorded.
-        for g in nodes:
-            batch = batches(g, "train")
-            loss, grad_vec = objective.value_and_grad(states[g].x, g, batch)
-            v_train[g] = loss
-            grad_vec = clip_gradient(grad_vec, config.grad_clip)
-            states[g] = train_step(
-                states[g], grad_vec, tau,
-                gamma=dyn.damping, momentum=not dyn.pure_gradient,
+    def take(group: tuple[int, ...]) -> NodeState:
+        members = [states.pop(g) for g in group]
+        return NodeState(np.array([m.x for m in members]),
+                         np.array([m.v for m in members]))
+
+    stacked = [take(group) for group in groups]
+    rows = [(g, k, i) for k, group in enumerate(groups) for i, g in enumerate(group)]
+
+    try:
+        while True:
+            tau = clock.tau()
+            # Not _fit: all candidates take one step each per clock tick,
+            # one call per group through the objective handle, and each
+            # train loss is recorded.
+            for k, group in enumerate(groups):
+                losses, grads = objective.value_and_grad(
+                    stacked[k].x, group, [batches(g, "train") for g in group]
+                )
+                v_train.update(zip(group, np.asarray(losses).tolist()))
+                grads = clip_gradient(grads, config.grad_clip)
+                stacked[k] = train_step(
+                    stacked[k], grads, tau,
+                    gamma=dyn.damping, momentum=not dyn.pure_gradient,
+                )
+            # Every group is scored before a failure is raised, so a
+            # non-finite loss names the first such node in node order.
+            failures = []
+            for k, group in enumerate(groups):
+                try:
+                    eval_val(objective, tracker, stacked[k].x, group,
+                             [batches(g, "val") for g in group])
+                except NonFiniteValue as exc:
+                    failures.append(exc)
+            if failures:
+                raise min(failures, key=lambda exc: exc.node)
+            values = {g: tracker.value(g) for g in nodes}
+
+            step = particle_step(
+                ensemble, phi, values, graph, dyn, tau, rng,
+                velocities={g: stacked[k].v[i] for g, k, i in rows},
             )
-        for g in nodes:
-            eval_val(objective, tracker, states[g].x, g, batches(g, "val"))
-        values = tracker.snapshot()
+            ensemble, phi = step.ensemble, step.phi
+            for amount in step.flows.values():
+                stats.movers += amount
+            stats.energy_trace.append(step.energy)
+            if metrics is not None:
+                for g in nodes:
+                    metrics.write_row(
+                        clock.k, round_idx, g, ensemble.counts[g],
+                        ensemble.counts[g] / ensemble.total, v_train[g], values[g],
+                        phi[g], tau, step.energy, step.out_flow[g],
+                    )
+                metrics.flush()
 
-        step = particle_step(
-            ensemble, phi, values, graph, dyn, tau, rng,
-            velocities={g: states[g].v for g in nodes},
-        )
-        ensemble, phi = step.ensemble, step.phi
-        for amount in step.flows.values():
-            stats.movers += amount
-        stats.energy_trace.append(step.energy)
-        if metrics is not None:
-            for g in nodes:
-                metrics.write_row(
-                    clock.k, round_idx, g, ensemble.counts[g],
-                    ensemble.counts[g] / ensemble.total, v_train[g], values[g],
-                    phi[g], tau, step.energy, step.out_flow[g],
-                )
-            metrics.flush()
+            clock.advance()
+            stats.iterations += 1
 
-        clock.advance()
-        stats.iterations += 1
-
-        children = [g for g in nodes if g != center]
-        if children:
-            best = min(children, key=lambda g: (-ensemble.counts[g], g))
-            if ensemble.counts[best] >= 2.0 * ensemble.counts[center]:
-                stats.adopted = best
+            children = [g for g in nodes if g != center]
+            if children:
+                best = min(children, key=lambda g: (-ensemble.counts[g], g))
+                if ensemble.counts[best] >= 2.0 * ensemble.counts[center]:
+                    stats.adopted = best
+                    break
+            if budget_iters is not None and stats.iterations >= budget_iters:
+                stats.budget_exhausted = True
                 break
-        if budget_iters is not None and stats.iterations >= budget_iters:
-            stats.budget_exhausted = True
-            break
-        if stats.iterations >= timeout_iters:
-            stats.timed_out = True
-            if raise_on_timeout:
-                raise RoundTimeout(
-                    f"no doubling after {stats.iterations} iterations"
-                )
-            stats.adopted = min(nodes, key=lambda g: (-ensemble.counts[g], g))
-            break
+            if stats.iterations >= timeout_iters:
+                stats.timed_out = True
+                if raise_on_timeout:
+                    raise RoundTimeout(
+                        f"no doubling after {stats.iterations} iterations"
+                    )
+                stats.adopted = min(nodes, key=lambda g: (-ensemble.counts[g], g))
+                break
+    finally:
+        for g, k, i in rows:
+            states[g] = NodeState(stacked[k].x[i], stacked[k].v[i])
 
     stats.final_counts = dict(ensemble.counts)
     return stats
 
 
 class NetObjective:
-    """ObjectiveHandle over per-node architectures; batches are (X, y)."""
+    """ObjectiveHandle over per-node architectures; batches are (X, y).
+    Nodes of one NetSpec form a group, scored by one stacked kernel call."""
 
     def __init__(self, specs: Mapping[int, NetSpec]):
         self.specs = dict(specs)
 
+    def group_key(self, g):
+        return self.specs[g]
+
+    def _args(self, x, g, batch):
+        if not isinstance(g, tuple):
+            return self.specs[g], x, *batch
+        inputs = np.array([b[0] for b in batch])
+        labels = np.array([b[1] for b in batch])
+        return self.specs[g[0]], x, inputs, labels
+
     def value(self, x, g, batch):
-        inputs, labels = batch
-        return loss_only(self.specs[g], x, inputs, labels)
+        return loss_only(*self._args(x, g, batch))
 
     def value_and_grad(self, x, g, batch):
-        inputs, labels = batch
-        return loss_and_grad(self.specs[g], x, inputs, labels)
+        return loss_and_grad(*self._args(x, g, batch))
 
 
 def _node_streams(

@@ -105,6 +105,12 @@ NO_KINDS = {f"morphisms.p_{kind}": 0.0 for kind in sf.ALL_KINDS}
     pytest.param({"dynamics.entropy": "shannon"}, "entropy", id="entropy"),
     pytest.param({"dynamics.val_decay": 1.5}, "val_decay", id="val_decay"),
     pytest.param({"net.hidden": [0]}, "hidden", id="hidden"),
+    pytest.param({"search.s_x": 0}, "s_x", id="s_x"),
+    pytest.param({"search.s_y": 0}, "s_y", id="s_y"),
+    pytest.param({"final.budget": -1}, "final_budget", id="final_budget"),
+    pytest.param({"search.round_timeout_factor": 0.0}, "round_timeout_factor",
+                 id="round_timeout_factor"),
+    pytest.param({"dynamics.damping": -1.0}, "damping", id="damping"),
 ])
 def test_bad_config_value_exits_2_before_running(overrides, message, tmp_path,
                                                  caplog):

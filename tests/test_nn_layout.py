@@ -5,7 +5,9 @@ filled a list of zero buffers and flattened the gradient back on every call,
 with its own walk of the flat layout. The compiled kernel must reproduce its
 loss and gradient bit for bit, signed zeros included, on random
 architectures (skips from the input, several skips into one layer), random
-batches and non-zero skip scales.
+batches and non-zero skip scales. A stack of one to four networks of one
+spec, each with its own parameters and batch, goes through the kernel in one
+call, and every row must match the reference for that network alone.
 """
 
 import numpy as np
@@ -145,25 +147,42 @@ def problem(spec, seed, batch, zero_share):
     return params, inputs, labels
 
 
+def stacked_problem(spec, seed, batch, zero_share, stack):
+    """problem() for each of stack networks, on seeds following seed, as
+    params (stack, P), inputs (stack, batch, d) and labels (stack, batch)."""
+    rows = [problem(spec, (seed + r) % 2**32, batch, zero_share) for r in range(stack)]
+    return [np.array(part) for part in zip(*rows)]
+
+
 seeds = st.integers(0, 2**32 - 1)
 batches = st.integers(1, 20)
 zero_shares = st.sampled_from([0.0, 0.2, 0.6])
+stacks = st.integers(1, 4)
 
 
 # -- properties -------------------------------------------------------------
 
 
 @settings(max_examples=150, deadline=None)
-@given(specs(), seeds, batches, zero_shares)
-@example(PINNED[0], 0, 64, 0.0)
-@example(PINNED[1], 1, 64, 0.0)
-@example(PINNED[2], 2, 64, 0.2)
-def test_kernel_matches_reference_bit_for_bit(spec, seed, batch, zero_share):
-    params, inputs, labels = problem(spec, seed, batch, zero_share)
-    ref_loss, ref_grad = ref_loss_and_grad(spec, params, inputs, labels)
-    loss, grad = sf.loss_and_grad(spec, params, inputs, labels)
-    assert loss == ref_loss
-    assert same_bits(grad, ref_grad)
+@given(specs(), seeds, batches, zero_shares, stacks)
+@example(PINNED[0], 0, 64, 0.0, 1)
+@example(PINNED[1], 1, 64, 0.0, 4)
+@example(PINNED[2], 2, 64, 0.2, 3)
+def test_kernel_matches_reference_bit_for_bit(spec, seed, batch, zero_share, stack):
+    params, inputs, labels = stacked_problem(spec, seed, batch, zero_share, stack)
+    losses, grads = sf.loss_and_grad(spec, params, inputs, labels)
+    assert losses.shape == (stack,) and grads.shape == params.shape
+    assert same_bits(sf.loss_only(spec, params, inputs, labels), losses)
+    for row in range(stack):
+        ref_loss, ref_grad = ref_loss_and_grad(spec, params[row], inputs[row], labels[row])
+        loss, grad = sf.loss_and_grad(spec, params[row], inputs[row], labels[row])
+        assert isinstance(loss, float)
+        assert same_bits(loss, ref_loss) and same_bits(losses[row], ref_loss)
+        assert same_bits(grad, ref_grad) and same_bits(grads[row], ref_grad)
+    # The 1-D call is a stack of one.
+    one_loss, one_grad = sf.loss_and_grad(spec, params[:1], inputs[:1], labels[:1])
+    loss, grad = sf.loss_and_grad(spec, params[0], inputs[0], labels[0])
+    assert same_bits(one_loss, [loss]) and same_bits(one_grad, grad[None])
 
 
 @settings(max_examples=60, deadline=None)

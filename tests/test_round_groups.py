@@ -1,0 +1,202 @@
+"""A round's grouped kernel calls against the per-node loop they replaced.
+
+dynamics_round trains and scores every group of nodes that share a NetSpec
+with one stacked kernel call per clock tick. The reference below is the round
+loop as it was before: one loss_and_grad and one loss_only per node per tick.
+On a complete graph with repeated specs, both must write the same metrics
+rows (train losses, tracker values, counts, potentials), end in the same
+states bit for bit, and fail the same way.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import semiflow as sf
+from semiflow import search
+from semiflow.errors import NonFiniteGradient, NonFiniteValue
+from semiflow.search import GlobalClock, dynamics_round
+
+# -- reference --------------------------------------------------------------
+
+
+def reference_round(graph, specs, states, config, clock, rng, batches,
+                    metrics, round_idx, budget_iters):
+    """The per-node round loop: every node its own kernel calls."""
+    dyn = config.dynamics()
+    nodes = graph.nodes()
+    center = graph.center
+    ensemble = sf.seed_ensemble(graph, config.n_particles)
+    tracker = sf.ValTracker(decay=config.val_decay)
+    phi = {g: 0.0 for g in nodes}
+    timeout_iters = max(
+        1, round(config.round_timeout_factor * config.epochs_neigh * clock.iters_per_epoch)
+    )
+    stats = sf.RoundStats()
+    v_train = {}
+    while True:
+        tau = clock.tau()
+        for g in nodes:
+            loss, grad_vec = sf.loss_and_grad(specs[g], states[g].x, *batches(g, "train"))
+            v_train[g] = loss
+            grad_vec = sf.clip_gradient(grad_vec, config.grad_clip)
+            states[g] = sf.train_step(
+                states[g], grad_vec, tau,
+                gamma=dyn.damping, momentum=not dyn.pure_gradient,
+            )
+        for g in nodes:
+            sample = sf.loss_only(specs[g], states[g].x, *batches(g, "val"))
+            if not math.isfinite(sample):
+                raise NonFiniteValue(f"validation loss at node {g} is {sample}")
+            tracker.update(g, sample)
+        values = tracker.snapshot()
+
+        step = search.particle_step(
+            ensemble, phi, values, graph, dyn, tau, rng,
+            velocities={g: states[g].v for g in nodes},
+        )
+        ensemble, phi = step.ensemble, step.phi
+        for amount in step.flows.values():
+            stats.movers += amount
+        stats.energy_trace.append(step.energy)
+        for g in nodes:
+            metrics.write_row(
+                clock.k, round_idx, g, ensemble.counts[g],
+                ensemble.counts[g] / ensemble.total, v_train[g], values[g],
+                phi[g], tau, step.energy, step.out_flow[g],
+            )
+        metrics.flush()
+
+        clock.advance()
+        stats.iterations += 1
+
+        children = [g for g in nodes if g != center]
+        best = min(children, key=lambda g: (-ensemble.counts[g], g))
+        if ensemble.counts[best] >= 2.0 * ensemble.counts[center]:
+            stats.adopted = best
+            break
+        if stats.iterations >= budget_iters:
+            stats.budget_exhausted = True
+            break
+        if stats.iterations >= timeout_iters:
+            stats.timed_out = True
+            stats.adopted = min(nodes, key=lambda g: (-ensemble.counts[g], g))
+            break
+    stats.final_counts = dict(ensemble.counts)
+    return stats
+
+
+# -- rig --------------------------------------------------------------------
+
+
+def round_rig(data, mode, seed):
+    """A complete 13-node graph around a 6-6 net, with its config, specs and
+    fresh per-node states."""
+    config = sf.SearchConfig(mode=mode, seed=seed, n_neigh=12, topology="complete",
+                             epochs_neigh=2, n_particles=50, s_x=32, s_y=16,
+                             hidden=(6, 6))
+    spec = sf.NetSpec(data.input_dim, data.n_classes, config.hidden)
+    params = sf.init_params(spec, np.random.default_rng(seed))
+    graph, _ = sf.build_local_graph(
+        spec, params, config.n_neigh, config.constraints, config.mix,
+        np.random.default_rng(seed), topology="complete",
+    )
+    specs = {g: graph.payload(g).spec for g in graph}
+    return config, graph, specs
+
+
+def fresh_states(graph, seed):
+    """Each node's parameters, and a velocity drawn per node so that the
+    momentum term differs between nodes of one spec from the first tick."""
+    rng = np.random.default_rng(seed)
+    return {
+        g: sf.NodeState(graph.payload(g).params.copy(),
+                        rng.normal(0.0, 0.1, graph.payload(g).params.size))
+        for g in graph
+    }
+
+
+@pytest.mark.parametrize("mode", ["nasgd", "nasagd"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grouped_round_matches_per_node_loop(blobs_small, tmp_path, mode, seed):
+    config, graph, specs = round_rig(blobs_small, mode, seed)
+    groups = {}
+    for g in graph.nodes():
+        groups.setdefault(specs[g], []).append(g)
+    assert max(len(nodes) for nodes in groups.values()) >= 2
+    assert len(groups) < len(graph.nodes())
+
+    runs = {}
+    for name, run in (("grouped", None), ("reference", reference_round)):
+        states = fresh_states(graph, seed)
+        ipe = sf.iters_per_epoch(blobs_small, config)
+        clock = GlobalClock(ipe, config.epochs_neigh, config.lam_start, config.lam_final)
+        batches = search._node_streams(blobs_small, config, 1, graph.nodes())
+        rng = np.random.default_rng(seed)
+        with sf.MetricsWriter(str(tmp_path / f"{name}.csv")) as metrics:
+            if run is None:
+                stats = dynamics_round(graph, sf.NetObjective(specs), states, config,
+                                       clock, rng, batches, metrics, 1, 40)
+            else:
+                stats = run(graph, specs, states, config, clock, rng, batches,
+                            metrics, 1, 40)
+        runs[name] = (stats, states, clock.k, (tmp_path / f"{name}.csv").read_bytes())
+
+    (stats, states, k, rows), (ref_stats, ref_states, ref_k, ref_rows) = (
+        runs["grouped"], runs["reference"]
+    )
+    assert rows == ref_rows
+    assert k == ref_k == stats.iterations
+    assert (stats.adopted, stats.iterations, stats.movers, stats.final_counts) == (
+        ref_stats.adopted, ref_stats.iterations, ref_stats.movers, ref_stats.final_counts
+    )
+    assert stats.energy_trace == ref_stats.energy_trace
+    assert sorted(states) == sorted(ref_states)
+    for g in graph.nodes():
+        for got, want in ((states[g].x, ref_states[g].x), (states[g].v, ref_states[g].v)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# -- failures ---------------------------------------------------------------
+
+
+def quadratic_rig(dims, offsets=None, centers=None):
+    """A star graph whose nodes have the given dimensions: nodes of one
+    dimension form one group, so groups interleave in node order."""
+    graph = sf.star_graph(None, [None] * (len(dims) - 1))
+    centers = centers or {}
+    obj = sf.QuadraticObjective(
+        {g: centers.get(g, np.zeros(d)) for g, d in zip(graph.nodes(), dims)},
+        offsets or {},
+    )
+    states = {g: sf.NodeState(np.ones(d), np.zeros(d)) for g, d in zip(graph.nodes(), dims)}
+    config = sf.SearchConfig(mode="nasgd", seed=0, epochs_neigh=2, n_particles=50)
+    return graph, obj, states, config
+
+
+@pytest.mark.parametrize("bad, named", [
+    pytest.param({4}, 4, id="one-member"),
+    # node 4 fails in the first group called, node 1 in the second
+    pytest.param({4, 1}, 1, id="first-in-node-order"),
+])
+def test_nonfinite_validation_loss_names_first_node(bad, named):
+    dims = [2, 3, 2, 3, 2, 3]
+    graph, obj, states, config = quadratic_rig(dims, {g: math.nan for g in bad})
+    assert [obj.group_key(g) for g in graph.nodes()] == [(d,) for d in dims]
+    with pytest.raises(NonFiniteValue, match=f"at node {named} is nan") as info:
+        dynamics_round(graph, obj, states, config, GlobalClock(4, 2, 0.05, 1e-7),
+                       np.random.default_rng(0))
+    assert info.value.node == named
+
+
+def test_nonfinite_gradient_raises():
+    graph, obj, states, config = quadratic_rig(
+        [2, 2, 2, 2], centers={2: np.array([math.nan, 0.0])}
+    )
+    with pytest.raises(NonFiniteGradient):
+        dynamics_round(graph, obj, states, config, GlobalClock(4, 2, 0.05, 1e-7),
+                       np.random.default_rng(0))
+    # The round puts every node's state back, however it ends.
+    assert sorted(states) == graph.nodes()
