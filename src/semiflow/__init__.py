@@ -44,7 +44,6 @@ from .dynamics import (
     energy,
     mutation_rates_first,
     mutation_rates_second,
-    negative_part,
     restart_check,
     seed_ensemble,
     stationary_oracle,
@@ -56,7 +55,6 @@ from .objective import (
     QuadraticObjective,
     ValTracker,
     clip_gradient,
-    eval_train,
     eval_val,
 )
 from .nn import (
@@ -98,7 +96,6 @@ from .data import (
     load_csv,
     make_blobs,
     spiral_arm,
-    streams,
     two_spirals,
 )
 from .recording import JsonlWriter, MetricsWriter, read_manifest, write_manifest

@@ -7,8 +7,9 @@ checkpoint), pretrain (train the starting network only), dynamics-bench
 
 stdout carries exactly one JSON document per invocation; everything else
 goes to stderr. Exit codes: 0 on success, 2 for configuration problems
-(including unreadable checkpoints and data files), 3 when training
-diverges, 4 when a round times out under --strict.
+(including unreadable checkpoints and data files), 3 when training or the
+particle dynamics diverge (a non-finite loss, gradient or potential), 4 when
+a round times out under --strict.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from .errors import (
     BadParams,
     Divergence,
     MissingFile,
+    NonFiniteGradient,
+    NonFiniteValue,
     NonIntegerLabel,
     ParseError,
     RoundTimeout,
@@ -58,7 +61,14 @@ from .nn import (
     spec_digest,
 )
 from .recording import MetricsWriter, utc_now, write_manifest
-from .search import MODES, particle_step, pretrain_start, run_search, _rng
+from .search import (
+    MODES,
+    particle_step,
+    pretrain,
+    pretrain_start,
+    run_search,
+    _rng,
+)
 
 log = logging.getLogger("semiflow")
 
@@ -232,7 +242,7 @@ def _cmd_pretrain(args) -> int:
     config = build_search_config(table)
     data = build_dataset(table)
     spec, params0 = _untrained_start(config, data)
-    _, params = pretrain_start(config, data)
+    params = pretrain(spec, data, config, params0)
     train_x, train_y = data.split("train")
     initial_loss = loss_only(spec, params0, train_x, train_y)
     final_loss = loss_only(spec, params, train_x, train_y)
@@ -276,13 +286,7 @@ def _bench_point(index, beta, kappa, args, seed, out_dir):
                 restart=False,
             )
             ensemble, phi = step.ensemble, step.phi
-            for g in graph.nodes():
-                writer.write_row(
-                    k, 1, g, ensemble.counts[g],
-                    ensemble.counts[g] / ensemble.total,
-                    values[g], values[g], phi[g], args.tau, step.energy,
-                    step.out_flow[g],
-                )
+            step.write_rows(writer, k, 1, values, values, args.tau)
     target = stationary_oracle(values, beta)
     marginal = ensemble.marginal()
     l1 = sum(abs(marginal[g] - target[g]) for g in graph)
@@ -376,7 +380,7 @@ def main(argv=None) -> int:
     except CONFIG_ERRORS as exc:
         log.error("%s", exc)
         return 2
-    except Divergence as exc:
+    except (Divergence, NonFiniteValue, NonFiniteGradient) as exc:
         log.error("diverged: %s", exc)
         return 3
     except RoundTimeout as exc:

@@ -257,18 +257,3 @@ class BatchStream:
         self._pos += self.batch_size
         return self.features[idx], self.labels[idx]
 
-
-def streams(
-    dataset: Dataset, s_x: int = 64, s_y: int = 32, seed: int = 0
-) -> tuple[BatchStream, BatchStream]:
-    """Training stream over the train split, validation stream over the val
-    split. The backing index sets are disjoint; asserted here."""
-    overlap = set(dataset.train_idx.tolist()) & set(dataset.val_idx.tolist())
-    if overlap:
-        raise BadParams(f"train/val splits share indices: {sorted(overlap)[:5]}")
-    x_feat, x_lab = dataset.split("train")
-    y_feat, y_lab = dataset.split("val")
-    return (
-        BatchStream(x_feat, x_lab, s_x, seed * 2 + 1),
-        BatchStream(y_feat, y_lab, s_y, seed * 2 + 2),
-    )

@@ -52,10 +52,9 @@ EXPECTED = "expected"
 TOWARD_HIGH_PHI = "toward_high_phi"
 TOWARD_LOW_PHI = "toward_low_phi"
 
-
-def negative_part(a: float) -> float:
-    """max(0, -a)."""
-    return -a if a < 0.0 else 0.0
+# How far, in ulps of a node's pre-step count, float rounding of one
+# expected-mode mutation step may take the count below its floor.
+ROUNDING_ULPS = 1024
 
 
 @dataclass
@@ -72,9 +71,6 @@ class NodeState:
             raise DimensionMismatch(
                 f"x has shape {self.x.shape}, v has shape {self.v.shape}"
             )
-
-    def copy(self) -> "NodeState":
-        return NodeState(self.x.copy(), self.v.copy())
 
 
 @dataclass(frozen=True)
@@ -181,9 +177,6 @@ class ParticleEnsemble:
 
     def movable(self, g: int) -> float:
         return self.counts[g] - self.ghost.get(g, 0)
-
-    def copy(self) -> "ParticleEnsemble":
-        return ParticleEnsemble(dict(self.counts), dict(self.ghost))
 
 
 def seed_ensemble(
@@ -363,6 +356,14 @@ def apply_mutation_with_flows(
     for (g, h), amount in flows.items():
         counts[g] -= amount
         counts[h] += amount
+    # The expected amounts movable * p * w_h can add up to a few ulps more
+    # than movable, leaving a source that far under its floor (the ghost,
+    # or zero); such a count goes back onto the floor. A deficit beyond
+    # rounding is left for ParticleEnsemble to reject.
+    for g, before in ensemble.counts.items():
+        floor = ensemble.ghost.get(g, 0)
+        if floor - ROUNDING_ULPS * math.ulp(before) <= counts[g] < floor:
+            counts[g] = float(floor)
     return MutationResult(ParticleEnsemble(counts, dict(ensemble.ghost)), flows)
 
 

@@ -103,14 +103,6 @@ class ValTracker:
         return dict(self.running)
 
 
-def eval_train(obj: ObjectiveHandle, x: np.ndarray, g: int, batch: Any) -> float:
-    """Training-batch loss V_k(x, g)."""
-    val = float(obj.value(x, g, batch))
-    if not math.isfinite(val):
-        raise NonFiniteValue(f"training loss at node {g} is {val}")
-    return val
-
-
 def eval_val(
     obj: ObjectiveHandle,
     tracker: ValTracker,

@@ -93,7 +93,6 @@ class JsonlWriter:
 
     path: str
     _fh: IO[str] | None = field(init=False, default=None, repr=False)
-    records: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
@@ -101,7 +100,6 @@ class JsonlWriter:
     def write(self, record: dict) -> None:
         self._fh.write(json.dumps(record, sort_keys=True) + "\n")
         self._fh.flush()
-        self.records += 1
 
     def close(self) -> None:
         if self._fh is not None:
@@ -124,7 +122,7 @@ def write_manifest(
     config: dict,
     seed: int,
     version: str,
-    outputs: dict[str, str],
+    outputs: list[str],
     started: str,
     ended: str | None = None,
 ) -> None:

@@ -191,6 +191,13 @@ class GlobalClock:
     lam_final: float
     k: int = 0
 
+    @classmethod
+    def for_search(cls, config: SearchConfig, iters_per_epoch: int) -> GlobalClock:
+        """The search schedule: cycles of epochs_neigh epochs from lam_start
+        down to lam_final."""
+        return cls(iters_per_epoch, config.epochs_neigh,
+                   config.lam_start, config.lam_final)
+
     def epochs_elapsed(self) -> float:
         return self.k / self.iters_per_epoch
 
@@ -219,7 +226,6 @@ class SearchResult:
     best_params: np.ndarray
     rounds: int
     architectures_explored: int
-    metrics_path: str | None
     wallclock: float
     search_wallclock: float = 0.0
     test_metrics: dict[str, float] = field(default_factory=dict)
@@ -237,6 +243,24 @@ class ParticleStep(NamedTuple):
     flows: dict[tuple[int, int], float]
     out_flow: dict[int, float]
     energy: float
+
+    def write_rows(
+        self,
+        metrics: MetricsWriter,
+        iter_k: int,
+        round_idx: int,
+        v_train: Mapping[int, float],
+        v_val: Mapping[int, float],
+        tau: float,
+    ) -> None:
+        """One metrics row per node for the tick this step ended."""
+        counts = self.ensemble.counts
+        total = self.ensemble.total
+        for g, count in counts.items():
+            metrics.write_row(
+                iter_k, round_idx, g, count, count / total, v_train[g],
+                v_val[g], self.phi[g], tau, self.energy, self.out_flow[g],
+            )
 
 
 def particle_step(
@@ -303,15 +327,14 @@ def dynamics_round(
     metrics: MetricsWriter | None = None,
     round_idx: int = 1,
     budget_iters: int | None = None,
-    raise_on_timeout: bool = False,
 ) -> RoundStats:
     """Run one round of particle dynamics on a prebuilt local graph.
 
     Stops when the doubling criterion fires (stats.adopted is the winning
     child), when the per-round cap of round_timeout_factor * epochs_neigh
     epochs expires (adopts the node with most particles, or raises
-    RoundTimeout if asked to), or when budget_iters run out (stats.adopted
-    stays None: the caller keeps its incumbent).
+    RoundTimeout under config.strict), or when budget_iters run out
+    (stats.adopted stays None: the caller keeps its incumbent).
 
     Each clock tick trains and scores every group of nodes with one
     objective.group_key through one call on their stacked parameters.
@@ -385,12 +408,7 @@ def dynamics_round(
                 stats.movers += amount
             stats.energy_trace.append(step.energy)
             if metrics is not None:
-                for g in nodes:
-                    metrics.write_row(
-                        clock.k, round_idx, g, ensemble.counts[g],
-                        ensemble.counts[g] / ensemble.total, v_train[g], values[g],
-                        phi[g], tau, step.energy, step.out_flow[g],
-                    )
+                step.write_rows(metrics, clock.k, round_idx, v_train, values, tau)
                 metrics.flush()
 
             clock.advance()
@@ -407,7 +425,7 @@ def dynamics_round(
                 break
             if stats.iterations >= timeout_iters:
                 stats.timed_out = True
-                if raise_on_timeout:
+                if config.strict:
                     raise RoundTimeout(
                         f"no doubling after {stats.iterations} iterations"
                     )
@@ -481,7 +499,6 @@ def run_round(
     metrics: MetricsWriter | None = None,
     round_idx: int = 1,
     budget_iters: int | None = None,
-    raise_on_timeout: bool = False,
 ) -> tuple[Candidate, RoundStats, list[dict]]:
     """One full search round on a real dataset.
 
@@ -490,10 +507,7 @@ def run_round(
     unchanged when the budget ran out before any stopping rule fired.
     """
     if clock is None:
-        clock = GlobalClock(
-            iters_per_epoch(data, config), config.epochs_neigh,
-            config.lam_start, config.lam_final,
-        )
+        clock = GlobalClock.for_search(config, iters_per_epoch(data, config))
 
     graph, audit = build_local_graph(
         incumbent.spec, incumbent.params, config.n_neigh, config.constraints,
@@ -515,7 +529,7 @@ def run_round(
     stats = dynamics_round(
         graph, objective, states, config, clock,
         _rng(config.seed, 3, round_idx), batches, metrics, round_idx,
-        budget_iters, raise_on_timeout,
+        budget_iters,
     )
     if stats.adopted is None:
         return incumbent, stats, audit
@@ -630,10 +644,7 @@ def final_train(
         x_feat, x_lab, config.s_x, _stream_seed(config.seed, 6, 0)
     )
     if clock is None:
-        clock = GlobalClock(
-            stream.batches_per_epoch, config.epochs_neigh,
-            config.lam_start, config.lam_final,
-        )
+        clock = GlobalClock.for_search(config, stream.batches_per_epoch)
     vel = np.zeros_like(params) if velocity is None else np.asarray(velocity, dtype=float)
     state = NodeState(params, vel)
     best_val = evaluate(spec, state.x, val_x, val_y)[0]
@@ -641,7 +652,6 @@ def final_train(
     stall = 0
     cycle_best = math.inf
     epochs_done = 0
-    epochs_this_cycle = 0
 
     while epochs_done < config.final_budget:
         state = _fit(
@@ -650,19 +660,17 @@ def final_train(
             gamma=config.damping, momentum=not config.pure_gradient,
         )
         epochs_done += 1
-        epochs_this_cycle += 1
         val_loss = evaluate(spec, state.x, val_x, val_y)[0]
         cycle_best = min(cycle_best, val_loss)
         if val_loss < best_val:
             best_params = state.x.copy()
-        if epochs_this_cycle >= config.epochs_neigh:
+        if epochs_done % config.epochs_neigh == 0:
             if best_val - cycle_best >= config.plateau_tol:
                 stall = 0
             else:
                 stall += 1
             best_val = min(best_val, cycle_best)
             cycle_best = math.inf
-            epochs_this_cycle = 0
             if checkpoint_path is not None:
                 save_checkpoint(checkpoint_path, spec, best_params)
             if stall >= config.plateau_cycles:
@@ -675,28 +683,25 @@ def final_train(
 
 @contextmanager
 def _open_run(
-    config: SearchConfig, data: Dataset, out_dir: str | None, audit_writer,
-    with_metrics: bool,
-) -> Iterator[tuple[Candidate, MetricsWriter | None, Any, str | None]]:
+    config: SearchConfig, data: Dataset, out_dir: str | None, with_metrics: bool,
+) -> Iterator[tuple[Candidate, MetricsWriter | None, JsonlWriter | None, str | None]]:
     """Set up a search run and yield (pretrained incumbent, metrics writer,
     audit writer, best.json path).
 
-    With an out_dir, opens morphisms.jsonl (and metrics.csv if asked) there;
-    a caller-provided audit writer wins over out_dir. Writers opened here
-    are closed on exit.
+    With an out_dir, opens morphisms.jsonl (and metrics.csv if asked) there
+    and closes them on exit; without one, every writer and path is None.
     """
     with ExitStack() as owned:
-        metrics = best_path = None
+        metrics = audit_writer = best_path = None
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
             if with_metrics:
                 metrics = owned.enter_context(
                     MetricsWriter(os.path.join(out_dir, "metrics.csv"))
                 )
-            if audit_writer is None:
-                audit_writer = owned.enter_context(
-                    JsonlWriter(os.path.join(out_dir, "morphisms.jsonl"))
-                )
+            audit_writer = owned.enter_context(
+                JsonlWriter(os.path.join(out_dir, "morphisms.jsonl"))
+            )
             best_path = os.path.join(out_dir, "best.json")
         spec, params = pretrain_start(config, data)
         incumbent = Candidate(spec, params, np.zeros_like(params), None)
@@ -707,23 +712,19 @@ def run_search(
     config: SearchConfig,
     data: Dataset,
     out_dir: str | None = None,
-    audit_writer=None,
 ) -> SearchResult:
     """Full pipeline: pretrain, particle-dynamics rounds, final training.
 
-    With an out_dir, writes metrics.csv, morphisms.jsonl, and best.json
-    there (a caller-provided audit writer wins over out_dir).
+    With an out_dir, writes metrics.csv, morphisms.jsonl, and best.json there.
     """
     if config.mode == "hillclimb":
-        return hill_climb_baseline(config, data, out_dir, audit_writer=audit_writer)
+        return hill_climb_baseline(config, data, out_dir)
     t_start = time.perf_counter()
-    with _open_run(config, data, out_dir, audit_writer, with_metrics=True) as (
+    with _open_run(config, data, out_dir, with_metrics=True) as (
         incumbent, metrics, audit_writer, best_path
     ):
         ipe = iters_per_epoch(data, config)
-        clock = GlobalClock(
-            ipe, config.epochs_neigh, config.lam_start, config.lam_final
-        )
+        clock = GlobalClock.for_search(config, ipe)
         budget_iters = round(config.n_steps * config.epochs_neigh * ipe)
         explored = 1
         rounds = 0
@@ -740,7 +741,6 @@ def run_search(
                 metrics=metrics,
                 round_idx=round_idx,
                 budget_iters=budget_iters - clock.k,
-                raise_on_timeout=config.strict,
             )
             explored += len(audit)
             rounds += 1
@@ -763,7 +763,6 @@ def run_search(
             best_params=best_params,
             rounds=rounds,
             architectures_explored=explored,
-            metrics_path=metrics.path if metrics is not None else None,
             wallclock=time.perf_counter() - t_start,
             search_wallclock=search_secs,
             test_metrics=test_metrics,
@@ -776,7 +775,6 @@ def hill_climb_baseline(
     data: Dataset,
     out_dir: str | None = None,
     wallclock_cap: float | None = None,
-    audit_writer=None,
 ) -> SearchResult:
     """Sequential-training baseline: each cycle trains every child for
     epochs_neigh epochs and keeps the best validation loss.
@@ -791,14 +789,13 @@ def hill_climb_baseline(
     t_start = time.perf_counter()
     train_x, train_y = data.split("train")
     val_x, val_y = data.split("val")
-    with _open_run(config, data, out_dir, audit_writer, with_metrics=False) as (
+    with _open_run(config, data, out_dir, with_metrics=False) as (
         incumbent, _metrics, audit_writer, best_path
     ):
         t_search = time.perf_counter()
         cycles = max(1, int(round(config.n_steps)))
         explored = 1
         rounds_done = 0
-        child_counter = 0
         capped = False
         for cycle in range(1, cycles + 1):
             if wallclock_cap is not None and time.perf_counter() - t_search >= wallclock_cap:
@@ -819,21 +816,18 @@ def hill_climb_baseline(
             for g in graph:
                 if g == graph.center:
                     continue
-                child_counter += 1
                 explored += 1
                 if wallclock_cap is not None and time.perf_counter() - t_search >= wallclock_cap:
                     capped = True
                     break
                 child = graph.payload(g)
+                # explored - 1 numbers the children across all cycles.
                 stream = BatchStream(
                     train_x, train_y, config.s_x,
-                    _stream_seed(config.seed, 7, cycle, child_counter),
+                    _stream_seed(config.seed, 7, cycle, explored - 1),
                 )
                 # Each child trains on a fresh clock: one epochs_neigh cycle.
-                clock = GlobalClock(
-                    stream.batches_per_epoch, config.epochs_neigh,
-                    config.lam_start, config.lam_final,
-                )
+                clock = GlobalClock.for_search(config, stream.batches_per_epoch)
                 params = np.asarray(child.params, dtype=float)
                 trained = _fit(
                     child.spec, NodeState(params.copy(), np.zeros(params.size)),
@@ -868,7 +862,6 @@ def hill_climb_baseline(
             best_params=best_params,
             rounds=rounds_done,
             architectures_explored=explored,
-            metrics_path=None,
             wallclock=time.perf_counter() - t_start,
             search_wallclock=search_secs,
             test_metrics=test_metrics,

@@ -187,6 +187,34 @@ def test_timeout_tolerated_without_strict(tmp_path):
     assert summary["timed_out_rounds"] >= 1
 
 
+# The diverging search overflows its activations on the way to a NaN loss.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    pytest.param(["search", "--data", "spirals", "--seed", "0"],
+                 id="search-step-too-large"),
+    pytest.param(["dynamics-bench", "--order", "2", "--nodes", "5",
+                  "--iters", "200"], id="bench-potential-blowup"),
+    pytest.param(["dynamics-bench", "--order", "2", "--nodes", "5",
+                  "--iters", "200", "--sampled"],
+                 id="bench-potential-blowup-sampled"),
+])
+def test_divergence_exits_3_with_one_line(argv, tmp_path, caplog):
+    # A non-finite loss (step size 50, no clipping) or potential blow-up is
+    # a divergence: exit 3 and one error line, never a traceback.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data.n": 400, "search.lam_start": 50.0,
+                                  "search.grad_clip": 0.0}))
+    argv = argv + ["--config", str(config), "--out", str(tmp_path / "run")]
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, out, err = run_cli_all(argv)
+    assert code == 3
+    assert out == "" and "Traceback" not in err
+    [record] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert record.getMessage().startswith("diverged: ")
+    assert "\n" not in record.getMessage()
+
+
 def test_eval_matches_search_summary(tmp_path):
     cfg = write_config(tmp_path, {})
     out_dir = str(tmp_path / "run")
@@ -255,6 +283,17 @@ def test_bench_writes_grid(tmp_path):
     body = open(os.path.join(out_dir, files[0])).read().splitlines()
     assert body[0].startswith("iter,")
     assert len(body) > 1
+
+
+def test_bench_saturated_expected_moves_complete(tmp_path):
+    # kappa 10 saturates the move probability; the expected amounts then
+    # add up to a few ulps more than a node holds, which must not end the
+    # run with a negative count.
+    code, report = run_cli(["dynamics-bench", "--out", str(tmp_path / "b"),
+                            "--kappas", "10", "--nodes", "8",
+                            "--iters", "500"])
+    assert code == 0
+    assert report["points"][0]["iterations"] == 500
 
 
 def test_bench_single_node_never_moves(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import semiflow as sf
+from semiflow import search
 from semiflow.data import SPIRAL_INNER, SPIRAL_OUTER
 from semiflow.errors import (
     BadParams,
@@ -167,25 +168,26 @@ def test_stream_deterministic():
 
 
 def test_streams_disjoint_sources():
+    # A round's per-node streams: train batches only from the train split,
+    # val batches only from the val split.
     ds = sf.make_blobs(1000, seed=8)
-    xs, ys = sf.streams(ds, seed=0)
+    config = sf.SearchConfig(seed=0)
+    batches = search._node_streams(ds, config, 1, [0, 1, 2])
     lookup = index_of_rows(ds)
     train_set, val_set = set(ds.train_idx), set(ds.val_idx)
     for _ in range(20):
-        bx, _ = xs.next_batch()
-        by, _ = ys.next_batch()
-        assert {lookup[tuple(r)] for r in bx} <= train_set
-        assert {lookup[tuple(r)] for r in by} <= val_set
-
-
-def test_streams_default_batch_sizes():
-    ds = sf.make_blobs(1000, seed=8)
-    xs, ys = sf.streams(ds)
-    assert len(xs.next_batch()[0]) == 64
-    assert len(ys.next_batch()[0]) == 32
+        for g in (0, 1, 2):
+            bx, _ = batches(g, "train")
+            by, _ = batches(g, "val")
+            assert len(bx) == config.s_x and len(by) == config.s_y
+            assert {lookup[tuple(r)] for r in bx} <= train_set
+            assert {lookup[tuple(r)] for r in by} <= val_set
 
 
 def test_streams_too_small():
     ds = sf.make_blobs(40, seed=0)
+    config = sf.SearchConfig(seed=0)
     with pytest.raises(SplitTooSmall):
-        sf.streams(ds)
+        sf.iters_per_epoch(ds, config)
+    with pytest.raises(SplitTooSmall):
+        sf.BatchStream(*ds.split("train"), batch_size=config.s_x, seed=0)

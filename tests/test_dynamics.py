@@ -13,14 +13,6 @@ def two_node_graph():
     return sf.star_graph(None, [None])
 
 
-# ---------------------------------------------------------------- negative part
-
-def test_negative_part():
-    assert sf.negative_part(-2.0) == 2.0
-    assert sf.negative_part(3.0) == 0.0
-    assert sf.negative_part(0.0) == 0.0
-
-
 # ---------------------------------------------------------------- train step
 
 def test_train_step_basic():

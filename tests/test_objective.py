@@ -31,18 +31,6 @@ def test_quadratic_grad():
     assert np.allclose(obj.grad(c + u, 0), u)
 
 
-def test_eval_train_finite_guard():
-    obj = quad()
-    with pytest.raises(NonFiniteValue):
-        sf.eval_train(obj, np.array([np.inf, 0.0]), 0, None)
-
-
-def test_eval_train_passthrough():
-    obj = quad()
-    v = sf.eval_train(obj, np.array([1.0, -2.0]), 0, None)
-    assert v == pytest.approx(0.25)
-
-
 def test_tracker_first_sample_initializes():
     t = sf.ValTracker()
     assert t.update(7, 2.0) == 2.0

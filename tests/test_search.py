@@ -131,10 +131,10 @@ def test_round_times_out_without_signal(blobs_small):
 
 
 def test_round_timeout_raises_when_asked(blobs_small):
-    cfg = small_config(kappa=1e-9)
+    cfg = small_config(kappa=1e-9, strict=True)
     cand = incumbent_for(blobs_small, cfg)
     with pytest.raises(RoundTimeout):
-        sf.run_round(cand, cfg, blobs_small, raise_on_timeout=True)
+        sf.run_round(cand, cfg, blobs_small)
 
 
 def test_round_budget_exhaustion(blobs_small):
@@ -199,11 +199,11 @@ def test_identical_scores_time_out():
     obj = sf.QuadraticObjective({i: np.zeros(2) for i in g},
                                 {i: 1.0 for i in g})
     states = {i: sf.NodeState(np.zeros(2), np.zeros(2)) for i in g}
-    cfg = sf.SearchConfig(mode="nasgd", seed=0, epochs_neigh=2, n_particles=50)
+    cfg = sf.SearchConfig(mode="nasgd", seed=0, epochs_neigh=2, n_particles=50,
+                          strict=True)
     clock = GlobalClock(4, 2, 0.05, 1e-7)
     with pytest.raises(RoundTimeout):
-        dynamics_round(g, obj, states, cfg, clock,
-                       np.random.default_rng(0), raise_on_timeout=True)
+        dynamics_round(g, obj, states, cfg, clock, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- full searches
@@ -217,11 +217,9 @@ def test_size_threshold_skips_search(blobs_small):
 
 def test_explored_matches_audit_log(tmp_path, blobs_small):
     cfg = small_config()
-    path = str(tmp_path / "audit.jsonl")
-    writer = sf.JsonlWriter(path)
-    res = sf.run_search(cfg, blobs_small, audit_writer=writer)
-    writer.close()
-    lines = sum(1 for line in open(path) if line.strip())
+    res = sf.run_search(cfg, blobs_small, out_dir=str(tmp_path))
+    with open(tmp_path / "morphisms.jsonl") as fh:
+        lines = sum(1 for line in fh if line.strip())
     assert res.architectures_explored == lines + 1
 
 
