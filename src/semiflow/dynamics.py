@@ -122,27 +122,33 @@ def train_step(
     gamma: float = 1.0,
     momentum: bool = True,
 ) -> NodeState:
-    """One parameter update at step size tau.
+    """One parameter update at step size tau, written into state.x and
+    state.v in place; returns state.
 
     Momentum form (default):  x' = x + tau*v,  v' = v - tau*(gamma*v + grad).
     Pure form (momentum=False): x' = x - tau*grad, v unchanged.
+    Nothing is written when a check fails.
     """
     grad = np.asarray(grad, dtype=float)
     if grad.shape != state.x.shape:
         raise DimensionMismatch(
             f"grad has shape {grad.shape}, x has shape {state.x.shape}"
         )
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NonFiniteGradient("gradient contains NaN or inf")
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
+    x, v = state.x, state.v
     if momentum:
-        x = state.x + tau * state.v
-        v = state.v - tau * (gamma * state.v + grad)
+        x += tau * v
+        # tau * (gamma*v + grad), built in one buffer.
+        step = gamma * v
+        step += grad
+        step *= tau
+        v -= step
     else:
-        x = state.x - tau * grad
-        v = state.v.copy()
-    return NodeState(x, v)
+        x -= tau * grad
+    return state
 
 
 @dataclass

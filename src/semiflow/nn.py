@@ -13,10 +13,13 @@ layout(spec) is the only code that walks it. It compiles the offsets and
 shapes of every block, and the skips into each layer, once per spec.
 param_count, unflatten, flatten, init_params and the kernels all read it.
 
-The kernels read W and b as views into the flat vector, and loss_and_grad
-writes the gradient straight into slices of one fresh flat vector.
-NetParts is for code that edits architectures (morphisms); the training
-path never builds one.
+The kernel body is BoundNet: a network bound to its flat vector holds W and
+b as views into it, and writes the gradient straight into slices of one
+gradient vector. loss_and_grad, loss_only and evaluate check their
+arguments, bind and run the body once; a training loop binds once (bind),
+checks its whole split then, and runs the body every step, updating the
+bound vector in place. NetParts is for code that edits architectures
+(morphisms); the training path never builds one.
 
 The kernels take a leading stack axis: params (..., P), inputs
 (..., batch, input_dim) and labels (..., batch) train or score a stack of
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -173,7 +177,7 @@ def unflatten(spec: NetSpec, flat: np.ndarray) -> NetParts:
     lay = layout(spec)
     flat = _check_params(lay, flat)
     return NetParts(
-        _weights(lay, flat),
+        [flat[layer.w].reshape(layer.w_shape) for layer in lay.layers],
         [flat[layer.b] for layer in lay.layers],
         flat[lay.w_out].reshape(lay.w_out_shape),
         flat[lay.b_out],
@@ -239,43 +243,126 @@ def _check_call(
     return lay, params, inputs
 
 
-def _weights(lay: Layout, params: np.ndarray) -> list[np.ndarray]:
-    """Views of the hidden layers' weight matrices, (..., h, p) each."""
-    lead = params.shape[:-1]
-    return [params[..., layer.w].reshape(lead + layer.w_shape) for layer in lay.layers]
+class BoundNet:
+    """A network, or a stack of networks of one spec, bound to its parameter
+    buffer for steps on batches of a fixed size.
 
+    Holds the layout's views of params (..., P), so the kernel body finds
+    every weight block without walking the layout, and, once a gradient is
+    asked for, one gradient buffer of the same shape with the same views.
+    The buffer is reused: every call overwrites all of it and returns it.
+    Writing params in place (train_step) is what the next call sees.
 
-def _forward(
-    lay: Layout,
-    params: np.ndarray,
-    weights: list[np.ndarray],
-    inputs: np.ndarray,
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Returns (post-activations a_0..a_L, logits).
-
-    weights are _weights(lay, params). The ReLU is taken in place: a_i > 0
-    exactly where the pre-activation is, so the backward pass needs no
-    pre-activations.
+    Nothing is checked here: the public kernels check each call, and a
+    training loop checks its whole split once (bind).
     """
-    scales = params[..., lay.scales]
-    acts = [inputs]
-    for layer, w in zip(lay.layers, weights):
-        z = acts[-1] @ w.mT
-        z += params[..., None, layer.b]
-        for k, s in layer.skips:
-            z += scales[..., k, None, None] * acts[s]
-        acts.append(np.maximum(z, 0.0, out=z))
-    w_out = params[..., lay.w_out].reshape(params.shape[:-1] + lay.w_out_shape)
-    logits = acts[-1] @ w_out.mT + params[..., None, lay.b_out]
-    return acts, logits
+
+    def __init__(self, lay: Layout, params: np.ndarray, batch: int):
+        self.lay = lay
+        self.params = params
+        self.lead = lead = params.shape[:-1]
+        self.weights = [params[..., layer.w].reshape(lead + layer.w_shape)
+                        for layer in lay.layers]
+        self.biases = [params[..., None, layer.b] for layer in lay.layers]
+        self.w_out = params[..., lay.w_out].reshape(lead + lay.w_out_shape)
+        self.b_out = params[..., None, lay.b_out]
+        self.scales = params[..., lay.scales]
+        # Where each batch row's logits start in the flattened (stack,
+        # batch, classes) logits: row r's label logit is at starts[r] + label.
+        n_classes = lay.w_out_shape[0]
+        self.starts = np.arange(0, math.prod(lead) * batch * n_classes, n_classes)
+        self.grad: np.ndarray | None = None
+
+    def _bind_grad(self) -> None:
+        lead, lay = self.lead, self.lay
+        self.grad = out = np.empty(self.params.shape)
+        self.d_weights = [out[..., layer.w].reshape(lead + layer.w_shape)
+                          for layer in lay.layers]
+        self.d_biases = [out[..., layer.b] for layer in lay.layers]
+        self.d_w_out = out[..., lay.w_out].reshape(lead + lay.w_out_shape)
+        self.d_b_out = out[..., lay.b_out]
+        self.d_scales = out[..., lay.scales]
+
+    def forward(self, inputs: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+        """Returns (post-activations a_0..a_L, logits).
+
+        The ReLU is taken in place: a_i > 0 exactly where the pre-activation
+        is, so the backward pass needs no pre-activations.
+        """
+        acts = [inputs]
+        for layer, w, b in zip(self.lay.layers, self.weights, self.biases):
+            z = acts[-1] @ w.mT
+            z += b
+            for k, s in layer.skips:
+                z += self.scales[..., k, None, None] * acts[s]
+            acts.append(np.maximum(z, 0.0, out=z))
+        logits = acts[-1] @ self.w_out.mT + self.b_out
+        return acts, logits
+
+    def loss(self, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """Mean cross-entropy of each network."""
+        return _cross_entropy(self.forward(inputs)[1], labels, self.starts)[0]
+
+    def loss_and_grad(
+        self, inputs: np.ndarray, labels: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Mean cross-entropy of each network and its gradient, written into
+        the bound gradient buffer, which is returned."""
+        if self.grad is None:
+            self._bind_grad()
+        lay, lead, scales = self.lay, self.lead, self.scales
+        acts, z = self.forward(inputs)
+
+        loss, dlogits, sums, picks = _cross_entropy(z, labels, self.starts)
+        dlogits /= sums[..., None]
+        dlogits.reshape(-1)[picks] -= 1.0
+        dlogits /= inputs.shape[-2]
+
+        np.matmul(dlogits.mT, acts[-1], out=self.d_w_out)
+        np.add.reduce(dlogits, axis=-2, out=self.d_b_out)
+
+        d_scales = self.d_scales
+        d_scales[...] = 0.0
+        # Activation gradients start as the float 0.0 and become arrays at
+        # their first contribution; 0.0 + c keeps the signed zeros a
+        # zero-filled accumulator would. The input's gradient (index 0) is
+        # never read, so it is never formed.
+        n_hidden = len(lay.layers)
+        d_acts: list = [0.0] * n_hidden
+        d_acts.append(dlogits @ self.w_out)
+        for i in range(n_hidden, 0, -1):
+            layer = lay.layers[i - 1]
+            dz = d_acts[i]
+            dz *= acts[i] > 0.0
+            # No lower layer reads this layer's activation or its gradient.
+            acts[i] = d_acts[i] = None
+            np.matmul(dz.mT, acts[i - 1], out=self.d_weights[i - 1])
+            np.add.reduce(dz, axis=-2, out=self.d_biases[i - 1])
+            if i > 1:
+                d_acts[i - 1] += dz @ self.weights[i - 1]
+            for k, s in layer.skips:
+                d_scales[..., k] += (dz * acts[s]).reshape(lead + (-1,)).sum(axis=-1)
+                if s > 0:
+                    d_acts[s] += scales[..., k, None, None] * dz
+        return loss, self.grad
 
 
-def _logits(lay: Layout, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    return _forward(lay, params, _weights(lay, params), inputs)[1]
+def bind(
+    spec: NetSpec, params: np.ndarray, features: np.ndarray,
+    labels: np.ndarray, batch: int,
+) -> BoundNet:
+    """Bind params for training steps on batches of `batch` rows drawn from
+    one split, checking params and the whole split (features and labels)
+    once instead of every batch. params must be a float array: the bound
+    network reads it, and sees in-place writes to it."""
+    lay, params, features = _check_call(spec, params, features)
+    _check_labels(spec, features, labels)
+    return BoundNet(lay, params, batch)
 
 
 def logits(spec: NetSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    return _logits(*_check_call(spec, params, inputs))
+    lay, params, inputs = _check_call(spec, params, inputs)
+    return BoundNet(lay, params, inputs.shape[-2]).forward(inputs)[1]
 
 
 def forward(spec: NetSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -308,23 +395,35 @@ def _check_labels(spec: NetSpec, inputs: np.ndarray, labels: np.ndarray) -> np.n
     return labels
 
 
+# Below this many classes numpy's sum over a contiguous axis is a plain left
+# fold (its pairwise summation starts at 8 elements), so adding the class
+# columns one by one gives the same bits without a short-axis reduction.
+_FOLD_CLASSES = 8
+
+
 def _cross_entropy(
-    z: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    z: np.ndarray, labels: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mean cross-entropy of each network's logits z (..., batch, classes),
     with the logsumexp pieces exp(z - max) and their row sums, from which
-    the softmax follows, and the index pair that picks each row's label
-    logit out of z.reshape(-1, classes)."""
+    the softmax follows, and the flat index starts + labels of each row's
+    label logit in z.reshape(-1) (z and exp(z - max) are contiguous)."""
+    n_classes = z.shape[-1]
     # A running maximum over the class columns is the row max (max is
     # exact), without a reduction's per-row cost over a short axis.
     m = z[..., 0]
-    for c in range(1, z.shape[-1]):
+    for c in range(1, n_classes):
         m = np.maximum(m, z[..., c])
     e = np.exp(z - m[..., None])
-    sums = e.sum(axis=-1)
+    if n_classes < _FOLD_CLASSES:
+        sums = e[..., 0] + e[..., 1]
+        for c in range(2, n_classes):
+            sums += e[..., c]
+    else:
+        sums = e.sum(axis=-1)
     lse = m + np.log(sums)
-    picks = (np.arange(labels.size), labels.ravel())
-    picked = z.reshape(-1, z.shape[-1])[picks].reshape(labels.shape)
+    picks = starts + labels.ravel()
+    picked = z.reshape(-1)[picks].reshape(labels.shape)
     # A per-row sum over contiguous rows is the pairwise sum a single
     # network's sum() takes; / batch is the arithmetic of np.mean.
     loss = (lse - picked).sum(axis=-1) / z.shape[-2]
@@ -346,8 +445,8 @@ def loss_only(
     stack; see loss_and_grad)."""
     lay, params, inputs = _check_call(spec, params, inputs)
     labels = _check_labels(spec, inputs, labels)
-    z = _logits(lay, params, inputs)
-    return _per_net(_cross_entropy(z, labels)[0], params)
+    loss = BoundNet(lay, params, inputs.shape[-2]).loss(inputs, labels)
+    return _per_net(loss, params)
 
 
 def loss_and_grad(
@@ -365,49 +464,9 @@ def loss_and_grad(
     """
     lay, params, inputs = _check_call(spec, params, inputs)
     labels = _check_labels(spec, inputs, labels)
-    lead = params.shape[:-1]
-    out = np.empty(params.shape)
-
-    def block(slot: slice, shape: tuple[int, int]) -> np.ndarray:
-        """The view of out where a weight matrix's gradient goes."""
-        return out[..., slot].reshape(lead + shape)
-
-    weights = _weights(lay, params)
-    acts, z = _forward(lay, params, weights, inputs)
-
-    loss, dlogits, sums, picks = _cross_entropy(z, labels)
-    dlogits /= sums[..., None]
-    dlogits.reshape(-1, z.shape[-1])[picks] -= 1.0
-    dlogits /= inputs.shape[-2]
-
-    np.matmul(dlogits.mT, acts[-1], out=block(lay.w_out, lay.w_out_shape))
-    np.add.reduce(dlogits, axis=-2, out=out[..., lay.b_out])
-
-    scales = params[..., lay.scales]
-    d_scales = out[..., lay.scales]
-    d_scales[...] = 0.0
-    # Activation gradients start as the float 0.0 and become arrays at their
-    # first contribution; 0.0 + c keeps the signed zeros a zero-filled
-    # accumulator would. The input's gradient (index 0) is never read, so it
-    # is never formed.
-    n_hidden = len(lay.layers)
-    d_acts: list = [0.0] * n_hidden
-    d_acts.append(dlogits @ params[..., lay.w_out].reshape(lead + lay.w_out_shape))
-    for i in range(n_hidden, 0, -1):
-        layer = lay.layers[i - 1]
-        dz = d_acts[i]
-        dz *= acts[i] > 0.0
-        # No lower layer reads this layer's activation or its gradient.
-        acts[i] = d_acts[i] = None
-        np.matmul(dz.mT, acts[i - 1], out=block(layer.w, layer.w_shape))
-        np.add.reduce(dz, axis=-2, out=out[..., layer.b])
-        if i > 1:
-            d_acts[i - 1] += dz @ weights[i - 1]
-        for k, s in layer.skips:
-            d_scales[..., k] += (dz * acts[s]).reshape(lead + (-1,)).sum(axis=-1)
-            if s > 0:
-                d_acts[s] += scales[..., k, None, None] * dz
-    return _per_net(loss, params), out
+    net = BoundNet(lay, params, inputs.shape[-2])
+    loss, grad = net.loss_and_grad(inputs, labels)
+    return _per_net(loss, params), grad
 
 
 def predict(spec: NetSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -424,8 +483,9 @@ def evaluate(
     pass."""
     lay, params, inputs = _check_call(spec, params, inputs)
     labels = _check_labels(spec, inputs, labels)
-    z = _logits(lay, params, inputs)
-    loss = _cross_entropy(z, labels)[0]
+    net = BoundNet(lay, params, inputs.shape[-2])
+    z = net.forward(inputs)[1]
+    loss = _cross_entropy(z, labels, net.starts)[0]
     acc = np.mean(np.argmax(z, axis=-1) == labels, axis=-1)
     return _per_net(loss, params), _per_net(acc, params)
 

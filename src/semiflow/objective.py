@@ -129,14 +129,20 @@ def eval_val(
 
 
 def clip_gradient(vec: np.ndarray, max_norm: float) -> np.ndarray:
-    """Rescale to L2 norm max_norm when the norm exceeds it. A stack of
-    gradients (..., P) is clipped row by row, each by its own norm."""
+    """Rescale vec in place to L2 norm max_norm when its norm exceeds it,
+    and return it. A stack of gradients (..., P) is clipped row by row,
+    each by its own norm."""
     if max_norm <= 0:
         return vec
     if vec.ndim > 1:
         # Each row by the 1-D arithmetic: norm(axis=-1) rounds otherwise.
-        return np.array([clip_gradient(row, max_norm) for row in vec])
-    norm = float(np.linalg.norm(vec))
+        for row in vec:
+            clip_gradient(row, max_norm)
+        return vec
+    # np.linalg.norm's arithmetic for a 1-D float vector: the dot product of
+    # its contiguous copy (a strided dot can round differently), then sqrt.
+    flat = np.ascontiguousarray(vec)
+    norm = math.sqrt(flat @ flat)
     if norm > max_norm:
-        return vec * (max_norm / norm)
+        vec *= max_norm / norm
     return vec

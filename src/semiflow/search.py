@@ -56,6 +56,7 @@ from .morphisms import (
 )
 from .nn import (
     NetSpec,
+    bind,
     evaluate,
     init_params,
     loss_and_grad,
@@ -228,7 +229,7 @@ class SearchResult:
     architectures_explored: int
     wallclock: float
     search_wallclock: float = 0.0
-    test_metrics: dict[str, float] = field(default_factory=dict)
+    test_metrics: dict[str, Any] = field(default_factory=dict)
     timed_out_rounds: int = 0
 
 
@@ -316,6 +317,9 @@ def particle_step(
     return ParticleStep(ensemble, phi, moved.flows, out_flow, e_now)
 
 
+# A diverging candidate overflows on its way to the non-finite loss or value
+# that the round reports; numpy's warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def dynamics_round(
     graph: ArchGraph,
     objective: ObjectiveHandle,
@@ -337,8 +341,9 @@ def dynamics_round(
     (stats.adopted stays None: the caller keeps its incumbent).
 
     Each clock tick trains and scores every group of nodes with one
-    objective.group_key through one call on their stacked parameters.
-    states[g] holds each node's last x and v when the round ends.
+    objective.group_key through one call on their stacked parameters, and
+    updates the stacks in place. states[g] holds each node's last x and v
+    when the round ends.
     """
     dyn = config.dynamics()
     nodes = graph.nodes()
@@ -381,9 +386,8 @@ def dynamics_round(
                     stacked[k].x, group, [batches(g, "train") for g in group]
                 )
                 v_train.update(zip(group, np.asarray(losses).tolist()))
-                grads = clip_gradient(grads, config.grad_clip)
-                stacked[k] = train_step(
-                    stacked[k], grads, tau,
+                train_step(
+                    stacked[k], clip_gradient(grads, config.grad_clip), tau,
                     gamma=dyn.damping, momentum=not dyn.pure_gradient,
                 )
             # Every group is scored before a failure is raised, so a
@@ -543,6 +547,8 @@ def run_round(
     return next_incumbent, stats, audit
 
 
+# As in dynamics_round: a diverging fit is reported as Divergence.
+@np.errstate(over="ignore", invalid="ignore")
 def _fit(
     spec: NetSpec,
     state: NodeState,
@@ -556,17 +562,21 @@ def _fit(
 ) -> NodeState:
     """Train one network for iters minibatch steps at the clock's step sizes.
 
+    Trains copies of state's arrays, so the caller's stay as they were, and
+    returns them. The network is bound to its copy once, checked against
+    the stream's whole split, and every step writes the copies in place.
     Raises Divergence, naming what was being trained, if the loss or the
     parameters stop being finite.
     """
+    state = NodeState(state.x.copy(), state.v.copy())
+    net = bind(spec, state.x, stream.features, stream.labels, stream.batch_size)
     for _ in range(iters):
-        inputs, labels = stream.next_batch()
-        loss, grad_vec = loss_and_grad(spec, state.x, inputs, labels)
+        loss, grad_vec = net.loss_and_grad(*stream.next_batch())
         if not math.isfinite(loss):
             raise Divergence(f"{what} loss became {loss}")
-        grad_vec = clip_gradient(grad_vec, grad_clip)
-        state = train_step(
-            state, grad_vec, clock.tau(), gamma=gamma, momentum=momentum
+        train_step(
+            state, clip_gradient(grad_vec, grad_clip), clock.tau(),
+            gamma=gamma, momentum=momentum,
         )
         clock.advance()
     if not np.all(np.isfinite(state.x)):
@@ -595,7 +605,7 @@ def pretrain(
         stream.batches_per_epoch, epochs,
         config.pretrain_lam_start, config.pretrain_lam_final,
     )
-    state = NodeState(np.asarray(params, dtype=float), np.zeros_like(params))
+    state = NodeState(params, np.zeros_like(params))
     return _fit(
         spec, state, stream, clock, epochs * stream.batches_per_epoch,
         config.grad_clip, "pretraining",
@@ -618,10 +628,14 @@ def final_train(
     clock: GlobalClock | None = None,
     velocity: np.ndarray | None = None,
     checkpoint_path: str | None = None,
-) -> tuple[np.ndarray, dict[str, float]]:
+) -> tuple[np.ndarray, dict[str, Any]]:
     """Polish with warm-restart cosine training until the validation loss
     stalls for plateau_cycles consecutive cycles or the final_budget of
-    epochs ends."""
+    epochs ends.
+
+    Returns the best parameters and their metrics, with the epochs trained
+    and final_stop, the rule that ended training: "plateau" or "budget".
+    """
     x_feat, x_lab = data.split("train")
     val_x, val_y = data.split("val")
     test_x, test_y = data.split("test")
@@ -638,7 +652,7 @@ def final_train(
         }
 
     if config.final_budget == 0:
-        return params, metrics_now(params)
+        return params, {**metrics_now(params), "final_stop": "budget"}
 
     stream = BatchStream(
         x_feat, x_lab, config.s_x, _stream_seed(config.seed, 6, 0)
@@ -652,6 +666,7 @@ def final_train(
     stall = 0
     cycle_best = math.inf
     epochs_done = 0
+    stop = "budget"
 
     while epochs_done < config.final_budget:
         state = _fit(
@@ -674,10 +689,12 @@ def final_train(
             if checkpoint_path is not None:
                 save_checkpoint(checkpoint_path, spec, best_params)
             if stall >= config.plateau_cycles:
+                stop = "plateau"
                 break
 
     out = metrics_now(best_params)
     out["epochs"] = float(epochs_done)
+    out["final_stop"] = stop
     return best_params, out
 
 
@@ -830,7 +847,7 @@ def hill_climb_baseline(
                 clock = GlobalClock.for_search(config, stream.batches_per_epoch)
                 params = np.asarray(child.params, dtype=float)
                 trained = _fit(
-                    child.spec, NodeState(params.copy(), np.zeros(params.size)),
+                    child.spec, NodeState(params, np.zeros(params.size)),
                     stream, clock, config.epochs_neigh * stream.batches_per_epoch,
                     config.grad_clip, "baseline training",
                 ).x
@@ -848,7 +865,7 @@ def hill_climb_baseline(
                 break
 
         search_secs = time.perf_counter() - t_search
-        test_metrics: dict[str, float] = {}
+        test_metrics: dict[str, Any] = {}
         best_params = incumbent.params
         if wallclock_cap is None:
             best_params, test_metrics = final_train(

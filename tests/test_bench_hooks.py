@@ -65,3 +65,26 @@ def test_phase_marks_reach_the_search(monkeypatch):
     config = SearchConfig(size_threshold=1, pretrain_epochs=0, final_budget=0)
     search.run_search(config, make_blobs(200, seed=0))
     assert calls == ["pretrain", "final_train"]
+
+
+def test_child_steps_count_once_each(monkeypatch):
+    # The tracer counts search.candidate_steps at search.train_step, and
+    # objective.clip_gradient at search.clip_gradient, so each hill-climb
+    # child step must call each of them exactly once.
+    calls = {"train_step": 0, "clip_gradient": 0}
+    for attr in calls:
+        fn = getattr(search, attr)
+
+        def counted(*args, _fn=fn, _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(search, attr, counted)
+    config = SearchConfig(mode="hillclimb", n_steps=1.0, n_neigh=3, epochs_neigh=2,
+                          pretrain_epochs=0, final_budget=0, hidden=(4,))
+    data = make_blobs(200, seed=0)
+    result = search.run_search(config, data)
+    children = result.architectures_explored - 1
+    steps = children * config.epochs_neigh * search.iters_per_epoch(data, config)
+    assert children == 3 and steps > 0
+    assert calls == {"train_step": steps, "clip_gradient": steps}

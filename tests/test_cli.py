@@ -323,3 +323,39 @@ def test_cli_import_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+def test_divergence_prints_no_numpy_warning(tmp_path):
+    # The diverging search overflows on its way to the NaN loss it reports;
+    # stderr carries the one diverged: line and no RuntimeWarning.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data.n": 400, "search.lam_start": 50.0,
+                                  "search.grad_clip": 0.0}))
+    src = os.path.dirname(os.path.dirname(sf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-m", "semiflow.cli", "search", "--data", "spirals",
+         "--seed", "0", "--config", str(config), "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 3
+    assert "RuntimeWarning" not in out.stderr
+    assert [line for line in out.stderr.splitlines() if "diverged: " in line]
+
+
+@pytest.mark.parametrize("final, stop, epochs", [
+    pytest.param({"final.budget": 3}, "budget", 3.0, id="budget"),
+    # A tolerance no cycle can beat: the first cycle end (epochs_neigh 2)
+    # stalls, and one stalled cycle is a plateau.
+    pytest.param({"final.budget": 50, "final.plateau_cycles": 1,
+                  "final.plateau_tol": 1e9}, "plateau", 2.0, id="plateau"),
+])
+def test_search_summary_says_why_final_training_stopped(tmp_path, final, stop,
+                                                        epochs):
+    cfg = write_config(tmp_path, final)
+    out_dir = tmp_path / "run"
+    code, summary = run_cli(["search", "--config", cfg, "--out", str(out_dir)])
+    assert code == 0
+    assert (summary["final_stop"], summary["epochs"]) == (stop, epochs)
+    for name in ("best.json", "metrics.csv", "morphisms.jsonl"):
+        assert "final_stop" not in (out_dir / name).read_text()

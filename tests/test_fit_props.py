@@ -1,0 +1,171 @@
+"""The bound, in-place training loop against the per-step loop it replaced.
+
+search._fit binds a network once and then updates its parameters in place
+each step. The reference below is the loop as it was before: every step the
+public loss_and_grad, a clip that returns a new vector (np.linalg.norm), and
+a functional update that returns new x and v. On random architectures with
+skips, momentum or pure gradient, any damping in [0, 2] and clipping off or
+tight enough to fire, both must end in the same x and v bit for bit, or fail
+the same way, and neither may write into the arrays its caller passed.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import semiflow as sf
+from semiflow import search
+from semiflow.errors import BadLabel, Divergence
+from semiflow.search import GlobalClock, _fit
+from test_nn_layout import same_bits, specs
+
+# -- reference --------------------------------------------------------------
+
+
+def reference_fit(spec, x, v, stream, clock, iters, grad_clip, what,
+                  gamma=1.0, momentum=True):
+    """The per-step loop: public kernel, new clipped copy, new x and v."""
+    for _ in range(iters):
+        inputs, labels = stream.next_batch()
+        loss, grad_vec = sf.loss_and_grad(spec, x, inputs, labels)
+        if not math.isfinite(loss):
+            raise Divergence(f"{what} loss became {loss}")
+        if grad_clip > 0:
+            norm = float(np.linalg.norm(grad_vec))
+            if norm > grad_clip:
+                grad_vec = grad_vec * (grad_clip / norm)
+        tau = clock.tau()
+        if momentum:
+            x, v = x + tau * v, v - tau * (gamma * v + grad_vec)
+        else:
+            x = x - tau * grad_vec
+        clock.advance()
+    if not np.all(np.isfinite(x)):
+        raise Divergence(f"{what} produced non-finite parameters")
+    return x, v
+
+
+# -- rig --------------------------------------------------------------------
+
+
+def fit_problem(spec, seed, rows, batch):
+    """Start parameters, a velocity, and a split of rows for spec."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, rng.choice([0.3, 1.0]), sf.param_count(spec))
+    v = rng.normal(0.0, 0.1, x.size) * rng.choice([0.0, 1.0])
+    features = rng.normal(size=(rows, spec.input_dim))
+    labels = rng.integers(0, spec.output_dim, rows)
+    return x, v, features, labels
+
+
+def run_both(spec, x, v, features, labels, batch, seed, iters, lam, grad_clip,
+             gamma, momentum):
+    """(reference outcome, _fit outcome): the final (x, v) or the error."""
+    outcomes = []
+    for fit in ("reference", "bound"):
+        stream = sf.BatchStream(features, labels, batch, seed)
+        clock = GlobalClock(stream.batches_per_epoch, 2, lam, lam / 100)
+        try:
+            if fit == "reference":
+                out = reference_fit(spec, x, v, stream, clock, iters, grad_clip,
+                                    "fit", gamma=gamma, momentum=momentum)
+            else:
+                state = _fit(spec, sf.NodeState(x, v), stream, clock, iters,
+                             grad_clip, "fit", gamma=gamma, momentum=momentum)
+                assert not np.shares_memory(state.x, x)
+                assert not np.shares_memory(state.v, v)
+                out = (state.x, state.v)
+        except Divergence as exc:
+            out = ("diverged", str(exc))
+        outcomes.append((out, clock.k))
+    return outcomes
+
+
+# -- properties -------------------------------------------------------------
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    specs(),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.integers(0, 30),
+    st.booleans(),
+    st.floats(0.0, 2.0),
+    st.sampled_from([0.0, 1e-3, 0.05, 0.5]),
+    st.sampled_from([1e-3, 0.05, 0.5]),
+)
+def test_fit_matches_per_step_loop_bit_for_bit(spec, seed, batch, iters, momentum,
+                                               damping, grad_clip, lam):
+    x, v, features, labels = fit_problem(spec, seed, 3 * batch + seed % 5, batch)
+    x0, v0 = x.copy(), v.copy()
+    (ref, ref_k), (got, got_k) = run_both(
+        spec, x, v, features, labels, batch, seed, iters, lam, grad_clip,
+        damping, momentum,
+    )
+    assert got_k == ref_k
+    if isinstance(ref[0], str):
+        assert got == ref
+    else:
+        assert same_bits(got[0], ref[0]) and same_bits(got[1], ref[1])
+    assert same_bits(x, x0) and same_bits(v, v0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(specs(), st.integers(0, 2**32 - 1))
+def test_pretrain_and_final_train_leave_caller_arrays(spec, seed):
+    data = sf.make_blobs(120, d=spec.input_dim, n_classes=spec.output_dim,
+                         seed=seed % 1000)
+    x, v, _, _ = fit_problem(spec, seed, 1, 1)
+    x0, v0 = x.copy(), v.copy()
+    config = sf.SearchConfig(pretrain_epochs=2, final_budget=3, epochs_neigh=1,
+                             s_x=16, grad_clip=0.05)
+    trained = sf.pretrain(spec, data, config, x)
+    best, _ = sf.final_train(spec, x, data, config, velocity=v)
+    assert same_bits(x, x0) and same_bits(v, v0)
+    assert not np.shares_memory(trained, x) and not np.shares_memory(best, x)
+
+
+# -- the label check on entry -------------------------------------------------
+
+
+@pytest.mark.parametrize("iters", [0, 3])
+def test_fit_checks_the_whole_split_before_any_step(monkeypatch, iters):
+    # One row of the split has the label output_dim. _fit checks every
+    # label once, on entry, so it refuses before its first step, whether
+    # or not the first batches hold that row.
+    spec = sf.NetSpec(2, 3, (4,))
+    x, v, features, labels = fit_problem(spec, 0, 40, 8)
+    labels[-1] = spec.output_dim
+    steps = []
+    monkeypatch.setattr(search, "train_step",
+                        lambda *args, **kw: steps.append(1))
+    stream = sf.BatchStream(features, labels, 8, 0)
+    clock = GlobalClock(stream.batches_per_epoch, 2, 0.05, 1e-7)
+    with pytest.raises(BadLabel, match=r"labels must lie in \[0, 3\)"):
+        _fit(spec, sf.NodeState(x, v), stream, clock, iters, 1.0, "fit")
+    assert steps == [] and clock.k == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 400), st.integers(1, 3),
+       st.sampled_from([1e-3, 1.0, 1e3]))
+def test_clip_scales_in_place_by_the_linalg_norm(seed, size, step, max_norm):
+    # Every row of a stack, and a strided view, is scaled in place by the
+    # arithmetic of the old clip: vec * (max_norm / np.linalg.norm(vec)).
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(0.0, rng.choice([1e-3, 1.0, 1e3]), (3, size * step))
+    want = []
+    for row in stack[:, ::step]:
+        norm = float(np.linalg.norm(row))
+        want.append(row * (max_norm / norm) if norm > max_norm else row.copy())
+    views = stack[:, ::step]
+    if step == 1:
+        assert sf.clip_gradient(views, max_norm) is views
+    else:
+        for row in views:
+            assert sf.clip_gradient(row, max_norm) is row
+    assert same_bits(stack[:, ::step], np.array(want))

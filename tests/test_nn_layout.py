@@ -168,6 +168,10 @@ stacks = st.integers(1, 4)
 @example(PINNED[0], 0, 64, 0.0, 1)
 @example(PINNED[1], 1, 64, 0.0, 4)
 @example(PINNED[2], 2, 64, 0.2, 3)
+# The most classes whose sum is a left fold, and the fewest that numpy sums
+# pairwise.
+@example(NetSpec(3, 7, (5, 5), ((1, 2),)), 3, 64, 0.0, 2)
+@example(NetSpec(2, 8, (6,)), 4, 64, 0.2, 3)
 def test_kernel_matches_reference_bit_for_bit(spec, seed, batch, zero_share, stack):
     params, inputs, labels = stacked_problem(spec, seed, batch, zero_share, stack)
     losses, grads = sf.loss_and_grad(spec, params, inputs, labels)
