@@ -51,6 +51,7 @@ from .dynamics import (
     update_potential,
 )
 from .objective import (
+    BoundGroup,
     ObjectiveHandle,
     QuadraticObjective,
     ValTracker,

@@ -4,7 +4,9 @@ Two synthetic generators (Gaussian blobs and interleaved spirals), a CSV
 loader, and seeded 70/15/15 splits. Training and validation batches come
 from disjoint index sets by construction: the training stream reads only the
 train split, the validation stream only the val split. Each stream reshuffles
-its split every epoch and drops the final partial batch.
+its split every epoch and drops the final partial batch. One stream may stack
+the streams of several nodes, each with its own seed, and draw all their
+batches at once.
 """
 
 from __future__ import annotations
@@ -221,14 +223,23 @@ def load_csv(
 
 @dataclass
 class BatchStream:
-    """Cursor over one split: seeded per-epoch reshuffle, partial batch dropped."""
+    """Cursor over one split: seeded per-epoch reshuffle, partial batch dropped.
+
+    seed is one int, or a tuple of ints for a stack of streams that share
+    the split and the batch size. Row i of a stack keeps its own order and
+    draws, bit for bit, what BatchStream(features, labels, batch_size,
+    seed[i]) draws: all rows reach an epoch's end on the same batch, and
+    then each reshuffles with its own rng, in row order. next_batch returns
+    inputs (batch, d) and labels (batch,) for one seed, (n, batch, d) and
+    (n, batch) for n seeds, gathered by one take from the split.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     batch_size: int
-    seed: int
-    _rng: np.random.Generator = field(init=False, repr=False)
-    _order: np.ndarray = field(init=False, repr=False)
+    seed: int | tuple[int, ...]
+    _rngs: list[np.random.Generator] = field(init=False, repr=False)
+    _orders: np.ndarray = field(init=False, repr=False)
     _pos: int = field(init=False, default=0, repr=False)
 
     def __post_init__(self) -> None:
@@ -239,10 +250,14 @@ class BatchStream:
             raise SplitTooSmall(
                 f"split has {n} rows, batch size is {self.batch_size}"
             )
-        self._rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(93,))
-        )
-        self._order = self._rng.permutation(n)
+        seeds = self.seed if isinstance(self.seed, tuple) else (self.seed,)
+        if not seeds:
+            raise BadParams("a stack of streams needs at least one seed")
+        self._rngs = [
+            np.random.default_rng(np.random.SeedSequence(entropy=s, spawn_key=(93,)))
+            for s in seeds
+        ]
+        self._orders = np.array([rng.permutation(n) for rng in self._rngs])
         self._pos = 0
 
     @property
@@ -250,10 +265,13 @@ class BatchStream:
         return self.features.shape[0] // self.batch_size
 
     def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._pos + self.batch_size > self._order.size:
-            self._order = self._rng.permutation(self._order.size)
+        orders = self._orders
+        if self._pos + self.batch_size > orders.shape[1]:
+            for order, rng in zip(orders, self._rngs):
+                order[:] = rng.permutation(order.size)
             self._pos = 0
-        idx = self._order[self._pos:self._pos + self.batch_size]
+        idx = orders[:, self._pos:self._pos + self.batch_size]
         self._pos += self.batch_size
-        return self.features[idx], self.labels[idx]
-
+        if not isinstance(self.seed, tuple):
+            idx = idx[0]
+        return self.features.take(idx, axis=0), self.labels.take(idx)

@@ -16,10 +16,11 @@ param_count, unflatten, flatten, init_params and the kernels all read it.
 The kernel body is BoundNet: a network bound to its flat vector holds W and
 b as views into it, and writes the gradient straight into slices of one
 gradient vector. loss_and_grad, loss_only and evaluate check their
-arguments, bind and run the body once; a training loop binds once (bind),
-checks its whole split then, and runs the body every step, updating the
-bound vector in place. NetParts is for code that edits architectures
-(morphisms); the training path never builds one.
+arguments, bind and run the body once; a training loop, or a search round
+for each stack of networks it trains, binds once (bind), checks its whole
+split then, and runs the body every step, updating the bound vector in
+place. NetParts is for code that edits architectures (morphisms); the
+training path never builds one.
 
 The kernels take a leading stack axis: params (..., P), inputs
 (..., batch, input_dim) and labels (..., batch) train or score a stack of
@@ -221,11 +222,13 @@ def init_params(spec: NetSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def _check_call(
-    spec: NetSpec, params: np.ndarray, inputs: np.ndarray
+    spec: NetSpec, params: np.ndarray, inputs: np.ndarray,
+    lead: tuple[int, ...] | None = None,
 ) -> tuple[Layout, np.ndarray, np.ndarray]:
     """The layout, params (..., P) and inputs (..., batch, input_dim) of one
-    call, checked once. The leading stack shape is params' own; inputs must
-    share it."""
+    call, checked once. The leading stack shape of inputs is params' own
+    unless lead is given: a split that a stack's batches are drawn from
+    (bind) has none."""
     lay = layout(spec)
     params = np.asarray(params, dtype=float)
     if params.ndim < 1 or params.shape[-1] != lay.n_params:
@@ -233,7 +236,8 @@ def _check_call(
             f"expected {lay.n_params} parameters, got shape {params.shape}"
         )
     inputs = np.asarray(inputs, dtype=float)
-    lead = params.shape[:-1]
+    if lead is None:
+        lead = params.shape[:-1]
     if (inputs.ndim != len(lead) + 2 or inputs.shape[:-2] != lead
             or inputs.shape[-1] != spec.input_dim):
         raise ShapeMismatch(
@@ -351,11 +355,13 @@ def bind(
     spec: NetSpec, params: np.ndarray, features: np.ndarray,
     labels: np.ndarray, batch: int,
 ) -> BoundNet:
-    """Bind params for training steps on batches of `batch` rows drawn from
-    one split, checking params and the whole split (features and labels)
-    once instead of every batch. params must be a float array: the bound
-    network reads it, and sees in-place writes to it."""
-    lay, params, features = _check_call(spec, params, features)
+    """Bind params (P,) or a stack (..., P) for steps on batches of `batch`
+    rows drawn from one split, features (rows, input_dim) and labels
+    (rows,), checking params and the whole split once instead of every
+    batch. A stack's batches are (..., batch, input_dim) and (..., batch).
+    params must be a float array: the bound network reads it, and sees
+    in-place writes to it."""
+    lay, params, features = _check_call(spec, params, features, lead=())
     _check_labels(spec, features, labels)
     return BoundNet(lay, params, batch)
 

@@ -1,46 +1,50 @@
 """Objective handles: V(x, g) evaluation, gradients, and the running
 validation average that drives mutation.
 
-An objective is anything with group_key/value/value_and_grad: a round trains
-each node through value_and_grad and scores it on validation batches by
-value. g is one node, with x its parameter vector and batch its batch, or a
-group: a tuple of nodes with one group_key, with x stacking their
-parameters row by row and batch a list of their batches. A group's call
-returns one loss per node (an array) and one gradient row per node, each
-bit for bit what the node's own call gives, so a round makes one call per
-group and clock tick. Two implementations ship: an analytic quadratic (for
-dynamics tests and benches; nodes of one dimension form a group) and a
-wrapper around the miniature networks (the real workload; nodes of one
-NetSpec form a group). Validation losses are smoothed per node by an
-exponential moving average and are never backpropagated.
+An objective is anything with group_key/bind. A round groups its nodes by
+group_key, stacks each group's parameters row by row into x (n, P), and
+binds each group once: bind(group, x) returns the group's BoundGroup for
+the whole round. Its value_and_grad() gives one training loss per node (an
+array) and the gradient rows (n, P); its value() gives one validation loss
+per node. Each call draws the group's next batch itself, and each row is
+bit for bit what that node's own call on its own batch gives. The round
+writes x in place between calls, and the bound group reads those writes.
+Two implementations ship: an analytic quadratic (for dynamics tests and
+benches; nodes of one dimension form a group; it has no batches) and the
+miniature networks (search.NetObjective, the real workload; nodes of one
+NetSpec form a group, and each bound group holds its stacked train and val
+streams and one bound network per stream). Validation losses are smoothed
+per node by an exponential moving average and are never backpropagated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Protocol
+from typing import Callable, Hashable, NamedTuple, Protocol
 
 import numpy as np
 
 from .errors import NonFiniteValue
 
-Node = int | tuple[int, ...]
+
+class BoundGroup(NamedTuple):
+    """One group bound for a round: value() and value_and_grad() each score
+    every node of the group on its next batch (see the module docstring)."""
+
+    value: Callable[[], np.ndarray]
+    value_and_grad: Callable[[], tuple[np.ndarray, np.ndarray]]
 
 
 class ObjectiveHandle(Protocol):
     def group_key(self, g: int) -> Hashable: ...
 
-    def value(self, x: np.ndarray, g: Node, batch: Any) -> Any: ...
-
-    def value_and_grad(
-        self, x: np.ndarray, g: Node, batch: Any
-    ) -> tuple[Any, np.ndarray]: ...
+    def bind(self, group: tuple[int, ...], x: np.ndarray) -> BoundGroup: ...
 
 
 @dataclass
 class QuadraticObjective:
-    """V(x, g) = 0.5*||x - center_g||^2 + offset_g; ignores batches."""
+    """V(x, g) = 0.5*||x - center_g||^2 + offset_g."""
 
     centers: dict[int, np.ndarray]
     offsets: dict[int, float] = field(default_factory=dict)
@@ -53,23 +57,20 @@ class QuadraticObjective:
     def group_key(self, g: int) -> Hashable:
         return self.centers[g].shape
 
-    def value(self, x: np.ndarray, g: Node, batch: Any = None) -> Any:
-        if isinstance(g, tuple):
-            return np.array([self.value(row, node) for row, node in zip(x, g)])
+    def value(self, x: np.ndarray, g: int) -> float:
         d = np.asarray(x, dtype=float) - self.centers[g]
         return 0.5 * float(d @ d) + self.offsets.get(g, 0.0)
 
-    def grad(self, x: np.ndarray, g: Node, batch: Any = None) -> np.ndarray:
-        if isinstance(g, tuple):
-            center = np.array([self.centers[node] for node in g])
-        else:
-            center = self.centers[g]
-        return np.asarray(x, dtype=float) - center
+    def grad(self, x: np.ndarray, g: int) -> np.ndarray:
+        return np.asarray(x, dtype=float) - self.centers[g]
 
-    def value_and_grad(
-        self, x: np.ndarray, g: Node, batch: Any = None
-    ) -> tuple[Any, np.ndarray]:
-        return self.value(x, g, batch), self.grad(x, g, batch)
+    def bind(self, group: tuple[int, ...], x: np.ndarray) -> BoundGroup:
+        center = np.array([self.centers[g] for g in group])
+
+        def value() -> np.ndarray:
+            return np.array([self.value(row, g) for row, g in zip(x, group)])
+
+        return BoundGroup(value, lambda: (value(), x - center))
 
 
 @dataclass
@@ -104,28 +105,22 @@ class ValTracker:
 
 
 def eval_val(
-    obj: ObjectiveHandle,
-    tracker: ValTracker,
-    x: np.ndarray,
-    g: Node,
-    batch: Any,
-) -> Any:
-    """Validation-batch loss folded into the node's running average.
+    bound: BoundGroup, tracker: ValTracker, group: tuple[int, ...]
+) -> list[float]:
+    """The group's next validation losses folded into each node's running
+    average; returns the updated averages V~_k(g), in group order.
 
-    Returns the updated average V~_k(g), or for a group one average per
-    node. Every sample is checked before any is folded; the first
-    non-finite one, in g's order, raises NonFiniteValue, whose node names
-    it. Gradients are never taken here.
+    Every sample is checked before any is folded; the first non-finite one,
+    in group order, raises NonFiniteValue, whose node names it. Gradients
+    are never taken here.
     """
-    group = g if isinstance(g, tuple) else (g,)
-    samples = np.atleast_1d(obj.value(x, g, batch)).tolist()
+    samples = np.atleast_1d(bound.value()).tolist()
     for node, sample in zip(group, samples):
         if not math.isfinite(sample):
             raise NonFiniteValue(
                 f"validation loss at node {node} is {sample}", node=node
             )
-    running = [tracker.update(node, s) for node, s in zip(group, samples)]
-    return running if isinstance(g, tuple) else running[0]
+    return [tracker.update(node, s) for node, s in zip(group, samples)]
 
 
 def clip_gradient(vec: np.ndarray, max_norm: float) -> np.ndarray:

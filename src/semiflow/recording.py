@@ -1,11 +1,12 @@
 """Run artifacts: per-iteration metrics CSV, run manifest, audit log.
 
 The metrics file holds one row per (iteration, node) and is flushed after
-every iteration so a crashed run still leaves usable traces. Float cells are
-written with repr's shortest round-trip form, which makes byte-identical
-reproduction of a run meaningful. Wallclock never enters the CSV; it lives in
-the manifest, which is written before any compute starts and rewritten with
-the end timestamp on completion.
+every iteration so a crashed run still leaves usable traces. Float cells,
+numpy floats included, are written as repr's shortest round-trip form of a
+Python float (integer-valued ones as ints), so every cell parses with
+float() and byte-identical reproduction of a run is meaningful. Wallclock
+never enters the CSV; it lives in the manifest, which is written before any
+compute starts and rewritten with the end timestamp on completion.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import IO, Any
+from typing import IO, Any, Iterable
 
 METRICS_COLUMNS = (
     "iter",
@@ -31,14 +32,15 @@ METRICS_COLUMNS = (
 
 
 def _cell(value: Any) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
+    """One CSV cell: integer-valued floats below 1e15 as ints, other floats
+    (numpy's included) in repr's shortest round-trip form of a Python
+    float, ints and bools as integers."""
     if isinstance(value, float):
         if value.is_integer() and abs(value) < 1e15:
             return str(int(value))
-        return repr(value)
+        return repr(float(value))
+    if isinstance(value, bool):
+        return "1" if value else "0"
     return str(value)
 
 
@@ -51,6 +53,24 @@ class MetricsWriter:
         self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
         self._fh.write(",".join(METRICS_COLUMNS) + "\n")
         self._fh.flush()
+
+    def write_rows(
+        self,
+        iter_k: int,
+        round_idx: int,
+        tau_k: float,
+        energy: float,
+        rows: Iterable[tuple[int, float, float, float, float, float, float]],
+    ) -> None:
+        """One tick's rows, each (node_id, count, f, V_train, V_val, phi,
+        moved): the cells every row of the tick shares are formatted once,
+        and the rows go out in one write."""
+        head = f"{_cell(iter_k)},{_cell(round_idx)},"
+        tail = f",{_cell(tau_k)},{_cell(energy)},"
+        self._fh.write("".join([
+            f"{head}{','.join(map(_cell, row[:6]))}{tail}{_cell(row[6])}\n"
+            for row in rows
+        ]))
 
     def write_row(
         self,
@@ -66,11 +86,8 @@ class MetricsWriter:
         energy: float,
         moved: float,
     ) -> None:
-        cells = (
-            iter_k, round_idx, node_id, count, f, v_train, v_val,
-            phi, tau_k, energy, moved,
-        )
-        self._fh.write(",".join(_cell(c) for c in cells) + "\n")
+        self.write_rows(iter_k, round_idx, tau_k, energy,
+                        [(node_id, count, f, v_train, v_val, phi, moved)])
 
     def flush(self) -> None:
         self._fh.flush()

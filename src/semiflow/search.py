@@ -24,7 +24,7 @@ import os
 import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Iterator, Mapping, NamedTuple
+from typing import Any, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -59,12 +59,19 @@ from .nn import (
     bind,
     evaluate,
     init_params,
-    loss_and_grad,
-    loss_only,
+    # Not called here: bench/layers.py traces these names on this module.
+    loss_and_grad,  # noqa: F401
+    loss_only,  # noqa: F401
     param_count,
     save_checkpoint,
 )
-from .objective import ObjectiveHandle, ValTracker, clip_gradient, eval_val
+from .objective import (
+    BoundGroup,
+    ObjectiveHandle,
+    ValTracker,
+    clip_gradient,
+    eval_val,
+)
 from .data import BatchStream, Dataset
 from .recording import JsonlWriter, MetricsWriter
 
@@ -233,9 +240,6 @@ class SearchResult:
     timed_out_rounds: int = 0
 
 
-BatchFn = Callable[[int, str], Any]
-
-
 class ParticleStep(NamedTuple):
     """What one particle step left: flows per edge, out_flow per source."""
 
@@ -255,13 +259,12 @@ class ParticleStep(NamedTuple):
         tau: float,
     ) -> None:
         """One metrics row per node for the tick this step ended."""
-        counts = self.ensemble.counts
         total = self.ensemble.total
-        for g, count in counts.items():
-            metrics.write_row(
-                iter_k, round_idx, g, count, count / total, v_train[g],
-                v_val[g], self.phi[g], tau, self.energy, self.out_flow[g],
-            )
+        phi, out_flow = self.phi, self.out_flow
+        metrics.write_rows(iter_k, round_idx, tau, self.energy, [
+            (g, count, count / total, v_train[g], v_val[g], phi[g], out_flow[g])
+            for g, count in self.ensemble.counts.items()
+        ])
 
 
 def particle_step(
@@ -327,7 +330,6 @@ def dynamics_round(
     config: SearchConfig,
     clock: GlobalClock,
     rng: np.random.Generator,
-    batches: BatchFn | None = None,
     metrics: MetricsWriter | None = None,
     round_idx: int = 1,
     budget_iters: int | None = None,
@@ -340,10 +342,10 @@ def dynamics_round(
     RoundTimeout under config.strict), or when budget_iters run out
     (stats.adopted stays None: the caller keeps its incumbent).
 
-    Each clock tick trains and scores every group of nodes with one
-    objective.group_key through one call on their stacked parameters, and
-    updates the stacks in place. states[g] holds each node's last x and v
-    when the round ends.
+    Each group of nodes with one objective.group_key is bound once, on its
+    stacked parameters (objective.bind). Each clock tick then trains and
+    scores every group with one call each, and updates the stacks in place.
+    states[g] holds each node's last x and v when the round ends.
     """
     dyn = config.dynamics()
     nodes = graph.nodes()
@@ -351,8 +353,6 @@ def dynamics_round(
     ensemble = seed_ensemble(graph, config.n_particles)
     tracker = ValTracker(decay=config.val_decay)
     phi = {g: 0.0 for g in nodes}
-    if batches is None:
-        batches = lambda g, kind: None
     timeout_iters = max(
         1, round(config.round_timeout_factor * config.epochs_neigh * clock.iters_per_epoch)
     )
@@ -376,27 +376,27 @@ def dynamics_round(
     rows = [(g, k, i) for k, group in enumerate(groups) for i, g in enumerate(group)]
 
     try:
+        # train_step writes each stack in place, so the bound groups and
+        # the velocity row views stay valid for the whole round.
+        bound = [objective.bind(group, state.x) for group, state in zip(groups, stacked)]
+        velocities = {g: stacked[k].v[i] for g, k, i in rows}
         while True:
             tau = clock.tau()
             # Not _fit: all candidates take one step each per clock tick,
-            # one call per group through the objective handle, and each
-            # train loss is recorded.
-            for k, group in enumerate(groups):
-                losses, grads = objective.value_and_grad(
-                    stacked[k].x, group, [batches(g, "train") for g in group]
-                )
-                v_train.update(zip(group, np.asarray(losses).tolist()))
+            # one call per group, and each train loss is recorded.
+            for group, net, state in zip(groups, bound, stacked):
+                losses, grads = net.value_and_grad()
+                v_train.update(zip(group, losses.tolist()))
                 train_step(
-                    stacked[k], clip_gradient(grads, config.grad_clip), tau,
+                    state, clip_gradient(grads, config.grad_clip), tau,
                     gamma=dyn.damping, momentum=not dyn.pure_gradient,
                 )
             # Every group is scored before a failure is raised, so a
             # non-finite loss names the first such node in node order.
             failures = []
-            for k, group in enumerate(groups):
+            for group, net in zip(groups, bound):
                 try:
-                    eval_val(objective, tracker, stacked[k].x, group,
-                             [batches(g, "val") for g in group])
+                    eval_val(net, tracker, group)
                 except NonFiniteValue as exc:
                     failures.append(exc)
             if failures:
@@ -405,7 +405,7 @@ def dynamics_round(
 
             step = particle_step(
                 ensemble, phi, values, graph, dyn, tau, rng,
-                velocities={g: stacked[k].v[i] for g, k, i in rows},
+                velocities=velocities,
             )
             ensemble, phi = step.ensemble, step.phi
             for amount in step.flows.values():
@@ -444,45 +444,46 @@ def dynamics_round(
 
 
 class NetObjective:
-    """ObjectiveHandle over per-node architectures; batches are (X, y).
-    Nodes of one NetSpec form a group, scored by one stacked kernel call."""
+    """ObjectiveHandle over per-node architectures trained on one dataset
+    in one round of a search.
 
-    def __init__(self, specs: Mapping[int, NetSpec]):
+    Nodes of one NetSpec form a group. A bound group draws its batches from
+    its stacked train and val streams (streams) and runs them through two
+    networks bound to its parameter stack: one at s_x for training, one at
+    s_y for scoring, each checked against its whole split once.
+    """
+
+    def __init__(self, specs: Mapping[int, NetSpec], data: Dataset,
+                 config: SearchConfig, round_idx: int):
         self.specs = dict(specs)
+        self.config = config
+        self.round_idx = round_idx
+        self.splits = (data.split("train"), data.split("val"))
 
     def group_key(self, g):
         return self.specs[g]
 
-    def _args(self, x, g, batch):
-        if not isinstance(g, tuple):
-            return self.specs[g], x, *batch
-        inputs = np.array([b[0] for b in batch])
-        labels = np.array([b[1] for b in batch])
-        return self.specs[g[0]], x, inputs, labels
+    def streams(self, group: tuple[int, ...]) -> tuple[BatchStream, BatchStream]:
+        """The group's train and val streams for the round; row i of each
+        is node group[i]'s own seeded stream."""
 
-    def value(self, x, g, batch):
-        return loss_only(*self._args(x, g, batch))
+        def stack(split, size, kind):
+            seeds = tuple(_stream_seed(self.config.seed, 5, self.round_idx, g, kind)
+                          for g in group)
+            return BatchStream(*split, size, seeds)
 
-    def value_and_grad(self, x, g, batch):
-        return loss_and_grad(*self._args(x, g, batch))
+        train, val = self.splits
+        return stack(train, self.config.s_x, 0), stack(val, self.config.s_y, 1)
 
-
-def _node_streams(
-    dataset: Dataset, config: SearchConfig, round_idx: int, nodes
-) -> BatchFn:
-    x_feat, x_lab = dataset.split("train")
-    y_feat, y_lab = dataset.split("val")
-    table: dict[tuple[int, str], BatchStream] = {}
-    for g in nodes:
-        table[(g, "train")] = BatchStream(
-            x_feat, x_lab, config.s_x,
-            _stream_seed(config.seed, 5, round_idx, g, 0),
+    def bind(self, group: tuple[int, ...], x: np.ndarray) -> BoundGroup:
+        spec = self.specs[group[0]]
+        train, val = self.streams(group)
+        fit = bind(spec, x, train.features, train.labels, train.batch_size)
+        score = bind(spec, x, val.features, val.labels, val.batch_size)
+        return BoundGroup(
+            value=lambda: score.loss(*val.next_batch()),
+            value_and_grad=lambda: fit.loss_and_grad(*train.next_batch()),
         )
-        table[(g, "val")] = BatchStream(
-            y_feat, y_lab, config.s_y,
-            _stream_seed(config.seed, 5, round_idx, g, 1),
-        )
-    return lambda g, kind: table[(g, kind)].next_batch()
 
 
 def iters_per_epoch(dataset: Dataset, config: SearchConfig) -> int:
@@ -519,7 +520,7 @@ def run_round(
         velocity=incumbent.velocity, topology=config.topology,
     )
     objective = NetObjective(
-        {g: graph.payload(g).spec for g in graph}
+        {g: graph.payload(g).spec for g in graph}, data, config, round_idx
     )
     states = {}
     for g in graph:
@@ -528,12 +529,10 @@ def run_round(
         if vel is None:
             vel = np.zeros_like(cand.params)
         states[g] = NodeState(cand.params.copy(), np.asarray(vel, dtype=float).copy())
-    batches = _node_streams(data, config, round_idx, graph.nodes())
 
     stats = dynamics_round(
         graph, objective, states, config, clock,
-        _rng(config.seed, 3, round_idx), batches, metrics, round_idx,
-        budget_iters,
+        _rng(config.seed, 3, round_idx), metrics, round_idx, budget_iters,
     )
     if stats.adopted is None:
         return incumbent, stats, audit

@@ -12,6 +12,7 @@ import pytest
 
 import semiflow as sf
 from semiflow import cli
+from semiflow.recording import METRICS_COLUMNS
 from conftest import run_cli
 
 
@@ -294,6 +295,37 @@ def test_bench_saturated_expected_moves_complete(tmp_path):
                             "--iters", "500"])
     assert code == 0
     assert report["points"][0]["iterations"] == 500
+
+
+def assert_cells_parse(path):
+    """Every cell of a metrics.csv is a plain number that float() reads."""
+    rows = open(path).read().splitlines()
+    assert rows[0].split(",") == list(METRICS_COLUMNS)
+    assert len(rows) > 1
+    for row in rows[1:]:
+        cells = row.split(",")
+        assert len(cells) == len(METRICS_COLUMNS), row
+        for cell in cells:
+            float(cell)
+
+
+@pytest.mark.parametrize("rate_mode", ["sampled", "expected"])
+def test_search_metrics_cells_parse(rate_mode, tmp_path):
+    cfg = write_config(tmp_path, {"dynamics.rate_mode": rate_mode})
+    out_dir = str(tmp_path / "run")
+    code, _ = run_cli(["search", "--config", cfg, "--out", out_dir])
+    assert code == 0
+    assert_cells_parse(os.path.join(out_dir, "metrics.csv"))
+
+
+@pytest.mark.parametrize("flags", [[], ["--sampled"]], ids=["expected", "sampled"])
+def test_bench_metrics_cells_parse(flags, tmp_path):
+    out_dir = str(tmp_path / "bench")
+    code, report = run_cli(["dynamics-bench", "--out", out_dir,
+                            "--nodes", "5", "--iters", "50", *flags])
+    assert code == 0
+    for point in report["points"]:
+        assert_cells_parse(os.path.join(out_dir, point["csv"]))
 
 
 def test_bench_single_node_never_moves(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semiflow as sf
 from semiflow import search
@@ -168,20 +170,46 @@ def test_stream_deterministic():
 
 
 def test_streams_disjoint_sources():
-    # A round's per-node streams: train batches only from the train split,
-    # val batches only from the val split.
+    # A round's stacked group streams: every row's train batches come only
+    # from the train split, its val batches only from the val split.
     ds = sf.make_blobs(1000, seed=8)
     config = sf.SearchConfig(seed=0)
-    batches = search._node_streams(ds, config, 1, [0, 1, 2])
+    train, val = search.NetObjective({}, ds, config, 1).streams((0, 1, 2))
     lookup = index_of_rows(ds)
     train_set, val_set = set(ds.train_idx), set(ds.val_idx)
     for _ in range(20):
-        for g in (0, 1, 2):
-            bx, _ = batches(g, "train")
-            by, _ = batches(g, "val")
-            assert len(bx) == config.s_x and len(by) == config.s_y
-            assert {lookup[tuple(r)] for r in bx} <= train_set
-            assert {lookup[tuple(r)] for r in by} <= val_set
+        (bx, lx), (by, ly) = train.next_batch(), val.next_batch()
+        assert bx.shape == (3, config.s_x, ds.input_dim) and lx.shape == (3, config.s_x)
+        assert by.shape == (3, config.s_y, ds.input_dim) and ly.shape == (3, config.s_y)
+        for rows_x, rows_y in zip(bx, by):
+            assert {lookup[tuple(r)] for r in rows_x} <= train_set
+            assert {lookup[tuple(r)] for r in rows_y} <= val_set
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 40),
+    data=st.data(),
+    n=st.integers(1, 4),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=4, max_size=4),
+)
+def test_stacked_stream_rows_match_own_streams(rows, data, n, seeds):
+    # Each row of a stacked stream draws what that node's own stream draws,
+    # through at least three reshuffles of every row.
+    batch = data.draw(st.one_of(st.just(rows), st.integers(1, rows)))
+    rng = np.random.default_rng(rows)
+    features = rng.normal(size=(rows, 3))
+    labels = rng.integers(0, 5, rows)
+    seeds = tuple(seeds[:n])
+    stack = sf.BatchStream(features, labels, batch, seeds)
+    own = [sf.BatchStream(features, labels, batch, seed) for seed in seeds]
+    for _ in range(3 * stack.batches_per_epoch + 1):
+        inputs, targets = stack.next_batch()
+        assert inputs.shape == (n, batch, 3) and targets.shape == (n, batch)
+        for i, stream in enumerate(own):
+            want_x, want_y = stream.next_batch()
+            assert np.array_equal(inputs[i], want_x)
+            assert np.array_equal(targets[i], want_y)
 
 
 def test_streams_too_small():

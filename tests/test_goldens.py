@@ -1,11 +1,15 @@
 """Byte-identity of search artifacts.
 
-Three small searches, one per code path of a round: first-order dynamics on
-the star graph, second-order dynamics on the complete graph, and the
-hill-climbing baseline. The sha256 of each artifact was recorded from these
-exact configs before the graph, morphism and dynamics code was last
-restructured; a refactor that keeps the arithmetic must reproduce them.
-A change that moves a number on purpose updates the digests and says why.
+Four small searches, one per code path of a round: first-order dynamics on
+the star graph with sampled and with expected moves, second-order dynamics on
+the complete graph, and the hill-climbing baseline. The sha256 of each
+artifact was recorded from these exact configs before the graph, morphism
+and dynamics code was last restructured; a refactor that keeps the
+arithmetic must reproduce them. The expected-mode digests were recorded
+once its metrics cells became plain floats; its best.json and
+morphisms.jsonl are those of the code before that, and its metrics.csv is
+that code's with each np.float64(x) cell written as x. A change that moves
+a number on purpose updates the digests and says why.
 """
 
 import hashlib
@@ -23,6 +27,8 @@ SMALL = dict(epochs_neigh=2, n_neigh=5, n_particles=30, s_x=16, s_y=16,
 
 CONFIGS = {
     "nasgd-star": dict(SMALL, mode="nasgd", seed=2, n_steps=6.0),
+    "nasgd-expected": dict(SMALL, mode="nasgd", seed=2, n_steps=6.0,
+                           rate_mode="expected"),
     "nasagd-complete": dict(SMALL, mode="nasagd", seed=2, n_steps=6.0,
                             topology="complete"),
     "hillclimb": dict(SMALL, mode="hillclimb", seed=2, n_steps=3),
@@ -36,6 +42,14 @@ GOLDEN = {
             "0ab90e0878923f8252f4e84a1acfdc3c48b9f1e71ceb3719602240b8e58cea99",
         "morphisms.jsonl":
             "9d2908e613ea1729b68b6b170b3a9337b1b29648913bc050a9f7ef206da108a8",
+    },
+    "nasgd-expected": {
+        "metrics.csv":
+            "f28d725782f6d83037fc5e36a11b013f9580f21756f43fb9effc73358d0a569d",
+        "best.json":
+            "0233f1f18e94455b7245bc1fa1a0f4a25259390fc5f39fd4511086f1a0d8ad39",
+        "morphisms.jsonl":
+            "f4e0081cd838e9e4641b6ec83a0c80f3e4bf2bb4c9f2aa07874d6317fb0d6cde",
     },
     "nasagd-complete": {
         "metrics.csv":

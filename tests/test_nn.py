@@ -5,6 +5,7 @@ import pytest
 
 import semiflow as sf
 from semiflow.errors import BadLabel, ShapeMismatch
+from semiflow.nn import bind
 
 
 def small_spec():
@@ -74,6 +75,33 @@ def test_bad_label_rejected():
     X = np.zeros((4, 2))
     with pytest.raises(BadLabel):
         sf.loss_and_grad(spec, params, X, np.array([0, 1, 2, 3]))
+
+
+def test_bound_stack_rows_match_own_calls():
+    # A stack bound once to a split: each row's loss and gradient on its own
+    # batch are bit for bit that network's own public call.
+    spec = small_spec()
+    rng = np.random.default_rng(10)
+    stack = np.array([sf.init_params(spec, rng) for _ in range(3)])
+    features = rng.normal(size=(40, 2))
+    labels = rng.integers(0, 3, 40)
+    idx = np.array([rng.permutation(40)[:16] for _ in range(3)])
+    net = bind(spec, stack, features, labels, 16)
+    losses, grads = net.loss_and_grad(features[idx], labels[idx])
+    scored = net.loss(features[idx], labels[idx])
+    for row, params in enumerate(stack):
+        loss, grad = sf.loss_and_grad(spec, params, features[idx[row]], labels[idx[row]])
+        assert losses[row] == scored[row] == loss
+        assert np.array_equal(grads[row], grad)
+
+
+def test_bind_checks_whole_split_once():
+    spec = small_spec()
+    stack = np.zeros((2, sf.param_count(spec)))
+    with pytest.raises(BadLabel):
+        bind(spec, stack, np.zeros((4, 2)), np.array([0, 1, 2, 3]), 2)
+    with pytest.raises(ShapeMismatch):
+        bind(spec, stack, np.zeros((4, 5)), np.zeros(4, dtype=int), 2)
 
 
 def test_shape_mismatch_rejected():

@@ -74,6 +74,19 @@ def test_tracker_nodes_independent():
 def test_eval_val_updates_tracker():
     obj = quad()
     t = sf.ValTracker(decay=0.9)
-    out = sf.eval_val(obj, t, np.array([1.0, -2.0]), 0, None)
-    assert out == pytest.approx(0.25)
+    out = sf.eval_val(obj.bind((0,), np.array([[1.0, -2.0]])), t, (0,))
+    assert out == [pytest.approx(0.25)]
     assert t.value(0) == pytest.approx(0.25)
+
+
+def test_quadratic_bound_group_reads_stack_in_place():
+    # A bound group scores the live stack: in-place writes to x show.
+    obj = sf.QuadraticObjective({0: np.zeros(2), 1: np.ones(2), 2: np.zeros(2)},
+                                {2: 1.0})
+    x = np.zeros((2, 2))
+    bound = obj.bind((1, 2), x)
+    values, grads = bound.value_and_grad()
+    assert values.tolist() == [1.0, 1.0]
+    assert np.array_equal(grads, [[-1.0, -1.0], [0.0, 0.0]])
+    x[1] = [3.0, 4.0]
+    assert bound.value().tolist() == [1.0, 13.5]

@@ -1,11 +1,13 @@
 """A round's grouped kernel calls against the per-node loop they replaced.
 
-dynamics_round trains and scores every group of nodes that share a NetSpec
-with one stacked kernel call per clock tick. The reference below is the round
-loop as it was before: one loss_and_grad and one loss_only per node per tick.
-On a complete graph with repeated specs, both must write the same metrics
-rows (train losses, tracker values, counts, potentials), end in the same
-states bit for bit, and fail the same way.
+dynamics_round binds every group of nodes that share a NetSpec once per
+round, and trains and scores each group with one stacked kernel call per
+clock tick, on batches its stacked streams gather in one draw. The reference
+below is the round loop as it was before: per node and tick, one batch from
+the node's own BatchStream, one loss_and_grad and one loss_only. On a
+complete graph with repeated specs, both must write the same metrics rows
+(train losses, tracker values, counts, potentials), end in the same states
+bit for bit, and fail the same way.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import semiflow as sf
-from semiflow import search
+from semiflow import nn, search
 from semiflow.errors import NonFiniteGradient, NonFiniteValue
 from semiflow.search import GlobalClock, dynamics_round
 
@@ -91,11 +93,12 @@ def reference_round(graph, specs, states, config, clock, rng, batches,
 
 
 def round_rig(data, mode, seed):
-    """A complete 13-node graph around a 6-6 net, with its config, specs and
-    fresh per-node states."""
+    """A complete 13-node graph around a 6-6 net, with its config and specs.
+    At mobility 1 a round runs past an epoch of both streams (6 train and 2
+    val batches) before it adopts or spends its 40 ticks."""
     config = sf.SearchConfig(mode=mode, seed=seed, n_neigh=12, topology="complete",
-                             epochs_neigh=2, n_particles=50, s_x=32, s_y=16,
-                             hidden=(6, 6))
+                             epochs_neigh=2, n_particles=50, s_x=64, s_y=32,
+                             hidden=(6, 6), kappa=1.0)
     spec = sf.NetSpec(data.input_dim, data.n_classes, config.hidden)
     params = sf.init_params(spec, np.random.default_rng(seed))
     graph, _ = sf.build_local_graph(
@@ -104,6 +107,21 @@ def round_rig(data, mode, seed):
     )
     specs = {g: graph.payload(g).spec for g in graph}
     return config, graph, specs
+
+
+def node_streams(data, config, round_idx, nodes):
+    """The reference's batches: each node's own train and val BatchStream,
+    seeded as a round's group streams seed that node's row."""
+    table = {}
+    for g in nodes:
+        for kind, (split, size) in enumerate(
+            (("train", config.s_x), ("val", config.s_y))
+        ):
+            table[(g, split)] = sf.BatchStream(
+                *data.split(split), size,
+                search._stream_seed(config.seed, 5, round_idx, g, kind),
+            )
+    return lambda g, split: table[(g, split)].next_batch()
 
 
 def fresh_states(graph, seed):
@@ -132,13 +150,14 @@ def test_grouped_round_matches_per_node_loop(blobs_small, tmp_path, mode, seed):
         states = fresh_states(graph, seed)
         ipe = sf.iters_per_epoch(blobs_small, config)
         clock = GlobalClock(ipe, config.epochs_neigh, config.lam_start, config.lam_final)
-        batches = search._node_streams(blobs_small, config, 1, graph.nodes())
         rng = np.random.default_rng(seed)
         with sf.MetricsWriter(str(tmp_path / f"{name}.csv")) as metrics:
             if run is None:
-                stats = dynamics_round(graph, sf.NetObjective(specs), states, config,
-                                       clock, rng, batches, metrics, 1, 40)
+                objective = sf.NetObjective(specs, blobs_small, config, 1)
+                stats = dynamics_round(graph, objective, states, config,
+                                       clock, rng, metrics, 1, 40)
             else:
+                batches = node_streams(blobs_small, config, 1, graph.nodes())
                 stats = run(graph, specs, states, config, clock, rng, batches,
                             metrics, 1, 40)
         runs[name] = (stats, states, clock.k, (tmp_path / f"{name}.csv").read_bytes())
@@ -148,6 +167,10 @@ def test_grouped_round_matches_per_node_loop(blobs_small, tmp_path, mode, seed):
     )
     assert rows == ref_rows
     assert k == ref_k == stats.iterations
+    # The compared ticks crossed an epoch end of both streams, where every
+    # row reshuffles with its own rng.
+    train, val = sf.NetObjective(specs, blobs_small, config, 1).streams((0,))
+    assert stats.iterations > max(train.batches_per_epoch, val.batches_per_epoch)
     assert (stats.adopted, stats.iterations, stats.movers, stats.final_counts) == (
         ref_stats.adopted, ref_stats.iterations, ref_stats.movers, ref_stats.final_counts
     )
@@ -157,6 +180,45 @@ def test_grouped_round_matches_per_node_loop(blobs_small, tmp_path, mode, seed):
         for got, want in ((states[g].x, ref_states[g].x), (states[g].v, ref_states[g].v)):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def run_net_round(data, config, graph, specs, states):
+    ipe = sf.iters_per_epoch(data, config)
+    clock = GlobalClock(ipe, config.epochs_neigh, config.lam_start, config.lam_final)
+    return dynamics_round(graph, sf.NetObjective(specs, data, config, 1), states,
+                          config, clock, np.random.default_rng(0), None, 1, 40)
+
+
+def test_round_binds_each_group_once_and_draws_stacks(blobs_small, monkeypatch):
+    # Per group and round: one bound network for training and one for
+    # scoring. Per group and tick: one stacked train draw and one val draw,
+    # never one draw per node.
+    config, graph, specs = round_rig(blobs_small, "nasgd", 0)
+    groups = {}
+    for g in graph.nodes():
+        groups.setdefault(specs[g], []).append(g)
+    built, drawn = [], []
+
+    class CountedNet(nn.BoundNet):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    next_batch = sf.BatchStream.next_batch
+
+    def counted_next_batch(stream):
+        inputs, labels = next_batch(stream)
+        drawn.append(inputs.shape)
+        return inputs, labels
+
+    monkeypatch.setattr(nn, "BoundNet", CountedNet)
+    monkeypatch.setattr(sf.BatchStream, "next_batch", counted_next_batch)
+    stats = run_net_round(blobs_small, config, graph, specs, fresh_states(graph, 0))
+    assert stats.iterations > 1
+    assert len(built) == 2 * len(groups)
+    assert len(drawn) == 2 * len(groups) * stats.iterations
+    assert all(len(shape) == 3 for shape in drawn)
+    assert sum(shape[0] for shape in drawn) == 2 * len(graph.nodes()) * stats.iterations
 
 
 # -- failures ---------------------------------------------------------------
@@ -200,3 +262,24 @@ def test_nonfinite_gradient_raises():
                        np.random.default_rng(0))
     # The round puts every node's state back, however it ends.
     assert sorted(states) == graph.nodes()
+
+
+def test_nonfinite_gradient_on_nets_restores_states(blobs_small):
+    # One member of a multi-node group has NaN parameters: its row of the
+    # group's stacked gradient is NaN, and the round raises
+    # NonFiniteGradient with every node's state back in states.
+    config, graph, specs = round_rig(blobs_small, "nasgd", 1)
+    groups = {}
+    for g in graph.nodes():
+        groups.setdefault(specs[g], []).append(g)
+    group = max(groups.values(), key=len)
+    assert len(group) >= 2
+    states = fresh_states(graph, 1)
+    states[group[1]].x[:] = math.nan
+    with pytest.raises(NonFiniteGradient):
+        run_net_round(blobs_small, config, graph, specs, states)
+    assert sorted(states) == graph.nodes()
+    for g in graph.nodes():
+        assert states[g].x.shape == states[g].v.shape == (sf.param_count(specs[g]),)
+    assert np.isnan(states[group[1]].x).all()
+    assert np.isfinite(states[group[0]].x).all()
