@@ -31,8 +31,6 @@ from .dynamics import (
     FIRST_ORDER,
     SAMPLED,
     SECOND_ORDER,
-    TOWARD_HIGH_PHI,
-    TOWARD_LOW_PHI,
     DynamicsParams,
     MoveLaw,
     MutationResult,

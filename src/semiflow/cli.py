@@ -7,9 +7,10 @@ checkpoint), pretrain (train the starting network only), dynamics-bench
 
 stdout carries exactly one JSON document per invocation; everything else
 goes to stderr. Exit codes: 0 on success, 2 for configuration problems
-(including unreadable checkpoints and data files), 3 when training or the
-particle dynamics diverge (a non-finite loss, gradient or potential), 4 when
-a round times out under --strict.
+(including unreadable checkpoints and data files, and constraints that no
+morphism can meet), 3 when training or the particle dynamics diverge (a
+non-finite loss, gradient or potential), 4 when a round times out under
+--strict.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .errors import (
     BadConfig,
     BadLabel,
     BadParams,
+    ConstraintViolated,
     Divergence,
     MissingFile,
     NonFiniteGradient,
@@ -82,6 +84,7 @@ CONFIG_ERRORS = (
     SplitTooSmall,
     NonIntegerLabel,
     BadLabel,
+    ConstraintViolated,
 )
 
 

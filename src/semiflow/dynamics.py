@@ -23,7 +23,7 @@ potential and the restart drift are n x n array expressions, each term
 multiplied in the order the per-edge formula gives. Sums over neighbours
 add left to right in ascending id, as the per-edge loops did, so a step
 gives the same bits as they did. Per-node work (scores, f**beta, finiteness
-checks, the optional friction and speed terms, the draws) stays scalar.
+checks, the draws) stays scalar.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ FIRST_ORDER = "first_order"
 SECOND_ORDER = "second_order"
 SAMPLED = "sampled"
 EXPECTED = "expected"
-TOWARD_HIGH_PHI = "toward_high_phi"
-TOWARD_LOW_PHI = "toward_low_phi"
 
 # How far, in ulps of a node's pre-step count, float rounding of one
 # expected-mode mutation step may take the count below its floor.
@@ -77,42 +75,25 @@ class NodeState:
 class DynamicsParams:
     """Knobs of the particle dynamics.
 
-    kappa scales all mutation probabilities, beta is the entropy power in the
-    node score, gamma is the friction coefficient (used only by the flagged
-    extra terms). The remaining fields select variants: sampled vs expected
-    mutation, momentum vs pure-gradient training, flow orientation of the
-    second-order rates, and the optional potential terms that are dropped by
-    default.
+    kappa scales all mutation probabilities and beta is the entropy power of
+    the energy, so the node score is f(g)**beta + V~(g). mode picks the
+    first- or second-order rates, rate_mode sampled or expected mutation.
     """
 
     kappa: float = 1.0
     beta: float = 1.0
-    gamma: float = 0.0
     mode: str = FIRST_ORDER
     rate_mode: str = SAMPLED
-    damping: float = 1.0
-    pure_gradient: bool = False
-    speed_penalty: bool = False
-    friction_potential: bool = False
-    flow: str = TOWARD_HIGH_PHI
-    restart_literal: bool = False
-    entropy: str = "power"
 
     def __post_init__(self) -> None:
         if not self.kappa > 0:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
         if self.mode not in (FIRST_ORDER, SECOND_ORDER):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.rate_mode not in (SAMPLED, EXPECTED):
             raise ValueError(f"unknown rate_mode {self.rate_mode!r}")
-        if self.flow not in (TOWARD_HIGH_PHI, TOWARD_LOW_PHI):
-            raise ValueError(f"unknown flow {self.flow!r}")
-        if self.entropy not in ("power", "log"):
-            raise ValueError(f"unknown entropy {self.entropy!r}")
 
 
 def train_step(
@@ -224,7 +205,9 @@ def _gap(u: np.ndarray, toward_high: bool) -> np.ndarray:
 
     Its positive part is the one-sided bracket of g -> h: (u(g) - u(h))^-
     or (u(g) - u(h))^+. np.fmax(x, 0.0) takes that part and maps NaN to 0,
-    as the scalar comparisons did.
+    as the scalar comparisons did. The potential reads the first form and
+    the first-order score the second; negating one for the other would
+    flip the sign of a zero gap.
     """
     return u[None, :] - u[:, None] if toward_high else u[:, None] - u[None, :]
 
@@ -303,16 +286,15 @@ def mutation_rates_second(
 ) -> dict[int, MoveLaw]:
     """Second-order rates read the potential instead of the score.
 
-    With the default orientation the raw rate is (phi(g) - phi(g'))^-, so
-    mass flows toward neighbors with larger phi. The opposite orientation
-    (positive part, flow toward smaller phi) is selectable via params.flow.
+    The raw rate toward a neighbor is (phi(g) - phi(g'))^- * K(g,g'), so
+    mass flows toward neighbors with larger phi.
     """
     _check_rate_inputs(graph, tau_k)
     potential = _node_array(phi, len(graph))
     for g, p in enumerate(potential.tolist()):
         if not math.isfinite(p):
             raise NonFiniteValue(f"potential at node {g} is {p}")
-    gap = _gap(potential, params.flow == TOWARD_HIGH_PHI)
+    gap = _gap(potential, True)
     return _finish_laws(gap * graph.kernel_matrix(), params.kappa, tau_k)
 
 
@@ -392,32 +374,24 @@ def update_potential(
     graph: ArchGraph,
     params: DynamicsParams,
     tau_k: float,
-    velocities: Mapping[int, np.ndarray] | None = None,
 ) -> dict[int, float]:
     """Push the potential down by outflow, mass, and loss.
 
     phi'(g) = phi(g) - tau_k * sum_g' ((phi(g)-phi(g'))^- K(g,g'))^2
                      - tau_k * (f(g)**beta + V~(g))
-    plus two optional terms, both off by default: -tau_k*gamma*phi(g)
-    (friction) and -tau_k*0.5*|v_g|^2 (kinetic penalty).
 
-    The squared bracket follows the same orientation as the mutation flow.
+    The squared bracket is the second-order rate's, and f**beta + V~ is the
+    first variation of the energy `energy` monitors.
     """
     f = ensemble.marginal()
-    gap = _gap(_node_array(phi, len(graph)), params.flow == TOWARD_HIGH_PHI)
+    gap = _gap(_node_array(phi, len(graph)), True)
     # fmax after the product also drops the NaN of inf * 0 across a non-edge.
     q = np.fmax(gap * graph.kernel_matrix(), 0.0)
     quads = _row_totals(q * q).tolist()
-    beta, friction = params.beta, params.friction_potential
-    speed = params.speed_penalty and velocities is not None
+    beta = params.beta
     new = {}
     for g, quad in enumerate(quads):
         val = phi[g] - tau_k * quad - tau_k * (f[g] ** beta + values[g])
-        if friction:
-            val -= tau_k * params.gamma * phi[g]
-        if speed:
-            v = np.asarray(velocities[g], dtype=float)
-            val -= tau_k * 0.5 * float(v @ v)
         if not math.isfinite(val):
             raise NonFiniteValue(f"potential update at node {g} gave {val}")
         new[g] = val
@@ -432,23 +406,17 @@ def restart_check(
     values: Mapping[int, float],
     graph: ArchGraph,
     marginal: Mapping[int, float],
-    literal: bool = False,
-    flow: str = TOWARD_HIGH_PHI,
 ) -> bool:
     """Decide whether the potential should be reset to zero.
 
-    Default: signed drift R = sum over flowing pairs of
+    Signed drift R = sum over flowing pairs of
     rate_bracket(g,g') * (V~(g') - V~(g)) * K(g,g') * f(g); positive R means
-    the current flow pushes mass toward higher loss, so restart. The literal
-    variant replaces the signed loss difference with its one-sided part
-    (V~(g)-V~(g'))^-, giving a nonnegative quantity thresholded at zero.
+    the current flow pushes mass toward higher loss, so restart.
     """
     n = len(graph)
     kernel = graph.kernel_matrix()
-    bracket = np.fmax(_gap(_node_array(phi, n), flow == TOWARD_HIGH_PHI), 0.0)
+    bracket = np.fmax(_gap(_node_array(phi, n), True), 0.0)
     dv = _gap(_node_array(values, n), True)
-    if literal:
-        dv = np.fmax(dv, 0.0)
     terms = bracket * dv * kernel * _node_array(marginal, n)[:, None]
     # Row-major order is the order the pairs were summed in.
     flowing = terms[np.fmin(bracket, kernel) > 0.0]
@@ -480,20 +448,11 @@ def energy(
     ensemble: ParticleEnsemble,
     values: Mapping[int, float],
     beta: float = 1.0,
-    entropy: str = "power",
 ) -> float:
-    """Monitor E(f) = entropy term + sum_g f(g) * value(g).
-
-    Power form (default): sum_g f(g)**(beta+1) / (beta+1).
-    Log form: sum_g f(g) * log f(g), with 0*log 0 = 0.
-    """
+    """Monitor E(f) = sum_g f(g)**(beta+1) / (beta+1) + sum_g f(g) * value(g),
+    the energy whose first variation f**beta + value the rates descend."""
     f = ensemble.marginal()
-    if entropy == "power":
-        ent = sum(fi ** (beta + 1.0) / (beta + 1.0) for fi in f.values())
-    elif entropy == "log":
-        ent = sum(fi * math.log(fi) for fi in f.values() if fi > 0.0)
-    else:
-        raise ValueError(f"unknown entropy {entropy!r}")
+    ent = sum(fi ** (beta + 1.0) / (beta + 1.0) for fi in f.values())
     return ent + sum(fi * values[g] for g, fi in f.items())
 
 

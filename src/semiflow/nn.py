@@ -555,7 +555,10 @@ def save_checkpoint(path: str, spec: NetSpec, params: np.ndarray) -> None:
         )
     if not np.all(np.isfinite(params)):
         raise BadParams("refusing to save non-finite parameters")
-    flat = ", ".join(format(v, ".17g") for v in params)
+    # '.17g' prints -0.0 as "-0", which JSON reads back as the integer 0.
+    flat = ", ".join(
+        "-0.0" if s == "-0" else s for s in (format(v, ".17g") for v in params)
+    )
     blob = '{"spec": %s, "flat": [%s]}' % (
         json.dumps(spec_to_descriptors(spec)),
         flat,

@@ -23,7 +23,7 @@ import math
 import os
 import time
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -102,7 +102,6 @@ class SearchConfig:
     # accuracy on the spirals benchmark.
     kappa: float = 3.0
     beta: float = 2.0
-    gamma: float = 0.0
     s_x: int = 64
     s_y: int = 32
     constraints: Constraints = field(default_factory=Constraints)
@@ -111,13 +110,8 @@ class SearchConfig:
     mix: dict[str, float] = field(default_factory=default_mix)
     topology: str = "star"
     rate_mode: str = SAMPLED
-    flow: str = "toward_high_phi"
     damping: float = 1.0
     pure_gradient: bool = False
-    speed_penalty: bool = False
-    friction_potential: bool = False
-    restart_literal: bool = False
-    entropy: str = "power"
     val_decay: float = 0.9
     grad_clip: float = 1.0
     round_timeout_factor: float = 5.0
@@ -138,13 +132,17 @@ class SearchConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_particles < 1:
             raise ValueError(f"need at least one particle, got {self.n_particles}")
-        if not self.n_steps > 0:
-            raise ValueError(f"n_steps must be positive, got {self.n_steps}")
-        if not (self.lam_start > self.lam_final >= 0):
-            raise ValueError(
-                f"need lam_start > lam_final >= 0, got "
-                f"{self.lam_start}/{self.lam_final}"
-            )
+        if not 0 < self.n_steps < math.inf:
+            raise ValueError(f"n_steps must be positive and finite, got {self.n_steps}")
+        for prefix, start, final in (
+            ("", self.lam_start, self.lam_final),
+            ("pretrain_", self.pretrain_lam_start, self.pretrain_lam_final),
+        ):
+            if not (start > final >= 0):
+                raise ValueError(
+                    f"need {prefix}lam_start > {prefix}lam_final >= 0, got "
+                    f"{start}/{final}"
+                )
         if self.epochs_neigh < 1:
             raise ValueError(f"epochs_neigh must be >= 1, got {self.epochs_neigh}")
         if not 0.0 < self.val_decay < 1.0:
@@ -154,13 +152,14 @@ class SearchConfig:
                 raise ValueError(
                     f"batch size {name} must be >= 1, got {getattr(self, name)}"
                 )
-        if self.final_budget < 0:
+        for name in ("final_budget", "pretrain_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be nonnegative, got {getattr(self, name)}"
+                )
+        if not 0 < self.round_timeout_factor < math.inf:
             raise ValueError(
-                f"final_budget must be nonnegative, got {self.final_budget}"
-            )
-        if not self.round_timeout_factor > 0:
-            raise ValueError(
-                f"round_timeout_factor must be positive, got "
+                f"round_timeout_factor must be positive and finite, got "
                 f"{self.round_timeout_factor}"
             )
         if not self.damping >= 0:
@@ -173,12 +172,12 @@ class SearchConfig:
         self.dynamics()
 
     def dynamics(self) -> DynamicsParams:
-        """The particle-dynamics knobs: every DynamicsParams field but mode
-        has a same-named field here; mode follows the search mode."""
-        knobs = {f.name: getattr(self, f.name)
-                 for f in fields(DynamicsParams) if f.name != "mode"}
-        mode = SECOND_ORDER if self.mode == "nasagd" else FIRST_ORDER
-        return DynamicsParams(mode=mode, **knobs)
+        """The particle-dynamics knobs; mode follows the search mode."""
+        return DynamicsParams(
+            kappa=self.kappa, beta=self.beta,
+            mode=SECOND_ORDER if self.mode == "nasagd" else FIRST_ORDER,
+            rate_mode=self.rate_mode,
+        )
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -275,7 +274,6 @@ def particle_step(
     dyn: DynamicsParams,
     tau: float,
     rng: np.random.Generator | None,
-    velocities: Mapping[int, np.ndarray] | None = None,
     restart: bool = True,
 ) -> ParticleStep:
     """One mutation step of the swarm at step size tau: rates, moves, the
@@ -300,9 +298,7 @@ def particle_step(
     # stationary law: no potential resets, so a blow-up surfaces as an error.
     if dyn.mode == SECOND_ORDER:
         try:
-            phi = update_potential(
-                phi, ensemble, values, graph, dyn, tau, velocities=velocities
-            )
+            phi = update_potential(phi, ensemble, values, graph, dyn, tau)
         except NonFiniteValue:
             if not restart:
                 raise
@@ -310,13 +306,10 @@ def particle_step(
             # long with the drift check quiet; a reset is the same remedy
             # the restart rule applies, triggered at the integrator's limit.
             phi = {g: 0.0 for g in nodes}
-        if restart and restart_check(
-            phi, values, graph, ensemble.marginal(),
-            literal=dyn.restart_literal, flow=dyn.flow,
-        ):
+        if restart and restart_check(phi, values, graph, ensemble.marginal()):
             phi = {g: 0.0 for g in nodes}
 
-    e_now = energy(ensemble, values, dyn.beta, dyn.entropy)
+    e_now = energy(ensemble, values, dyn.beta)
     return ParticleStep(ensemble, phi, moved.flows, out_flow, e_now)
 
 
@@ -376,10 +369,9 @@ def dynamics_round(
     rows = [(g, k, i) for k, group in enumerate(groups) for i, g in enumerate(group)]
 
     try:
-        # train_step writes each stack in place, so the bound groups and
-        # the velocity row views stay valid for the whole round.
+        # train_step writes each stack in place, so the bound groups stay
+        # valid for the whole round.
         bound = [objective.bind(group, state.x) for group, state in zip(groups, stacked)]
-        velocities = {g: stacked[k].v[i] for g, k, i in rows}
         while True:
             tau = clock.tau()
             # Not _fit: all candidates take one step each per clock tick,
@@ -389,7 +381,7 @@ def dynamics_round(
                 v_train.update(zip(group, losses.tolist()))
                 train_step(
                     state, clip_gradient(grads, config.grad_clip), tau,
-                    gamma=dyn.damping, momentum=not dyn.pure_gradient,
+                    gamma=config.damping, momentum=not config.pure_gradient,
                 )
             # Every group is scored before a failure is raised, so a
             # non-finite loss names the first such node in node order.
@@ -403,10 +395,7 @@ def dynamics_round(
                 raise min(failures, key=lambda exc: exc.node)
             values = {g: tracker.value(g) for g in nodes}
 
-            step = particle_step(
-                ensemble, phi, values, graph, dyn, tau, rng,
-                velocities=velocities,
-            )
+            step = particle_step(ensemble, phi, values, graph, dyn, tau, rng)
             ensemble, phi = step.ensemble, step.phi
             for amount in step.flows.values():
                 stats.movers += amount

@@ -89,6 +89,29 @@ def test_search_unknown_key(tmp_path, caplog):
     assert "serach.mode" in caplog.text
 
 
+@pytest.mark.parametrize("key, value", [
+    pytest.param("dynamics.gamma", 0.3, id="dynamics.gamma"),
+    pytest.param("dynamics.friction_potential", True, id="dynamics.friction_potential"),
+    pytest.param("dynamics.speed_penalty", True, id="dynamics.speed_penalty"),
+    pytest.param("dynamics.restart_literal", True, id="dynamics.restart_literal"),
+    pytest.param("dynamics.flow", "sideways", id="dynamics.flow"),
+    pytest.param("dynamics.entropy", "shannon", id="dynamics.entropy"),
+])
+def test_removed_dynamics_key_exits_2(key, value, tmp_path, caplog):
+    # A manifest of an older run that still carries a removed key.
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"config": {"data.kind": "blobs", key: value}}))
+    out_dir = tmp_path / "run"
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, out, err = run_cli_all(["search", "--config", str(manifest),
+                                      "--out", str(out_dir)])
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    [record] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert record.getMessage() == f"unknown config key: {key}"
+    assert not out_dir.exists()
+
+
 NO_KINDS = {f"morphisms.p_{kind}": 0.0 for kind in sf.ALL_KINDS}
 
 
@@ -102,8 +125,6 @@ NO_KINDS = {f"morphisms.p_{kind}": 0.0 for kind in sf.ALL_KINDS}
     pytest.param({"dynamics.kappa": 0.0}, "kappa", id="kappa"),
     pytest.param({"dynamics.beta": 0.0}, "beta", id="beta"),
     pytest.param({"dynamics.rate_mode": "fast"}, "rate_mode", id="rate_mode"),
-    pytest.param({"dynamics.flow": "sideways"}, "flow", id="flow"),
-    pytest.param({"dynamics.entropy": "shannon"}, "entropy", id="entropy"),
     pytest.param({"dynamics.val_decay": 1.5}, "val_decay", id="val_decay"),
     pytest.param({"net.hidden": [0]}, "hidden", id="hidden"),
     pytest.param({"search.s_x": 0}, "s_x", id="s_x"),
@@ -112,6 +133,12 @@ NO_KINDS = {f"morphisms.p_{kind}": 0.0 for kind in sf.ALL_KINDS}
     pytest.param({"search.round_timeout_factor": 0.0}, "round_timeout_factor",
                  id="round_timeout_factor"),
     pytest.param({"dynamics.damping": -1.0}, "damping", id="damping"),
+    pytest.param({"search.n_steps": float("inf")}, "n_steps", id="infinite-n_steps"),
+    pytest.param({"search.round_timeout_factor": float("inf")}, "round_timeout_factor",
+                 id="infinite-round_timeout_factor"),
+    pytest.param({"pretrain.lam_start": -1.0}, "pretrain_lam_start",
+                 id="pretrain_lam_start"),
+    pytest.param({"pretrain.epochs": -3}, "pretrain_epochs", id="pretrain_epochs"),
 ])
 def test_bad_config_value_exits_2_before_running(overrides, message, tmp_path,
                                                  caplog):
@@ -127,6 +154,22 @@ def test_bad_config_value_exits_2_before_running(overrides, message, tmp_path,
     assert message in record.getMessage()
     assert "\n" not in record.getMessage()
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param({**NO_KINDS, "morphisms.p_deepen": 1.0, "constraints.max_params": 1},
+                 id="max_params"),
+    pytest.param({**NO_KINDS, "morphisms.p_remove_skip": 1.0}, id="remove_skip-only"),
+])
+def test_no_admissible_morphism_exits_2(overrides, tmp_path, caplog):
+    argv = ["search", "--config", write_config(tmp_path, overrides),
+            "--out", str(tmp_path / "run")]
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, out, err = run_cli_all(argv)
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    [record] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert "no admissible morphism" in record.getMessage()
 
 
 def test_env_seed_override(tmp_path, monkeypatch):

@@ -2,6 +2,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semiflow as sf
 from semiflow.errors import BadConfig, MissingFile
@@ -36,15 +38,9 @@ DEFAULT_TABLE = {
     "search.grad_clip": 1.0,
     "dynamics.kappa": 3.0,
     "dynamics.beta": 2.0,
-    "dynamics.gamma": 0.0,
     "dynamics.rate_mode": "sampled",
-    "dynamics.flow": "toward_high_phi",
     "dynamics.damping": 1.0,
     "dynamics.pure_gradient": False,
-    "dynamics.speed_penalty": False,
-    "dynamics.friction_potential": False,
-    "dynamics.restart_literal": False,
-    "dynamics.entropy": "power",
     "dynamics.val_decay": 0.9,
     "net.hidden": [16, 16],
     "morphisms.p_deepen": 0.25,
@@ -84,15 +80,9 @@ SEARCH_KEYS = {
     "search.grad_clip": (0.5, "grad_clip"),
     "dynamics.kappa": (1.5, "kappa"),
     "dynamics.beta": (1.25, "beta"),
-    "dynamics.gamma": (0.3, "gamma"),
     "dynamics.rate_mode": ("expected", "rate_mode"),
-    "dynamics.flow": ("toward_low_phi", "flow"),
     "dynamics.damping": (0.5, "damping"),
     "dynamics.pure_gradient": (True, "pure_gradient"),
-    "dynamics.speed_penalty": (True, "speed_penalty"),
-    "dynamics.friction_potential": (True, "friction_potential"),
-    "dynamics.restart_literal": (True, "restart_literal"),
-    "dynamics.entropy": ("log", "entropy"),
     "dynamics.val_decay": (0.75, "val_decay"),
     "net.hidden": ([4, 6], "hidden"),
     "morphisms.p_deepen": (0.3, "mix.deepen"),
@@ -116,7 +106,7 @@ SEARCH_KEYS = {
 
 def test_defaults_table():
     cfg = sf.default_config()
-    assert len(cfg) == 54
+    assert len(cfg) == 48
     assert cfg == DEFAULT_TABLE
     assert {k: type(v) for k, v in cfg.items()} == {
         k: type(v) for k, v in DEFAULT_TABLE.items()
@@ -148,6 +138,25 @@ def test_unknown_key_named_in_error():
     with pytest.raises(BadConfig) as err:
         sf.normalize({"search.n_niegh": 4})
     assert "search.n_niegh" in str(err.value)
+
+
+# Keys of dynamics variants that no longer exist, each with the value that
+# once selected its variant.
+REMOVED_DYNAMICS_KEYS = {
+    "dynamics.gamma": 0.3,
+    "dynamics.friction_potential": True,
+    "dynamics.speed_penalty": True,
+    "dynamics.restart_literal": True,
+    "dynamics.flow": "toward_low_phi",
+    "dynamics.entropy": "log",
+}
+
+
+@pytest.mark.parametrize("key", list(REMOVED_DYNAMICS_KEYS))
+def test_removed_dynamics_key_named_in_error(key):
+    with pytest.raises(BadConfig) as err:
+        sf.normalize({key: REMOVED_DYNAMICS_KEYS[key]})
+    assert str(err.value) == f"unknown config key: {key}"
 
 
 def test_values_are_type_checked():
@@ -183,12 +192,7 @@ def test_build_search_config_maps_fields():
 
 # A valid value for every DynamicsParams field but mode, different from the
 # SearchConfig default and from the DynamicsParams default.
-DYNAMICS_OVERRIDES = {
-    "kappa": 7.0, "beta": 3.5, "gamma": 0.25, "rate_mode": sf.EXPECTED,
-    "damping": 0.5, "pure_gradient": True, "speed_penalty": True,
-    "friction_potential": True, "flow": sf.TOWARD_LOW_PHI,
-    "restart_literal": True, "entropy": "log",
-}
+DYNAMICS_OVERRIDES = {"kappa": 7.0, "beta": 3.5, "rate_mode": sf.EXPECTED}
 
 
 def test_search_config_dynamics_carries_every_field():
@@ -253,3 +257,43 @@ def test_manifest_accepted_as_config(tmp_path):
                              "seed": 3, "version": "x"}))
     raw = sf.load_config(str(p))
     assert raw == {"search.mode": "nasagd"}
+
+
+# Every value normalize accepts for a key of each type tag, in the JSON types
+# a config file can hold: integral floats for integer keys, integers for
+# float keys, NaN, infinities, signed zeros and None where allowed.
+_ints = st.one_of(st.integers(), st.integers(-2**53, 2**53).map(float))
+_floats = st.one_of(st.floats(), st.integers(-2**63, 2**63))
+TAG_VALUES = {
+    "bool": st.booleans(),
+    "int": _ints,
+    "opt_int": st.one_of(st.none(), _ints),
+    "float": _floats,
+    "opt_float": st.one_of(st.none(), _floats),
+    "str": st.one_of(st.none(), st.text()),
+    "int_list": st.lists(st.integers(), min_size=1, max_size=4),
+}
+
+
+@st.composite
+def overrides(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(sf.SCHEMA)), unique=True))
+    return {key: draw(TAG_VALUES[sf.SCHEMA[key][0]]) for key in keys}
+
+
+def typed(table):
+    """Each value with its type and repr, so that 0.0 and -0.0, 1 and 1.0,
+    and NaN and NaN compare as a replay would see them."""
+    return {key: (type(value), repr(value)) for key, value in table.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(overrides())
+def test_manifest_replays_the_normalized_table(tmp_path_factory, raw):
+    table = sf.normalize(raw)
+    path = str(tmp_path_factory.mktemp("manifest") / "manifest.json")
+    sf.write_manifest(path, table, seed=0, version="0.1.0", outputs=[],
+                      started="2020-01-01T00:00:00Z")
+    replayed = sf.normalize(sf.load_config(path))
+    assert list(replayed) == list(table)
+    assert typed(replayed) == typed(table)

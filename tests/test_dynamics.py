@@ -134,15 +134,6 @@ def test_second_order_clipped():
     assert laws[1].move_prob == 1.0
 
 
-def test_second_order_low_phi_flow_flag():
-    g = two_node_graph()
-    phi = {0: 0.0, 1: -3.0}
-    params = sf.DynamicsParams(kappa=1.0, flow=sf.TOWARD_LOW_PHI)
-    laws = sf.mutation_rates_second(phi, g, params, 0.1)
-    assert laws[0].move_prob == pytest.approx(0.3)
-    assert laws[1].move_prob == 0.0
-
-
 # ---------------------------------------------------------------- mutation application
 
 def test_apply_mutation_no_rates_noop():
@@ -243,26 +234,6 @@ def test_update_potential_two_nodes():
     assert out[1] == pytest.approx(-0.11)
 
 
-def test_update_potential_friction_flag():
-    g = sf.new_graph(None)
-    ens = sf.ParticleEnsemble({0: 1})
-    # cancel the mass/loss term so only friction acts
-    vals = {0: -1.0}
-    params = sf.DynamicsParams(beta=1.0, gamma=1.0, friction_potential=True)
-    out = sf.update_potential({0: 5.0}, ens, vals, g, params, 0.1)
-    assert out[0] == pytest.approx(4.5)
-
-
-def test_update_potential_speed_penalty_flag():
-    g = sf.new_graph(None)
-    ens = sf.ParticleEnsemble({0: 1})
-    vals = {0: -1.0}
-    params = sf.DynamicsParams(beta=1.0, speed_penalty=True)
-    vel = {0: np.array([2.0, 0.0])}
-    out = sf.update_potential({0: 0.0}, ens, vals, g, params, 0.1, velocities=vel)
-    assert out[0] == pytest.approx(-0.1 * 2.0)
-
-
 # ---------------------------------------------------------------- restart rule
 
 def test_restart_false_on_uniform_phi():
@@ -285,15 +256,14 @@ def test_restart_true_when_flow_increases_loss():
     assert sf.restart_check(phi, vals, g, {0: 0.5, 1: 0.5})
 
 
-def test_restart_literal_flag():
-    # mixed flow: one pair raises loss a little, another lowers it a lot;
-    # the signed drift nets negative but the one-sided literal form fires
+def test_restart_false_when_signed_drift_nets_negative():
+    # mixed flow: one pair raises loss a little, another lowers it a lot,
+    # so the signed drift nets negative and no restart fires
     g = sf.star_graph(None, [None, None])
     phi = {0: 0.0, 1: 2.0, 2: 2.0}
     vals = {0: 1.0, 1: 1.1, 2: -4.0}
     f = {0: 1 / 3, 1: 1 / 3, 2: 1 / 3}
     assert not sf.restart_check(phi, vals, g, f)
-    assert sf.restart_check(phi, vals, g, f, literal=True)
 
 
 # ---------------------------------------------------------------- schedule
@@ -327,18 +297,18 @@ def test_energy_single_node():
     assert sf.energy(ens, {0: 3.0}, beta=1.0) == pytest.approx(3.5)
 
 
-def test_energy_log_form_uniform():
+def test_energy_power_form_uniform():
+    # m * (1/m)**(beta+1) / (beta+1) = m**-beta / (beta+1)
     for m in (2, 5, 8):
         ens = sf.ParticleEnsemble({i: 3 for i in range(m)})
         vals = {i: 0.0 for i in range(m)}
-        assert sf.energy(ens, vals, entropy="log") == pytest.approx(-math.log(m))
+        assert sf.energy(ens, vals, beta=2.0) == pytest.approx(m**-2.0 / 3.0)
 
 
-def test_energy_log_form_degenerate():
-    # 0 * log 0 counts as 0
+def test_energy_empty_node_adds_nothing():
     ens = sf.ParticleEnsemble({0: 4, 1: 0})
-    val = sf.energy(ens, {0: 1.25, 1: 99.0}, entropy="log")
-    assert val == pytest.approx(1.25)
+    val = sf.energy(ens, {0: 1.25, 1: 99.0})
+    assert val == pytest.approx(0.5 + 1.25)
 
 
 # ---------------------------------------------------------------- stationary oracle

@@ -20,8 +20,6 @@ import semiflow as sf
 from semiflow.dynamics import (
     EXPECTED,
     SECOND_ORDER,
-    TOWARD_HIGH_PHI,
-    TOWARD_LOW_PHI,
     DynamicsParams,
     MoveLaw,
     ParticleEnsemble,
@@ -82,62 +80,48 @@ def ref_rates_first(marginal, values, graph, params, tau_k):
     return ref_finish_laws(raw, params.kappa, tau_k)
 
 
-def ref_bracket(phi, g, h, toward_high):
-    diff = phi[g] - phi[h]
-    return ref_negative_part(diff) if toward_high else max(0.0, diff)
+def ref_bracket(phi, g, h):
+    return ref_negative_part(phi[g] - phi[h])
 
 
 def ref_rates_second(phi, graph, params, tau_k):
-    toward_high = params.flow == TOWARD_HIGH_PHI
     raw = {}
     for g in graph:
         if not math.isfinite(phi[g]):
             raise NonFiniteValue(f"potential at node {g} is {phi[g]}")
         out = {}
         for h in graph.neighbors(g):
-            r = ref_bracket(phi, g, h, toward_high) * graph.kernel(g, h)
+            r = ref_bracket(phi, g, h) * graph.kernel(g, h)
             if r > 0.0:
                 out[h] = r
         raw[g] = out
     return ref_finish_laws(raw, params.kappa, tau_k)
 
 
-def ref_update_potential(phi, ensemble, values, graph, params, tau_k,
-                         velocities=None):
-    toward_high = params.flow == TOWARD_HIGH_PHI
+def ref_update_potential(phi, ensemble, values, graph, params, tau_k):
     f = ensemble.marginal()
     new = {}
     for g in graph:
         quad = 0.0
         for h in graph.neighbors(g):
-            q = ref_bracket(phi, g, h, toward_high) * graph.kernel(g, h)
+            q = ref_bracket(phi, g, h) * graph.kernel(g, h)
             quad += q * q
         val = phi[g] - tau_k * quad - tau_k * (f[g] ** params.beta + values[g])
-        if params.friction_potential:
-            val -= tau_k * params.gamma * phi[g]
-        if params.speed_penalty and velocities is not None:
-            v = np.asarray(velocities[g], dtype=float)
-            val -= tau_k * 0.5 * float(v @ v)
         if not math.isfinite(val):
             raise NonFiniteValue(f"potential update at node {g} gave {val}")
         new[g] = val
     return new
 
 
-def ref_restart_total(phi, values, graph, marginal, literal, flow):
+def ref_restart_total(phi, values, graph, marginal):
     """The drift sum itself; restart_check fires when it is > 0."""
-    toward_high = flow == TOWARD_HIGH_PHI
     total = 0.0
     for g in graph:
         for h in graph.neighbors(g):
-            bracket = ref_bracket(phi, g, h, toward_high)
+            bracket = ref_bracket(phi, g, h)
             if bracket <= 0.0:
                 continue
-            k = graph.kernel(g, h)
-            if literal:
-                total += bracket * ref_negative_part(values[g] - values[h]) * k * marginal[g]
-            else:
-                total += bracket * (values[h] - values[g]) * k * marginal[g]
+            total += bracket * (values[h] - values[g]) * graph.kernel(g, h) * marginal[g]
     return total
 
 
@@ -216,19 +200,12 @@ def ensembles(draw, graph):
     return ParticleEnsemble(counts)
 
 
-flows = st.sampled_from([TOWARD_HIGH_PHI, TOWARD_LOW_PHI])
-
-
 @st.composite
 def dyn_params(draw):
     return DynamicsParams(
         kappa=draw(st.floats(0.1, 5.0)),
         beta=draw(st.sampled_from([1.0, 2.0, 0.5])),
-        gamma=draw(st.floats(0.0, 2.0)),
         mode=SECOND_ORDER,
-        flow=draw(flows),
-        friction_potential=draw(st.booleans()),
-        speed_penalty=draw(st.booleans()),
     )
 
 
@@ -265,28 +242,21 @@ def test_potential_update_matches_reference(data, graph, params, tau_k):
     phi = node_map(data.draw, graph, finite)
     values = node_map(data.draw, graph, st.floats(-10.0, 10.0))
     ensemble = data.draw(ensembles(graph))
-    velocities = {
-        g: np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)))
-        for g in graph
-    }
-    want = outcome(ref_update_potential, phi, ensemble, values, graph, params,
-                   tau_k, velocities=velocities)
-    got = outcome(sf.update_potential, phi, ensemble, values, graph, params,
-                  tau_k, velocities=velocities)
+    want = outcome(ref_update_potential, phi, ensemble, values, graph, params, tau_k)
+    got = outcome(sf.update_potential, phi, ensemble, values, graph, params, tau_k)
     assert got[1] == want[1]
     if want[0] is not None:
         assert_same_floats(got[0], want[0])
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data(), graphs(), st.booleans(), flows)
-def test_restart_check_matches_reference(data, graph, literal, flow):
+@given(st.data(), graphs())
+def test_restart_check_matches_reference(data, graph):
     phi = node_map(data.draw, graph, finite)
     values = node_map(data.draw, graph, finite)
     marginal = data.draw(ensembles(graph)).marginal()
-    want = ref_restart_total(phi, values, graph, marginal, literal, flow) > 0.0
-    got = sf.restart_check(phi, values, graph, marginal, literal=literal, flow=flow)
-    assert got is want
+    want = ref_restart_total(phi, values, graph, marginal) > 0.0
+    assert sf.restart_check(phi, values, graph, marginal) is want
 
 
 @settings(max_examples=200, deadline=None)
@@ -317,10 +287,8 @@ def test_non_finite_inputs_name_the_same_node(data, graph, params, tau_k):
     if want[0] is not None:
         assert_same_laws(got[0], want[0])
 
-    for literal in (False, True):
-        want = ref_restart_total(phi, values, graph, marginal, literal, params.flow) > 0.0
-        assert sf.restart_check(phi, values, graph, marginal, literal=literal,
-                                flow=params.flow) is want
+    want = ref_restart_total(phi, values, graph, marginal) > 0.0
+    assert sf.restart_check(phi, values, graph, marginal) is want
 
 
 # A center row whose pairwise sum (np.sum) differs from its left-to-right
@@ -335,13 +303,12 @@ def test_row_sums_add_left_to_right():
     phi = {0: 0.0, **{g: v for g, v in enumerate(LEAVES, start=1)}}
     assert_same_laws(sf.mutation_rates_second(phi, graph, params, 1e-3),
                      ref_rates_second(phi, graph, params, 1e-3))
-    # The squared outflow of the center: brackets sqrt(LEAVES) toward low phi.
-    low = DynamicsParams(mode=SECOND_ORDER, flow=TOWARD_LOW_PHI)
-    phi = {0: 0.0, **{g: -math.sqrt(v) for g, v in enumerate(LEAVES, start=1)}}
+    # The squared outflow of the center: brackets sqrt(LEAVES).
+    phi = {0: 0.0, **{g: math.sqrt(v) for g, v in enumerate(LEAVES, start=1)}}
     ensemble = ParticleEnsemble({g: 1.0 for g in graph})
     values = {g: 0.0 for g in graph}
-    assert_same_floats(sf.update_potential(phi, ensemble, values, graph, low, 1.0),
-                       ref_update_potential(phi, ensemble, values, graph, low, 1.0))
+    assert_same_floats(sf.update_potential(phi, ensemble, values, graph, params, 1.0),
+                       ref_update_potential(phi, ensemble, values, graph, params, 1.0))
     # A drift that is 0 summed left to right (each 2**-53 rounds away
     # against 1) and positive summed pairwise: the restart must not fire.
     drift = [1.0] + [2.0**-53] * 15 + [-1.0]
@@ -350,7 +317,7 @@ def test_row_sums_add_left_to_right():
     graph = sf.star_graph("c", drift)
     marginal = {g: 1.0 for g in graph}
     assert float(np.sum(drift)) > 0.0
-    assert ref_restart_total(phi, values, graph, marginal, False, TOWARD_HIGH_PHI) == 0.0
+    assert ref_restart_total(phi, values, graph, marginal) == 0.0
     assert sf.restart_check(phi, values, graph, marginal) is False
 
 
@@ -361,5 +328,5 @@ def test_restart_counts_a_pair_whose_rate_underflows():
     graph.add_node("x", 0.5)
     phi, values, marginal = {0: 0.0, 1: 5e-324}, {0: 0.0, 1: 1e300}, {0: 1.0, 1: 1.0}
     assert 5e-324 * 0.5 == 0.0
-    assert ref_restart_total(phi, values, graph, marginal, False, TOWARD_HIGH_PHI) > 0.0
+    assert ref_restart_total(phi, values, graph, marginal) > 0.0
     assert sf.restart_check(phi, values, graph, marginal) is True

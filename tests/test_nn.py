@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import semiflow as sf
 from semiflow.errors import BadLabel, ShapeMismatch
 from semiflow.nn import bind
+from test_nn_layout import specs
 
 
 def small_spec():
@@ -186,6 +190,28 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     spec2, params2 = sf.load_checkpoint(path)
     assert spec2 == spec
     assert np.array_equal(params2, params)
+
+
+# Signed zeros, subnormals, the ends of the finite range and integral values
+# that print without a point (JSON reads those back as ints), besides any
+# other finite float.
+checkpoint_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308, 1e17, -1e16]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), specs())
+def test_checkpoint_roundtrip_bit_for_bit(tmp_path_factory, data, spec):
+    params = data.draw(arrays(float, sf.param_count(spec), elements=checkpoint_floats))
+    path = str(tmp_path_factory.mktemp("ck") / "ck.json")
+    sf.save_checkpoint(path, spec, params)
+    spec2, params2 = sf.load_checkpoint(path)
+    assert spec2 == spec
+    assert params2.dtype == np.float64
+    assert params2.tobytes() == params.tobytes()
 
 
 def test_evaluate_returns_loss_and_accuracy():

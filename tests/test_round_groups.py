@@ -45,7 +45,7 @@ def reference_round(graph, specs, states, config, clock, rng, batches,
             grad_vec = sf.clip_gradient(grad_vec, config.grad_clip)
             states[g] = sf.train_step(
                 states[g], grad_vec, tau,
-                gamma=dyn.damping, momentum=not dyn.pure_gradient,
+                gamma=config.damping, momentum=not config.pure_gradient,
             )
         for g in nodes:
             sample = sf.loss_only(specs[g], states[g].x, *batches(g, "val"))
@@ -54,10 +54,7 @@ def reference_round(graph, specs, states, config, clock, rng, batches,
             tracker.update(g, sample)
         values = tracker.snapshot()
 
-        step = search.particle_step(
-            ensemble, phi, values, graph, dyn, tau, rng,
-            velocities={g: states[g].v for g in nodes},
-        )
+        step = search.particle_step(ensemble, phi, values, graph, dyn, tau, rng)
         ensemble, phi = step.ensemble, step.phi
         for amount in step.flows.values():
             stats.movers += amount

@@ -84,7 +84,7 @@ def test_config_rejects_bad_values():
 def test_dynamics_params_derived_from_mode():
     assert sf.SearchConfig(mode="nasgd").dynamics().mode == sf.FIRST_ORDER
     assert sf.SearchConfig(mode="nasagd").dynamics().mode == sf.SECOND_ORDER
-    assert sf.SearchConfig(mode="nasagd").dynamics().gamma == 0.0
+    assert sf.SearchConfig(mode="hillclimb").dynamics().mode == sf.FIRST_ORDER
 
 
 # ---------------------------------------------------------------- pretraining
