@@ -25,7 +25,7 @@ from .errors import (
     SplitTooSmall,
     UnknownNode,
 )
-from .graph import ArchGraph, complete_graph, new_graph, star_graph
+from .graph import ArchGraph, complete_graph, star_graph
 from .dynamics import (
     EXPECTED,
     FIRST_ORDER,

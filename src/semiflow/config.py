@@ -100,7 +100,12 @@ def _coerce(key: str, tag: str, value: Any) -> Any:
             return int(value)
     elif tag in ("float", "opt_float"):
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise BadConfig(
+                    f"config key {key} wants a number in the float range, got {value!r}"
+                ) from None
     elif tag == "str":
         if isinstance(value, str):
             return value
@@ -143,7 +148,7 @@ def load_config(path: str) -> dict[str, Any]:
             raw = json.load(fh)
     except FileNotFoundError as exc:
         raise MissingFile(f"no config file at {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long for int(), or bad UTF-8
         raise BadConfig(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise BadConfig(f"config file {path} must hold a JSON object")

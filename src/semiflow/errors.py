@@ -6,7 +6,8 @@ catch a precise failure mode instead of string-matching messages.
 
 
 class NonPositiveWeight(ValueError):
-    """An edge weight was zero, negative, NaN or infinite."""
+    """A kernel weight was negative, NaN or infinite, or the kernel was
+    asymmetric or had a nonzero diagonal."""
 
 
 class UnknownNode(KeyError):

@@ -45,7 +45,13 @@ from .dynamics import (
     train_step,
     update_potential,
 )
-from .errors import Divergence, NonFiniteValue, RoundTimeout, SplitTooSmall
+from .errors import (
+    ConstraintViolated,
+    Divergence,
+    NonFiniteValue,
+    RoundTimeout,
+    SplitTooSmall,
+)
 from .graph import ArchGraph
 from .morphisms import (
     Candidate,
@@ -535,41 +541,46 @@ def run_round(
     return next_incumbent, stats, audit
 
 
-# As in dynamics_round: a diverging fit is reported as Divergence.
-@np.errstate(over="ignore", invalid="ignore")
 def _fit(
     spec: NetSpec,
     state: NodeState,
     stream: BatchStream,
     clock: GlobalClock,
-    iters: int,
+    epochs: int,
     grad_clip: float,
     what: str,
     gamma: float = 1.0,
     momentum: bool = True,
-) -> NodeState:
-    """Train one network for iters minibatch steps at the clock's step sizes.
+) -> Iterator[NodeState]:
+    """Train one network for epochs passes over the stream at the clock's
+    step sizes, yielding its state after each epoch.
 
-    Trains copies of state's arrays, so the caller's stay as they were, and
-    returns them. The network is bound to its copy once, checked against
-    the stream's whole split, and every step writes the copies in place.
-    Raises Divergence, naming what was being trained, if the loss or the
-    parameters stop being finite.
+    Trains copies of state's arrays, so the caller's stay as they were; the
+    same copies are yielded every epoch and the next epoch writes them. The
+    network is bound to its copy once, checked against the stream's whole
+    split, and every step writes the copies in place. Raises Divergence,
+    naming what was being trained, if the loss stops being finite or, checked
+    after each epoch, the parameters do.
     """
     state = NodeState(state.x.copy(), state.v.copy())
     net = bind(spec, state.x, stream.features, stream.labels, stream.batch_size)
-    for _ in range(iters):
-        loss, grad_vec = net.loss_and_grad(*stream.next_batch())
-        if not math.isfinite(loss):
-            raise Divergence(f"{what} loss became {loss}")
-        train_step(
-            state, clip_gradient(grad_vec, grad_clip), clock.tau(),
-            gamma=gamma, momentum=momentum,
-        )
-        clock.advance()
-    if not np.all(np.isfinite(state.x)):
-        raise Divergence(f"{what} produced non-finite parameters")
-    return state
+    for _ in range(epochs):
+        # As in dynamics_round: a diverging fit is reported as Divergence.
+        # Entered per epoch and left before the yield, so that the caller's
+        # code between epochs runs under its own error state.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(stream.batches_per_epoch):
+                loss, grad_vec = net.loss_and_grad(*stream.next_batch())
+                if not math.isfinite(loss):
+                    raise Divergence(f"{what} loss became {loss}")
+                train_step(
+                    state, clip_gradient(grad_vec, grad_clip), clock.tau(),
+                    gamma=gamma, momentum=momentum,
+                )
+                clock.advance()
+        if not np.all(np.isfinite(state.x)):
+            raise Divergence(f"{what} produced non-finite parameters")
+        yield state
 
 
 def pretrain(
@@ -593,17 +604,26 @@ def pretrain(
         stream.batches_per_epoch, epochs,
         config.pretrain_lam_start, config.pretrain_lam_final,
     )
-    state = NodeState(params, np.zeros_like(params))
-    return _fit(
-        spec, state, stream, clock, epochs * stream.batches_per_epoch,
+    *_, state = _fit(
+        spec, NodeState(params, np.zeros_like(params)), stream, clock, epochs,
         config.grad_clip, "pretraining",
-    ).x
+    )
+    return state.x
 
 
 def pretrain_start(config: SearchConfig, data: Dataset) -> tuple[NetSpec, np.ndarray]:
     """The network every search starts from: config.hidden on the data's
-    shape, initialized and pretrained from the config's seed and recipe."""
+    shape, initialized and pretrained from the config's seed and recipe.
+
+    Raises ConstraintViolated if that network is over constraints.max_params.
+    """
     spec = NetSpec(data.input_dim, data.n_classes, config.hidden)
+    n_params, cap = param_count(spec), config.constraints.max_params
+    if n_params > cap:
+        raise ConstraintViolated(
+            f"the start network has {n_params} parameters, over "
+            f"constraints.max_params {cap}"
+        )
     params = init_params(spec, _rng(config.seed, 1))
     return spec, pretrain(spec, data, config, params)
 
@@ -640,7 +660,7 @@ def final_train(
         }
 
     if config.final_budget == 0:
-        return params, {**metrics_now(params), "final_stop": "budget"}
+        return params, {**metrics_now(params), "epochs": 0.0, "final_stop": "budget"}
 
     stream = BatchStream(
         x_feat, x_lab, config.s_x, _stream_seed(config.seed, 6, 0)
@@ -656,12 +676,11 @@ def final_train(
     epochs_done = 0
     stop = "budget"
 
-    while epochs_done < config.final_budget:
-        state = _fit(
-            spec, state, stream, clock, stream.batches_per_epoch,
-            config.grad_clip, "final training",
-            gamma=config.damping, momentum=not config.pure_gradient,
-        )
+    for state in _fit(
+        spec, state, stream, clock, config.final_budget,
+        config.grad_clip, "final training",
+        gamma=config.damping, momentum=not config.pure_gradient,
+    ):
         epochs_done += 1
         val_loss = evaluate(spec, state.x, val_x, val_y)[0]
         cycle_best = min(cycle_best, val_loss)
@@ -834,14 +853,14 @@ def hill_climb_baseline(
                 # Each child trains on a fresh clock: one epochs_neigh cycle.
                 clock = GlobalClock.for_search(config, stream.batches_per_epoch)
                 params = np.asarray(child.params, dtype=float)
-                trained = _fit(
+                *_, trained = _fit(
                     child.spec, NodeState(params, np.zeros(params.size)),
-                    stream, clock, config.epochs_neigh * stream.batches_per_epoch,
+                    stream, clock, config.epochs_neigh,
                     config.grad_clip, "baseline training",
-                ).x
+                )
                 scored.append(
-                    (evaluate(child.spec, trained, val_x, val_y)[0],
-                     child.spec, trained)
+                    (evaluate(child.spec, trained.x, val_x, val_y)[0],
+                     child.spec, trained.x)
                 )
             best = min(scored, key=lambda item: item[0])
             incumbent = Candidate(best[1], best[2], None, None)

@@ -139,6 +139,7 @@ NO_KINDS = {f"morphisms.p_{kind}": 0.0 for kind in sf.ALL_KINDS}
     pytest.param({"pretrain.lam_start": -1.0}, "pretrain_lam_start",
                  id="pretrain_lam_start"),
     pytest.param({"pretrain.epochs": -3}, "pretrain_epochs", id="pretrain_epochs"),
+    pytest.param({"dynamics.kappa": 10**400}, "kappa", id="integer-beyond-float-kappa"),
 ])
 def test_bad_config_value_exits_2_before_running(overrides, message, tmp_path,
                                                  caplog):
@@ -157,7 +158,9 @@ def test_bad_config_value_exits_2_before_running(overrides, message, tmp_path,
 
 
 @pytest.mark.parametrize("overrides", [
-    pytest.param({**NO_KINDS, "morphisms.p_deepen": 1.0, "constraints.max_params": 1},
+    # 388 is the start network's own count, so it passes the start check
+    # and every deepened child is over the cap.
+    pytest.param({**NO_KINDS, "morphisms.p_deepen": 1.0, "constraints.max_params": 388},
                  id="max_params"),
     pytest.param({**NO_KINDS, "morphisms.p_remove_skip": 1.0}, id="remove_skip-only"),
 ])
@@ -170,6 +173,20 @@ def test_no_admissible_morphism_exits_2(overrides, tmp_path, caplog):
     assert out == "" and "Traceback" not in err
     [record] = [r for r in caplog.records if r.levelname == "ERROR"]
     assert "no admissible morphism" in record.getMessage()
+
+
+@pytest.mark.parametrize("command", ["search", "pretrain", "graph-dump"])
+def test_start_network_over_max_params_exits_2(command, tmp_path, caplog):
+    argv = [command, "--config", write_config(tmp_path, {"constraints.max_params": 387}),
+            "--out", str(tmp_path / "out")]
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, out, err = run_cli_all(argv)
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    [record] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert record.getMessage() == (
+        "the start network has 388 parameters, over constraints.max_params 387"
+    )
 
 
 def test_env_seed_override(tmp_path, monkeypatch):
@@ -416,6 +433,23 @@ def test_divergence_prints_no_numpy_warning(tmp_path):
     assert out.returncode == 3
     assert "RuntimeWarning" not in out.stderr
     assert [line for line in out.stderr.splitlines() if "diverged: " in line]
+
+
+def test_diverging_pretraining_exits_3_without_numpy_warning(tmp_path, caplog):
+    # Pretraining trains through a generator, whose error state must cover
+    # each epoch's steps: under the suite's error::RuntimeWarning filter an
+    # overflow it let through would end in a traceback, not exit 3.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data.n": 400, "pretrain.lam_start": 50.0,
+                                  "search.grad_clip": 0.0}))
+    argv = ["search", "--data", "spirals", "--seed", "0", "--config", str(config),
+            "--out", str(tmp_path / "run")]
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, out, err = run_cli_all(argv)
+    assert code == 3
+    assert out == "" and "Traceback" not in err
+    [record] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert record.getMessage().startswith("diverged: pretraining ")
 
 
 @pytest.mark.parametrize("final, stop, epochs", [

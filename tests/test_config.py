@@ -250,6 +250,14 @@ def test_load_config_invalid_json(tmp_path):
         sf.load_config(str(p))
 
 
+def test_load_config_integer_past_the_digit_limit(tmp_path):
+    # json.load raises a plain ValueError, not JSONDecodeError, for it.
+    p = tmp_path / "c.json"
+    p.write_text('{"dynamics.kappa": 1' + "0" * 5000 + "}")
+    with pytest.raises(BadConfig, match="not valid JSON"):
+        sf.load_config(str(p))
+
+
 def test_manifest_accepted_as_config(tmp_path):
     # a run manifest wraps the original config under "config"
     p = tmp_path / "manifest.json"

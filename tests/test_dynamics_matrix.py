@@ -2,7 +2,7 @@
 
 The reference below walks every directed edge with `neighbors` and `kernel`
 and sums in Python, as the dynamics did before they read `kernel_matrix()`.
-On random weighted graphs (random `connect` sequences with non-unit weights,
+On random weighted graphs (kernels of non-unit weights written pair by pair,
 stars and complete graphs) and random potentials and values with ties, signed
 zeros and extreme magnitudes, the rates, the potential update and the
 restart test must match it bit for bit, signed zeros included, and a
@@ -178,15 +178,15 @@ def graphs(draw, max_nodes=12):
         return sf.star_graph("c", list(range(1, n)))
     if kind == "complete":
         return sf.complete_graph(list(range(n)))
-    graph = sf.new_graph("c")
+    kernel = np.zeros((n, n))
     for leaf in range(1, n):
-        graph.add_node(leaf, draw(weights))
+        kernel[0, leaf] = kernel[leaf, 0] = draw(weights)
     if n > 1:
         pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weights)
         for a, b, w in draw(st.lists(pairs.filter(lambda p: p[0] != p[1]),
                                      max_size=12)):
-            graph.connect(a, b, w)
-    return graph
+            kernel[a, b] = kernel[b, a] = w
+    return sf.ArchGraph(["c", *range(1, n)], kernel)
 
 
 def node_map(draw, graph, elements):
@@ -324,8 +324,7 @@ def test_row_sums_add_left_to_right():
 def test_restart_counts_a_pair_whose_rate_underflows():
     # bracket * K underflows to 0, but the drift term multiplies the bracket
     # by the loss difference first, so the pair still counts.
-    graph = sf.new_graph("c")
-    graph.add_node("x", 0.5)
+    graph = sf.ArchGraph(["c", "x"], [[0.0, 0.5], [0.5, 0.0]])
     phi, values, marginal = {0: 0.0, 1: 5e-324}, {0: 0.0, 1: 1e300}, {0: 1.0, 1: 1.0}
     assert 5e-324 * 0.5 == 0.0
     assert ref_restart_total(phi, values, graph, marginal) > 0.0

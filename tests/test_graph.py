@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import semiflow as sf
@@ -5,41 +6,32 @@ from semiflow.errors import NonPositiveWeight, UnknownNode
 
 
 def test_new_graph_single_node():
-    g = sf.new_graph("payload")
+    g = sf.ArchGraph(["payload"], [[0.0]])
     assert list(g) == [0]
     assert len(g) == 1
     assert g.payload(0) == "payload"
 
 
 def test_center_self_weight_zero():
-    g = sf.new_graph(None)
+    g = sf.ArchGraph([None], [[0.0]])
     assert g.kernel(0, 0) == 0.0
 
 
 def test_add_node_sets_symmetric_weight():
-    g = sf.new_graph(None)
-    i = g.add_node("child", 1.0)
-    assert g.kernel(0, i) == 1.0
-    assert g.kernel(i, 0) == 1.0
+    g = sf.ArchGraph([None, "child"], [[0.0, 1.0], [1.0, 0.0]])
+    assert g.kernel(0, 1) == 1.0
+    assert g.kernel(1, 0) == 1.0
 
 
 def test_add_eight_nodes():
-    g = sf.new_graph(None)
-    for k in range(8):
-        g.add_node(k, 1.0)
+    g = sf.star_graph(None, list(range(8)))
     assert len(g) == 9
 
 
 def test_nonpositive_weight_rejected():
-    g = sf.new_graph(None)
-    with pytest.raises(NonPositiveWeight):
-        g.add_node("x", 0.0)
-    with pytest.raises(NonPositiveWeight):
-        g.add_node("x", -1.0)
-    with pytest.raises(NonPositiveWeight):
-        g.add_node("x", float("nan"))
-    with pytest.raises(NonPositiveWeight):
-        g.add_node("x", float("inf"))
+    for w in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(NonPositiveWeight):
+            sf.ArchGraph([None, "x"], [[0.0, w], [w, 0.0]])
 
 
 def test_star_neighbors():
@@ -52,6 +44,18 @@ def test_unknown_node_rejected():
     g = sf.star_graph(None, ["a"])
     with pytest.raises(UnknownNode):
         g.neighbors(99)
+    with pytest.raises(UnknownNode):
+        g.payload(-1)
+    with pytest.raises(UnknownNode):
+        g.payload("a")
+
+
+def test_numpy_ids_accepted():
+    g = sf.star_graph("c", ["a", "b"])
+    assert np.int64(2) in g
+    assert g.payload(np.int64(2)) == "b"
+    assert g.kernel(np.int32(0), np.int64(1)) == 1.0
+    assert g.neighbors(np.intp(0)) == [1, 2]
 
 
 def test_kernel_symmetry_complete():
@@ -73,12 +77,11 @@ def test_neighbors_order_ascending():
 
 def test_same_build_sequence_equal():
     def build():
-        g = sf.new_graph("c")
-        g.add_node("u", 1.0)
-        g.add_node("v", 2.0)
-        return g
+        return sf.ArchGraph(["c", "u", "v"],
+                            [[0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
 
     g1, g2 = build(), build()
+    assert g1 == g2
     assert list(g1) == list(g2)
     for a in g1:
         assert g1.payload(a) == g2.payload(a)
@@ -96,11 +99,10 @@ def test_unweighted_pair_has_zero_kernel():
 # ---------------------------------------------------------------- dense kernel
 
 def test_kernel_matrix_matches_kernel():
-    g = sf.new_graph("c")
-    for leaf, w in enumerate([0.5, 2.0, 1.0], start=1):
-        g.add_node(leaf, w)
-    g.connect(1, 2, 3.5)
-    g.connect(2, 1, 0.25)
+    kernel = np.zeros((4, 4))
+    kernel[0, 1:] = kernel[1:, 0] = [0.5, 2.0, 1.0]
+    kernel[1, 2] = kernel[2, 1] = 0.25
+    g = sf.ArchGraph(["c", 1, 2, 3], kernel)
     k = g.kernel_matrix()
     assert k.shape == (4, 4)
     for a in g:
@@ -116,16 +118,15 @@ def test_kernel_matrix_is_read_only():
 
 
 def test_kernel_matrix_follows_edits():
+    # A graph is immutable: an edited kernel makes a new graph.
     g = sf.star_graph(None, [None, None])
-    first = g.kernel_matrix()
-    assert g.kernel_matrix() is first
-    g.connect(1, 2, 2.0)
-    second = g.kernel_matrix()
-    assert second is not first
+    edited = g.kernel_matrix().copy()
+    edited[1, 2] = edited[2, 1] = 2.0
+    second = sf.ArchGraph([None] * 3, edited).kernel_matrix()
     assert second[1, 2] == second[2, 1] == 2.0
-    assert first[1, 2] == 0.0
-    g.add_node(None, 0.5)
-    third = g.kernel_matrix()
+    grown = np.pad(edited, ((0, 1), (0, 1)))
+    grown[0, 3] = grown[3, 0] = 0.5
+    third = sf.ArchGraph([None] * 4, grown).kernel_matrix()
     assert third.shape == (4, 4)
     assert third[0, 3] == third[3, 0] == 0.5
     assert third[1, 2] == 2.0

@@ -1,56 +1,100 @@
 """Random-input properties of the graph kernel and of the local-graph
 builder's topology."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semiflow as sf
-from semiflow.errors import UnknownNode
+from semiflow.errors import DimensionMismatch, NonPositiveWeight, UnknownNode
 
 weights = st.floats(min_value=1e-6, max_value=10.0, allow_nan=False)
 
 
 @st.composite
-def connect_runs(draw):
-    """A node count, each leaf's weight to the center, then connect calls
-    over few nodes, so that pairs are often written more than once."""
-    n = draw(st.integers(1, 6))
-    to_center = draw(st.lists(weights, min_size=n - 1, max_size=n - 1))
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weights)
-    calls = draw(st.lists(pairs.filter(lambda p: p[0] != p[1]), max_size=20)
-                 if n > 1 else st.just([]))
-    return n, to_center, calls
+def sparse_kernels(draw):
+    """A node count and a symmetric kernel with a zero diagonal, each pair
+    above it an edge of random weight or, about half the time, none."""
+    n = draw(st.integers(1, 7))
+    kernel = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            kernel[a, b] = kernel[b, a] = draw(st.one_of(st.just(0.0), weights))
+    return n, kernel
 
 
 @settings(max_examples=200, deadline=None)
-@given(connect_runs())
-def test_kernel_rows_match_last_write(run):
-    n, to_center, calls = run
-    graph = sf.new_graph("c")
-    last = {}
-    for leaf, w in enumerate(to_center, start=1):
-        graph.add_node(leaf, w)
-        last[(0, leaf)] = w
-    for a, b, w in calls:
-        graph.connect(a, b, w)
-        last[(min(a, b), max(a, b))] = w
+@given(sparse_kernels())
+def test_queries_agree_with_the_kernel_array(drawn):
+    n, kernel = drawn
+    source = kernel.copy()
+    payloads = [f"p{g}" for g in range(n)]
+    graph = sf.ArchGraph(payloads, source)
+    source[...] = 7.0
 
     nodes = graph.nodes()
-    assert nodes == list(range(n))
+    assert nodes == list(graph) == list(range(n))
+    assert len(graph) == n and graph.center == 0
+    assert [graph.payload(g) for g in nodes] == payloads
     for a in nodes:
-        assert graph.kernel(a, a) == 0.0
         for b in nodes:
-            k = graph.kernel(a, b)
-            assert k == graph.kernel(b, a)
-            assert k == last.get((min(a, b), max(a, b)), 0.0)
-        ns = graph.neighbors(a)
-        assert ns == sorted(ns)
-        assert ns == [h for h in nodes if graph.kernel(a, h) > 0.0]
-    assert graph.edges() == sorted((a, b, w) for (a, b), w in last.items())
-    dense = [[graph.kernel(a, b) for b in nodes] for a in nodes]
-    assert graph.kernel_matrix().tolist() == dense
+            assert graph.kernel(a, b) == kernel[a, b]
+        assert graph.neighbors(a) == [b for b in nodes if kernel[a, b] > 0.0]
+    assert graph.edges() == [(a, b, kernel[a, b]) for a in nodes
+                             for b in nodes if a < b and kernel[a, b] > 0.0]
+    assert graph.kernel_matrix().tolist() == kernel.tolist()
+    assert not graph.kernel_matrix().flags.writeable
+    assert graph == sf.ArchGraph(payloads, kernel)
+    if n > 1:
+        other = kernel.copy()
+        other[0, 1] = other[1, 0] = other[0, 1] + 1.0
+        assert graph != sf.ArchGraph(payloads, other)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_kernels(), st.data())
+def test_malformed_kernel_rejected(drawn, data):
+    n, kernel = drawn
+    flaw = data.draw(st.sampled_from(
+        ["shape", "negative", "nan", "inf", "-inf", "asymmetric", "diagonal"]
+    ))
+    a = data.draw(st.integers(0, n - 1))
+    b = data.draw(st.integers(0, n - 1).filter(lambda b: b != a)) if n > 1 else a
+    bad = {"negative": -1.0, "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+    error = NonPositiveWeight
+    if flaw == "shape":
+        kernel = np.zeros((n, n + 1))
+        error = DimensionMismatch
+    elif flaw == "diagonal":
+        kernel[a, a] = 1.0
+    elif n == 1:  # no pair off the diagonal: every flaw lands on it
+        kernel[0, 0] = bad.get(flaw, 1.0)
+    elif flaw == "asymmetric":
+        kernel[a, b] += 1.0
+    else:
+        kernel[a, b] = kernel[b, a] = bad[flaw]
+    with pytest.raises(error):
+        sf.ArchGraph([None] * n, kernel)
+
+
+def test_no_payloads_rejected():
+    with pytest.raises(UnknownNode):
+        sf.ArchGraph([], np.zeros((0, 0)))
+    with pytest.raises(UnknownNode):
+        sf.complete_graph([])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 8))
+def test_builders_equal_their_unit_kernels(n):
+    star = np.zeros((n, n))
+    star[0, 1:] = star[1:, 0] = 1.0
+    payloads = list(range(n))
+    assert sf.star_graph(0, payloads[1:]) == sf.ArchGraph(payloads, star)
+    assert sf.complete_graph(payloads) == sf.ArchGraph(payloads, 1.0 - np.eye(n))
 
 
 def test_unknown_ids_rejected_by_kernel():

@@ -296,6 +296,7 @@ def test_final_train_zero_budget(blobs_small):
                                   sf.SearchConfig(final_budget=0))
     assert np.array_equal(out, params)
     assert {"val_loss", "val_accuracy", "test_loss", "test_accuracy"} <= set(metrics)
+    assert metrics["epochs"] == 0.0 and metrics["final_stop"] == "budget"
 
 
 def test_final_train_plateau_stops_early(blobs_small):
