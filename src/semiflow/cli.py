@@ -65,6 +65,7 @@ from .nn import (
 from .recording import MetricsWriter, utc_now, write_manifest
 from .search import (
     MODES,
+    check_search,
     particle_step,
     pretrain,
     pretrain_start,
@@ -186,6 +187,7 @@ def _cmd_search(args) -> int:
     config = build_search_config(table)
     config.strict = bool(args.strict)
     data = build_dataset(table)
+    check_search(config, data)
     out_dir = args.out or f"semiflow_run_{config.mode}_s{config.seed}"
     os.makedirs(out_dir, exist_ok=True)
     outputs = ["manifest.json", "best.json", "morphisms.jsonl"]

@@ -481,14 +481,18 @@ class NetObjective:
         )
 
 
-def iters_per_epoch(dataset: Dataset, config: SearchConfig) -> int:
-    n = dataset.train_idx.size // config.s_x
-    if n < 1:
+def _batches(dataset: Dataset, split: str, size: int) -> int:
+    """Whole batches of size in the split; raises SplitTooSmall if none."""
+    rows = getattr(dataset, f"{split}_idx").size
+    if rows < size:
         raise SplitTooSmall(
-            f"train split of {dataset.train_idx.size} rows cannot fill a "
-            f"batch of {config.s_x}"
+            f"{split} split of {rows} rows cannot fill a batch of {size}"
         )
-    return n
+    return rows // size
+
+
+def iters_per_epoch(dataset: Dataset, config: SearchConfig) -> int:
+    return _batches(dataset, "train", config.s_x)
 
 
 def run_round(
@@ -517,13 +521,15 @@ def run_round(
     objective = NetObjective(
         {g: graph.payload(g).spec for g in graph}, data, config, round_idx
     )
+    # No copies here: dynamics_round trains its own stacked copies, and
+    # leaves every payload's arrays as they were.
     states = {}
     for g in graph:
         cand = graph.payload(g)
         vel = cand.velocity
         if vel is None:
             vel = np.zeros_like(cand.params)
-        states[g] = NodeState(cand.params.copy(), np.asarray(vel, dtype=float).copy())
+        states[g] = NodeState(cand.params, np.asarray(vel, dtype=float))
 
     stats = dynamics_round(
         graph, objective, states, config, clock,
@@ -552,18 +558,22 @@ def _fit(
     gamma: float = 1.0,
     momentum: bool = True,
 ) -> Iterator[NodeState]:
-    """Train one network for epochs passes over the stream at the clock's
-    step sizes, yielding its state after each epoch.
+    """Train one network, or a stack of networks of one spec, for epochs
+    passes over the stream at the clock's step sizes, yielding its state
+    after each epoch.
 
+    A stack's state is (n, P) and its stream stacks n seeds; each row trains
+    bit for bit as its own network would on its own stream and clock.
     Trains copies of state's arrays, so the caller's stay as they were; the
     same copies are yielded every epoch and the next epoch writes them. The
     network is bound to its copy once, checked against the stream's whole
     split, and every step writes the copies in place. Raises Divergence,
-    naming what was being trained, if the loss stops being finite or, checked
-    after each epoch, the parameters do.
+    naming what was being trained, if any loss stops being finite or,
+    checked after each epoch, any parameter does.
     """
     state = NodeState(state.x.copy(), state.v.copy())
     net = bind(spec, state.x, stream.features, stream.labels, stream.batch_size)
+    finite = math.isfinite if state.x.ndim == 1 else lambda loss: np.isfinite(loss).all()
     for _ in range(epochs):
         # As in dynamics_round: a diverging fit is reported as Divergence.
         # Entered per epoch and left before the yield, so that the caller's
@@ -571,7 +581,7 @@ def _fit(
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(stream.batches_per_epoch):
                 loss, grad_vec = net.loss_and_grad(*stream.next_batch())
-                if not math.isfinite(loss):
+                if not finite(loss):
                     raise Divergence(f"{what} loss became {loss}")
                 train_step(
                     state, clip_gradient(grad_vec, grad_clip), clock.tau(),
@@ -611,12 +621,9 @@ def pretrain(
     return state.x
 
 
-def pretrain_start(config: SearchConfig, data: Dataset) -> tuple[NetSpec, np.ndarray]:
-    """The network every search starts from: config.hidden on the data's
-    shape, initialized and pretrained from the config's seed and recipe.
-
-    Raises ConstraintViolated if that network is over constraints.max_params.
-    """
+def _start_spec(config: SearchConfig, data: Dataset) -> NetSpec:
+    """config.hidden on the data's shape; raises ConstraintViolated if that
+    network is over constraints.max_params."""
     spec = NetSpec(data.input_dim, data.n_classes, config.hidden)
     n_params, cap = param_count(spec), config.constraints.max_params
     if n_params > cap:
@@ -624,6 +631,28 @@ def pretrain_start(config: SearchConfig, data: Dataset) -> tuple[NetSpec, np.nda
             f"the start network has {n_params} parameters, over "
             f"constraints.max_params {cap}"
         )
+    return spec
+
+
+def check_search(config: SearchConfig, data: Dataset) -> None:
+    """Raise, before anything trains, what a search would raise later on
+    its start network or batch sizes: ConstraintViolated for a start network
+    over constraints.max_params, SplitTooSmall for a train split that cannot
+    fill a batch of s_x or, in the particle modes, a val split that cannot
+    fill one of s_y (the hill climber scores the whole val split)."""
+    _start_spec(config, data)
+    iters_per_epoch(data, config)
+    if config.mode != "hillclimb":
+        _batches(data, "val", config.s_y)
+
+
+def pretrain_start(config: SearchConfig, data: Dataset) -> tuple[NetSpec, np.ndarray]:
+    """The network every search starts from: config.hidden on the data's
+    shape, initialized and pretrained from the config's seed and recipe.
+
+    Raises ConstraintViolated if that network is over constraints.max_params.
+    """
+    spec = _start_spec(config, data)
     params = init_params(spec, _rng(config.seed, 1))
     return spec, pretrain(spec, data, config, params)
 
@@ -794,6 +823,35 @@ def run_search(
         )
 
 
+def _train_children(
+    spec: NetSpec,
+    params: list[np.ndarray],
+    seeds: tuple[int, ...],
+    train_x: np.ndarray,
+    train_y: np.ndarray,
+    config: SearchConfig,
+) -> np.ndarray:
+    """Train hill-climb children of one spec for one epochs_neigh cycle,
+    each from zero velocity on its own seeded stream and a fresh clock;
+    returns their trained parameters, one row per child.
+
+    Two or more train as one stack (one _fit); a single child keeps the
+    1-D path, where a stacked call costs more. Every fresh clock has the
+    same schedule, so one clock serves the stack.
+    """
+    if len(params) == 1:
+        x, seed = np.asarray(params[0], dtype=float), seeds[0]
+    else:
+        x, seed = np.array(params, dtype=float), seeds
+    stream = BatchStream(train_x, train_y, config.s_x, seed)
+    clock = GlobalClock.for_search(config, stream.batches_per_epoch)
+    *_, trained = _fit(
+        spec, NodeState(x, np.zeros_like(x)), stream, clock,
+        config.epochs_neigh, config.grad_clip, "baseline training",
+    )
+    return np.atleast_2d(trained.x)
+
+
 def hill_climb_baseline(
     config: SearchConfig,
     data: Dataset,
@@ -803,12 +861,15 @@ def hill_climb_baseline(
     """Sequential-training baseline: each cycle trains every child for
     epochs_neigh epochs and keeps the best validation loss.
 
+    Children of one spec train together as one stack (_train_children), in
+    the order of each group's first child, and are scored in graph order.
     n_steps is the number of cycles. With a wallclock_cap, the run stops as
-    soon as the search phase has run that long (checked between children)
-    and skips final training; children already built still count as
-    explored. The search phase starts after pretraining, as in run_search,
-    so a cap taken from a particle search's search_wallclock buys the same
-    search time.
+    soon as the search phase has run that long (checked before each cycle
+    and before each group of same-spec children) and skips final training;
+    architectures_explored counts every child trained plus the one at which
+    the cap fired. The search phase starts after pretraining, as in
+    run_search, so a cap taken from a particle search's search_wallclock
+    buys the same search time.
     """
     t_start = time.perf_counter()
     train_x, train_y = data.split("train")
@@ -833,35 +894,34 @@ def hill_climb_baseline(
             if audit_writer is not None:
                 for record in audit:
                     audit_writer.write({"round": cycle, **record})
+            children = [g for g in graph if g != graph.center]
+            # Stream seeds number the children across all cycles.
+            seeds = {g: _stream_seed(config.seed, 7, cycle, explored + i)
+                     for i, g in enumerate(children)}
+            groups: dict[NetSpec, list[int]] = {}
+            for g in children:
+                groups.setdefault(graph.payload(g).spec, []).append(g)
+            trained: dict[int, np.ndarray] = {}
+            for spec, group in groups.items():
+                if wallclock_cap is not None and time.perf_counter() - t_search >= wallclock_cap:
+                    explored += 1
+                    capped = True
+                    break
+                explored += len(group)
+                trained.update(zip(group, _train_children(
+                    spec, [graph.payload(g).params for g in group],
+                    tuple(seeds[g] for g in group), train_x, train_y, config,
+                )))
+            # Scored in graph order, so ties resolve as they would child by child.
             scored = [
                 (evaluate(incumbent.spec, incumbent.params, val_x, val_y)[0],
                  incumbent.spec, incumbent.params)
             ]
-            for g in graph:
-                if g == graph.center:
-                    continue
-                explored += 1
-                if wallclock_cap is not None and time.perf_counter() - t_search >= wallclock_cap:
-                    capped = True
-                    break
-                child = graph.payload(g)
-                # explored - 1 numbers the children across all cycles.
-                stream = BatchStream(
-                    train_x, train_y, config.s_x,
-                    _stream_seed(config.seed, 7, cycle, explored - 1),
-                )
-                # Each child trains on a fresh clock: one epochs_neigh cycle.
-                clock = GlobalClock.for_search(config, stream.batches_per_epoch)
-                params = np.asarray(child.params, dtype=float)
-                *_, trained = _fit(
-                    child.spec, NodeState(params, np.zeros(params.size)),
-                    stream, clock, config.epochs_neigh,
-                    config.grad_clip, "baseline training",
-                )
-                scored.append(
-                    (evaluate(child.spec, trained.x, val_x, val_y)[0],
-                     child.spec, trained.x)
-                )
+            for g in children:
+                if g in trained:
+                    child = graph.payload(g)
+                    scored.append((evaluate(child.spec, trained[g], val_x, val_y)[0],
+                                   child.spec, trained[g]))
             best = min(scored, key=lambda item: item[0])
             incumbent = Candidate(best[1], best[2], None, None)
             if not capped:

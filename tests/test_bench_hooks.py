@@ -69,8 +69,9 @@ def test_phase_marks_reach_the_search(monkeypatch):
 
 def test_child_steps_count_once_each(monkeypatch):
     # The tracer counts search.candidate_steps at search.train_step, and
-    # objective.clip_gradient at search.clip_gradient, so each hill-climb
-    # child step must call each of them exactly once.
+    # objective.clip_gradient at search.clip_gradient. Hill-climb children of
+    # one spec train as one stack, so each step of each same-spec group
+    # calls each of them exactly once.
     calls = {"train_step": 0, "clip_gradient": 0}
     for attr in calls:
         fn = getattr(search, attr)
@@ -80,11 +81,24 @@ def test_child_steps_count_once_each(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(search, attr, counted)
-    config = SearchConfig(mode="hillclimb", n_steps=1.0, n_neigh=3, epochs_neigh=2,
+    graphs = []
+    build = search.build_local_graph
+
+    def recording_build(*args, **kw):
+        graph, audit = build(*args, **kw)
+        graphs.append(graph)
+        return graph, audit
+
+    monkeypatch.setattr(search, "build_local_graph", recording_build)
+    config = SearchConfig(mode="hillclimb", n_steps=2.0, n_neigh=5, epochs_neigh=2,
                           pretrain_epochs=0, final_budget=0, hidden=(4,))
     data = make_blobs(200, seed=0)
     result = search.run_search(config, data)
+    groups = sum(
+        len({graph.payload(g).spec for g in graph if g != graph.center})
+        for graph in graphs
+    )
     children = result.architectures_explored - 1
-    steps = children * config.epochs_neigh * search.iters_per_epoch(data, config)
-    assert children == 3 and steps > 0
+    steps = groups * config.epochs_neigh * search.iters_per_epoch(data, config)
+    assert children == 10 and 1 < groups < children and steps > 0
     assert calls == {"train_step": steps, "clip_gradient": steps}

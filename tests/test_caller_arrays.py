@@ -36,7 +36,20 @@ def test_final_train_leaves_params_and_velocity_unchanged(blobs_small):
     assert np.array_equal(velocity, v0)
 
 
-def test_run_round_leaves_incumbent_unchanged(blobs_small):
+def test_run_round_leaves_incumbent_unchanged(monkeypatch, blobs_small):
+    # run_round hands every payload's arrays to the round uncopied, so the
+    # round must not write any of them, the incumbent's or a child's.
+    graphs = []
+    build = search.build_local_graph
+
+    def recording_build(*args, **kw):
+        graph, audit = build(*args, **kw)
+        snapshot = {g: (graph.payload(g).params.copy(), graph.payload(g).velocity.copy())
+                    for g in graph}
+        graphs.append((graph, snapshot))
+        return graph, audit
+
+    monkeypatch.setattr(search, "build_local_graph", recording_build)
     config = small_config()
     spec = sf.NetSpec(2, 4, config.hidden)
     rng = np.random.default_rng(2)
@@ -48,6 +61,12 @@ def test_run_round_leaves_incumbent_unchanged(blobs_small):
     assert stats.iterations >= 1
     assert np.array_equal(incumbent.params, p0)
     assert np.array_equal(incumbent.velocity, v0)
+    [(graph, snapshot)] = graphs
+    assert len(snapshot) == config.n_neigh + 1
+    for g in graph:
+        params0, velocity0 = snapshot[g]
+        assert np.array_equal(graph.payload(g).params, params0)
+        assert np.array_equal(graph.payload(g).velocity, velocity0)
 
 
 def test_hill_climb_leaves_child_params_unchanged(monkeypatch, blobs_small):

@@ -189,6 +189,43 @@ def test_start_network_over_max_params_exits_2(command, tmp_path, caplog):
     )
 
 
+@pytest.mark.parametrize("overrides, message", [
+    pytest.param({"constraints.max_params": 100},
+                 "the start network has 354 parameters, over constraints.max_params 100",
+                 id="start-over-max_params"),
+    pytest.param({"data.n": 40}, "train split of 28 rows cannot fill a batch of 64",
+                 id="train-split-below-s_x"),
+    pytest.param({"search.s_y": 500}, "val split of 300 rows cannot fill a batch of 500",
+                 id="val-split-below-s_y"),
+])
+def test_search_start_errors_exit_2_before_the_run_directory(overrides, message,
+                                                             tmp_path, caplog):
+    # Each of these once exited 2 from inside the run (the s_y one after
+    # pretraining), leaving a manifest with no end and empty artifacts.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(overrides))
+    out_dir = tmp_path / "run"
+    argv = ["search", "--data", "spirals", "--seed", "0", "--config", str(config),
+            "--out", str(out_dir)]
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, out, err = run_cli_all(argv)
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    [record] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert record.getMessage() == message
+    assert not out_dir.exists()
+
+
+def test_hillclimb_ignores_s_y(tmp_path):
+    # The hill climber scores the whole val split, so s_y never draws a
+    # batch there: a val split smaller than s_y is no error.
+    cfg = write_config(tmp_path, {"search.mode": "hillclimb", "search.s_y": 500,
+                                  "search.n_steps": 1, "search.n_neigh": 2})
+    code, summary = run_cli(["search", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 0, summary
+    assert summary["rounds"] == 1
+
+
 def test_env_seed_override(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {})
     out_dir = str(tmp_path / "run")

@@ -7,7 +7,8 @@ a functional update that returns new x and v. On random architectures with
 skips, momentum or pure gradient, any damping in [0, 2] and clipping off or
 tight enough to fire, both must give the same x and v bit for bit after
 every epoch, or fail the same way, and neither may write into the arrays its
-caller passed.
+caller passed. A stack of networks of one spec trains in one _fit, each row
+bit for bit as its own 1-D _fit on its own seed.
 """
 
 import math
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import semiflow as sf
 from semiflow import search
-from semiflow.errors import BadLabel, Divergence
+from semiflow.errors import BadLabel, Divergence, NonFiniteGradient
 from semiflow.search import GlobalClock, _fit
 from test_nn_layout import same_bits, specs
 
@@ -178,3 +179,75 @@ def test_clip_scales_in_place_by_the_linalg_norm(seed, size, step, max_norm):
         for row in views:
             assert sf.clip_gradient(row, max_norm) is row
     assert same_bits(stack[:, ::step], np.array(want))
+
+
+# -- stacks -------------------------------------------------------------------
+
+
+def fit_rows(spec, xs, vs, features, labels, batch, seeds, epochs, lam,
+             grad_clip, gamma, momentum):
+    """One _fit on the stack of xs and vs over a stream of seeds: (rows of
+    x and v after each epoch, whether it failed, the clock's k)."""
+    stream = sf.BatchStream(features, labels, batch, seeds)
+    clock = GlobalClock(stream.batches_per_epoch, 2, lam, lam / 100)
+    after, failed = [], False
+    try:
+        for state in _fit(spec, sf.NodeState(xs, vs), stream, clock, epochs,
+                          grad_clip, "fit", gamma=gamma, momentum=momentum):
+            after.append((state.x.copy(), state.v.copy()))
+    except (Divergence, NonFiniteGradient):
+        failed = True
+    return after, failed, clock.k
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    specs(),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 4),
+    st.integers(1, 12),
+    st.integers(0, 6),
+    st.booleans(),
+    st.floats(0.0, 2.0),
+    st.sampled_from([0.0, 1e-3, 0.05, 0.5]),
+    st.sampled_from([1e-3, 0.05, 0.5]),
+)
+def test_stacked_fit_rows_match_their_own_fits(spec, seed, n, batch, epochs, momentum,
+                                               damping, grad_clip, lam):
+    # Each row of a stacked _fit trains as its own 1-D _fit on its own seed
+    # and clock: the same x and v after every epoch, and the stack stops
+    # (Divergence) at the first step at which any row's own fit stops.
+    _, _, features, labels = fit_problem(spec, seed, 3 * batch + seed % 5, batch)
+    problems = [fit_problem(spec, seed + 1 + r, 1, 1) for r in range(n)]
+    xs = np.array([p[0] for p in problems])
+    vs = np.array([p[1] for p in problems])
+    x0, v0 = xs.copy(), vs.copy()
+    seeds = tuple(int(s) for s in np.random.default_rng(seed).integers(0, 2**32, n))
+    args = (features, labels, batch)
+    knobs = (epochs, lam, grad_clip, damping, momentum)
+    rows = [fit_rows(spec, xs[r], vs[r], *args, seeds[r], *knobs) for r in range(n)]
+    got, failed, k = fit_rows(spec, xs, vs, *args, seeds, *knobs)
+    assert k == min(row_k for _, _, row_k in rows)
+    assert failed == any(row_failed for _, row_failed, _ in rows)
+    assert len(got) == min(len(after) for after, _, _ in rows)
+    if not failed:
+        assert len(got) == epochs
+    for e, (got_x, got_v) in enumerate(got):
+        for r, (after, _, _) in enumerate(rows):
+            assert same_bits(got_x[r], after[e][0]) and same_bits(got_v[r], after[e][1])
+    assert same_bits(xs, x0) and same_bits(vs, v0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(specs(), st.integers(0, 2**32 - 1), st.integers(2, 4), st.data())
+def test_stacked_fit_raises_on_any_rows_nonfinite_loss(spec, seed, n, data):
+    row = data.draw(st.integers(0, n - 1))
+    _, _, features, labels = fit_problem(spec, seed, 24, 8)
+    xs = np.array([fit_problem(spec, seed + 1 + r, 1, 1)[0] for r in range(n)])
+    xs[row] = np.nan
+    stream = sf.BatchStream(features, labels, 8, tuple(range(n)))
+    clock = GlobalClock(stream.batches_per_epoch, 2, 0.05, 1e-7)
+    with pytest.raises(Divergence, match="fit loss became"):
+        list(_fit(spec, sf.NodeState(xs, np.zeros_like(xs)), stream, clock, 2,
+                  1.0, "fit"))
+    assert clock.k == 0
