@@ -230,6 +230,8 @@ def _cmd_eval(args) -> int:
             f"and {data.n_classes}"
         )
     features, labels = data.split(args.split)
+    if labels.size == 0:
+        raise SplitTooSmall(f"{args.split} split is empty")
     loss, acc = evaluate(spec, flat, features, labels)
     _emit({"loss": loss, "accuracy": acc, "split": args.split,
            "param_count": param_count(spec)})

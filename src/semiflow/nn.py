@@ -294,6 +294,8 @@ class BoundNet:
         is, so the backward pass needs no pre-activations.
         """
         acts = [inputs]
+        # A contiguous W.T copy per call speeds up small products, but BLAS
+        # then takes another path and the bits change, so the view stays.
         for layer, w, b in zip(self.lay.layers, self.weights, self.biases):
             z = acts[-1] @ w.mT
             z += b

@@ -2,10 +2,10 @@
 validation average that drives mutation.
 
 An objective is anything with group_key/bind. A round groups its nodes by
-group_key, stacks each group's parameters row by row into x (n, P), and
-binds each group once: bind(group, x) returns the group's BoundGroup for
-the whole round. Its value_and_grad() gives one training loss per node (an
-array) and the gradient rows (n, P); its value() gives one validation loss
+group_key and binds each group once: bind(group, x) returns its BoundGroup
+for the whole round, where x is (P,) for a group of one and the parameters
+stacked row by row, (n, P), for more. value_and_grad() gives one training
+loss per node and a gradient shaped as x; value() gives one validation loss
 per node. Each call draws the group's next batch itself, and each row is
 bit for bit what that node's own call on its own batch gives. The round
 writes x in place between calls, and the bound group reads those writes.
@@ -37,6 +37,9 @@ class BoundGroup(NamedTuple):
 
 
 class ObjectiveHandle(Protocol):
+    """group_key(g) names the nodes that share one call; bind(group, x)
+    binds them on x, (P,) for a group of one (see the module docstring)."""
+
     def group_key(self, g: int) -> Hashable: ...
 
     def bind(self, group: tuple[int, ...], x: np.ndarray) -> BoundGroup: ...
@@ -65,10 +68,11 @@ class QuadraticObjective:
         return np.asarray(x, dtype=float) - self.centers[g]
 
     def bind(self, group: tuple[int, ...], x: np.ndarray) -> BoundGroup:
-        center = np.array([self.centers[g] for g in group])
+        center = np.array([self.centers[g] for g in group]).reshape(x.shape)
+        rows = np.atleast_2d(x)  # a view: a group of one binds x (P,)
 
         def value() -> np.ndarray:
-            return np.array([self.value(row, g) for row, g in zip(x, group)])
+            return np.array([self.value(row, g) for row, g in zip(rows, group)])
 
         return BoundGroup(value, lambda: (value(), x - center))
 

@@ -194,6 +194,17 @@ def _stream_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1)[0])
 
 
+def _stack(rows: list[np.ndarray]) -> np.ndarray:
+    """A group of same-spec vectors as a new float array: a group of one is
+    1-D (P,), the shape of every lone network; more stack as (n, P)."""
+    return np.array(rows[0] if len(rows) == 1 else rows, dtype=float)
+
+
+def _seeds(seeds: list[int]) -> int | tuple[int, ...]:
+    """A group's BatchStream seed by _stack's rule: an int or a tuple."""
+    return seeds[0] if len(seeds) == 1 else tuple(seeds)
+
+
 @dataclass
 class GlobalClock:
     """Warm-restart cosine schedule on a clock that is never reset."""
@@ -341,9 +352,9 @@ def dynamics_round(
     RoundTimeout under config.strict), or when budget_iters run out
     (stats.adopted stays None: the caller keeps its incumbent).
 
-    Each group of nodes with one objective.group_key is bound once, on its
-    stacked parameters (objective.bind). Each clock tick then trains and
-    scores every group with one call each, and updates the stacks in place.
+    Each group of nodes with one objective.group_key is bound once on its
+    parameters, 1-D or stacked by _stack (objective.bind). Each clock tick
+    then trains and scores every group with one call each, in place.
     states[g] holds each node's last x and v when the round ends.
     """
     dyn = config.dynamics()
@@ -357,8 +368,8 @@ def dynamics_round(
     )
     stats = RoundStats()
     v_train: dict[int, float] = {}
-    # One stacked state per group of nodes that share a kernel call; row i
-    # of a group's x and v is its i-th node's. The stacks take the nodes'
+    # One state per group of nodes that share a kernel call (_stack); row i
+    # of a group's x and v is its i-th node's. The groups take the nodes'
     # states out of states for the round (so no second copy stays alive)
     # and put them back, as row views, however the round ends.
     by_key: dict = {}
@@ -366,17 +377,13 @@ def dynamics_round(
         by_key.setdefault(objective.group_key(g), []).append(g)
     groups = [tuple(group) for group in by_key.values()]
 
-    def take(group: tuple[int, ...]) -> NodeState:
-        members = [states.pop(g) for g in group]
-        return NodeState(np.array([m.x for m in members]),
-                         np.array([m.v for m in members]))
-
-    stacked = [take(group) for group in groups]
-    rows = [(g, k, i) for k, group in enumerate(groups) for i, g in enumerate(group)]
+    taken = ([states.pop(g) for g in group] for group in groups)
+    stacked = [NodeState(_stack([m.x for m in members]), _stack([m.v for m in members]))
+               for members in taken]
 
     try:
-        # train_step writes each stack in place, so the bound groups stay
-        # valid for the whole round.
+        # train_step writes each group's state in place, so the bound
+        # groups stay valid for the whole round.
         bound = [objective.bind(group, state.x) for group, state in zip(groups, stacked)]
         while True:
             tau = clock.tau()
@@ -384,7 +391,7 @@ def dynamics_round(
             # one call per group, and each train loss is recorded.
             for group, net, state in zip(groups, bound, stacked):
                 losses, grads = net.value_and_grad()
-                v_train.update(zip(group, losses.tolist()))
+                v_train.update(zip(group, np.atleast_1d(losses).tolist()))
                 train_step(
                     state, clip_gradient(grads, config.grad_clip), tau,
                     gamma=config.damping, momentum=not config.pure_gradient,
@@ -431,8 +438,9 @@ def dynamics_round(
                 stats.adopted = min(nodes, key=lambda g: (-ensemble.counts[g], g))
                 break
     finally:
-        for g, k, i in rows:
-            states[g] = NodeState(stacked[k].x[i], stacked[k].v[i])
+        for group, state in zip(groups, stacked):
+            rows = zip(np.atleast_2d(state.x), np.atleast_2d(state.v))
+            states.update(zip(group, (NodeState(x, v) for x, v in rows)))
 
     stats.final_counts = dict(ensemble.counts)
     return stats
@@ -443,9 +451,9 @@ class NetObjective:
     in one round of a search.
 
     Nodes of one NetSpec form a group. A bound group draws its batches from
-    its stacked train and val streams (streams) and runs them through two
-    networks bound to its parameter stack: one at s_x for training, one at
-    s_y for scoring, each checked against its whole split once.
+    its train and val streams (streams) and runs them through two networks
+    bound to its parameters, (P,) or (n, P) by _stack: one at s_x for
+    training, one at s_y for scoring, each checked against its split once.
     """
 
     def __init__(self, specs: Mapping[int, NetSpec], data: Dataset,
@@ -459,13 +467,13 @@ class NetObjective:
         return self.specs[g]
 
     def streams(self, group: tuple[int, ...]) -> tuple[BatchStream, BatchStream]:
-        """The group's train and val streams for the round; row i of each
-        is node group[i]'s own seeded stream."""
+        """The group's train and val streams for the round (seeded by
+        _seeds); row i of each is node group[i]'s own seeded stream."""
 
         def stack(split, size, kind):
-            seeds = tuple(_stream_seed(self.config.seed, 5, self.round_idx, g, kind)
-                          for g in group)
-            return BatchStream(*split, size, seeds)
+            seeds = [_stream_seed(self.config.seed, 5, self.round_idx, g, kind)
+                     for g in group]
+            return BatchStream(*split, size, _seeds(seeds))
 
         train, val = self.splits
         return stack(train, self.config.s_x, 0), stack(val, self.config.s_y, 1)
@@ -636,12 +644,16 @@ def _start_spec(config: SearchConfig, data: Dataset) -> NetSpec:
 
 def check_search(config: SearchConfig, data: Dataset) -> None:
     """Raise, before anything trains, what a search would raise later on
-    its start network or batch sizes: ConstraintViolated for a start network
-    over constraints.max_params, SplitTooSmall for a train split that cannot
-    fill a batch of s_x or, in the particle modes, a val split that cannot
-    fill one of s_y (the hill climber scores the whole val split)."""
+    its start network, splits or batch sizes: ConstraintViolated for a start
+    network over constraints.max_params, SplitTooSmall for an empty val or
+    test split, a train split that cannot fill a batch of s_x or, in the
+    particle modes, a val split that cannot fill one of s_y (the hill
+    climber scores the whole val split)."""
     _start_spec(config, data)
     iters_per_epoch(data, config)
+    for split in ("val", "test"):
+        if getattr(data, f"{split}_idx").size == 0:
+            raise SplitTooSmall(f"{split} split is empty")
     if config.mode != "hillclimb":
         _batches(data, "val", config.s_y)
 
@@ -823,35 +835,6 @@ def run_search(
         )
 
 
-def _train_children(
-    spec: NetSpec,
-    params: list[np.ndarray],
-    seeds: tuple[int, ...],
-    train_x: np.ndarray,
-    train_y: np.ndarray,
-    config: SearchConfig,
-) -> np.ndarray:
-    """Train hill-climb children of one spec for one epochs_neigh cycle,
-    each from zero velocity on its own seeded stream and a fresh clock;
-    returns their trained parameters, one row per child.
-
-    Two or more train as one stack (one _fit); a single child keeps the
-    1-D path, where a stacked call costs more. Every fresh clock has the
-    same schedule, so one clock serves the stack.
-    """
-    if len(params) == 1:
-        x, seed = np.asarray(params[0], dtype=float), seeds[0]
-    else:
-        x, seed = np.array(params, dtype=float), seeds
-    stream = BatchStream(train_x, train_y, config.s_x, seed)
-    clock = GlobalClock.for_search(config, stream.batches_per_epoch)
-    *_, trained = _fit(
-        spec, NodeState(x, np.zeros_like(x)), stream, clock,
-        config.epochs_neigh, config.grad_clip, "baseline training",
-    )
-    return np.atleast_2d(trained.x)
-
-
 def hill_climb_baseline(
     config: SearchConfig,
     data: Dataset,
@@ -859,10 +842,11 @@ def hill_climb_baseline(
     wallclock_cap: float | None = None,
 ) -> SearchResult:
     """Sequential-training baseline: each cycle trains every child for
-    epochs_neigh epochs and keeps the best validation loss.
+    epochs_neigh epochs, from zero velocity on its own stream and a fresh
+    clock, and keeps the best validation loss (the incumbent's is carried).
 
-    Children of one spec train together as one stack (_train_children), in
-    the order of each group's first child, and are scored in graph order.
+    Children of one spec train in one _fit, grouped by _stack and _seeds,
+    in the order of each group's first child, and are scored in graph order.
     n_steps is the number of cycles. With a wallclock_cap, the run stops as
     soon as the search phase has run that long (checked before each cycle
     and before each group of same-spec children) and skips final training;
@@ -878,6 +862,7 @@ def hill_climb_baseline(
         incumbent, _metrics, audit_writer, best_path
     ):
         t_search = time.perf_counter()
+        incumbent_loss = evaluate(incumbent.spec, incumbent.params, val_x, val_y)[0]
         cycles = max(1, int(round(config.n_steps)))
         explored = 1
         rounds_done = 0
@@ -908,21 +893,25 @@ def hill_climb_baseline(
                     capped = True
                     break
                 explored += len(group)
-                trained.update(zip(group, _train_children(
-                    spec, [graph.payload(g).params for g in group],
-                    tuple(seeds[g] for g in group), train_x, train_y, config,
-                )))
+                x = _stack([graph.payload(g).params for g in group])
+                stream = BatchStream(train_x, train_y, config.s_x,
+                                     _seeds([seeds[g] for g in group]))
+                # Every fresh clock has the same schedule, so one serves a stack.
+                clock = GlobalClock.for_search(config, stream.batches_per_epoch)
+                *_, fitted = _fit(
+                    spec, NodeState(x, np.zeros_like(x)), stream, clock,
+                    config.epochs_neigh, config.grad_clip, "baseline training",
+                )
+                trained.update(zip(group, np.atleast_2d(fitted.x)))
             # Scored in graph order, so ties resolve as they would child by child.
-            scored = [
-                (evaluate(incumbent.spec, incumbent.params, val_x, val_y)[0],
-                 incumbent.spec, incumbent.params)
-            ]
+            scored = [(incumbent_loss, incumbent.spec, incumbent.params)]
             for g in children:
                 if g in trained:
                     child = graph.payload(g)
                     scored.append((evaluate(child.spec, trained[g], val_x, val_y)[0],
                                    child.spec, trained[g]))
             best = min(scored, key=lambda item: item[0])
+            incumbent_loss = best[0]
             incumbent = Candidate(best[1], best[2], None, None)
             if not capped:
                 rounds_done += 1

@@ -197,11 +197,15 @@ def test_start_network_over_max_params_exits_2(command, tmp_path, caplog):
                  id="train-split-below-s_x"),
     pytest.param({"search.s_y": 500}, "val split of 300 rows cannot fill a batch of 500",
                  id="val-split-below-s_y"),
+    # Six rows leave the val and test splits empty.
+    pytest.param({"search.mode": "hillclimb", "data.n": 6, "search.s_x": 1},
+                 "val split is empty", id="empty-val-split"),
 ])
 def test_search_start_errors_exit_2_before_the_run_directory(overrides, message,
                                                              tmp_path, caplog):
     # Each of these once exited 2 from inside the run (the s_y one after
-    # pretraining), leaving a manifest with no end and empty artifacts.
+    # pretraining), leaving a manifest with no end and empty artifacts; the
+    # empty split once exited 0 and printed NaN losses, which is not JSON.
     config = tmp_path / "config.json"
     config.write_text(json.dumps(overrides))
     out_dir = tmp_path / "run"
@@ -341,6 +345,21 @@ def test_eval_missing_checkpoint(tmp_path):
     code, out, err = run_cli_all(["eval", "--config", cfg,
                                   "--checkpoint", str(tmp_path / "none.json")])
     assert code == 2
+
+
+def test_eval_on_an_empty_split_exits_2(tmp_path, caplog):
+    cfg = write_config(tmp_path, {"data.n": 6})
+    data = sf.make_blobs(6, seed=0)
+    spec = sf.NetSpec(data.input_dim, data.n_classes, (4,))
+    checkpoint = tmp_path / "net.json"
+    sf.save_checkpoint(str(checkpoint), spec, sf.init_params(spec, np.random.default_rng(0)))
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, out, err = run_cli_all(["eval", "--config", cfg, "--checkpoint",
+                                      str(checkpoint), "--split", "test"])
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    [record] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert record.getMessage() == "test split is empty"
 
 
 def test_pretrain_writes_checkpoint(tmp_path):

@@ -152,3 +152,29 @@ def test_capped_baseline_counts_trained_children_and_the_cap(monkeypatch, blobs_
     # at which the cap fired.
     assert result.architectures_explored == 1 + config.n_neigh + len(second[0]) + 1
     assert result.rounds == 1 and result.test_metrics == {}
+
+
+def test_baseline_scores_its_incumbent_once(monkeypatch, blobs_small):
+    # The incumbent is scored when the search phase starts and its loss is
+    # carried from the cycle that picked it: before final training, one
+    # evaluate for the start network and one per child trained.
+    calls, at_final = [], []
+    evaluate, final_train = search.evaluate, search.final_train
+
+    def counted(*args, **kw):
+        calls.append(args[0])
+        return evaluate(*args, **kw)
+
+    def recorded(*args, **kw):
+        at_final.append(len(calls))
+        return final_train(*args, **kw)
+
+    monkeypatch.setattr(search, "evaluate", counted)
+    monkeypatch.setattr(search, "final_train", recorded)
+    config = sf.SearchConfig(mode="hillclimb", seed=0, n_neigh=4, n_steps=3.0,
+                             epochs_neigh=1, hidden=(4,), pretrain_epochs=0,
+                             final_budget=2)
+    result = search.hill_climb_baseline(config, blobs_small)
+    assert result.rounds == 3
+    assert result.architectures_explored == 1 + 3 * config.n_neigh
+    assert at_final == [result.architectures_explored]

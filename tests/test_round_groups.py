@@ -141,6 +141,8 @@ def test_grouped_round_matches_per_node_loop(blobs_small, tmp_path, mode, seed):
         groups.setdefault(specs[g], []).append(g)
     assert max(len(nodes) for nodes in groups.values()) >= 2
     assert len(groups) < len(graph.nodes())
+    # A group of one trains 1-D, so both of the round's paths are compared.
+    assert min(len(nodes) for nodes in groups.values()) == 1
 
     runs = {}
     for name, run in (("grouped", None), ("reference", reference_round)):
@@ -188,8 +190,9 @@ def run_net_round(data, config, graph, specs, states):
 
 def test_round_binds_each_group_once_and_draws_stacks(blobs_small, monkeypatch):
     # Per group and round: one bound network for training and one for
-    # scoring. Per group and tick: one stacked train draw and one val draw,
-    # never one draw per node.
+    # scoring. Per group and tick: one train draw and one val draw, never
+    # one draw per node; a group of one draws (batch, d), a larger group
+    # stacks (n, batch, d).
     config, graph, specs = round_rig(blobs_small, "nasgd", 0)
     groups = {}
     for g in graph.nodes():
@@ -214,8 +217,14 @@ def test_round_binds_each_group_once_and_draws_stacks(blobs_small, monkeypatch):
     assert stats.iterations > 1
     assert len(built) == 2 * len(groups)
     assert len(drawn) == 2 * len(groups) * stats.iterations
-    assert all(len(shape) == 3 for shape in drawn)
-    assert sum(shape[0] for shape in drawn) == 2 * len(graph.nodes()) * stats.iterations
+    sizes = [len(nodes) for nodes in groups.values()]
+    assert min(sizes) == 1 and max(sizes) >= 2
+    d = blobs_small.input_dim
+    per_tick = [(batch, d) if n == 1 else (n, batch, d)
+                for n in sizes for batch in (config.s_x, config.s_y)]
+    assert sorted(drawn) == sorted(per_tick * stats.iterations)
+    rows = sum(shape[0] if len(shape) == 3 else 1 for shape in drawn)
+    assert rows == 2 * len(graph.nodes()) * stats.iterations
 
 
 # -- failures ---------------------------------------------------------------
@@ -233,6 +242,60 @@ def quadratic_rig(dims, offsets=None, centers=None):
     states = {g: sf.NodeState(np.ones(d), np.zeros(d)) for g, d in zip(graph.nodes(), dims)}
     config = sf.SearchConfig(mode="nasgd", seed=0, epochs_neigh=2, n_particles=50)
     return graph, obj, states, config
+
+
+class RecordedObjective:
+    """Records the shape of every x the round binds. With stack, binds
+    every group as a stack, a group of one as (1, P): the round's path
+    before a group of one was 1-D."""
+
+    def __init__(self, objective, stack):
+        self.objective, self.stack = objective, stack
+        self.bound_shapes = []
+
+    def group_key(self, g):
+        return self.objective.group_key(g)
+
+    def bind(self, group, x):
+        self.bound_shapes.append(x.shape)
+        if not self.stack:
+            return self.objective.bind(group, x)
+        bound = self.objective.bind(group, x.reshape(len(group), -1))
+
+        def value_and_grad():
+            values, grads = bound.value_and_grad()
+            return values, grads.reshape(x.shape)
+
+        return sf.BoundGroup(bound.value, value_and_grad)
+
+
+def test_quadratic_round_with_a_group_of_one_matches_the_stacked_path():
+    # Node 5 (dimension 5) is a group of one and is bound 1-D; the round
+    # must end as the all-stacked path does, bit for bit. Mass reaches every
+    # child over 19 ticks before node 5 doubles the center.
+    dims = [2, 3, 2, 3, 2, 5]
+    centers = {g: 1.0 + 0.3 * np.linspace(-1.0, 1.0, d) for g, d in enumerate(dims)}
+    runs = []
+    for stack in (False, True):
+        graph, obj, states, config = quadratic_rig(dims, {0: 0.05}, centers)
+        objective = RecordedObjective(obj, stack)
+        stats = dynamics_round(graph, objective, states, config,
+                               GlobalClock(4, 2, 0.05, 1e-7), np.random.default_rng(0))
+        runs.append((stats, states, objective.bound_shapes))
+    (stats, states, shapes), (ref_stats, ref_states, ref_shapes) = runs
+    assert shapes == ref_shapes and (5,) in shapes and (3, 2) in shapes
+    assert (stats.iterations, stats.adopted) == (19, 5)
+    assert min(stats.final_counts.values()) > 1
+    assert (stats.adopted, stats.iterations, stats.movers, stats.final_counts,
+            stats.energy_trace) == (ref_stats.adopted, ref_stats.iterations,
+                                    ref_stats.movers, ref_stats.final_counts,
+                                    ref_stats.energy_trace)
+    assert sorted(states) == sorted(ref_states)
+    for g in states:
+        for got, want in ((states[g].x, ref_states[g].x), (states[g].v, ref_states[g].v)):
+            assert got.shape == (dims[g],)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("bad, named", [
