@@ -50,6 +50,7 @@ from .errors import (
     MissingFile,
     ShapeMismatch,
 )
+from .recording import write_atomic
 
 
 @dataclass(frozen=True)
@@ -545,7 +546,8 @@ def spec_digest(spec: NetSpec) -> str:
 
 
 def save_checkpoint(path: str, spec: NetSpec, params: np.ndarray) -> None:
-    """Write {"spec": [...], "flat": [...]} with exact float round-trip.
+    """Write {"spec": [...], "flat": [...]} with exact float round-trip,
+    atomically (write_atomic).
 
     Floats are printed with 17 significant digits, enough to reproduce the
     binary values bit for bit on load.
@@ -565,8 +567,7 @@ def save_checkpoint(path: str, spec: NetSpec, params: np.ndarray) -> None:
         json.dumps(spec_to_descriptors(spec)),
         flat,
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(blob + "\n")
+    write_atomic(path, blob + "\n")
 
 
 def load_checkpoint(path: str) -> tuple[NetSpec, np.ndarray]:

@@ -12,6 +12,7 @@ compute starts and rewritten with the end timestamp on completion.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import IO, Any, Iterable
@@ -134,6 +135,20 @@ def utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Write text to path + ".tmp", then rename it onto path, so a write
+    that fails or is killed leaves path as it was."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_manifest(
     path: str,
     config: dict,
@@ -152,9 +167,7 @@ def write_manifest(
         "ended": ended,
         "outputs": outputs,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def read_manifest(path: str) -> dict:

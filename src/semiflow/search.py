@@ -205,6 +205,13 @@ def _seeds(seeds: list[int]) -> int | tuple[int, ...]:
     return seeds[0] if len(seeds) == 1 else tuple(seeds)
 
 
+def _step(state: NodeState, grad: np.ndarray, tau: float, config: SearchConfig) -> None:
+    """Every trainer's parameter update, in place: grad clipped at grad_clip,
+    then train_step with the config's damping and pure_gradient."""
+    train_step(state, clip_gradient(grad, config.grad_clip), tau,
+               gamma=config.damping, momentum=not config.pure_gradient)
+
+
 @dataclass
 class GlobalClock:
     """Warm-restart cosine schedule on a clock that is never reset."""
@@ -354,8 +361,8 @@ def dynamics_round(
 
     Each group of nodes with one objective.group_key is bound once on its
     parameters, 1-D or stacked by _stack (objective.bind). Each clock tick
-    then trains and scores every group with one call each, in place.
-    states[g] holds each node's last x and v when the round ends.
+    then trains (by _step) and scores every group with one call each, in
+    place. states[g] holds each node's last x and v when the round ends.
     """
     dyn = config.dynamics()
     nodes = graph.nodes()
@@ -392,10 +399,7 @@ def dynamics_round(
             for group, net, state in zip(groups, bound, stacked):
                 losses, grads = net.value_and_grad()
                 v_train.update(zip(group, np.atleast_1d(losses).tolist()))
-                train_step(
-                    state, clip_gradient(grads, config.grad_clip), tau,
-                    gamma=config.damping, momentum=not config.pure_gradient,
-                )
+                _step(state, grads, tau, config)
             # Every group is scored before a failure is raised, so a
             # non-finite loss names the first such node in node order.
             failures = []
@@ -561,14 +565,12 @@ def _fit(
     stream: BatchStream,
     clock: GlobalClock,
     epochs: int,
-    grad_clip: float,
+    config: SearchConfig,
     what: str,
-    gamma: float = 1.0,
-    momentum: bool = True,
 ) -> Iterator[NodeState]:
     """Train one network, or a stack of networks of one spec, for epochs
-    passes over the stream at the clock's step sizes, yielding its state
-    after each epoch.
+    passes over the stream, one _step per batch at the clock's step size,
+    yielding its state after each epoch.
 
     A stack's state is (n, P) and its stream stacks n seeds; each row trains
     bit for bit as its own network would on its own stream and clock.
@@ -591,10 +593,7 @@ def _fit(
                 loss, grad_vec = net.loss_and_grad(*stream.next_batch())
                 if not finite(loss):
                     raise Divergence(f"{what} loss became {loss}")
-                train_step(
-                    state, clip_gradient(grad_vec, grad_clip), clock.tau(),
-                    gamma=gamma, momentum=momentum,
-                )
+                _step(state, grad_vec, clock.tau(), config)
                 clock.advance()
         if not np.all(np.isfinite(state.x)):
             raise Divergence(f"{what} produced non-finite parameters")
@@ -604,8 +603,9 @@ def _fit(
 def pretrain(
     spec: NetSpec, data: Dataset, config: SearchConfig, params: np.ndarray
 ) -> np.ndarray:
-    """Train params with one cosine arc over config.pretrain_epochs epochs,
-    from pretrain_lam_start to pretrain_lam_final, on batches of s_x.
+    """Train params by _step from zero velocity, with one cosine arc over
+    pretrain_epochs epochs from pretrain_lam_start to pretrain_lam_final, on
+    batches of s_x.
 
     Returns the trained flat parameter vector. Raises Divergence if the loss
     or parameters stop being finite.
@@ -624,7 +624,7 @@ def pretrain(
     )
     *_, state = _fit(
         spec, NodeState(params, np.zeros_like(params)), stream, clock, epochs,
-        config.grad_clip, "pretraining",
+        config, "pretraining",
     )
     return state.x
 
@@ -678,9 +678,9 @@ def final_train(
     velocity: np.ndarray | None = None,
     checkpoint_path: str | None = None,
 ) -> tuple[np.ndarray, dict[str, Any]]:
-    """Polish with warm-restart cosine training until the validation loss
-    stalls for plateau_cycles consecutive cycles or the final_budget of
-    epochs ends.
+    """Polish with warm-restart cosine training by _step until the
+    validation loss stalls for plateau_cycles consecutive cycles or the
+    final_budget of epochs ends.
 
     Returns the best parameters and their metrics, with the epochs trained
     and final_stop, the rule that ended training: "plateau" or "budget".
@@ -718,9 +718,7 @@ def final_train(
     stop = "budget"
 
     for state in _fit(
-        spec, state, stream, clock, config.final_budget,
-        config.grad_clip, "final training",
-        gamma=config.damping, momentum=not config.pure_gradient,
+        spec, state, stream, clock, config.final_budget, config, "final training",
     ):
         epochs_done += 1
         val_loss = evaluate(spec, state.x, val_x, val_y)[0]
@@ -841,9 +839,9 @@ def hill_climb_baseline(
     out_dir: str | None = None,
     wallclock_cap: float | None = None,
 ) -> SearchResult:
-    """Sequential-training baseline: each cycle trains every child for
-    epochs_neigh epochs, from zero velocity on its own stream and a fresh
-    clock, and keeps the best validation loss (the incumbent's is carried).
+    """Sequential-training baseline: each cycle trains every child by _step
+    for epochs_neigh epochs from zero velocity, on its own stream and a
+    fresh clock; the best validation loss wins (the incumbent's is carried).
 
     Children of one spec train in one _fit, grouped by _stack and _seeds,
     in the order of each group's first child, and are scored in graph order.
@@ -900,7 +898,7 @@ def hill_climb_baseline(
                 clock = GlobalClock.for_search(config, stream.batches_per_epoch)
                 *_, fitted = _fit(
                     spec, NodeState(x, np.zeros_like(x)), stream, clock,
-                    config.epochs_neigh, config.grad_clip, "baseline training",
+                    config.epochs_neigh, config, "baseline training",
                 )
                 trained.update(zip(group, np.atleast_2d(fitted.x)))
             # Scored in graph order, so ties resolve as they would child by child.

@@ -81,8 +81,10 @@ def run_both(spec, x, v, features, labels, batch, seed, epochs, lam, grad_clip,
                                     "fit", gamma=gamma, momentum=momentum)
             else:
                 out = []
+                config = sf.SearchConfig(grad_clip=grad_clip, damping=gamma,
+                                         pure_gradient=not momentum)
                 for state in _fit(spec, sf.NodeState(x, v), stream, clock, epochs,
-                                  grad_clip, "fit", gamma=gamma, momentum=momentum):
+                                  config, "fit"):
                     assert not np.shares_memory(state.x, x)
                     assert not np.shares_memory(state.v, v)
                     out.append((state.x.copy(), state.v.copy()))
@@ -139,6 +141,39 @@ def test_pretrain_and_final_train_leave_caller_arrays(spec, seed):
     assert not np.shares_memory(trained, x) and not np.shares_memory(best, x)
 
 
+# -- the config's step in every phase ----------------------------------------
+
+KNOBS = [pytest.param({"pure_gradient": True}, id="pure_gradient"),
+         pytest.param({"damping": 0.5}, id="damping")]
+
+
+def reference_steps(spec, x, stream, clock, epochs, config):
+    """epochs passes of the public loss_and_grad, clip_gradient and
+    train_step with the config's damping and pure_gradient, from zero
+    velocity; returns the last x."""
+    state = sf.NodeState(np.array(x, dtype=float), np.zeros(np.size(x)))
+    for _ in range(epochs * stream.batches_per_epoch):
+        _, grad = sf.loss_and_grad(spec, state.x, *stream.next_batch())
+        sf.train_step(state, sf.clip_gradient(grad, config.grad_clip), clock.tau(),
+                      gamma=config.damping, momentum=not config.pure_gradient)
+        clock.advance()
+    return state.x
+
+
+@pytest.mark.parametrize("knob", KNOBS)
+def test_pretrain_takes_the_configs_step(knob):
+    spec = sf.NetSpec(2, 4, (8, 8), ((1, 2),))
+    data = sf.make_blobs(200, seed=1)
+    config = sf.SearchConfig(pretrain_epochs=3, s_x=16, grad_clip=0.5, **knob)
+    x = sf.init_params(spec, np.random.default_rng(0))
+    stream = sf.BatchStream(*data.split("train"), config.s_x,
+                            search._stream_seed(config.seed, 5, 0, 0, 0))
+    clock = GlobalClock(stream.batches_per_epoch, config.pretrain_epochs,
+                        config.pretrain_lam_start, config.pretrain_lam_final)
+    want = reference_steps(spec, x, stream, clock, config.pretrain_epochs, config)
+    assert same_bits(sf.pretrain(spec, data, config, x), want)
+
+
 # -- the label check on entry -------------------------------------------------
 
 
@@ -190,10 +225,12 @@ def fit_rows(spec, xs, vs, features, labels, batch, seeds, epochs, lam,
     x and v after each epoch, whether it failed, the clock's k)."""
     stream = sf.BatchStream(features, labels, batch, seeds)
     clock = GlobalClock(stream.batches_per_epoch, 2, lam, lam / 100)
+    config = sf.SearchConfig(grad_clip=grad_clip, damping=gamma,
+                             pure_gradient=not momentum)
     after, failed = [], False
     try:
         for state in _fit(spec, sf.NodeState(xs, vs), stream, clock, epochs,
-                          grad_clip, "fit", gamma=gamma, momentum=momentum):
+                          config, "fit"):
             after.append((state.x.copy(), state.v.copy()))
     except (Divergence, NonFiniteGradient):
         failed = True

@@ -21,6 +21,7 @@ from semiflow import search
 from semiflow.dynamics import NodeState
 from semiflow.morphisms import Candidate
 from semiflow.search import GlobalClock, _fit, _stream_seed
+from test_fit_props import KNOBS, reference_steps
 from test_nn_layout import same_bits
 
 
@@ -56,7 +57,7 @@ def reference_hill_climb(config, data):
             *_, trained = _fit(
                 child.spec, NodeState(params, np.zeros(params.size)),
                 stream, clock, config.epochs_neigh,
-                config.grad_clip, "baseline training",
+                config, "baseline training",
             )
             scored.append(
                 (sf.evaluate(child.spec, trained.x, val_x, val_y)[0],
@@ -113,6 +114,39 @@ def test_baseline_matches_the_child_by_child_loop(seed, n_neigh, cycles, epochs,
         assert spec == ref_spec and same_bits(params, ref_params)
     assert result.best_spec == ref_last.spec
     assert same_bits(result.best_params, ref_last.params)
+
+
+@pytest.mark.parametrize("knob", KNOBS)
+def test_children_take_the_configs_step(monkeypatch, knob):
+    # Each child of one cycle, stacked with its same-spec siblings or not,
+    # trains as the reference loop with the config's damping and
+    # pure_gradient trains it alone on its own stream and a fresh clock.
+    config = sf.SearchConfig(mode="hillclimb", seed=0, n_neigh=5, n_steps=1.0,
+                             epochs_neigh=2, hidden=(4,), s_x=32,
+                             pretrain_epochs=1, final_budget=0, **knob)
+    data = sf.make_blobs(200, seed=0)
+    seen = recording(monkeypatch)
+    scored = []
+    evaluate = search.evaluate
+
+    def recorded(spec, params, *args):
+        scored.append((spec, np.array(params)))
+        return evaluate(spec, params, *args)
+
+    monkeypatch.setattr(search, "evaluate", recorded)
+    search.hill_climb_baseline(config, data)
+    [(_, _, graph)] = seen
+    children = [graph.payload(g) for g in graph if g != graph.center]
+    assert len({child.spec for child in children}) < len(children)
+    # scored: the start network, then each child in graph order.
+    trained = scored[1:1 + len(children)]
+    for i, (child, (spec, got)) in enumerate(zip(children, trained, strict=True)):
+        stream = sf.BatchStream(*data.split("train"), config.s_x,
+                                _stream_seed(config.seed, 7, 1, 1 + i))
+        clock = GlobalClock.for_search(config, stream.batches_per_epoch)
+        want = reference_steps(child.spec, child.params, stream, clock,
+                               config.epochs_neigh, config)
+        assert spec == child.spec and same_bits(got, want)
 
 
 def test_capped_baseline_counts_trained_children_and_the_cap(monkeypatch, blobs_small):

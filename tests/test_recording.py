@@ -1,4 +1,9 @@
+import builtins
 import json
+import os
+
+import numpy as np
+import pytest
 
 import semiflow as sf
 from semiflow.recording import METRICS_COLUMNS, utc_now
@@ -63,3 +68,58 @@ def test_manifest_config_rebuilds_run(tmp_path):
                       started=utc_now())
     reread = sf.load_config(path)
     assert sf.build_search_config(sf.normalize(reread)).beta == 1.5
+
+
+class HalfWrite:
+    """A text file whose write stores half its text, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("name", ["best.json", "manifest.json"])
+def test_an_interrupted_write_leaves_the_previous_file(tmp_path, name):
+    # A run rewrites best.json after every round and manifest.json at its
+    # end: a write that fails halfway must leave the last whole file, which
+    # still loads, and no temporary file beside it.
+    path = str(tmp_path / name)
+    spec = sf.NetSpec(2, 3, (4,))
+    params = [sf.init_params(spec, np.random.default_rng(s)) for s in (0, 1)]
+
+    def write(version):
+        if name == "best.json":
+            sf.save_checkpoint(path, spec, params[version])
+        else:
+            sf.write_manifest(path, {"search.seed": 0}, 0, "v", [name], "t0",
+                              ended=[None, "t1"][version])
+
+    write(0)
+    before = (tmp_path / name).read_bytes()
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kw):
+        fh = real_open(file, mode, *args, **kw)
+        return HalfWrite(fh) if "w" in mode else fh
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(builtins, "open", failing_open)
+        with pytest.raises(OSError, match="No space left"):
+            write(1)
+    assert (tmp_path / name).read_bytes() == before
+    assert os.listdir(tmp_path) == [name]
+    if name == "best.json":
+        loaded_spec, loaded = sf.load_checkpoint(path)
+        assert loaded_spec == spec and np.array_equal(loaded, params[0])
+    else:
+        assert sf.read_manifest(path)["ended"] is None
