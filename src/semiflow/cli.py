@@ -16,7 +16,6 @@ non-finite loss, gradient or potential), 4 when a round times out under
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -62,7 +61,7 @@ from .nn import (
     save_checkpoint,
     spec_digest,
 )
-from .recording import MetricsWriter, utc_now, write_manifest
+from .recording import MetricsWriter, json_text, utc_now, write_atomic, write_manifest
 from .search import (
     MODES,
     check_search,
@@ -178,8 +177,7 @@ def _load_table(args) -> dict:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json_text(payload))
 
 
 def _cmd_search(args) -> int:
@@ -326,9 +324,7 @@ def _cmd_bench(args) -> int:
         "order": args.order,
         "seed": seed,
     }
-    with open(os.path.join(args.out, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(os.path.join(args.out, "summary.json"), json_text(summary))
     _emit(summary)
     return 0
 
@@ -358,9 +354,7 @@ def _cmd_graph_dump(args) -> int:
         ],
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_atomic(args.out, json_text(payload))
         _emit({"written": args.out, "nodes": len(payload["nodes"]),
                "edges": len(payload["edges"])})
     else:

@@ -363,8 +363,12 @@ def bind(
     (rows,), checking params and the whole split once instead of every
     batch. A stack's batches are (..., batch, input_dim) and (..., batch).
     params must be a float array: the bound network reads it, and sees
-    in-place writes to it."""
+    in-place writes to it. labels must have an integer dtype, as the bound
+    network indexes with its batches' labels (BadLabel otherwise)."""
     lay, params, features = _check_call(spec, params, features, lead=())
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise BadLabel(f"bound labels must have an integer dtype, got {labels.dtype}")
     _check_labels(spec, features, labels)
     return BoundNet(lay, params, batch)
 

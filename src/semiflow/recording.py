@@ -7,13 +7,16 @@ Python float (integer-valued ones as ints), so every cell parses with
 float() and byte-identical reproduction of a run is meaningful. Wallclock
 never enters the CSV; it lives in the manifest, which is written before any
 compute starts and rewritten with the end timestamp on completion.
+
+The two line logs (metrics.csv, morphisms.jsonl) are LineFiles, appended to
+and flushed as the run goes. Every whole JSON file is json_text written by
+write_atomic, so it is replaced whole or not at all.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import IO, Any, Iterable
 
@@ -45,13 +48,36 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-@dataclass
-class MetricsWriter:
-    path: str
-    _fh: IO[str] | None = field(init=False, default=None, repr=False)
+class LineFile:
+    """A text file opened once for writing line by line ("\n" line ends)
+    and closed by close() or at the end of a with block; its writers
+    flush after whole lines."""
 
-    def __post_init__(self) -> None:
-        self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._fh: IO[str] | None = open(path, "w", encoding="utf-8", newline="\n")
+
+    def flush(self) -> None:
+        self._fh.flush()
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class MetricsWriter(LineFile):
+    """metrics.csv: the header, flushed on open, then one tick's rows per
+    write_rows; a search flushes after every tick."""
+
+    def __init__(self, path: str) -> None:
+        super().__init__(path)
         self._fh.write(",".join(METRICS_COLUMNS) + "\n")
         self._fh.flush()
 
@@ -90,49 +116,23 @@ class MetricsWriter:
         self.write_rows(iter_k, round_idx, tau_k, energy,
                         [(node_id, count, f, v_train, v_val, phi, moved)])
 
-    def flush(self) -> None:
-        self._fh.flush()
 
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "MetricsWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-@dataclass
-class JsonlWriter:
+class JsonlWriter(LineFile):
     """Append-only JSON-lines log, flushed per record."""
-
-    path: str
-    _fh: IO[str] | None = field(init=False, default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
 
     def write(self, record: dict) -> None:
         self._fh.write(json.dumps(record, sort_keys=True) + "\n")
         self._fh.flush()
 
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "JsonlWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 def utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+def json_text(payload: Any) -> str:
+    """The text of every whole JSON file and of the CLI's stdout: two-space
+    indent, sorted keys, one closing newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -167,7 +167,7 @@ def write_manifest(
         "ended": ended,
         "outputs": outputs,
     }
-    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json_text(payload))
 
 
 def read_manifest(path: str) -> dict:

@@ -684,24 +684,32 @@ def final_train(
 
     Returns the best parameters and their metrics, with the epochs trained
     and final_stop, the rule that ended training: "plateau" or "budget".
+    With a checkpoint_path, the best parameters so far are saved there after
+    every schedule cycle, and the returned ones on return.
     """
     x_feat, x_lab = data.split("train")
     val_x, val_y = data.split("val")
     test_x, test_y = data.split("test")
     params = np.asarray(params, dtype=float)
 
-    def metrics_now(p) -> dict[str, float]:
-        val_loss, val_acc = evaluate(spec, p, val_x, val_y)
-        test_loss, test_acc = evaluate(spec, p, test_x, test_y)
-        return {
+    def finish(
+        best: np.ndarray, epochs: int, stop: str,
+    ) -> tuple[np.ndarray, dict[str, Any]]:
+        if checkpoint_path is not None:
+            save_checkpoint(checkpoint_path, spec, best)
+        val_loss, val_acc = evaluate(spec, best, val_x, val_y)
+        test_loss, test_acc = evaluate(spec, best, test_x, test_y)
+        return best, {
             "val_loss": val_loss,
             "val_accuracy": val_acc,
             "test_loss": test_loss,
             "test_accuracy": test_acc,
+            "epochs": float(epochs),
+            "final_stop": stop,
         }
 
     if config.final_budget == 0:
-        return params, {**metrics_now(params), "epochs": 0.0, "final_stop": "budget"}
+        return finish(params, 0, "budget")
 
     stream = BatchStream(
         x_feat, x_lab, config.s_x, _stream_seed(config.seed, 6, 0)
@@ -737,11 +745,7 @@ def final_train(
             if stall >= config.plateau_cycles:
                 stop = "plateau"
                 break
-
-    out = metrics_now(best_params)
-    out["epochs"] = float(epochs_done)
-    out["final_stop"] = stop
-    return best_params, out
+    return finish(best_params, epochs_done, stop)
 
 
 @contextmanager
@@ -819,8 +823,6 @@ def run_search(
             incumbent.spec, incumbent.params, data, config,
             clock=clock, velocity=incumbent.velocity, checkpoint_path=best_path,
         )
-        if best_path is not None:
-            save_checkpoint(best_path, incumbent.spec, best_params)
         return SearchResult(
             best_spec=incumbent.spec,
             best_params=best_params,
@@ -926,8 +928,6 @@ def hill_climb_baseline(
                 incumbent.spec, incumbent.params, data, config,
                 checkpoint_path=best_path,
             )
-            if best_path is not None:
-                save_checkpoint(best_path, incumbent.spec, best_params)
         return SearchResult(
             best_spec=incumbent.spec,
             best_params=best_params,

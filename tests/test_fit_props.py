@@ -191,7 +191,8 @@ def test_fit_checks_the_whole_split_before_any_step(monkeypatch, epochs):
     stream = sf.BatchStream(features, labels, 8, 0)
     clock = GlobalClock(stream.batches_per_epoch, 2, 0.05, 1e-7)
     with pytest.raises(BadLabel, match=r"labels must lie in \[0, 3\)"):
-        list(_fit(spec, sf.NodeState(x, v), stream, clock, epochs, 1.0, "fit"))
+        list(_fit(spec, sf.NodeState(x, v), stream, clock, epochs,
+                  sf.SearchConfig(grad_clip=1.0), "fit"))
     assert steps == [] and clock.k == 0
 
 
@@ -286,5 +287,5 @@ def test_stacked_fit_raises_on_any_rows_nonfinite_loss(spec, seed, n, data):
     clock = GlobalClock(stream.batches_per_epoch, 2, 0.05, 1e-7)
     with pytest.raises(Divergence, match="fit loss became"):
         list(_fit(spec, sf.NodeState(xs, np.zeros_like(xs)), stream, clock, 2,
-                  1.0, "fit"))
+                  sf.SearchConfig(grad_clip=1.0), "fit"))
     assert clock.k == 0

@@ -7,6 +7,7 @@ import pytest
 
 import semiflow as sf
 from semiflow.recording import METRICS_COLUMNS, utc_now
+from conftest import run_cli
 
 
 def test_metrics_header_and_row(tmp_path):
@@ -88,11 +89,14 @@ class HalfWrite:
         raise OSError(28, "No space left on device")
 
 
-@pytest.mark.parametrize("name", ["best.json", "manifest.json"])
+@pytest.mark.parametrize(
+    "name", ["best.json", "manifest.json", "summary.json", "graph.json"])
 def test_an_interrupted_write_leaves_the_previous_file(tmp_path, name):
     # A run rewrites best.json after every round and manifest.json at its
-    # end: a write that fails halfway must leave the last whole file, which
-    # still loads, and no temporary file beside it.
+    # end; dynamics-bench writes summary.json and graph-dump --out its file
+    # (graph.json here) through the CLI. A write that fails halfway must
+    # leave the last whole file, which still loads, and no temporary file
+    # beside it.
     path = str(tmp_path / name)
     spec = sf.NetSpec(2, 3, (4,))
     params = [sf.init_params(spec, np.random.default_rng(s)) for s in (0, 1)]
@@ -100,26 +104,38 @@ def test_an_interrupted_write_leaves_the_previous_file(tmp_path, name):
     def write(version):
         if name == "best.json":
             sf.save_checkpoint(path, spec, params[version])
-        else:
+        elif name == "manifest.json":
             sf.write_manifest(path, {"search.seed": 0}, 0, "v", [name], "t0",
                               ended=[None, "t1"][version])
+        elif name == "summary.json":
+            assert run_cli(["dynamics-bench", "--out", str(tmp_path), "--nodes", "2",
+                            "--particles", "100", "--iters", str(3 + version)])[0] == 0
+        else:
+            assert run_cli(["graph-dump", "--data", "blobs", "--seed", str(version),
+                            "--out", path])[0] == 0
 
     write(0)
     before = (tmp_path / name).read_bytes()
+    files = sorted(os.listdir(tmp_path))
     real_open = builtins.open
 
     def failing_open(file, mode="r", *args, **kw):
         fh = real_open(file, mode, *args, **kw)
-        return HalfWrite(fh) if "w" in mode else fh
+        hit = "w" in mode and os.path.basename(file).startswith(name)
+        return HalfWrite(fh) if hit else fh
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(builtins, "open", failing_open)
         with pytest.raises(OSError, match="No space left"):
             write(1)
     assert (tmp_path / name).read_bytes() == before
-    assert os.listdir(tmp_path) == [name]
+    assert sorted(os.listdir(tmp_path)) == files
     if name == "best.json":
         loaded_spec, loaded = sf.load_checkpoint(path)
         assert loaded_spec == spec and np.array_equal(loaded, params[0])
-    else:
+    elif name == "manifest.json":
         assert sf.read_manifest(path)["ended"] is None
+    elif name == "summary.json":
+        assert json.loads(before)["points"][0]["iterations"] == 3
+    else:
+        assert len(json.loads(before)["nodes"]) == 9

@@ -299,6 +299,20 @@ def test_final_train_zero_budget(blobs_small):
     assert metrics["epochs"] == 0.0 and metrics["final_stop"] == "budget"
 
 
+@pytest.mark.parametrize("budget", [0, 3])
+def test_final_train_saves_what_it_returns(tmp_path, blobs_small, budget):
+    # final_train writes the last best.json of a search: on every return,
+    # the zero-budget one included, the checkpoint holds what it returns.
+    spec = sf.NetSpec(2, 4, (8, 8))
+    params = sf.init_params(spec, np.random.default_rng(7))
+    path = str(tmp_path / "best.json")
+    out, _ = sf.final_train(spec, params, blobs_small,
+                            small_config(epochs_neigh=1, final_budget=budget),
+                            checkpoint_path=path)
+    saved_spec, saved = sf.load_checkpoint(path)
+    assert saved_spec == spec and np.array_equal(saved, out)
+
+
 def test_final_train_plateau_stops_early(blobs_small):
     cfg = small_config(epochs_neigh=1, plateau_cycles=3, final_budget=100)
     spec = sf.NetSpec(2, 4, (8, 8))
