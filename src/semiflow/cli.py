@@ -19,7 +19,6 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .config import (
@@ -67,8 +66,8 @@ from .search import (
     check_search,
     particle_step,
     pretrain,
-    pretrain_start,
     run_search,
+    start_network,
     _rng,
 )
 
@@ -236,17 +235,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _untrained_start(config, data):
-    """A search's starting network before pretraining: the pretrain recipe
-    run for zero epochs returns the initialized parameters."""
-    return pretrain_start(replace(config, pretrain_epochs=0), data)
-
-
 def _cmd_pretrain(args) -> int:
     table = _load_table(args)
     config = build_search_config(table)
     data = build_dataset(table)
-    spec, params0 = _untrained_start(config, data)
+    spec, params0 = start_network(config, data)
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     params = pretrain(spec, data, config, params0)
     train_x, train_y = data.split("train")
     initial_loss = loss_only(spec, params0, train_x, train_y)
@@ -335,7 +329,9 @@ def _cmd_graph_dump(args) -> int:
     if args.checkpoint:
         spec, flat = load_checkpoint(args.checkpoint)
     else:
-        spec, flat = _untrained_start(config, build_dataset(table))
+        spec, flat = start_network(config, build_dataset(table))
+    if args.out:
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     graph, _audit = build_local_graph(
         spec, flat, config.n_neigh, config.constraints, config.mix,
         _rng(config.seed, 2, 1), topology=config.topology,
@@ -364,11 +360,9 @@ def _cmd_graph_dump(args) -> int:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    # Set on every call, so -v holds per invocation even in one process.
+    log.setLevel(logging.DEBUG if args.verbose else logging.INFO)
     handlers = {
         "search": _cmd_search,
         "eval": _cmd_eval,

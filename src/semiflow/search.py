@@ -19,6 +19,7 @@ epochs, keep the best) is included for exploration-throughput comparisons.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import time
@@ -80,6 +81,8 @@ from .objective import (
 )
 from .data import BatchStream, Dataset
 from .recording import JsonlWriter, MetricsWriter
+
+log = logging.getLogger(__name__)
 
 MODES = ("nasgd", "nasagd", "hillclimb")
 DEFAULT_N_STEPS = {"nasgd": 0.89, "nasagd": 2.54, "hillclimb": 5.0}
@@ -249,6 +252,13 @@ class RoundStats:
     movers: float = 0.0
     energy_trace: list[float] = field(default_factory=list)
     final_counts: dict[int, float] = field(default_factory=dict)
+
+    @property
+    def stop(self) -> str:
+        """The rule that ended the round: "doubling", "timeout" or "budget"."""
+        if self.timed_out:
+            return "timeout"
+        return "budget" if self.budget_exhausted else "doubling"
 
 
 @dataclass
@@ -547,15 +557,14 @@ def run_round(
         graph, objective, states, config, clock,
         _rng(config.seed, 3, round_idx), metrics, round_idx, budget_iters,
     )
-    if stats.adopted is None:
-        return incumbent, stats, audit
-    winner = graph.payload(stats.adopted)
-    next_incumbent = Candidate(
-        winner.spec,
-        states[stats.adopted].x.copy(),
-        states[stats.adopted].v.copy(),
-        winner.origin,
-    )
+    next_incumbent, adopted = incumbent, "none"
+    if stats.adopted is not None:
+        winner, state = graph.payload(stats.adopted), states[stats.adopted]
+        next_incumbent = Candidate(winner.spec, state.x.copy(), state.v.copy(),
+                                   winner.origin)
+        adopted = "incumbent" if stats.adopted == graph.center else winner.origin.kind
+    log.debug("round %d: %d iterations, stop %s, adopted %s",
+              round_idx, stats.iterations, stats.stop, adopted)
     return next_incumbent, stats, audit
 
 
@@ -629,9 +638,12 @@ def pretrain(
     return state.x
 
 
-def _start_spec(config: SearchConfig, data: Dataset) -> NetSpec:
-    """config.hidden on the data's shape; raises ConstraintViolated if that
-    network is over constraints.max_params."""
+def start_network(config: SearchConfig, data: Dataset) -> tuple[NetSpec, np.ndarray]:
+    """The network every search starts from, before pretraining: config.hidden
+    on the data's shape, initialized from the config's seed.
+
+    Raises ConstraintViolated if that network is over constraints.max_params.
+    """
     spec = NetSpec(data.input_dim, data.n_classes, config.hidden)
     n_params, cap = param_count(spec), config.constraints.max_params
     if n_params > cap:
@@ -639,7 +651,7 @@ def _start_spec(config: SearchConfig, data: Dataset) -> NetSpec:
             f"the start network has {n_params} parameters, over "
             f"constraints.max_params {cap}"
         )
-    return spec
+    return spec, init_params(spec, _rng(config.seed, 1))
 
 
 def check_search(config: SearchConfig, data: Dataset) -> None:
@@ -649,24 +661,13 @@ def check_search(config: SearchConfig, data: Dataset) -> None:
     test split, a train split that cannot fill a batch of s_x or, in the
     particle modes, a val split that cannot fill one of s_y (the hill
     climber scores the whole val split)."""
-    _start_spec(config, data)
+    start_network(config, data)
     iters_per_epoch(data, config)
     for split in ("val", "test"):
         if getattr(data, f"{split}_idx").size == 0:
             raise SplitTooSmall(f"{split} split is empty")
     if config.mode != "hillclimb":
         _batches(data, "val", config.s_y)
-
-
-def pretrain_start(config: SearchConfig, data: Dataset) -> tuple[NetSpec, np.ndarray]:
-    """The network every search starts from: config.hidden on the data's
-    shape, initialized and pretrained from the config's seed and recipe.
-
-    Raises ConstraintViolated if that network is over constraints.max_params.
-    """
-    spec = _start_spec(config, data)
-    params = init_params(spec, _rng(config.seed, 1))
-    return spec, pretrain(spec, data, config, params)
 
 
 def final_train(
@@ -695,6 +696,7 @@ def final_train(
     def finish(
         best: np.ndarray, epochs: int, stop: str,
     ) -> tuple[np.ndarray, dict[str, Any]]:
+        log.debug("final training: %d epochs, stop %s", epochs, stop)
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, spec, best)
         val_loss, val_acc = evaluate(spec, best, val_x, val_y)
@@ -770,7 +772,8 @@ def _open_run(
                 JsonlWriter(os.path.join(out_dir, "morphisms.jsonl"))
             )
             best_path = os.path.join(out_dir, "best.json")
-        spec, params = pretrain_start(config, data)
+        spec, params = start_network(config, data)
+        params = pretrain(spec, data, config, params)
         incumbent = Candidate(spec, params, np.zeros_like(params), None)
         yield incumbent, metrics, audit_writer, best_path
 
@@ -794,13 +797,11 @@ def run_search(
         clock = GlobalClock.for_search(config, ipe)
         budget_iters = round(config.n_steps * config.epochs_neigh * ipe)
         explored = 1
-        rounds = 0
         timed_out = 0
         t_search = time.perf_counter()
         round_idx = 0
-        while clock.k < budget_iters:
-            if param_count(incumbent.spec) > config.size_threshold:
-                break
+        while (clock.k < budget_iters
+               and param_count(incumbent.spec) <= config.size_threshold):
             round_idx += 1
             incumbent, stats, audit = run_round(
                 incumbent, config, data,
@@ -810,7 +811,6 @@ def run_search(
                 budget_iters=budget_iters - clock.k,
             )
             explored += len(audit)
-            rounds += 1
             timed_out += int(stats.timed_out)
             if audit_writer is not None:
                 for record in audit:
@@ -826,7 +826,7 @@ def run_search(
         return SearchResult(
             best_spec=incumbent.spec,
             best_params=best_params,
-            rounds=rounds,
+            rounds=round_idx,
             architectures_explored=explored,
             wallclock=time.perf_counter() - t_start,
             search_wallclock=search_secs,
@@ -846,7 +846,8 @@ def hill_climb_baseline(
     fresh clock; the best validation loss wins (the incumbent's is carried).
 
     Children of one spec train in one _fit, grouped by _stack and _seeds,
-    in the order of each group's first child, and are scored in graph order.
+    in the order of each group's first child. They are scored in graph
+    order, and one replaces the incumbent only on a strictly lower loss.
     n_steps is the number of cycles. With a wallclock_cap, the run stops as
     soon as the search phase has run that long (checked before each cycle
     and before each group of same-spec children) and skips final training;
@@ -862,13 +863,18 @@ def hill_climb_baseline(
         incumbent, _metrics, audit_writer, best_path
     ):
         t_search = time.perf_counter()
+
+        def out_of_time() -> bool:
+            return (wallclock_cap is not None
+                    and time.perf_counter() - t_search >= wallclock_cap)
+
         incumbent_loss = evaluate(incumbent.spec, incumbent.params, val_x, val_y)[0]
         cycles = max(1, int(round(config.n_steps)))
         explored = 1
         rounds_done = 0
         capped = False
         for cycle in range(1, cycles + 1):
-            if wallclock_cap is not None and time.perf_counter() - t_search >= wallclock_cap:
+            if out_of_time():
                 capped = True
                 break
             graph, audit = build_local_graph(
@@ -879,23 +885,23 @@ def hill_climb_baseline(
             if audit_writer is not None:
                 for record in audit:
                     audit_writer.write({"round": cycle, **record})
-            children = [g for g in graph if g != graph.center]
+            children = [graph.payload(g) for g in graph if g != graph.center]
             # Stream seeds number the children across all cycles.
-            seeds = {g: _stream_seed(config.seed, 7, cycle, explored + i)
-                     for i, g in enumerate(children)}
+            seeds = [_stream_seed(config.seed, 7, cycle, explored + i)
+                     for i in range(len(children))]
             groups: dict[NetSpec, list[int]] = {}
-            for g in children:
-                groups.setdefault(graph.payload(g).spec, []).append(g)
+            for i, child in enumerate(children):
+                groups.setdefault(child.spec, []).append(i)
             trained: dict[int, np.ndarray] = {}
             for spec, group in groups.items():
-                if wallclock_cap is not None and time.perf_counter() - t_search >= wallclock_cap:
+                if out_of_time():
                     explored += 1
                     capped = True
                     break
                 explored += len(group)
-                x = _stack([graph.payload(g).params for g in group])
+                x = _stack([children[i].params for i in group])
                 stream = BatchStream(train_x, train_y, config.s_x,
-                                     _seeds([seeds[g] for g in group]))
+                                     _seeds([seeds[i] for i in group]))
                 # Every fresh clock has the same schedule, so one serves a stack.
                 clock = GlobalClock.for_search(config, stream.batches_per_epoch)
                 *_, fitted = _fit(
@@ -903,22 +909,20 @@ def hill_climb_baseline(
                     config.epochs_neigh, config, "baseline training",
                 )
                 trained.update(zip(group, np.atleast_2d(fitted.x)))
-            # Scored in graph order, so ties resolve as they would child by child.
-            scored = [(incumbent_loss, incumbent.spec, incumbent.params)]
-            for g in children:
-                if g in trained:
-                    child = graph.payload(g)
-                    scored.append((evaluate(child.spec, trained[g], val_x, val_y)[0],
-                                   child.spec, trained[g]))
-            best = min(scored, key=lambda item: item[0])
-            incumbent_loss = best[0]
-            incumbent = Candidate(best[1], best[2], None, None)
-            if not capped:
-                rounds_done += 1
+            # A tie or a NaN loss keeps the earlier network.
+            kept = incumbent
+            for i in sorted(trained):
+                loss = evaluate(children[i].spec, trained[i], val_x, val_y)[0]
+                if loss < incumbent_loss:
+                    incumbent_loss = loss
+                    incumbent = Candidate(children[i].spec, trained[i], None, None)
             if best_path is not None:
                 save_checkpoint(best_path, incumbent.spec, incumbent.params)
             if capped:
                 break
+            rounds_done += 1
+            log.debug("round %d: trained %d children, incumbent %s", cycle,
+                      len(trained), "kept" if incumbent is kept else "replaced")
 
         search_secs = time.perf_counter() - t_search
         test_metrics: dict[str, Any] = {}

@@ -8,6 +8,9 @@ as the bench does (bench/ on the path, nothing installed) and looks each
 name up.
 """
 
+import contextlib
+import io
+import json
 from pathlib import Path
 
 import pytest
@@ -50,9 +53,11 @@ def test_patched_hooks_resolve():
     assert callable(search.GlobalClock.advance)
 
 
-def test_phase_marks_reach_the_search(monkeypatch):
-    # probe.py marks the phases by replacing the module attributes, so a
-    # search must call pretrain and final_train through them.
+@pytest.mark.parametrize("mode", ["nasgd", "nasagd", "hillclimb"])
+def test_phase_marks_reach_the_search(monkeypatch, tmp_path, mode):
+    # probe.py marks the phases by replacing the module attributes and then
+    # runs cli.main, so every search must call pretrain and final_train
+    # through them, once each and in that order.
     calls = []
     for attr in ("pretrain", "final_train"):
         fn = getattr(search, attr)
@@ -62,8 +67,16 @@ def test_phase_marks_reach_the_search(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(search, attr, marked)
-    config = SearchConfig(size_threshold=1, pretrain_epochs=0, final_budget=0)
-    search.run_search(config, make_blobs(200, seed=0))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data.kind": "blobs", "data.n": 300, "search.n_neigh": 2,
+        "search.epochs_neigh": 1, "search.n_steps": 1.0, "search.n_particles": 10,
+        "pretrain.epochs": 1, "final.budget": 1,
+    }))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["search", "--config", str(config), "--mode", mode,
+                         "--out", str(tmp_path / "run")])
+    assert code == 0
     assert calls == ["pretrain", "final_train"]
 
 

@@ -387,6 +387,47 @@ def test_graph_dump_schema(tmp_path):
         assert edge["w"] == 1.0
 
 
+@pytest.mark.parametrize("command, compute", [("pretrain", "pretrain"),
+                                              ("graph-dump", "build_local_graph")])
+def test_out_parent_directory_exists_before_compute(command, compute, tmp_path,
+                                                    monkeypatch):
+    cfg = write_config(tmp_path, {})
+    out = tmp_path / "new" / "dir" / "out.json"
+    seen = []
+    fn = getattr(cli, compute)
+
+    def checked(*args, **kw):
+        seen.append(out.parent.is_dir())
+        return fn(*args, **kw)
+
+    monkeypatch.setattr(cli, compute, checked)
+    code, _ = run_cli([command, "--config", cfg, "--out", str(out)])
+    assert code == 0 and seen == [True]
+    assert json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("mode", ["nasgd", "nasagd", "hillclimb"])
+def test_verbose_logs_one_debug_line_per_round(mode, tmp_path, caplog):
+    cfg = write_config(tmp_path, {"search.n_neigh": 3})
+    debug, artifacts = {}, {}
+    for flags in ([], ["-v"]):
+        out_dir = tmp_path / f"run{len(flags)}"
+        caplog.clear()
+        code, summary = run_cli(["search", "--config", cfg, "--mode", mode,
+                                 "--out", str(out_dir), *flags])
+        assert code == 0
+        debug[bool(flags)] = [r.getMessage() for r in caplog.records
+                              if r.levelname == "DEBUG"]
+        artifacts[bool(flags)] = [(out_dir / name).read_bytes()
+                                  for name in ("best.json", "morphisms.jsonl")]
+    rounds = [line for line in debug[True] if line.startswith("round ")]
+    assert len(rounds) == summary["rounds"] >= 1
+    assert debug[True][-1] == (f"final training: {summary['epochs']:.0f} epochs, "
+                               f"stop {summary['final_stop']}")
+    assert debug[False] == []
+    assert artifacts[True] == artifacts[False]
+
+
 def test_bench_writes_grid(tmp_path):
     out_dir = str(tmp_path / "bench")
     code, report = run_cli(["dynamics-bench", "--out", out_dir,

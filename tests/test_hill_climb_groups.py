@@ -30,7 +30,8 @@ def reference_hill_climb(config, data):
     explored and the incumbent after the last cycle."""
     train_x, train_y = data.split("train")
     val_x, val_y = data.split("val")
-    spec, params = search.pretrain_start(config, data)
+    spec, params = search.start_network(config, data)
+    params = search.pretrain(spec, data, config, params)
     incumbent = Candidate(spec, params, np.zeros_like(params), None)
     explored = 1
     for cycle in range(1, max(1, int(round(config.n_steps))) + 1):

@@ -251,11 +251,11 @@ def test_hillclimb_cap_starts_after_pretraining(monkeypatch, blobs_small):
     # The cap bounds the search phase, which search_wallclock measures from
     # the end of pretraining: a cap shorter than pretraining still leaves
     # the baseline its search time.
-    pretrain_start, fit = search.pretrain_start, search._fit
+    pretrain, fit = search.pretrain, search._fit
 
-    def slow_pretrain_start(*args, **kw):
+    def slow_pretrain(*args, **kw):
         time.sleep(0.5)
-        return pretrain_start(*args, **kw)
+        return pretrain(*args, **kw)
 
     labels = []
 
@@ -263,7 +263,7 @@ def test_hillclimb_cap_starts_after_pretraining(monkeypatch, blobs_small):
         labels.append(args[6])
         return fit(*args, **kw)
 
-    monkeypatch.setattr(search, "pretrain_start", slow_pretrain_start)
+    monkeypatch.setattr(search, "pretrain", slow_pretrain)
     monkeypatch.setattr(search, "_fit", counted_fit)
     cfg = small_config(mode="hillclimb", n_steps=50.0, n_neigh=4)
     res = sf.hill_climb_baseline(cfg, blobs_small, wallclock_cap=0.4)
