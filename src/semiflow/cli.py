@@ -51,7 +51,6 @@ from .errors import (
     SplitTooSmall,
 )
 from .graph import complete_graph
-from .morphisms import build_local_graph
 from .nn import (
     evaluate,
     load_checkpoint,
@@ -64,6 +63,7 @@ from .recording import MetricsWriter, json_text, utc_now, write_atomic, write_ma
 from .search import (
     MODES,
     check_search,
+    local_graph,
     particle_step,
     pretrain,
     run_search,
@@ -332,10 +332,7 @@ def _cmd_graph_dump(args) -> int:
         spec, flat = start_network(config, build_dataset(table))
     if args.out:
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-    graph, _audit = build_local_graph(
-        spec, flat, config.n_neigh, config.constraints, config.mix,
-        _rng(config.seed, 2, 1), topology=config.topology,
-    )
+    graph, _audit = local_graph(config, 1, spec, flat)
     payload = {
         "nodes": [
             {

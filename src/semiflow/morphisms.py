@@ -263,6 +263,7 @@ def remove_layer(
         (s - (s > position), d - (d > position)) for s, d in spec.skips
     )
     new_spec = NetSpec(spec.input_dim, spec.output_dim, hidden, skips)
+    _check_params_budget(new_spec, constraints)
 
     def change(parts: NetParts, fill: float) -> None:
         del parts.weights[position - 1]

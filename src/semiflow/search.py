@@ -517,6 +517,19 @@ def iters_per_epoch(dataset: Dataset, config: SearchConfig) -> int:
     return _batches(dataset, "train", config.s_x)
 
 
+def local_graph(
+    config: SearchConfig, round_idx: int, spec: NetSpec, params: np.ndarray,
+    velocity: np.ndarray | None = None,
+) -> tuple[ArchGraph, list[dict]]:
+    """The local graph, and its audit records, that round (or hill-climb
+    cycle) round_idx draws around spec and params, from its own rng. A
+    velocity rides along into every child."""
+    return build_local_graph(
+        spec, params, config.n_neigh, config.constraints, config.mix,
+        _rng(config.seed, 2, round_idx), velocity=velocity, topology=config.topology,
+    )
+
+
 def run_round(
     incumbent: Candidate,
     config: SearchConfig,
@@ -535,10 +548,8 @@ def run_round(
     if clock is None:
         clock = GlobalClock.for_search(config, iters_per_epoch(data, config))
 
-    graph, audit = build_local_graph(
-        incumbent.spec, incumbent.params, config.n_neigh, config.constraints,
-        config.mix, _rng(config.seed, 2, round_idx),
-        velocity=incumbent.velocity, topology=config.topology,
+    graph, audit = local_graph(
+        config, round_idx, incumbent.spec, incumbent.params, incumbent.velocity
     )
     objective = NetObjective(
         {g: graph.payload(g).spec for g in graph}, data, config, round_idx
@@ -692,50 +703,28 @@ def final_train(
     val_x, val_y = data.split("val")
     test_x, test_y = data.split("test")
     params = np.asarray(params, dtype=float)
-
-    def finish(
-        best: np.ndarray, epochs: int, stop: str,
-    ) -> tuple[np.ndarray, dict[str, Any]]:
-        log.debug("final training: %d epochs, stop %s", epochs, stop)
-        if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, spec, best)
-        val_loss, val_acc = evaluate(spec, best, val_x, val_y)
-        test_loss, test_acc = evaluate(spec, best, test_x, test_y)
-        return best, {
-            "val_loss": val_loss,
-            "val_accuracy": val_acc,
-            "test_loss": test_loss,
-            "test_accuracy": test_acc,
-            "epochs": float(epochs),
-            "final_stop": stop,
-        }
-
-    if config.final_budget == 0:
-        return finish(params, 0, "budget")
-
     stream = BatchStream(
         x_feat, x_lab, config.s_x, _stream_seed(config.seed, 6, 0)
     )
     if clock is None:
         clock = GlobalClock.for_search(config, stream.batches_per_epoch)
     vel = np.zeros_like(params) if velocity is None else np.asarray(velocity, dtype=float)
-    state = NodeState(params, vel)
-    best_val = evaluate(spec, state.x, val_x, val_y)[0]
-    best_params = state.x.copy()
+    best_val = evaluate(spec, params, val_x, val_y)[0]
+    best_params = params.copy()
     stall = 0
     cycle_best = math.inf
-    epochs_done = 0
+    epochs = 0
     stop = "budget"
 
-    for state in _fit(
-        spec, state, stream, clock, config.final_budget, config, "final training",
-    ):
-        epochs_done += 1
+    for epochs, state in enumerate(_fit(
+        spec, NodeState(params, vel), stream, clock, config.final_budget, config,
+        "final training",
+    ), start=1):
         val_loss = evaluate(spec, state.x, val_x, val_y)[0]
         cycle_best = min(cycle_best, val_loss)
         if val_loss < best_val:
             best_params = state.x.copy()
-        if epochs_done % config.epochs_neigh == 0:
+        if epochs % config.epochs_neigh == 0:
             if best_val - cycle_best >= config.plateau_tol:
                 stall = 0
             else:
@@ -747,24 +736,38 @@ def final_train(
             if stall >= config.plateau_cycles:
                 stop = "plateau"
                 break
-    return finish(best_params, epochs_done, stop)
+
+    log.debug("final training: %d epochs, stop %s", epochs, stop)
+    if checkpoint_path is not None:
+        save_checkpoint(checkpoint_path, spec, best_params)
+    val_loss, val_acc = evaluate(spec, best_params, val_x, val_y)
+    test_loss, test_acc = evaluate(spec, best_params, test_x, test_y)
+    return best_params, {
+        "val_loss": val_loss,
+        "val_accuracy": val_acc,
+        "test_loss": test_loss,
+        "test_accuracy": test_acc,
+        "epochs": float(epochs),
+        "final_stop": stop,
+    }
 
 
 @contextmanager
 def _open_run(
-    config: SearchConfig, data: Dataset, out_dir: str | None, with_metrics: bool,
+    config: SearchConfig, data: Dataset, out_dir: str | None,
 ) -> Iterator[tuple[Candidate, MetricsWriter | None, JsonlWriter | None, str | None]]:
     """Set up a search run and yield (pretrained incumbent, metrics writer,
     audit writer, best.json path).
 
-    With an out_dir, opens morphisms.jsonl (and metrics.csv if asked) there
-    and closes them on exit; without one, every writer and path is None.
+    With an out_dir, opens morphisms.jsonl (and, outside hillclimb mode,
+    metrics.csv) there and closes them on exit; without one, every writer
+    and path is None.
     """
     with ExitStack() as owned:
         metrics = audit_writer = best_path = None
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
-            if with_metrics:
+            if config.mode != "hillclimb":
                 metrics = owned.enter_context(
                     MetricsWriter(os.path.join(out_dir, "metrics.csv"))
                 )
@@ -790,7 +793,7 @@ def run_search(
     if config.mode == "hillclimb":
         return hill_climb_baseline(config, data, out_dir)
     t_start = time.perf_counter()
-    with _open_run(config, data, out_dir, with_metrics=True) as (
+    with _open_run(config, data, out_dir) as (
         incumbent, metrics, audit_writer, best_path
     ):
         ipe = iters_per_epoch(data, config)
@@ -859,7 +862,7 @@ def hill_climb_baseline(
     t_start = time.perf_counter()
     train_x, train_y = data.split("train")
     val_x, val_y = data.split("val")
-    with _open_run(config, data, out_dir, with_metrics=False) as (
+    with _open_run(config, data, out_dir) as (
         incumbent, _metrics, audit_writer, best_path
     ):
         t_search = time.perf_counter()
@@ -877,11 +880,7 @@ def hill_climb_baseline(
             if out_of_time():
                 capped = True
                 break
-            graph, audit = build_local_graph(
-                incumbent.spec, incumbent.params, config.n_neigh,
-                config.constraints, config.mix, _rng(config.seed, 2, cycle),
-                topology=config.topology,
-            )
+            graph, audit = local_graph(config, cycle, incumbent.spec, incumbent.params)
             if audit_writer is not None:
                 for record in audit:
                     audit_writer.write({"round": cycle, **record})

@@ -115,3 +115,36 @@ def test_child_steps_count_once_each(monkeypatch):
     steps = groups * config.epochs_neigh * search.iters_per_epoch(data, config)
     assert children == 10 and 1 < groups < children and steps > 0
     assert calls == {"train_step": steps, "clip_gradient": steps}
+
+
+@pytest.mark.parametrize("argv", [["search", "--mode", "nasgd"],
+                                  ["search", "--mode", "hillclimb"],
+                                  ["graph-dump"]],
+                         ids=["nasgd", "hillclimb", "graph-dump"])
+def test_local_graphs_reach_the_search_name(monkeypatch, tmp_path, argv):
+    # The tracer times morphisms.build_local_graph by replacing it on
+    # semiflow.search, so every local graph, a search round's, a hill-climb
+    # cycle's or graph-dump's, must be drawn through that name: one call per
+    # round or cycle, and one for graph-dump.
+    calls = []
+    build = search.build_local_graph
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return build(*args, **kw)
+
+    monkeypatch.setattr(search, "build_local_graph", counted)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data.kind": "blobs", "data.n": 300, "search.n_neigh": 2,
+        "search.epochs_neigh": 1, "search.n_steps": 2.0, "search.n_particles": 10,
+        "pretrain.epochs": 1, "final.budget": 1,
+    }))
+    if argv[0] == "search":
+        argv = [*argv, "--out", str(tmp_path / "run")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([*argv, "--config", str(config)])
+    assert code == 0
+    report = json.loads(out.getvalue())
+    assert len(calls) == report.get("rounds", 1) >= 1

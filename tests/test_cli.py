@@ -388,7 +388,7 @@ def test_graph_dump_schema(tmp_path):
 
 
 @pytest.mark.parametrize("command, compute", [("pretrain", "pretrain"),
-                                              ("graph-dump", "build_local_graph")])
+                                              ("graph-dump", "local_graph")])
 def test_out_parent_directory_exists_before_compute(command, compute, tmp_path,
                                                     monkeypatch):
     cfg = write_config(tmp_path, {})

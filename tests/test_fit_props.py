@@ -8,10 +8,14 @@ skips, momentum or pure gradient, any damping in [0, 2] and clipping off or
 tight enough to fire, both must give the same x and v bit for bit after
 every epoch, or fail the same way, and neither may write into the arrays its
 caller passed. A stack of networks of one spec trains in one _fit, each row
-bit for bit as its own 1-D _fit on its own seed.
+bit for bit as its own 1-D _fit on its own seed. final_train, with one
+exit, matches its former two-exit form (an early return for a zero budget
+and a finish closure) in every returned bit and every checkpoint it writes.
 """
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -289,3 +293,133 @@ def test_stacked_fit_raises_on_any_rows_nonfinite_loss(spec, seed, n, data):
         list(_fit(spec, sf.NodeState(xs, np.zeros_like(xs)), stream, clock, 2,
                   sf.SearchConfig(grad_clip=1.0), "fit"))
     assert clock.k == 0
+
+
+# -- final training against its two-exit form ----------------------------------
+
+
+def reference_final_train(spec, params, data, config, clock=None, velocity=None,
+                          checkpoint_path=None):
+    """final_train as it was with an early return for a zero budget and a
+    finish closure; checkpoints go through search.save_checkpoint, looked up
+    per call."""
+    x_feat, x_lab = data.split("train")
+    val_x, val_y = data.split("val")
+    test_x, test_y = data.split("test")
+    params = np.asarray(params, dtype=float)
+
+    def finish(best, epochs, stop):
+        if checkpoint_path is not None:
+            search.save_checkpoint(checkpoint_path, spec, best)
+        val_loss, val_acc = sf.evaluate(spec, best, val_x, val_y)
+        test_loss, test_acc = sf.evaluate(spec, best, test_x, test_y)
+        return best, {
+            "val_loss": val_loss,
+            "val_accuracy": val_acc,
+            "test_loss": test_loss,
+            "test_accuracy": test_acc,
+            "epochs": float(epochs),
+            "final_stop": stop,
+        }
+
+    if config.final_budget == 0:
+        return finish(params, 0, "budget")
+
+    stream = sf.BatchStream(
+        x_feat, x_lab, config.s_x, search._stream_seed(config.seed, 6, 0)
+    )
+    if clock is None:
+        clock = GlobalClock.for_search(config, stream.batches_per_epoch)
+    vel = np.zeros_like(params) if velocity is None else np.asarray(velocity, dtype=float)
+    state = sf.NodeState(params, vel)
+    best_val = sf.evaluate(spec, state.x, val_x, val_y)[0]
+    best_params = state.x.copy()
+    stall = 0
+    cycle_best = math.inf
+    epochs_done = 0
+    stop = "budget"
+
+    for state in _fit(
+        spec, state, stream, clock, config.final_budget, config, "final training",
+    ):
+        epochs_done += 1
+        val_loss = sf.evaluate(spec, state.x, val_x, val_y)[0]
+        cycle_best = min(cycle_best, val_loss)
+        if val_loss < best_val:
+            best_params = state.x.copy()
+        if epochs_done % config.epochs_neigh == 0:
+            if best_val - cycle_best >= config.plateau_tol:
+                stall = 0
+            else:
+                stall += 1
+            best_val = min(best_val, cycle_best)
+            cycle_best = math.inf
+            if checkpoint_path is not None:
+                search.save_checkpoint(checkpoint_path, spec, best_params)
+            if stall >= config.plateau_cycles:
+                stop = "plateau"
+                break
+    return finish(best_params, epochs_done, stop)
+
+
+def same_metrics(a, b):
+    """Equal keys, and every value equal bit for bit (floats by their bytes)."""
+    if a.keys() != b.keys():
+        return False
+    return all(
+        np.float64(a[k]).tobytes() == np.float64(b[k]).tobytes()
+        if isinstance(a[k], float) else a[k] == b[k]
+        for k in a
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    specs(),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 7),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 1e-4, 10.0]),
+    st.one_of(st.none(), st.integers(0, 40)),
+    st.booleans(),
+)
+def test_final_train_matches_two_exit_form(spec, seed, budget, epochs_neigh,
+                                           plateau_cycles, plateau_tol, clock_k,
+                                           with_velocity):
+    # Same returned bits, metrics, best.json bytes, checkpoint count and
+    # clock, whether the budget is 0 or training stops on budget or plateau.
+    data = sf.make_blobs(120, d=spec.input_dim, n_classes=spec.output_dim,
+                         seed=seed % 1000)
+    x, v, _, _ = fit_problem(spec, seed, 1, 1)
+    config = sf.SearchConfig(
+        seed=seed % 1000, s_x=16, final_budget=budget, epochs_neigh=epochs_neigh,
+        plateau_cycles=plateau_cycles, plateau_tol=plateau_tol,
+    )
+    ipe = search.iters_per_epoch(data, config)
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        saves = []
+        save = search.save_checkpoint
+        mp.setattr(search, "save_checkpoint",
+                   lambda *args: (saves.append(args[0]), save(*args)))
+        for name, fn in (("reference", reference_final_train),
+                         ("final_train", search.final_train)):
+            path = os.path.join(tmp, f"{name}.json")
+            clock = None
+            if clock_k is not None:
+                clock = GlobalClock.for_search(config, ipe)
+                clock.k = clock_k
+            best, metrics = fn(spec, x, data, config, clock=clock,
+                               velocity=v if with_velocity else None,
+                               checkpoint_path=path)
+            with open(path, "rb") as fh:
+                written = fh.read()
+            outcomes.append((best, metrics, written, saves.count(path),
+                             None if clock is None else clock.k))
+    (want, want_m, want_file, want_saves, want_k), got = outcomes
+    got_best, got_m, got_file, got_saves, got_k = got
+    assert same_bits(got_best, want) and same_metrics(got_m, want_m)
+    assert got_file == want_file and got_saves == want_saves
+    assert got_k == want_k
+    assert got_m["epochs"] <= budget

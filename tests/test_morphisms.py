@@ -106,6 +106,19 @@ def test_remove_only_layer_rejected():
         sf.remove_layer(m.spec, m.params, 1)
 
 
+def test_remove_layer_over_param_cap_rejected():
+    # Removing the 1-unit middle layer pads the next layer's input from 1 to
+    # 32 columns: 259 parameters become 1218.
+    spec = sf.NetSpec(2, 2, (32, 1, 32))
+    params = sf.init_params(spec, np.random.default_rng(0))
+    assert sf.param_count(spec) == 259
+    assert sf.param_count(sf.remove_layer(spec, params, 2).spec) == 1218
+    with pytest.raises(ConstraintViolated, match="1218 parameters exceed the cap 500"):
+        sf.remove_layer(spec, params, 2, constraints=sf.Constraints(max_params=500))
+    kept = sf.remove_layer(spec, params, 2, constraints=sf.Constraints(max_params=1218))
+    assert sf.param_count(kept.spec) == 1218
+
+
 def test_remove_zero_scale_skip_neutral():
     spec, params = fresh(skips=((1, 2),), seed=7)
     rng = np.random.default_rng(8)

@@ -2,8 +2,9 @@
 function preservation along random chains of growing edits.
 
 The reference below is the former `draw_morphism`, `negative_morphism` and
-six edits, verbatim but for the `ref` prefix: each edit split the parameter
-and velocity vectors, changed each, and merged them back. On random small
+six edits, verbatim but for the `ref` prefix and the parameter budget check
+`remove_layer` has gained since: each edit split the parameter and velocity
+vectors, changed each, and merged them back. On random small
 specs with skips, every kind, random seeds and constraints, with and without
 a velocity, the one dispatcher must return the same record, spec and vector
 bits, raise the same exception with the same message, and leave the rng in
@@ -204,6 +205,7 @@ def ref_remove_layer(
         (s - (s > position), d - (d > position)) for s, d in spec.skips
     )
     new_spec = NetSpec(spec.input_dim, spec.output_dim, hidden, skips)
+    ref_check_params_budget(new_spec, constraints)
 
     def adjust_columns(mat: np.ndarray) -> np.ndarray:
         if w_feed <= w_removed:
