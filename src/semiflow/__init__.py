@@ -13,7 +13,6 @@ from .errors import (
     Divergence,
     EmptyGraph,
     MissingFile,
-    NoSolution,
     NonFiniteGradient,
     NonFiniteValue,
     NonIntegerLabel,

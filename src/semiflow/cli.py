@@ -66,6 +66,7 @@ from .search import (
     local_graph,
     particle_step,
     pretrain,
+    run_files,
     run_search,
     start_network,
     _rng,
@@ -187,9 +188,7 @@ def _cmd_search(args) -> int:
     check_search(config, data)
     out_dir = args.out or f"semiflow_run_{config.mode}_s{config.seed}"
     os.makedirs(out_dir, exist_ok=True)
-    outputs = ["manifest.json", "best.json", "morphisms.jsonl"]
-    if config.mode != "hillclimb":
-        outputs.insert(1, "metrics.csv")
+    outputs = ["manifest.json", *run_files(config.mode)]
     manifest_path = os.path.join(out_dir, "manifest.json")
     started = utc_now()
     write_manifest(manifest_path, table, config.seed, __version__, outputs, started)

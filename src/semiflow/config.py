@@ -42,7 +42,7 @@ _DATA_SCHEMA: dict[str, tuple[str, Any]] = {
 # strict is a command-line flag with no key.
 _RENAMED = {
     **{name: f"dynamics.{name}" for name in (
-        "kappa", "beta", "rate_mode", "damping", "pure_gradient", "val_decay",
+        "kappa", "beta", "rate_mode", "damping", "val_decay",
     )},
     "hidden": "net.hidden",
     "pretrain_epochs": "pretrain.epochs",

@@ -3,8 +3,8 @@ finite weighted graph.
 
 Two coupled mechanisms act on an ensemble of particles:
 
-* a training step on each node's shared parameter vector (damped momentum by
-  default, plain gradient descent behind a flag), and
+* a damped momentum training step on each node's shared parameter vector,
+  and
 * a mutation step that moves particles between nodes with one-sided (upwind)
   rates, so mass flows only in the descent direction of a per-node score.
 
@@ -14,7 +14,8 @@ second-order flavor carries a per-node potential ``phi`` that plays the role
 of momentum: rates read phi, and phi is in turn pushed down by mass and loss.
 
 A cosine step-size schedule with warm restarts, an energy monitor, and a
-closed-form stationary-distribution oracle round out the toolbox.
+stationary-distribution oracle (bisection on its level) round out the
+toolbox.
 
 The edge work of a step is done on whole matrices. Node values become one
 array over ids 0..n-1; the one-sided brackets, the raw rates R = bracket * K
@@ -38,7 +39,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EmptyGraph,
-    NoSolution,
     NonFiniteGradient,
     NonFiniteValue,
     OutOfPeriod,
@@ -101,13 +101,11 @@ def train_step(
     grad: np.ndarray,
     tau: float,
     gamma: float = 1.0,
-    momentum: bool = True,
 ) -> NodeState:
-    """One parameter update at step size tau, written into state.x and
+    """One damped momentum update at step size tau, written into state.x and
     state.v in place; returns state.
 
-    Momentum form (default):  x' = x + tau*v,  v' = v - tau*(gamma*v + grad).
-    Pure form (momentum=False): x' = x - tau*grad, v unchanged.
+    x' = x + tau*v,  v' = v - tau*(gamma*v + grad).
     Nothing is written when a check fails.
     """
     grad = np.asarray(grad, dtype=float)
@@ -120,15 +118,12 @@ def train_step(
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     x, v = state.x, state.v
-    if momentum:
-        x += tau * v
-        # tau * (gamma*v + grad), built in one buffer.
-        step = gamma * v
-        step += grad
-        step *= tau
-        v -= step
-    else:
-        x -= tau * grad
+    x += tau * v
+    # tau * (gamma*v + grad), built in one buffer.
+    step = gamma * v
+    step += grad
+    step *= tau
+    v -= step
     return state
 
 
@@ -462,13 +457,13 @@ def stationary_oracle(
     """Fixed point of the first-order dynamics with frozen parameters.
 
     Solves f(g) = max(0, c - value(g))**(1/beta) with sum_g f(g) = 1 for the
-    level c by bracketed root finding. At this profile every occupied node has
-    equal score, so all one-sided rates vanish.
+    level c. The excess sum_g f(g) - 1 is nondecreasing in c and is -1 at
+    c = min(value); bisection from there and from an upper end checked to
+    have excess >= 0 closes on c down to adjacent floats, and the profile
+    between those two ends' profiles that sums to 1 is returned. At this
+    profile every occupied node has equal score, so all one-sided rates
+    vanish.
     """
-    # Imported here: importing scipy.optimize costs most of a search's
-    # start-up, and nothing else in the package needs it.
-    from scipy.optimize import brentq
-
     if not values:
         raise EmptyGraph("no nodes given")
     if not beta > 0:
@@ -478,15 +473,30 @@ def stationary_oracle(
     if not np.all(np.isfinite(v)):
         raise NonFiniteValue("values contain NaN or inf")
 
-    def excess(c: float) -> float:
-        return float(np.sum(np.clip(c - v, 0.0, None) ** (1.0 / beta)) - 1.0)
+    def profile(c: float) -> np.ndarray:
+        return np.clip(c - v, 0.0, None) ** (1.0 / beta)
 
-    lo = float(v.min())        # excess = -1
-    hi = float(v.max()) + 1.0  # every term >= 1, so excess >= 0
-    try:
-        c = brentq(excess, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    except ValueError as exc:  # pragma: no cover - bracket is sign-changing
-        raise NoSolution(str(exc)) from exc
-    f = np.clip(c - v, 0.0, None) ** (1.0 / beta)
+    def excess(c: float) -> float:
+        return float(np.sum(profile(c)) - 1.0)
+
+    lo, hi = float(v.min()), float(v.max()) + 1.0
+    # Every term at max(value) + 1 is 1 in exact arithmetic, but the sum
+    # can round to just below 1, so hi moves up until its excess is >= 0.
+    while excess(hi) < 0.0:
+        hi += abs(hi) + 1.0
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            break
+        if excess(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    # A node whose c - value is a few ulps still jumps between adjacent
+    # floats ((ulp)**(1/beta) is 2e-3 at beta 6), so neither end need sum
+    # to 1. Each node's share of the point between them that does lies
+    # between its two ends' shares, so its f**beta + value is in [lo, hi].
+    ex_lo, ex_hi, f_lo = excess(lo), excess(hi), profile(lo)
+    f = f_lo + (-ex_lo / (ex_hi - ex_lo)) * (profile(hi) - f_lo)
     f /= f.sum()
     return {g: float(fi) for g, fi in zip(ids, f)}

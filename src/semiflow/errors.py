@@ -55,10 +55,6 @@ class BadPosition(ValueError):
     """A layer/skip index is out of range for the given architecture."""
 
 
-class NoSolution(ArithmeticError):
-    """A root-finding problem has no solution in its bracket."""
-
-
 class BadParams(ValueError):
     """A parameter vector does not match the architecture's layout."""
 

@@ -120,7 +120,6 @@ class SearchConfig:
     topology: str = "star"
     rate_mode: str = SAMPLED
     damping: float = 1.0
-    pure_gradient: bool = False
     val_decay: float = 0.9
     grad_clip: float = 1.0
     round_timeout_factor: float = 5.0
@@ -210,9 +209,8 @@ def _seeds(seeds: list[int]) -> int | tuple[int, ...]:
 
 def _step(state: NodeState, grad: np.ndarray, tau: float, config: SearchConfig) -> None:
     """Every trainer's parameter update, in place: grad clipped at grad_clip,
-    then train_step with the config's damping and pure_gradient."""
-    train_step(state, clip_gradient(grad, config.grad_clip), tau,
-               gamma=config.damping, momentum=not config.pure_gradient)
+    then train_step with the config's damping."""
+    train_step(state, clip_gradient(grad, config.grad_clip), tau, gamma=config.damping)
 
 
 @dataclass
@@ -752,6 +750,14 @@ def final_train(
     }
 
 
+def run_files(mode: str) -> list[str]:
+    """The files a search in this mode writes to its out_dir, in manifest
+    order: metrics.csv (per-node rows of the particle dynamics, so not in
+    hillclimb mode), best.json and morphisms.jsonl."""
+    files = ["best.json", "morphisms.jsonl"]
+    return files if mode == "hillclimb" else ["metrics.csv", *files]
+
+
 @contextmanager
 def _open_run(
     config: SearchConfig, data: Dataset, out_dir: str | None,
@@ -759,15 +765,14 @@ def _open_run(
     """Set up a search run and yield (pretrained incumbent, metrics writer,
     audit writer, best.json path).
 
-    With an out_dir, opens morphisms.jsonl (and, outside hillclimb mode,
-    metrics.csv) there and closes them on exit; without one, every writer
-    and path is None.
+    With an out_dir, opens the line logs of run_files(config.mode) there and
+    closes them on exit; without one, every writer and path is None.
     """
     with ExitStack() as owned:
         metrics = audit_writer = best_path = None
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
-            if config.mode != "hillclimb":
+            if "metrics.csv" in run_files(config.mode):
                 metrics = owned.enter_context(
                     MetricsWriter(os.path.join(out_dir, "metrics.csv"))
                 )

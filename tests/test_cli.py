@@ -69,6 +69,16 @@ def test_search_hillclimb_artifacts(tmp_path):
     assert report["accuracy"] == summary["test_accuracy"]
 
 
+@pytest.mark.parametrize("mode", ["nasgd", "nasagd", "hillclimb"])
+def test_manifest_lists_exactly_the_files_written(mode, tmp_path):
+    cfg = write_config(tmp_path, {"search.n_neigh": 3})
+    out_dir = str(tmp_path / "run")
+    code, _ = run_cli(["search", "--config", cfg, "--mode", mode, "--out", out_dir])
+    assert code == 0
+    manifest = sf.read_manifest(os.path.join(out_dir, "manifest.json"))
+    assert sorted(os.listdir(out_dir)) == sorted(manifest["outputs"])
+
+
 def test_search_missing_data_kind(tmp_path, caplog):
     p = tmp_path / "config.json"
     p.write_text(json.dumps({"search.mode": "nasgd"}))
@@ -96,6 +106,7 @@ def test_search_unknown_key(tmp_path, caplog):
     pytest.param("dynamics.restart_literal", True, id="dynamics.restart_literal"),
     pytest.param("dynamics.flow", "sideways", id="dynamics.flow"),
     pytest.param("dynamics.entropy", "shannon", id="dynamics.entropy"),
+    pytest.param("dynamics.pure_gradient", True, id="dynamics.pure_gradient"),
 ])
 def test_removed_dynamics_key_exits_2(key, value, tmp_path, caplog):
     # A manifest of an older run that still carries a removed key.
@@ -498,20 +509,37 @@ def test_bench_single_node_never_moves(tmp_path):
     assert all(row.split(",")[moved] == "0" for row in rows[1:])
 
 
+def test_bench_single_node_reaches_its_oracle(tmp_path):
+    # Seed 2's one value is 0.533579146588886, where value + 1.0 - value
+    # rounds to just under 1: the oracle's upper bracket end must be checked.
+    code, out, err = run_cli_all(["dynamics-bench", "--out", str(tmp_path / "b"),
+                                  "--nodes", "1", "--seed", "2", "--iters", "10"])
+    assert code == 0 and "Traceback" not in err
+    [point] = json.loads(out)["points"]
+    assert point["l1_to_stationary"] == 0.0
+
+
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         run_cli(["frobnicate"])
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy.optimize serves only stationary_oracle (dynamics-bench); a
-    # search process must not pay for importing it.
+def test_package_runs_on_numpy_alone(tmp_path):
+    # numpy is the only runtime dependency: with scipy unimportable the
+    # package imports, the oracle solves and dynamics-bench exits 0.
     src = os.path.dirname(os.path.dirname(sf.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, semiflow.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import semiflow, semiflow.cli\n"
+        "assert semiflow.stationary_oracle({0: 0.0, 1: 0.5}) == {0: 0.75, 1: 0.25}\n"
+        "sys.exit(semiflow.cli.main(['dynamics-bench', '--nodes', '2',\n"
+        f"                             '--iters', '5', '--out', {str(tmp_path)!r}]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["nodes"] == 2
 
 
 def test_divergence_prints_no_numpy_warning(tmp_path):

@@ -40,7 +40,6 @@ DEFAULT_TABLE = {
     "dynamics.beta": 2.0,
     "dynamics.rate_mode": "sampled",
     "dynamics.damping": 1.0,
-    "dynamics.pure_gradient": False,
     "dynamics.val_decay": 0.9,
     "net.hidden": [16, 16],
     "morphisms.p_deepen": 0.25,
@@ -82,7 +81,6 @@ SEARCH_KEYS = {
     "dynamics.beta": (1.25, "beta"),
     "dynamics.rate_mode": ("expected", "rate_mode"),
     "dynamics.damping": (0.5, "damping"),
-    "dynamics.pure_gradient": (True, "pure_gradient"),
     "dynamics.val_decay": (0.75, "val_decay"),
     "net.hidden": ([4, 6], "hidden"),
     "morphisms.p_deepen": (0.3, "mix.deepen"),
@@ -106,7 +104,7 @@ SEARCH_KEYS = {
 
 def test_defaults_table():
     cfg = sf.default_config()
-    assert len(cfg) == 48
+    assert len(cfg) == 47
     assert cfg == DEFAULT_TABLE
     assert {k: type(v) for k, v in cfg.items()} == {
         k: type(v) for k, v in DEFAULT_TABLE.items()
@@ -149,6 +147,7 @@ REMOVED_DYNAMICS_KEYS = {
     "dynamics.restart_literal": True,
     "dynamics.flow": "toward_low_phi",
     "dynamics.entropy": "log",
+    "dynamics.pure_gradient": True,
 }
 
 

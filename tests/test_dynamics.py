@@ -48,12 +48,6 @@ def test_train_step_nonfinite_gradient():
         sf.train_step(st, np.array([np.nan]), 0.1)
 
 
-def test_train_step_pure_gradient():
-    st = sf.NodeState(np.array([1.0]), np.array([5.0]))
-    out = sf.train_step(st, np.array([2.0]), 0.1, momentum=False)
-    assert np.allclose(out.x, [0.8])
-
-
 # ---------------------------------------------------------------- first-order rates
 
 def test_first_order_rates_two_nodes():
@@ -331,6 +325,13 @@ def test_stationary_clamped_case():
     f = sf.stationary_oracle({0: 0.0, 1: 10.0}, beta=1.0)
     assert f[0] == pytest.approx(1.0, abs=1e-10)
     assert f[1] == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 6.0])
+def test_stationary_single_node_where_max_plus_one_rounds_down(beta):
+    # (0.533579146588886 + 1.0) - 0.533579146588886 is 0.9999999999999999,
+    # so the excess at max(value) + 1 is below 0 for every beta.
+    assert sf.stationary_oracle({0: 0.533579146588886}, beta=beta) == {0: 1.0}
 
 
 def test_stationary_sums_to_one():

@@ -6,10 +6,14 @@ both rate modes, every step must leave each count nonnegative and each ghost
 node at one particle or more. Sampled mode moves whole particles, so it
 conserves mass exactly; expected mode transports float amounts, so it
 conserves mass to rounding.
+
+The stationary oracle, on 1-49 nodes with tied values, beta 0.25-6 and
+values of scale 1e-3, 1 or 10, returns a distribution whose occupied nodes
+share one score f**beta + value and whose empty nodes score no lower.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semiflow as sf
@@ -72,3 +76,31 @@ def test_mutation_keeps_floors_and_mass(setup, seed):
             assert ensemble.total == total
         else:
             assert abs(ensemble.total - total) <= 1e-12 * total
+
+
+@st.composite
+def oracle_inputs(draw):
+    n = draw(st.integers(1, 49))
+    scale = draw(st.sampled_from([1e-3, 1.0, 10.0]))
+    # Fewer distinct values than nodes gives ties.
+    pool = draw(st.lists(st.floats(0.0, scale), min_size=1, max_size=n))
+    values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return dict(enumerate(values)), draw(st.floats(0.25, 6.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_inputs())
+# At c = 0.999**6 node 0 holds 0.999; node 1 needs c - value = 1e-18, less
+# than one ulp, so no float level gives it its 0.001.
+@example(({0: 0.0, 1: 0.999**6}, 6.0))
+def test_stationary_oracle_equalizes_scores(case):
+    values, beta = case
+    f = sf.stationary_oracle(values, beta)
+    assert sorted(f) == sorted(values)
+    assert all(fg >= 0.0 for fg in f.values())
+    assert abs(sum(f.values()) - 1.0) <= 1e-12
+    if len(values) == 1:
+        assert f == {0: 1.0}
+    level = [f[g] ** beta + values[g] for g in f if f[g] > 0.0]
+    assert max(level) - min(level) <= 1e-9
+    assert all(values[g] >= max(level) - 1e-9 for g in f if f[g] == 0.0)

@@ -4,9 +4,8 @@ search._fit binds a network once and then updates its parameters in place
 each step. The reference below is the loop as it was before: every step the
 public loss_and_grad, a clip that returns a new vector (np.linalg.norm), and
 a functional update that returns new x and v. On random architectures with
-skips, momentum or pure gradient, any damping in [0, 2] and clipping off or
-tight enough to fire, both must give the same x and v bit for bit after
-every epoch, or fail the same way, and neither may write into the arrays its
+skips, any damping in [0, 2] and clipping off or tight enough to fire,
+both must give the same x and v bit for bit after every epoch, or fail the same way, and neither may write into the arrays its
 caller passed. A stack of networks of one spec trains in one _fit, each row
 bit for bit as its own 1-D _fit on its own seed. final_train, with one
 exit, matches its former two-exit form (an early return for a zero budget
@@ -32,7 +31,7 @@ from test_nn_layout import same_bits, specs
 
 
 def reference_fit(spec, x, v, stream, clock, epochs, grad_clip, what,
-                  gamma=1.0, momentum=True):
+                  gamma=1.0):
     """The per-step loop: public kernel, new clipped copy, new x and v.
     Returns (x, v) after each epoch; the parameters are checked after each."""
     after = []
@@ -47,10 +46,7 @@ def reference_fit(spec, x, v, stream, clock, epochs, grad_clip, what,
                 if norm > grad_clip:
                     grad_vec = grad_vec * (grad_clip / norm)
             tau = clock.tau()
-            if momentum:
-                x, v = x + tau * v, v - tau * (gamma * v + grad_vec)
-            else:
-                x = x - tau * grad_vec
+            x, v = x + tau * v, v - tau * (gamma * v + grad_vec)
             clock.advance()
         if not np.all(np.isfinite(x)):
             raise Divergence(f"{what} produced non-finite parameters")
@@ -72,7 +68,7 @@ def fit_problem(spec, seed, rows, batch):
 
 
 def run_both(spec, x, v, features, labels, batch, seed, epochs, lam, grad_clip,
-             gamma, momentum):
+             gamma):
     """(reference outcome, _fit outcome): (x, v) after each epoch, or the
     error."""
     outcomes = []
@@ -82,11 +78,10 @@ def run_both(spec, x, v, features, labels, batch, seed, epochs, lam, grad_clip,
         try:
             if fit == "reference":
                 out = reference_fit(spec, x, v, stream, clock, epochs, grad_clip,
-                                    "fit", gamma=gamma, momentum=momentum)
+                                    "fit", gamma=gamma)
             else:
                 out = []
-                config = sf.SearchConfig(grad_clip=grad_clip, damping=gamma,
-                                         pure_gradient=not momentum)
+                config = sf.SearchConfig(grad_clip=grad_clip, damping=gamma)
                 for state in _fit(spec, sf.NodeState(x, v), stream, clock, epochs,
                                   config, "fit"):
                     assert not np.shares_memory(state.x, x)
@@ -107,18 +102,17 @@ def run_both(spec, x, v, features, labels, batch, seed, epochs, lam, grad_clip,
     st.integers(0, 2**32 - 1),
     st.integers(1, 12),
     st.integers(0, 8),
-    st.booleans(),
     st.floats(0.0, 2.0),
     st.sampled_from([0.0, 1e-3, 0.05, 0.5]),
     st.sampled_from([1e-3, 0.05, 0.5]),
 )
-def test_fit_matches_per_step_loop_bit_for_bit(spec, seed, batch, epochs, momentum,
-                                               damping, grad_clip, lam):
+def test_fit_matches_per_step_loop_bit_for_bit(spec, seed, batch, epochs, damping,
+                                               grad_clip, lam):
     x, v, features, labels = fit_problem(spec, seed, 3 * batch + seed % 5, batch)
     x0, v0 = x.copy(), v.copy()
     (ref, ref_k), (got, got_k) = run_both(
         spec, x, v, features, labels, batch, seed, epochs, lam, grad_clip,
-        damping, momentum,
+        damping,
     )
     assert got_k == ref_k
     if isinstance(ref, tuple):
@@ -147,19 +141,18 @@ def test_pretrain_and_final_train_leave_caller_arrays(spec, seed):
 
 # -- the config's step in every phase ----------------------------------------
 
-KNOBS = [pytest.param({"pure_gradient": True}, id="pure_gradient"),
-         pytest.param({"damping": 0.5}, id="damping")]
+KNOBS = [pytest.param({"damping": 0.5}, id="damping")]
 
 
 def reference_steps(spec, x, stream, clock, epochs, config):
     """epochs passes of the public loss_and_grad, clip_gradient and
-    train_step with the config's damping and pure_gradient, from zero
-    velocity; returns the last x."""
+    train_step with the config's damping, from zero velocity; returns the
+    last x."""
     state = sf.NodeState(np.array(x, dtype=float), np.zeros(np.size(x)))
     for _ in range(epochs * stream.batches_per_epoch):
         _, grad = sf.loss_and_grad(spec, state.x, *stream.next_batch())
         sf.train_step(state, sf.clip_gradient(grad, config.grad_clip), clock.tau(),
-                      gamma=config.damping, momentum=not config.pure_gradient)
+                      gamma=config.damping)
         clock.advance()
     return state.x
 
@@ -225,13 +218,12 @@ def test_clip_scales_in_place_by_the_linalg_norm(seed, size, step, max_norm):
 
 
 def fit_rows(spec, xs, vs, features, labels, batch, seeds, epochs, lam,
-             grad_clip, gamma, momentum):
+             grad_clip, gamma):
     """One _fit on the stack of xs and vs over a stream of seeds: (rows of
     x and v after each epoch, whether it failed, the clock's k)."""
     stream = sf.BatchStream(features, labels, batch, seeds)
     clock = GlobalClock(stream.batches_per_epoch, 2, lam, lam / 100)
-    config = sf.SearchConfig(grad_clip=grad_clip, damping=gamma,
-                             pure_gradient=not momentum)
+    config = sf.SearchConfig(grad_clip=grad_clip, damping=gamma)
     after, failed = [], False
     try:
         for state in _fit(spec, sf.NodeState(xs, vs), stream, clock, epochs,
@@ -249,13 +241,12 @@ def fit_rows(spec, xs, vs, features, labels, batch, seeds, epochs, lam,
     st.integers(2, 4),
     st.integers(1, 12),
     st.integers(0, 6),
-    st.booleans(),
     st.floats(0.0, 2.0),
     st.sampled_from([0.0, 1e-3, 0.05, 0.5]),
     st.sampled_from([1e-3, 0.05, 0.5]),
 )
-def test_stacked_fit_rows_match_their_own_fits(spec, seed, n, batch, epochs, momentum,
-                                               damping, grad_clip, lam):
+def test_stacked_fit_rows_match_their_own_fits(spec, seed, n, batch, epochs, damping,
+                                               grad_clip, lam):
     # Each row of a stacked _fit trains as its own 1-D _fit on its own seed
     # and clock: the same x and v after every epoch, and the stack stops
     # (Divergence) at the first step at which any row's own fit stops.
@@ -266,7 +257,7 @@ def test_stacked_fit_rows_match_their_own_fits(spec, seed, n, batch, epochs, mom
     x0, v0 = xs.copy(), vs.copy()
     seeds = tuple(int(s) for s in np.random.default_rng(seed).integers(0, 2**32, n))
     args = (features, labels, batch)
-    knobs = (epochs, lam, grad_clip, damping, momentum)
+    knobs = (epochs, lam, grad_clip, damping)
     rows = [fit_rows(spec, xs[r], vs[r], *args, seeds[r], *knobs) for r in range(n)]
     got, failed, k = fit_rows(spec, xs, vs, *args, seeds, *knobs)
     assert k == min(row_k for _, _, row_k in rows)

@@ -11,10 +11,9 @@ morphisms.jsonl are those of the code before that, and its metrics.csv is
 that code's with each np.float64(x) cell written as x. A change that moves
 a number on purpose updates the digests and says why.
 
-Two more pin the training step off its defaults: the baseline with
-pure_gradient, and a first-order search with damping 0.5. Their digests
-were recorded once every phase (pretraining, rounds, hill-climb children,
-final training) took the config's step.
+A fifth pins the training step off its default: a first-order search with
+damping 0.5. Its digests were recorded once every phase (pretraining,
+rounds, hill-climb children, final training) took the config's step.
 """
 
 import hashlib
@@ -37,8 +36,6 @@ CONFIGS = {
     "nasagd-complete": dict(SMALL, mode="nasagd", seed=2, n_steps=6.0,
                             topology="complete"),
     "hillclimb": dict(SMALL, mode="hillclimb", seed=2, n_steps=3),
-    "hillclimb-pure": dict(SMALL, mode="hillclimb", seed=2, n_steps=3,
-                           pure_gradient=True),
     "nasgd-damped": dict(SMALL, mode="nasgd", seed=2, n_steps=6.0, damping=0.5),
 }
 
@@ -72,12 +69,6 @@ GOLDEN = {
             "c987166326d914b2365b6b6b3d1a7dfc8f245753e4e287f2d7cc5dee5e736ce0",
         "morphisms.jsonl":
             "67c5ac2a27216d841546137ca1ccd92dd81ca0326a7253ce6962f52d6b9e8f80",
-    },
-    "hillclimb-pure": {
-        "best.json":
-            "ebb6b31592d80df9b94aee0f637e97d16771c47b29cdd426e26e98392aafdf67",
-        "morphisms.jsonl":
-            "ef0baea4d55a20b087b5fd2034f98c507178524cd04b8a1023073fbcfdd0affe",
     },
     "nasgd-damped": {
         "metrics.csv":

@@ -120,8 +120,8 @@ def test_baseline_matches_the_child_by_child_loop(seed, n_neigh, cycles, epochs,
 @pytest.mark.parametrize("knob", KNOBS)
 def test_children_take_the_configs_step(monkeypatch, knob):
     # Each child of one cycle, stacked with its same-spec siblings or not,
-    # trains as the reference loop with the config's damping and
-    # pure_gradient trains it alone on its own stream and a fresh clock.
+    # trains as the reference loop with the config's damping trains it
+    # alone on its own stream and a fresh clock.
     config = sf.SearchConfig(mode="hillclimb", seed=0, n_neigh=5, n_steps=1.0,
                              epochs_neigh=2, hidden=(4,), s_x=32,
                              pretrain_epochs=1, final_budget=0, **knob)

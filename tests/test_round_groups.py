@@ -43,10 +43,7 @@ def reference_round(graph, specs, states, config, clock, rng, batches,
             loss, grad_vec = sf.loss_and_grad(specs[g], states[g].x, *batches(g, "train"))
             v_train[g] = loss
             grad_vec = sf.clip_gradient(grad_vec, config.grad_clip)
-            states[g] = sf.train_step(
-                states[g], grad_vec, tau,
-                gamma=config.damping, momentum=not config.pure_gradient,
-            )
+            states[g] = sf.train_step(states[g], grad_vec, tau, gamma=config.damping)
         for g in nodes:
             sample = sf.loss_only(specs[g], states[g].x, *batches(g, "val"))
             if not math.isfinite(sample):
