@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 
@@ -260,18 +261,33 @@ def _grid(raw: str, name: str) -> list[float]:
     return values
 
 
-def _bench_point(index, beta, kappa, args, seed, out_dir):
+def _bench_grid(args) -> list[DynamicsParams]:
+    """The dynamics of every point of a bench sweep, its flags checked
+    before anything is written."""
+    betas = _grid(args.betas, "betas")
+    kappas = _grid(args.kappas, "kappas")
+    for name, low in (("nodes", 1), ("particles", 1), ("iters", 0)):
+        if getattr(args, name) < low:
+            raise BadConfig(f"--{name} must be >= {low}, got {getattr(args, name)}")
+    if not 0 < args.tau < math.inf:
+        raise BadConfig(f"--tau must be positive and finite, got {args.tau}")
+    try:
+        return [
+            DynamicsParams(
+                kappa=kappa, beta=beta,
+                mode=SECOND_ORDER if args.order == 2 else FIRST_ORDER,
+                rate_mode=SAMPLED if args.sampled else EXPECTED,
+            )
+            for beta in betas for kappa in kappas
+        ]
+    except ValueError as exc:
+        raise BadConfig(str(exc)) from exc
+
+
+def _bench_point(index, dyn, args, seed, out_dir):
     rng = _rng(seed, 40, index)
     values = {g: float(v) for g, v in enumerate(rng.uniform(0.0, 1.0, args.nodes))}
     graph = complete_graph([None] * args.nodes)
-    try:
-        dyn = DynamicsParams(
-            kappa=kappa, beta=beta,
-            mode=SECOND_ORDER if args.order == 2 else FIRST_ORDER,
-            rate_mode=SAMPLED if args.sampled else EXPECTED,
-        )
-    except ValueError as exc:
-        raise BadConfig(str(exc)) from exc
     # No floor: off-support mass must be free to drain toward the oracle.
     ensemble = seed_ensemble(graph, args.particles, ghosts=False)
     phi = {g: 0.0 for g in graph}
@@ -285,11 +301,11 @@ def _bench_point(index, beta, kappa, args, seed, out_dir):
             )
             ensemble, phi = step.ensemble, step.phi
             step.write_rows(writer, k, 1, values, values, args.tau)
-    target = stationary_oracle(values, beta)
+    target = stationary_oracle(values, dyn.beta)
     marginal = ensemble.marginal()
     l1 = sum(abs(marginal[g] - target[g]) for g in graph)
     return {
-        "beta": beta, "kappa": kappa,
+        "beta": dyn.beta, "kappa": dyn.kappa,
         "l1_to_stationary": l1, "iterations": args.iters,
         "csv": os.path.basename(csv_path),
     }
@@ -299,16 +315,12 @@ def _cmd_bench(args) -> int:
     seed = _seed(args)
     if seed is None:
         seed = 0
-    betas = _grid(args.betas, "betas")
-    kappas = _grid(args.kappas, "kappas")
+    grid = _bench_grid(args)
     os.makedirs(args.out, exist_ok=True)
     points = []
-    index = 0
-    for beta in betas:
-        for kappa in kappas:
-            log.info("bench point beta=%s kappa=%s", beta, kappa)
-            points.append(_bench_point(index, beta, kappa, args, seed, args.out))
-            index += 1
+    for index, dyn in enumerate(grid):
+        log.info("bench point beta=%s kappa=%s", dyn.beta, dyn.kappa)
+        points.append(_bench_point(index, dyn, args, seed, args.out))
     summary = {
         "points": points,
         "nodes": args.nodes,

@@ -86,10 +86,11 @@ class DynamicsParams:
     rate_mode: str = SAMPLED
 
     def __post_init__(self) -> None:
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        for name in ("kappa", "beta"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}"
+                )
         if self.mode not in (FIRST_ORDER, SECOND_ORDER):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.rate_mode not in (SAMPLED, EXPECTED):
@@ -451,6 +452,10 @@ def energy(
     return ent + sum(fi * values[g] for g, fi in f.items())
 
 
+# Values near the top of the float range overflow c - value or its power;
+# the inf left orders the bisection as the exact value would, and an end
+# that keeps it is reported as NonFiniteValue, so numpy need not warn.
+@np.errstate(over="ignore")
 def stationary_oracle(
     values: Mapping[int, float], beta: float = 1.0
 ) -> dict[int, float]:
@@ -462,7 +467,8 @@ def stationary_oracle(
     have excess >= 0 closes on c down to adjacent floats, and the profile
     between those two ends' profiles that sums to 1 is returned. At this
     profile every occupied node has equal score, so all one-sided rates
-    vanish.
+    vanish. Raises NonFiniteValue when the upper end's profile is not
+    finite: values too close to the largest float, or spanning more than it.
     """
     if not values:
         raise EmptyGraph("no nodes given")
@@ -497,6 +503,8 @@ def stationary_oracle(
     # to 1. Each node's share of the point between them that does lies
     # between its two ends' shares, so its f**beta + value is in [lo, hi].
     ex_lo, ex_hi, f_lo = excess(lo), excess(hi), profile(lo)
+    if not math.isfinite(ex_hi):
+        raise NonFiniteValue(f"values {v.min()}..{v.max()} leave no finite level")
     f = f_lo + (-ex_lo / (ex_hi - ex_lo)) * (profile(hi) - f_lo)
     f /= f.sum()
     return {g: float(fi) for g, fi in zip(ids, f)}

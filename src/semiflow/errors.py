@@ -40,7 +40,8 @@ class ShapeMismatch(ValueError):
 
 
 class BadLabel(ValueError):
-    """A class label is outside [0, n_classes)."""
+    """Labels a classifier cannot take: a non-integer dtype, a label outside
+    [0, n_classes), or data with fewer than two classes."""
 
 
 class NonIntegerLabel(ValueError):

@@ -15,12 +15,13 @@ param_count, unflatten, flatten, init_params and the kernels all read it.
 
 The kernel body is BoundNet: a network bound to its flat vector holds W and
 b as views into it, and writes the gradient straight into slices of one
-gradient vector. loss_and_grad, loss_only and evaluate check their
-arguments, bind and run the body once; a training loop, or a search round
-for each stack of networks it trains, binds once (bind), checks its whole
-split then, and runs the body every step, updating the bound vector in
-place. NetParts is for code that edits architectures (morphisms); the
-training path never builds one.
+gradient vector. bind and every public kernel check their arguments with
+one function, _check_call, under one label rule. A kernel then binds and
+runs the body once; a training loop, or a search round for each stack of
+networks it trains, binds once (bind), so its whole split is checked then,
+and runs the body every step, updating the bound vector in place.
+NetParts is for code that edits architectures (morphisms); the training
+path never builds one.
 
 The kernels take a leading stack axis: params (..., P), inputs
 (..., batch, input_dim) and labels (..., batch) train or score a stack of
@@ -224,12 +225,14 @@ def init_params(spec: NetSpec, rng: np.random.Generator) -> np.ndarray:
 
 def _check_call(
     spec: NetSpec, params: np.ndarray, inputs: np.ndarray,
-    lead: tuple[int, ...] | None = None,
-) -> tuple[Layout, np.ndarray, np.ndarray]:
-    """The layout, params (..., P) and inputs (..., batch, input_dim) of one
-    call, checked once. The leading stack shape of inputs is params' own
-    unless lead is given: a split that a stack's batches are drawn from
-    (bind) has none."""
+    labels: np.ndarray | None = None, lead: tuple[int, ...] | None = None,
+) -> tuple[Layout, np.ndarray, np.ndarray, np.ndarray | None]:
+    """The layout, params (..., P), inputs (..., batch, input_dim) and
+    labels (..., batch) of one call, checked once: the only check of a
+    network call. The leading stack shape of inputs is params' own unless
+    lead is given: a split that a stack's batches are drawn from (bind) has
+    none. Labels must have an integer dtype, since the kernel indexes with
+    them, and lie in [0, output_dim) (BadLabel otherwise)."""
     lay = layout(spec)
     params = np.asarray(params, dtype=float)
     if params.ndim < 1 or params.shape[-1] != lay.n_params:
@@ -245,7 +248,21 @@ def _check_call(
             f"inputs shape {inputs.shape}, expected "
             f"({', '.join(map(str, lead + ('batch',)))}, {spec.input_dim})"
         )
-    return lay, params, inputs
+    if labels is not None:
+        labels = np.asarray(labels)
+        if labels.shape != inputs.shape[:-1]:
+            raise ShapeMismatch(
+                f"labels shape {labels.shape} does not match inputs "
+                f"{inputs.shape[:-1]}"
+            )
+        if labels.dtype.kind not in "iu":
+            raise BadLabel(f"labels must have an integer dtype, got {labels.dtype}")
+        if labels.size and (labels.min() < 0 or labels.max() >= spec.output_dim):
+            raise BadLabel(
+                f"labels must lie in [0, {spec.output_dim}), got "
+                f"[{labels.min()}, {labels.max()}]"
+            )
+    return lay, params, inputs, labels
 
 
 class BoundNet:
@@ -363,18 +380,13 @@ def bind(
     (rows,), checking params and the whole split once instead of every
     batch. A stack's batches are (..., batch, input_dim) and (..., batch).
     params must be a float array: the bound network reads it, and sees
-    in-place writes to it. labels must have an integer dtype, as the bound
-    network indexes with its batches' labels (BadLabel otherwise)."""
-    lay, params, features = _check_call(spec, params, features, lead=())
-    labels = np.asarray(labels)
-    if labels.dtype.kind not in "iu":
-        raise BadLabel(f"bound labels must have an integer dtype, got {labels.dtype}")
-    _check_labels(spec, features, labels)
+    in-place writes to it. Labels follow the kernels' rule (_check_call)."""
+    lay, params, _, _ = _check_call(spec, params, features, labels, lead=())
     return BoundNet(lay, params, batch)
 
 
 def logits(spec: NetSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    lay, params, inputs = _check_call(spec, params, inputs)
+    lay, params, inputs, _ = _check_call(spec, params, inputs)
     return BoundNet(lay, params, inputs.shape[-2]).forward(inputs)[1]
 
 
@@ -388,24 +400,6 @@ def softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _check_labels(spec: NetSpec, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.shape != inputs.shape[:-1]:
-        raise ShapeMismatch(
-            f"labels shape {labels.shape} does not match inputs {inputs.shape[:-1]}"
-        )
-    if labels.dtype.kind not in "iu":  # not an integer dtype
-        if not np.all(labels == labels.astype(int)):
-            raise BadLabel("labels must be integers")
-        labels = labels.astype(int)
-    if labels.size and (labels.min() < 0 or labels.max() >= spec.output_dim):
-        raise BadLabel(
-            f"labels must lie in [0, {spec.output_dim}), got "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    return labels
 
 
 # Below this many classes numpy's sum over a contiguous axis is a plain left
@@ -456,8 +450,7 @@ def loss_only(
 ) -> float | np.ndarray:
     """Mean cross-entropy without the gradient (one per network of a
     stack; see loss_and_grad)."""
-    lay, params, inputs = _check_call(spec, params, inputs)
-    labels = _check_labels(spec, inputs, labels)
+    lay, params, inputs, labels = _check_call(spec, params, inputs, labels)
     loss = BoundNet(lay, params, inputs.shape[-2]).loss(inputs, labels)
     return _per_net(loss, params)
 
@@ -475,8 +468,7 @@ def loss_and_grad(
     network (an array) and gradients (..., P), each network's bit for bit
     what its own call gives.
     """
-    lay, params, inputs = _check_call(spec, params, inputs)
-    labels = _check_labels(spec, inputs, labels)
+    lay, params, inputs, labels = _check_call(spec, params, inputs, labels)
     net = BoundNet(lay, params, inputs.shape[-2])
     loss, grad = net.loss_and_grad(inputs, labels)
     return _per_net(loss, params), grad
@@ -494,8 +486,7 @@ def evaluate(
 ) -> tuple[float, float]:
     """(mean cross-entropy, accuracy) on the given arrays, from one forward
     pass."""
-    lay, params, inputs = _check_call(spec, params, inputs)
-    labels = _check_labels(spec, inputs, labels)
+    lay, params, inputs, labels = _check_call(spec, params, inputs, labels)
     net = BoundNet(lay, params, inputs.shape[-2])
     z = net.forward(inputs)[1]
     loss = _cross_entropy(z, labels, net.starts)[0]

@@ -47,6 +47,7 @@ from .dynamics import (
     update_potential,
 )
 from .errors import (
+    BadLabel,
     ConstraintViolated,
     Divergence,
     NonFiniteValue,
@@ -172,6 +173,10 @@ class SearchConfig:
             )
         if not self.damping >= 0:
             raise ValueError(f"damping must be nonnegative, got {self.damping}")
+        # A NaN would turn clipping off, or count every final cycle a stall.
+        for name in ("grad_clip", "plateau_tol"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got nan")
         self.hidden = tuple(int(w) for w in self.hidden)
         if not self.hidden or min(self.hidden) < 1:
             raise ValueError(f"hidden widths must be positive, got {self.hidden}")
@@ -651,8 +656,13 @@ def start_network(config: SearchConfig, data: Dataset) -> tuple[NetSpec, np.ndar
     """The network every search starts from, before pretraining: config.hidden
     on the data's shape, initialized from the config's seed.
 
-    Raises ConstraintViolated if that network is over constraints.max_params.
+    Raises BadLabel if the data has fewer than two classes, and
+    ConstraintViolated if that network is over constraints.max_params.
     """
+    if data.n_classes < 2:
+        raise BadLabel(
+            f"a classifier needs at least two classes, the data has {data.n_classes}"
+        )
     spec = NetSpec(data.input_dim, data.n_classes, config.hidden)
     n_params, cap = param_count(spec), config.constraints.max_params
     if n_params > cap:

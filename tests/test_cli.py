@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semiflow as sf
 from semiflow import cli
@@ -151,6 +153,11 @@ NO_KINDS = {f"morphisms.p_{kind}": 0.0 for kind in sf.ALL_KINDS}
                  id="pretrain_lam_start"),
     pytest.param({"pretrain.epochs": -3}, "pretrain_epochs", id="pretrain_epochs"),
     pytest.param({"dynamics.kappa": 10**400}, "kappa", id="integer-beyond-float-kappa"),
+    pytest.param({"dynamics.kappa": float("inf")}, "kappa", id="infinite-kappa"),
+    pytest.param({"dynamics.beta": float("inf")}, "beta", id="infinite-beta"),
+    pytest.param({"search.grad_clip": float("nan")}, "grad_clip", id="nan-grad_clip"),
+    pytest.param({"final.plateau_tol": float("nan")}, "plateau_tol",
+                 id="nan-plateau_tol"),
 ])
 def test_bad_config_value_exits_2_before_running(overrides, message, tmp_path,
                                                  caplog):
@@ -198,6 +205,22 @@ def test_start_network_over_max_params_exits_2(command, tmp_path, caplog):
     assert record.getMessage() == (
         "the start network has 388 parameters, over constraints.max_params 387"
     )
+
+
+@pytest.mark.parametrize("command", ["search", "pretrain", "graph-dump"])
+def test_single_class_data_exits_2_before_its_output(command, tmp_path, caplog):
+    # A NetSpec with one class once raised a ValueError traceback (exit 1).
+    csv = tmp_path / "one_class.csv"
+    csv.write_text("".join(f"{i * 0.1},{-i * 0.2},0\n" for i in range(60)))
+    cfg = write_config(tmp_path, {"data.kind": "csv", "data.path": str(csv)})
+    out = tmp_path / "out"
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, stdout, err = run_cli_all([command, "--config", cfg, "--out", str(out)])
+    assert code == 2
+    assert stdout == "" and "Traceback" not in err
+    [record] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert "needs at least two classes" in record.getMessage()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -463,6 +486,51 @@ def test_bench_saturated_expected_moves_complete(tmp_path):
                             "--iters", "500"])
     assert code == 0
     assert report["points"][0]["iterations"] == 500
+
+
+@pytest.mark.parametrize("flags, message", [
+    pytest.param(["--nodes", "0"], "--nodes", id="no-nodes"),
+    pytest.param(["--nodes=-1"], "--nodes", id="negative-nodes"),
+    pytest.param(["--particles", "0"], "--particles", id="no-particles"),
+    pytest.param(["--iters=-2"], "--iters", id="negative-iters"),
+    pytest.param(["--tau", "0"], "--tau", id="zero-tau"),
+    pytest.param(["--tau=-1"], "--tau", id="negative-tau"),
+    pytest.param(["--tau", "nan"], "--tau", id="nan-tau"),
+    pytest.param(["--betas", "inf"], "beta", id="infinite-beta"),
+])
+def test_bad_bench_flag_exits_2_before_out(flags, message, tmp_path, caplog):
+    # Each of these once ended in a traceback (exit 1) or, --iters -2, in a
+    # report of -2 iterations.
+    out = tmp_path / "bench"
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, stdout, err = run_cli_all(["dynamics-bench", "--out", str(out),
+                                         "--iters", "5", *flags])
+    assert code == 2
+    assert stdout == "" and "Traceback" not in err
+    [record] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert message in record.getMessage()
+    assert not out.exists()
+
+
+KNOB_VALUES = st.sampled_from(["0", "-1", "nan", "inf", "0.05", "1"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(iters=st.integers(-2, 3), particles=st.integers(-2, 20),
+       nodes=st.integers(-2, 4), tau=KNOB_VALUES, betas=KNOB_VALUES,
+       kappas=KNOB_VALUES, order=st.sampled_from(["1", "2"]),
+       sampled=st.booleans())
+def test_bench_flags_keep_the_exit_contract(tmp_path_factory, iters, particles,
+                                            nodes, tau, betas, kappas, order,
+                                            sampled):
+    # Any mix of flags exits 0, 2 (bad flag) or 3 (divergence), never with
+    # an exception.
+    out = tmp_path_factory.mktemp("bench")
+    argv = ["dynamics-bench", "--out", str(out), f"--iters={iters}",
+            f"--particles={particles}", f"--nodes={nodes}", f"--tau={tau}",
+            f"--betas={betas}", f"--kappas={kappas}", "--order", order]
+    code, _, _ = run_cli_all(argv + ["--sampled"] * sampled)
+    assert code in (0, 2, 3)
 
 
 def assert_cells_parse(path):

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 import semiflow as sf
-from semiflow.errors import DimensionMismatch, NonFiniteGradient, OutOfPeriod
+from semiflow.errors import (
+    DimensionMismatch,
+    NonFiniteGradient,
+    NonFiniteValue,
+    OutOfPeriod,
+)
 
 
 def two_node_graph():
@@ -332,6 +337,15 @@ def test_stationary_single_node_where_max_plus_one_rounds_down(beta):
     # (0.533579146588886 + 1.0) - 0.533579146588886 is 0.9999999999999999,
     # so the excess at max(value) + 1 is below 0 for every beta.
     assert sf.stationary_oracle({0: 0.533579146588886}, beta=beta) == {0: 1.0}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("values", [{0: 1e308}, {0: -1e308, 1: 1e308}],
+                         ids=["upper-end-overflows", "span-overflows"])
+def test_stationary_raises_on_a_bracket_beyond_the_float_range(values):
+    # These once returned NaN with a numpy RuntimeWarning.
+    with pytest.raises(NonFiniteValue):
+        sf.stationary_oracle(values, beta=2.0)
 
 
 def test_stationary_sums_to_one():

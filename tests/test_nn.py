@@ -108,21 +108,24 @@ def test_bind_checks_whole_split_once():
         bind(spec, stack, np.zeros((4, 5)), np.zeros(4, dtype=int), 2)
 
 
-def test_bind_rejects_float_labels():
-    # bind checks the split once; a float label array would pass that check
-    # and then fail as an index in the first step, so bind refuses it. The
-    # public kernels still take integer-valued float labels.
+@pytest.mark.parametrize("entry", [
+    lambda spec, params, x, y: bind(spec, params, x, y, 4),
+    sf.loss_and_grad,
+    sf.loss_only,
+    sf.evaluate,
+], ids=["bind", "loss_and_grad", "loss_only", "evaluate"])
+def test_every_entry_rejects_float_labels(entry):
+    # One label rule for every network call: the kernel indexes with the
+    # labels, so even integer-valued floats are refused, by bind (which
+    # checks a split once) and by each public kernel alike.
     spec = sf.NetSpec(2, 2, (4,))
     rng = np.random.default_rng(0)
     params = sf.init_params(spec, rng)
     features = rng.normal(size=(8, 2))
     labels = np.array([0, 1] * 4, dtype=float)
     with pytest.raises(BadLabel, match="integer dtype"):
-        bind(spec, params, features, labels, 4)
-    want_loss, want_grad = sf.loss_and_grad(spec, params, features[:4], labels[:4])
-    net = bind(spec, params, features, labels.astype(int), 4)
-    loss, grad = net.loss_and_grad(features[:4], labels[:4].astype(int))
-    assert loss == want_loss and np.array_equal(grad, want_grad)
+        entry(spec, params, features, labels)
+    entry(spec, params, features, labels.astype(int))
 
 
 def test_shape_mismatch_rejected():
