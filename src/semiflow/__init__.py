@@ -12,6 +12,7 @@ from .errors import (
     DimensionMismatch,
     Divergence,
     EmptyGraph,
+    InputError,
     MissingFile,
     NonFiniteGradient,
     NonFiniteValue,

@@ -6,11 +6,11 @@ checkpoint), pretrain (train the starting network only), dynamics-bench
 (emit one local graph as JSON).
 
 stdout carries exactly one JSON document per invocation; everything else
-goes to stderr. Exit codes: 0 on success, 2 for configuration problems
-(including unreadable checkpoints and data files, and constraints that no
-morphism can meet), 3 when training or the particle dynamics diverge (a
-non-finite loss, gradient or potential), 4 when a round times out under
---strict.
+goes to stderr. Exit codes: 0 on success, 2 on an InputError (a config,
+data file or checkpoint that cannot be read or is malformed, an --out that
+cannot be made, constraints that no morphism can meet), 3 when training,
+the particle dynamics or an eval diverge (a non-finite loss, gradient or
+potential), 4 when a round times out under --strict.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import logging
 import math
 import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from .config import (
@@ -39,15 +41,10 @@ from .dynamics import (
 )
 from .errors import (
     BadConfig,
-    BadLabel,
-    BadParams,
-    ConstraintViolated,
     Divergence,
-    MissingFile,
+    InputError,
     NonFiniteGradient,
     NonFiniteValue,
-    NonIntegerLabel,
-    ParseError,
     RoundTimeout,
     SplitTooSmall,
 )
@@ -76,17 +73,6 @@ from .search import (
 log = logging.getLogger("semiflow")
 
 SEED_ENV = "SEMIFLOW_SEED"
-
-CONFIG_ERRORS = (
-    BadConfig,
-    MissingFile,
-    ParseError,
-    BadParams,
-    SplitTooSmall,
-    NonIntegerLabel,
-    BadLabel,
-    ConstraintViolated,
-)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -181,6 +167,22 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json_text(payload))
 
 
+def _make_dir(path: str) -> None:
+    """Make the directory path and its parents before any compute: an --out
+    that cannot be made is bad input."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise BadConfig(f"cannot make output directory {path}: {exc.strerror}") from exc
+
+
+def _make_out_file(path: str) -> None:
+    """Make the directory of the file --out names before any compute."""
+    if os.path.isdir(path):
+        raise BadConfig(f"--out {path} is a directory, not a file")
+    _make_dir(os.path.dirname(path) or ".")
+
+
 def _cmd_search(args) -> int:
     table = _load_table(args)
     config = build_search_config(table)
@@ -188,7 +190,7 @@ def _cmd_search(args) -> int:
     data = build_dataset(table)
     check_search(config, data)
     out_dir = args.out or f"semiflow_run_{config.mode}_s{config.seed}"
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dir(out_dir)
     outputs = ["manifest.json", *run_files(config.mode)]
     manifest_path = os.path.join(out_dir, "manifest.json")
     started = utc_now()
@@ -229,7 +231,10 @@ def _cmd_eval(args) -> int:
     features, labels = data.split(args.split)
     if labels.size == 0:
         raise SplitTooSmall(f"{args.split} split is empty")
-    loss, acc = evaluate(spec, flat, features, labels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, acc = evaluate(spec, flat, features, labels)
+    if not math.isfinite(loss):
+        raise NonFiniteValue(f"the {args.split} loss of {args.checkpoint} is {loss}")
     _emit({"loss": loss, "accuracy": acc, "split": args.split,
            "param_count": param_count(spec)})
     return 0
@@ -240,7 +245,7 @@ def _cmd_pretrain(args) -> int:
     config = build_search_config(table)
     data = build_dataset(table)
     spec, params0 = start_network(config, data)
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+    _make_out_file(args.out)
     params = pretrain(spec, data, config, params0)
     train_x, train_y = data.split("train")
     initial_loss = loss_only(spec, params0, train_x, train_y)
@@ -316,7 +321,7 @@ def _cmd_bench(args) -> int:
     if seed is None:
         seed = 0
     grid = _bench_grid(args)
-    os.makedirs(args.out, exist_ok=True)
+    _make_dir(args.out)
     points = []
     for index, dyn in enumerate(grid):
         log.info("bench point beta=%s kappa=%s", dyn.beta, dyn.kappa)
@@ -342,7 +347,7 @@ def _cmd_graph_dump(args) -> int:
     else:
         spec, flat = start_network(config, build_dataset(table))
     if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+        _make_out_file(args.out)
     graph, _audit = local_graph(config, 1, spec, flat)
     payload = {
         "nodes": [
@@ -380,7 +385,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except CONFIG_ERRORS as exc:
+    except InputError as exc:
         log.error("%s", exc)
         return 2
     except (Divergence, NonFiniteValue, NonFiniteGradient) as exc:

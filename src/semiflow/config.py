@@ -11,13 +11,13 @@ alone is enough to replay a run bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import fields
 from typing import Any
 
 from .data import Dataset, load_csv, make_blobs, two_spirals
-from .errors import BadConfig, MissingFile
+from .errors import BadConfig
 from .morphisms import Constraints, default_mix
+from .recording import read_json
 from .search import MODES, SearchConfig
 
 # The data.* keys feed build_dataset, not a dataclass, so they are listed
@@ -143,13 +143,7 @@ def normalize(overrides: dict[str, Any] | None = None) -> dict[str, Any]:
 def load_config(path: str) -> dict[str, Any]:
     """Read a config file; a run manifest (with its config snapshot under
     "config") is accepted in place of a plain config."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError as exc:
-        raise MissingFile(f"no config file at {path}") from exc
-    except ValueError as exc:  # also an integer too long for int(), or bad UTF-8
-        raise BadConfig(f"config file {path} is not valid JSON: {exc}") from exc
+    raw = read_json(path, "config file")
     if not isinstance(raw, dict):
         raise BadConfig(f"config file {path} must hold a JSON object")
     if "config" in raw and isinstance(raw["config"], dict):

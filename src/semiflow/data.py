@@ -12,6 +12,7 @@ batches at once.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -19,12 +20,12 @@ import numpy as np
 
 from .errors import (
     BadParams,
-    MissingFile,
     NonIntegerLabel,
     ParseError,
     ShapeMismatch,
     SplitTooSmall,
 )
+from .recording import read_text
 
 SPIRAL_TURNS = 1.5
 SPIRAL_INNER = 0.2
@@ -163,55 +164,50 @@ def load_csv(
     split_seed: int = 0,
 ) -> Dataset:
     """Numeric CSV with one integer label column; row order kept pre-split."""
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError as exc:
-        raise MissingFile(str(exc)) from exc
+    rows = csv.reader(io.StringIO(read_text(path, "data file"), newline=""))
     feats, labels = [], []
     n_cols = None
-    with fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if has_header and line_no == 1:
-                continue
-            if not row:
-                continue
-            if n_cols is None:
-                n_cols = len(row)
-                if n_cols < 2:
-                    raise ParseError("need at least two columns", line_no, 1)
-                lc = label_column if label_column >= 0 else n_cols + label_column
-                if not 0 <= lc < n_cols:
-                    raise BadParams(
-                        f"label column {label_column} out of range for {n_cols} columns"
-                    )
-            if len(row) != n_cols:
-                raise ParseError(
-                    f"expected {n_cols} columns, found {len(row)}",
-                    line_no,
-                    len(row),
+    for line_no, row in enumerate(rows, start=1):
+        if has_header and line_no == 1:
+            continue
+        if not row:
+            continue
+        if n_cols is None:
+            n_cols = len(row)
+            if n_cols < 2:
+                raise ParseError("need at least two columns", line_no, 1)
+            lc = label_column if label_column >= 0 else n_cols + label_column
+            if not 0 <= lc < n_cols:
+                raise BadParams(
+                    f"label column {label_column} out of range for {n_cols} columns"
                 )
-            vals = []
-            for col_no, cell in enumerate(row, start=1):
-                if col_no - 1 == lc:
-                    continue
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"not a number: {cell!r}", line_no, col_no
-                    ) from None
-            cell = row[lc].strip()
+        if len(row) != n_cols:
+            raise ParseError(
+                f"expected {n_cols} columns, found {len(row)}",
+                line_no,
+                len(row),
+            )
+        vals = []
+        for col_no, cell in enumerate(row, start=1):
+            if col_no - 1 == lc:
+                continue
             try:
-                label = int(cell)
+                vals.append(float(cell))
             except ValueError:
-                raise NonIntegerLabel(
-                    f"label {cell!r} on line {line_no} is not an integer"
+                raise ParseError(
+                    f"not a number: {cell!r}", line_no, col_no
                 ) from None
-            if label < 0:
-                raise NonIntegerLabel(f"negative label {label} on line {line_no}")
-            feats.append(vals)
-            labels.append(label)
+        cell = row[lc].strip()
+        try:
+            label = int(cell)
+        except ValueError:
+            raise NonIntegerLabel(
+                f"label {cell!r} on line {line_no} is not an integer"
+            ) from None
+        if label < 0:
+            raise NonIntegerLabel(f"negative label {label} on line {line_no}")
+        feats.append(vals)
+        labels.append(label)
     if not feats:
         raise ParseError("no data rows", 1, 1)
     features = np.asarray(feats, dtype=float)

@@ -2,7 +2,13 @@
 
 Most of these are thin ValueError subclasses; they exist so callers can
 catch a precise failure mode instead of string-matching messages.
+InputError is the family of bad outside input (a config, a data file, a
+checkpoint, a flag): the CLI exits 2 on it and on nothing else.
 """
+
+
+class InputError(ValueError):
+    """Outside input the package cannot run on."""
 
 
 class NonPositiveWeight(ValueError):
@@ -39,16 +45,16 @@ class ShapeMismatch(ValueError):
     """Feature/label arrays have incompatible shapes."""
 
 
-class BadLabel(ValueError):
+class BadLabel(InputError):
     """Labels a classifier cannot take: a non-integer dtype, a label outside
     [0, n_classes), or data with fewer than two classes."""
 
 
-class NonIntegerLabel(ValueError):
+class NonIntegerLabel(InputError):
     """A label column entry could not be parsed as an integer."""
 
 
-class ConstraintViolated(ValueError):
+class ConstraintViolated(InputError):
     """A structural edit would leave the architecture outside its limits."""
 
 
@@ -56,11 +62,11 @@ class BadPosition(ValueError):
     """A layer/skip index is out of range for the given architecture."""
 
 
-class BadParams(ValueError):
+class BadParams(InputError):
     """A parameter vector does not match the architecture's layout."""
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """A text input failed to parse; carries 1-based line and column."""
 
     def __init__(self, message: str, line: int, column: int):
@@ -69,11 +75,11 @@ class ParseError(ValueError):
         self.column = column
 
 
-class MissingFile(FileNotFoundError):
-    """A required input file does not exist."""
+class MissingFile(InputError, FileNotFoundError):
+    """A required input file does not exist or cannot be read."""
 
 
-class SplitTooSmall(ValueError):
+class SplitTooSmall(InputError):
     """A dataset split has too few rows for the requested batch size."""
 
 
@@ -89,5 +95,5 @@ class OutOfPeriod(ValueError):
     """A schedule was queried outside [0, period]."""
 
 
-class BadConfig(ValueError):
+class BadConfig(InputError):
     """A run configuration has an unknown key, a bad value, or a hole."""

@@ -48,10 +48,9 @@ from .errors import (
     BadLabel,
     BadParams,
     DimensionMismatch,
-    MissingFile,
     ShapeMismatch,
 )
-from .recording import write_atomic
+from .recording import read_json, write_atomic
 
 
 @dataclass(frozen=True)
@@ -507,31 +506,43 @@ def spec_to_descriptors(spec: NetSpec) -> list:
     return out
 
 
+def _json_int(item: dict, key: str) -> int:
+    value = item[key]
+    if type(value) is not int:
+        raise BadParams(f"descriptor {key} must be an integer, got {value!r}")
+    return value
+
+
 def spec_from_descriptors(items: Sequence) -> NetSpec:
+    """The NetSpec of a descriptor list as read from JSON: dim, width, src
+    and dst must be JSON integers, and a list that is malformed or that
+    NetSpec refuses raises BadParams."""
     try:
         if not items or items[0].get("op") != "input":
             raise BadParams("descriptor list must start with an input entry")
-        input_dim = int(items[0]["dim"])
+        input_dim = _json_int(items[0], "dim")
         hidden: list[int] = []
         skips: list[tuple[int, int]] = []
-        output_dim = None
         i = 1
         while i < len(items) and items[i].get("op") == "dense":
             if i + 1 >= len(items) or items[i + 1].get("op") != "relu":
                 raise BadParams("dense entry not followed by relu")
-            hidden.append(int(items[i]["width"]))
+            hidden.append(_json_int(items[i], "width"))
             i += 2
         if i >= len(items) or items[i].get("op") != "output":
             raise BadParams("missing output entry")
-        output_dim = int(items[i]["width"])
+        output_dim = _json_int(items[i], "width")
         i += 1
         for item in items[i:]:
             if item.get("op") != "skip":
                 raise BadParams(f"unexpected trailing entry {item!r}")
-            skips.append((int(item["src"]), int(item["dst"])))
+            skips.append((_json_int(item, "src"), _json_int(item, "dst")))
     except (AttributeError, KeyError, TypeError) as exc:
         raise BadParams(f"malformed architecture descriptors: {exc}") from exc
-    return NetSpec(input_dim, output_dim, tuple(hidden), tuple(skips))
+    try:
+        return NetSpec(input_dim, output_dim, tuple(hidden), tuple(skips))
+    except ValueError as exc:  # DimensionMismatch included
+        raise BadParams(f"descriptors of no valid architecture: {exc}") from exc
 
 
 def spec_digest(spec: NetSpec) -> str:
@@ -566,17 +577,22 @@ def save_checkpoint(path: str, spec: NetSpec, params: np.ndarray) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[NetSpec, np.ndarray]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError as exc:
-        raise MissingFile(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise BadParams(f"checkpoint is not valid JSON: {exc}") from exc
+    """The architecture and parameters of a checkpoint file, checked as
+    outside input: "flat" must be a flat list of finite JSON numbers that
+    fits the spec, else BadParams."""
+    payload = read_json(path, "checkpoint")
     if not isinstance(payload, dict) or "spec" not in payload or "flat" not in payload:
         raise BadParams("checkpoint must hold 'spec' and 'flat'")
     spec = spec_from_descriptors(payload["spec"])
-    flat = np.asarray(payload["flat"], dtype=float)
+    flat = payload["flat"]
+    if not isinstance(flat, list) or any(type(v) not in (int, float) for v in flat):
+        raise BadParams("checkpoint 'flat' must be a flat list of numbers")
+    try:
+        flat = np.array(flat, dtype=float)
+    except OverflowError as exc:  # a JSON integer past the float range
+        raise BadParams(f"checkpoint parameter out of range: {exc}") from exc
+    if not np.all(np.isfinite(flat)):
+        raise BadParams("checkpoint has non-finite parameters")
     if flat.size != param_count(spec):
         raise BadParams(
             f"checkpoint has {flat.size} parameters, spec wants {param_count(spec)}"

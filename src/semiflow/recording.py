@@ -11,6 +11,9 @@ compute starts and rewritten with the end timestamp on completion.
 The two line logs (metrics.csv, morphisms.jsonl) are LineFiles, appended to
 and flushed as the run goes. Every whole JSON file is json_text written by
 write_atomic, so it is replaced whole or not at all.
+
+read_text and read_json are the only readers of input files: MissingFile
+when one cannot be read, BadConfig when it is not UTF-8 or not JSON.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import json
 import os
 from datetime import datetime, timezone
 from typing import IO, Any, Iterable
+
+from .errors import BadConfig, MissingFile
 
 METRICS_COLUMNS = (
     "iter",
@@ -170,6 +175,25 @@ def write_manifest(
     write_atomic(path, json_text(payload))
 
 
+def read_text(path: str, what: str) -> str:
+    """The text of an input file, line ends kept; what names it in errors."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise BadConfig(f"{what} {path} is not UTF-8: {exc}") from exc
+    except OSError as exc:
+        raise MissingFile(f"cannot read {what} {path}: {exc.strerror}") from exc
+
+
+def read_json(path: str, what: str) -> Any:
+    """The JSON value of the input file at path."""
+    text = read_text(path, what)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an int too long, or too deep
+        raise BadConfig(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def read_manifest(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    return read_json(path, "manifest")

@@ -396,6 +396,145 @@ def test_eval_on_an_empty_split_exits_2(tmp_path, caplog):
     assert record.getMessage() == "test split is empty"
 
 
+def one_error(caplog):
+    """The message of the one ERROR record a failed command logged."""
+    [record] = [r for r in caplog.records if r.levelname == "ERROR"]
+    return record.getMessage()
+
+
+def save_blobs_checkpoint(path, scale=1.0):
+    """A checkpoint that fits write_config's blobs (2 features, 4 classes),
+    with a skip so every descriptor field is present."""
+    spec = sf.NetSpec(2, 4, (4, 4), ((1, 2),))
+    params = sf.init_params(spec, np.random.default_rng(0)) * scale
+    sf.save_checkpoint(str(path), spec, params)
+    return str(path)
+
+
+@pytest.mark.parametrize("where, bad", [
+    pytest.param("--config", "folder", id="config-dir"),
+    pytest.param("--checkpoint", "folder", id="checkpoint-dir"),
+    pytest.param("--checkpoint", "latin1", id="checkpoint-not-utf8"),
+    pytest.param("data.path", "folder", id="data-dir"),
+    pytest.param("data.path", "latin1", id="csv-not-utf8"),
+])
+def test_unreadable_input_file_exits_2_with_one_line(where, bad, tmp_path, caplog):
+    # Each of these once ended in an IsADirectoryError or UnicodeDecodeError
+    # traceback (exit 1).
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "latin1").write_bytes(b"\xff\xfe0.5,1.5,0\n")
+    bad = str(tmp_path / bad)
+    out = tmp_path / "run"
+    if where == "data.path":
+        cfg = write_config(tmp_path, {"data.kind": "csv", "data.path": bad})
+        argv = ["search", "--config", cfg, "--out", str(out)]
+    else:
+        argv = ["eval", "--config", write_config(tmp_path, {}),
+                "--checkpoint", save_blobs_checkpoint(tmp_path / "net.json")]
+        argv[argv.index(where) + 1] = bad
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, stdout, err = run_cli_all(argv)
+    assert code == 2
+    assert stdout == "" and "Traceback" not in err
+    assert "\n" not in one_error(caplog)
+    assert not out.exists()
+
+
+def test_every_exit_2_type_is_an_input_error():
+    from semiflow import errors
+    for kind in (errors.BadConfig, errors.MissingFile, errors.ParseError,
+                 errors.BadParams, errors.SplitTooSmall, errors.NonIntegerLabel,
+                 errors.BadLabel, errors.ConstraintViolated):
+        assert issubclass(kind, errors.InputError), kind
+    assert issubclass(errors.MissingFile, FileNotFoundError)
+
+
+def set_flat(index, value):
+    return lambda ck: ck["flat"].__setitem__(index, value)
+
+
+def set_field(entry, key, value):
+    return lambda ck: ck["spec"][entry].__setitem__(key, value)
+
+
+@pytest.mark.parametrize("command", ["eval", "graph-dump"])
+@pytest.mark.parametrize("mutate", [
+    pytest.param(set_flat(0, "a"), id="string-in-flat"),
+    pytest.param(set_flat(0, [0.5, 0.5]), id="nested-flat"),
+    pytest.param(set_field(1, "width", -3), id="negative-width"),
+    pytest.param(set_field(0, "dim", "x"), id="string-dim"),
+    pytest.param(set_flat(3, float("nan")), id="nan-in-flat"),
+    pytest.param(set_flat(3, True), id="bool-in-flat"),
+    pytest.param(set_field(0, "dim", 2.5), id="fractional-dim"),
+    pytest.param(set_field(0, "dim", "2"), id="numeric-string-dim"),
+])
+def test_malformed_checkpoint_exits_2(command, mutate, tmp_path, caplog):
+    # Each of these once ended in a traceback (exit 1) or was read as some
+    # other network and scored (exit 0).
+    path = save_blobs_checkpoint(tmp_path / "net.json")
+    checkpoint = json.loads(open(path).read())
+    mutate(checkpoint)
+    open(path, "w").write(json.dumps(checkpoint))
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, stdout, err = run_cli_all([command, "--config", write_config(tmp_path, {}),
+                                         "--checkpoint", path])
+    assert code == 2
+    assert stdout == "" and "Traceback" not in err
+    assert one_error(caplog)
+
+
+def test_eval_with_a_non_finite_loss_exits_3(tmp_path, caplog):
+    # Parameters scaled by 1e200 overflow the logits to a NaN loss, which
+    # eval once printed as "loss": NaN (not JSON) with exit 0 and two
+    # RuntimeWarnings; the suite turns any RuntimeWarning into an error.
+    checkpoint = save_blobs_checkpoint(tmp_path / "net.json", scale=1e200)
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, stdout, err = run_cli_all(["eval", "--config", write_config(tmp_path, {}),
+                                         "--checkpoint", checkpoint])
+    assert code == 3
+    assert stdout == "" and "Traceback" not in err
+    assert one_error(caplog).startswith("diverged: ")
+
+
+def reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+FUZZ_VALUES = st.sampled_from(["x", True, False, None, [0.5], [], float("nan"),
+                               float("inf"), float("-inf"), 1e308, 2.5, -0.5])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), target=st.sampled_from(["flat", "spec", "truncate", "prefix"]))
+def test_mutated_checkpoint_keeps_the_exit_contract(tmp_path_factory, data, target):
+    # However a saved checkpoint is damaged, eval exits 0, 2 or 3 without an
+    # exception, and on 0 prints strict JSON.
+    folder = tmp_path_factory.mktemp("fuzz")
+    cfg = write_config(folder, {})
+    path = save_blobs_checkpoint(folder / "net.json")
+    blob = open(path, "rb").read()
+    checkpoint = json.loads(blob)
+    if target == "flat":
+        index = data.draw(st.integers(0, len(checkpoint["flat"]) - 1))
+        checkpoint["flat"][index] = data.draw(FUZZ_VALUES)
+    elif target == "spec":
+        entry = data.draw(st.sampled_from(
+            [e for e in checkpoint["spec"] if set(e) - {"op"}]))
+        entry[data.draw(st.sampled_from(sorted(set(entry) - {"op"})))] = (
+            data.draw(FUZZ_VALUES))
+    if target in ("flat", "spec"):
+        blob = json.dumps(checkpoint).encode()
+    elif target == "truncate":
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        blob = data.draw(st.sampled_from([b"\xff", b"\xc3", b"\x80\x80"])) + blob
+    open(path, "wb").write(blob)
+    code, stdout, _ = run_cli_all(["eval", "--config", cfg, "--checkpoint", path])
+    assert code in (0, 2, 3)
+    if code == 0:
+        json.loads(stdout, parse_constant=reject_constant)
+
+
 def test_pretrain_writes_checkpoint(tmp_path):
     cfg = write_config(tmp_path, {})
     ck = str(tmp_path / "pretrained.json")
@@ -438,6 +577,34 @@ def test_out_parent_directory_exists_before_compute(command, compute, tmp_path,
     code, _ = run_cli([command, "--config", cfg, "--out", str(out)])
     assert code == 0 and seen == [True]
     assert json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("command, compute, out", [
+    ("search", "run_search", "file/run"),
+    ("pretrain", "pretrain", "file/sub/out.json"),
+    ("graph-dump", "local_graph", "file/out.json"),
+    ("dynamics-bench", "_bench_point", "file/bench"),
+    ("pretrain", "pretrain", "folder"),
+])
+def test_out_that_cannot_be_made_exits_2_before_compute(command, compute, out,
+                                                        tmp_path, monkeypatch,
+                                                        caplog):
+    # A path under a regular file once ended in a FileExistsError or
+    # NotADirectoryError traceback (exit 1); a directory as the checkpoint
+    # path, in an IsADirectoryError after pretraining.
+    (tmp_path / "file").write_text("not a directory")
+    (tmp_path / "folder").mkdir()
+    seen = []
+    monkeypatch.setattr(cli, compute, lambda *a, **kw: seen.append(a))
+    argv = [command, "--out", str(tmp_path / out), "--iters", "2"]
+    if command != "dynamics-bench":
+        argv = argv[:3] + ["--config", write_config(tmp_path, {})]
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, stdout, err = run_cli_all(argv)
+    assert code == 2
+    assert stdout == "" and "Traceback" not in err
+    assert one_error(caplog)
+    assert seen == []
 
 
 @pytest.mark.parametrize("mode", ["nasgd", "nasagd", "hillclimb"])
