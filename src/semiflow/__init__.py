@@ -1,5 +1,21 @@
 """Architecture search by interacting particle dynamics on a graph of
-network morphisms, with gradient training in the continuous directions."""
+network morphisms, with gradient training in the continuous directions.
+
+The engine is single-threaded. Importing semiflow sets OPENBLAS_NUM_THREADS
+to 1 before numpy loads, unless it is set already. No matrix here is large
+enough for OpenBLAS to split, so its worker threads compute nothing, yet they
+cost up to about 75 ms of set-up on a busy machine; and a long vector dot
+(the gradient norm of a network with tens of thousands of parameters) can
+round differently with more threads, which would make results depend on the
+core count. Set OPENBLAS_NUM_THREADS in the environment to override the pin.
+A process that imported numpy before semiflow keeps the thread count numpy
+started with.
+"""
+
+import os as _os
+
+# Must precede the first numpy import (.graph below loads it).
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

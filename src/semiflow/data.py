@@ -157,6 +157,16 @@ def two_spirals(n: int, noise: float = 0.1, seed: int = 0) -> Dataset:
     return Dataset(features[order], labels[order], *_split_indices(n, seed))
 
 
+def _csv_rows(text: str):
+    """The csv module's rows of text; a row it cannot read (a field over its
+    size limit, say) raises ParseError at that row's physical line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.line_num, 1) from None
+
+
 def load_csv(
     path: str,
     label_column: int = -1,
@@ -164,7 +174,7 @@ def load_csv(
     split_seed: int = 0,
 ) -> Dataset:
     """Numeric CSV with one integer label column; row order kept pre-split."""
-    rows = csv.reader(io.StringIO(read_text(path, "data file"), newline=""))
+    rows = _csv_rows(read_text(path, "data file"))
     feats, labels = [], []
     n_cols = None
     for line_no, row in enumerate(rows, start=1):

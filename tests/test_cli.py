@@ -440,6 +440,22 @@ def test_unreadable_input_file_exits_2_with_one_line(where, bad, tmp_path, caplo
     assert not out.exists()
 
 
+def test_csv_field_over_the_csv_limit_exits_2_at_its_line(tmp_path, caplog):
+    # The csv module's own error once escaped as a _csv.Error traceback
+    # (exit 1). The long field sits on physical line 4, the third record.
+    data = tmp_path / "long.csv"
+    data.write_text('0.5,1.5,0\n"0.5\n",1.5,1\n0.5,' + "1" * 131073 + ",0\n")
+    cfg = write_config(tmp_path, {"data.kind": "csv", "data.path": str(data)})
+    out = tmp_path / "run"
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, stdout, err = run_cli_all(["search", "--config", cfg, "--out", str(out)])
+    assert code == 2
+    assert stdout == "" and "Traceback" not in err
+    assert one_error(caplog) == (
+        "field larger than field limit (131072) (line 4, column 1)")
+    assert not out.exists()
+
+
 def test_every_exit_2_type_is_an_input_error():
     from semiflow import errors
     for kind in (errors.BadConfig, errors.MissingFile, errors.ParseError,
