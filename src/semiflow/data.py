@@ -25,6 +25,7 @@ from .errors import (
     ShapeMismatch,
     SplitTooSmall,
 )
+from .knobs import check
 from .recording import read_text
 
 SPIRAL_TURNS = 1.5
@@ -106,8 +107,7 @@ def make_blobs(
         raise BadParams(f"need n >= n_classes, got {n} < {n_classes}")
     if d < 1 or n_classes < 2:
         raise BadParams(f"bad dimensions d={d}, classes={n_classes}")
-    if spread < 0:
-        raise BadParams(f"spread must be nonnegative, got {spread}")
+    check("spread", spread, "[0, inf)", BadParams)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(91,)))
     centers = np.zeros((n_classes, d))
     if d == 1:
@@ -139,8 +139,7 @@ def two_spirals(n: int, noise: float = 0.1, seed: int = 0) -> Dataset:
     """Two interleaved spiral arms, one per class."""
     if n % 2 != 0:
         raise BadParams(f"n must be even, got {n}")
-    if noise < 0:
-        raise BadParams(f"noise must be nonnegative, got {noise}")
+    check("noise", noise, "[0, inf)", BadParams)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(92,)))
     half = n // 2
     feats, labels = [], []

@@ -44,6 +44,7 @@ from .errors import (
     OutOfPeriod,
 )
 from .graph import ArchGraph
+from .knobs import check_fields, knob
 
 FIRST_ORDER = "first_order"
 SECOND_ORDER = "second_order"
@@ -78,19 +79,16 @@ class DynamicsParams:
     kappa scales all mutation probabilities and beta is the entropy power of
     the energy, so the node score is f(g)**beta + V~(g). mode picks the
     first- or second-order rates, rate_mode sampled or expected mutation.
+    kappa and beta must be positive and finite, (0, inf).
     """
 
-    kappa: float = 1.0
-    beta: float = 1.0
+    kappa: float = knob(1.0, "(0, inf)")
+    beta: float = knob(1.0, "(0, inf)")
     mode: str = FIRST_ORDER
     rate_mode: str = SAMPLED
 
     def __post_init__(self) -> None:
-        for name in ("kappa", "beta"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(
-                    f"{name} must be positive and finite, got {getattr(self, name)}"
-                )
+        check_fields(self)
         if self.mode not in (FIRST_ORDER, SECOND_ORDER):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.rate_mode not in (SAMPLED, EXPECTED):

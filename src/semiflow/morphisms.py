@@ -25,22 +25,22 @@ import numpy as np
 
 from .errors import BadPosition, ConstraintViolated, DimensionMismatch
 from .graph import ArchGraph, complete_graph, star_graph
+from .knobs import check_fields, knob
 from .nn import NetParts, NetSpec, flatten, forward, param_count, unflatten
 
 
 @dataclass(frozen=True)
 class Constraints:
-    """Hard limits every emitted architecture must satisfy."""
+    """Hard limits every emitted architecture must satisfy; each is an
+    integer in [1, inf)."""
 
-    max_layers: int = 8
-    max_width: int = 64
-    max_incoming: int = 3
-    max_params: int = 20000
+    max_layers: int = knob(8, "[1, inf)")
+    max_width: int = knob(64, "[1, inf)")
+    max_incoming: int = knob(3, "[1, inf)")
+    max_params: int = knob(20000, "[1, inf)")
 
     def __post_init__(self) -> None:
-        for name in ("max_layers", "max_width", "max_incoming", "max_params"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

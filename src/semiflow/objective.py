@@ -26,6 +26,7 @@ from typing import Callable, Hashable, NamedTuple, Protocol
 import numpy as np
 
 from .errors import NonFiniteValue
+from .knobs import check_fields, knob
 
 
 class BoundGroup(NamedTuple):
@@ -85,12 +86,11 @@ class ValTracker:
     running' = decay*running + (1-decay)*sample.
     """
 
-    decay: float = 0.9
+    decay: float = knob(0.9, "(0, 1)")
     running: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.decay < 1.0:
-            raise ValueError(f"decay must be in (0,1), got {self.decay}")
+        check_fields(self)
 
     def update(self, g: int, sample: float) -> float:
         if not math.isfinite(sample):

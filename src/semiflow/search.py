@@ -81,6 +81,7 @@ from .objective import (
     eval_val,
 )
 from .data import BatchStream, Dataset
+from .knobs import check_fields, knob
 from .recording import JsonlWriter, MetricsWriter
 
 log = logging.getLogger(__name__)
@@ -95,41 +96,46 @@ class SearchConfig:
     (8 neighbors, 18-epoch schedule period, 0.05 to 1e-7 cosine).
 
     The config keys, their defaults and their type checks are read off these
-    fields (see config.py), so a field's default is stated only here.
+    fields (see config.py), so a field's default is stated only here, and
+    so is each numeric field's accepted interval, checked by knobs.py's one
+    rule. What is not an interval is checked by hand: lam_start > lam_final
+    in both schedules, the names, the hidden widths and the morphism mix.
     """
 
     mode: str = "nasgd"
-    seed: int = 0
-    n_particles: int = 100
-    n_neigh: int = 8
-    epochs_neigh: int = 18
-    n_steps: float | None = None          # schedule budget in cycles
-    lam_start: float = 0.05
-    lam_final: float = 1e-7
+    seed: int = knob(0, "[0, inf)")
+    n_particles: int = knob(100, "[1, inf)")
+    n_neigh: int = knob(8, "[1, inf)")
+    epochs_neigh: int = knob(18, "[1, inf)")
+    n_steps: float | None = knob(None, "(0, inf)")  # schedule budget in cycles
+    lam_start: float = knob(0.05, "(0, inf)")
+    lam_final: float = knob(1e-7, "[0, inf)")
     # Mobility 3.0 with quadratic mass entropy keeps the swarm moving during
     # the hot half of each cosine cycle without degenerating into a random
     # walk once the step size anneals; 3.5+/linear both lose held-out
     # accuracy on the spirals benchmark.
-    kappa: float = 3.0
-    beta: float = 2.0
-    s_x: int = 64
-    s_y: int = 32
+    kappa: float = knob(3.0, "(0, inf)")
+    beta: float = knob(2.0, "(0, inf)")
+    s_x: int = knob(64, "[1, inf)")
+    s_y: int = knob(32, "[1, inf)")
     constraints: Constraints = field(default_factory=Constraints)
-    size_threshold: int = 20000           # parameter-count stop for growth
+    size_threshold: int = knob(20000, "[-inf, inf]")  # parameter-count stop for growth
     hidden: tuple[int, ...] = (16, 16)
     mix: dict[str, float] = field(default_factory=default_mix)
     topology: str = "star"
     rate_mode: str = SAMPLED
-    damping: float = 1.0
-    val_decay: float = 0.9
-    grad_clip: float = 1.0
-    round_timeout_factor: float = 5.0
-    pretrain_epochs: int = 20
-    pretrain_lam_start: float = 0.5
-    pretrain_lam_final: float = 1e-7
-    final_budget: int = 300
-    plateau_cycles: int = 3
-    plateau_tol: float = 1e-4
+    damping: float = knob(1.0, "[0, inf)")
+    val_decay: float = knob(0.9, "(0, 1)")
+    # grad_clip and plateau_tol take any number but NaN, which would turn
+    # clipping off or count every final cycle a stall.
+    grad_clip: float = knob(1.0, "[-inf, inf]")
+    round_timeout_factor: float = knob(5.0, "(0, inf)")
+    pretrain_epochs: int = knob(20, "[0, inf)")
+    pretrain_lam_start: float = knob(0.5, "(0, inf)")
+    pretrain_lam_final: float = knob(1e-7, "[0, inf)")
+    final_budget: int = knob(300, "[0, inf)")
+    plateau_cycles: int = knob(3, "[1, inf)")
+    plateau_tol: float = knob(1e-4, "[-inf, inf]")
     strict: bool = False
 
     def __post_init__(self) -> None:
@@ -137,46 +143,15 @@ class SearchConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.n_steps is None:
             self.n_steps = DEFAULT_N_STEPS[self.mode]
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.n_particles < 1:
-            raise ValueError(f"need at least one particle, got {self.n_particles}")
-        if not 0 < self.n_steps < math.inf:
-            raise ValueError(f"n_steps must be positive and finite, got {self.n_steps}")
+        check_fields(self)
         for prefix, start, final in (
             ("", self.lam_start, self.lam_final),
             ("pretrain_", self.pretrain_lam_start, self.pretrain_lam_final),
         ):
-            if not (start > final >= 0):
+            if not start > final:
                 raise ValueError(
-                    f"need {prefix}lam_start > {prefix}lam_final >= 0, got "
-                    f"{start}/{final}"
+                    f"need {prefix}lam_start > {prefix}lam_final, got {start}/{final}"
                 )
-        if self.epochs_neigh < 1:
-            raise ValueError(f"epochs_neigh must be >= 1, got {self.epochs_neigh}")
-        if not 0.0 < self.val_decay < 1.0:
-            raise ValueError(f"val_decay must be in (0,1), got {self.val_decay}")
-        for name in ("s_x", "s_y"):
-            if getattr(self, name) < 1:
-                raise ValueError(
-                    f"batch size {name} must be >= 1, got {getattr(self, name)}"
-                )
-        for name in ("final_budget", "pretrain_epochs"):
-            if getattr(self, name) < 0:
-                raise ValueError(
-                    f"{name} must be nonnegative, got {getattr(self, name)}"
-                )
-        if not 0 < self.round_timeout_factor < math.inf:
-            raise ValueError(
-                f"round_timeout_factor must be positive and finite, got "
-                f"{self.round_timeout_factor}"
-            )
-        if not self.damping >= 0:
-            raise ValueError(f"damping must be nonnegative, got {self.damping}")
-        # A NaN would turn clipping off, or count every final cycle a stall.
-        for name in ("grad_clip", "plateau_tol"):
-            if math.isnan(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got nan")
         self.hidden = tuple(int(w) for w in self.hidden)
         if not self.hidden or min(self.hidden) < 1:
             raise ValueError(f"hidden widths must be positive, got {self.hidden}")

@@ -158,6 +158,23 @@ NO_KINDS = {f"morphisms.p_{kind}": 0.0 for kind in sf.ALL_KINDS}
     pytest.param({"search.grad_clip": float("nan")}, "grad_clip", id="nan-grad_clip"),
     pytest.param({"final.plateau_tol": float("nan")}, "plateau_tol",
                  id="nan-plateau_tol"),
+    # Each of these once trained (exit 3) or ran to exit 0, but for the NaN
+    # spread, which exited 2 without naming the key.
+    pytest.param({"dynamics.damping": float("inf")}, "damping must be in [0, inf)",
+                 id="infinite-damping"),
+    pytest.param({"search.lam_start": float("inf")}, "lam_start must be in (0, inf)",
+                 id="infinite-lam_start"),
+    pytest.param({"pretrain.lam_start": float("inf")},
+                 "pretrain_lam_start must be in (0, inf)",
+                 id="infinite-pretrain_lam_start"),
+    pytest.param({"final.plateau_cycles": 0}, "plateau_cycles must be in [1, inf)",
+                 id="zero-plateau_cycles"),
+    pytest.param({"final.plateau_cycles": -2}, "plateau_cycles must be in [1, inf)",
+                 id="negative-plateau_cycles"),
+    pytest.param({"data.kind": "spirals", "data.noise": float("nan")},
+                 "noise must be in [0, inf), got nan", id="nan-spirals-noise"),
+    pytest.param({"data.spread": float("nan")}, "spread must be in [0, inf), got nan",
+                 id="nan-blobs-spread"),
 ])
 def test_bad_config_value_exits_2_before_running(overrides, message, tmp_path,
                                                  caplog):

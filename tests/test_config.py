@@ -1,8 +1,9 @@
 import dataclasses
 import json
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import semiflow as sf
@@ -213,6 +214,103 @@ def test_build_search_config_rejects_bad_values():
         sf.build_search_config(sf.normalize({"search.n_particles": 0}))
     with pytest.raises(BadConfig):
         sf.build_search_config(sf.normalize({"search.mode": "warp"}))
+
+
+# Every dataclass whose numeric fields take a stated interval, and the
+# annotations of the fields that are not numeric.
+INTERVAL_OWNERS = (sf.SearchConfig, sf.DynamicsParams, sf.Constraints, sf.ValTracker)
+NUMERIC_TYPES = {"int", "float", "float | None"}
+OTHER_TYPES = {"str", "bool", "Constraints", "tuple[int, ...]", "dict[str, float]",
+               "dict[int, float]"}
+NUMERIC_FIELDS = [(owner, f) for owner in INTERVAL_OWNERS
+                  for f in dataclasses.fields(owner) if f.type in NUMERIC_TYPES]
+
+
+def bounds(interval):
+    """(lo, hi, lo closed, hi closed) of an interval written "[0, inf)"."""
+    assert interval[0] in "[(" and interval[-1] in "])", interval
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    assert lo < hi, interval
+    return lo, hi, interval[0] == "[", interval[-1] == "]"
+
+
+def test_every_numeric_field_states_its_interval():
+    # A new knob cannot skip the range rule: every int or float field of
+    # the four dataclasses declares an interval holding its default.
+    for owner in INTERVAL_OWNERS:
+        for f in dataclasses.fields(owner):
+            assert f.type in NUMERIC_TYPES | OTHER_TYPES, (owner.__name__, f.name)
+        owner()  # the defaults are inside their intervals
+    assert len(NUMERIC_FIELDS) == 22 + 2 + 4 + 1
+    for owner, f in NUMERIC_FIELDS:
+        assert "interval" in f.metadata, (owner.__name__, f.name)
+        bounds(f.metadata["interval"])
+
+
+def build(owner, name, value):
+    """A SearchConfig, or the owner itself for DynamicsParams and ValTracker,
+    with one field set to value. The other end of a lam schedule is set so
+    that lam_start > lam_final holds whenever value is inside its interval."""
+    kwargs = {name: value}
+    if name.endswith("lam_start"):
+        kwargs[name.replace("start", "final")] = 0.0
+    elif name.endswith("lam_final"):
+        above = math.nextafter(value, math.inf) if 0 <= value < math.inf else 1.0
+        kwargs[name.replace("final", "start")] = above
+    if owner is sf.Constraints:
+        return sf.SearchConfig(constraints=sf.Constraints(**kwargs))
+    return owner(**kwargs)
+
+
+def inside(owner_field):
+    """Values inside the field's interval, its closed finite ends included."""
+    _owner, f = owner_field
+    lo, hi, lo_closed, hi_closed = bounds(f.metadata["interval"])
+    ends = [end for end, closed in ((lo, lo_closed), (hi, hi_closed))
+            if closed and math.isfinite(end)]
+    if f.type == "int":
+        return st.integers(
+            None if math.isinf(lo) else int(lo) + (not lo_closed),
+            None if math.isinf(hi) else int(hi) - (not hi_closed),
+        )
+    values = st.floats(
+        None if math.isinf(lo) else lo, None if math.isinf(hi) else hi,
+        allow_nan=False,
+        allow_infinity=(math.isinf(lo) and lo_closed) or (math.isinf(hi) and hi_closed),
+        exclude_min=not lo_closed and math.isfinite(lo),
+        exclude_max=not hi_closed and math.isfinite(hi),
+    )
+    return st.one_of(st.sampled_from(ends), values) if ends else values
+
+
+def outside(owner_field):
+    """NaN, each infinity the interval leaves out, and the first value past
+    each finite end (the end itself where it is open)."""
+    _owner, f = owner_field
+    lo, hi, lo_closed, hi_closed = bounds(f.metadata["interval"])
+    values = [math.nan]
+    values += [end for end, ok in ((-math.inf, lo == -math.inf and lo_closed),
+                                   (math.inf, hi == math.inf and hi_closed)) if not ok]
+    for end, closed, way in ((lo, lo_closed, -1), (hi, hi_closed, 1)):
+        if math.isfinite(end):
+            if not closed:
+                values.append(int(end) if f.type == "int" else end)
+            values.append(int(end) + way if f.type == "int"
+                          else math.nextafter(end, way * math.inf))
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_each_knob_takes_its_interval_and_nothing_else(data):
+    owner, f = owner_field = data.draw(st.sampled_from(NUMERIC_FIELDS))
+    value = data.draw(inside(owner_field))
+    # The largest float leaves no lam_start above it.
+    assume(not (f.name.endswith("lam_final") and value == 1.7976931348623157e308))
+    build(owner, f.name, value)
+    for bad in outside(owner_field):
+        with pytest.raises(ValueError, match=rf"^{f.name} must be in "):
+            build(owner, f.name, bad)
 
 
 def test_data_seed_falls_back_to_run_seed():
