@@ -15,7 +15,8 @@ from dataclasses import fields
 from typing import Any
 
 from .data import Dataset, load_csv, make_blobs, two_spirals
-from .errors import BadConfig
+from .errors import BadConfig, BadParams
+from .knobs import check
 from .morphisms import Constraints, default_mix
 from .recording import read_json
 from .search import MODES, SearchConfig
@@ -58,28 +59,29 @@ _TAGS = {
 }
 
 
-def _search_keys() -> dict[str, tuple[str, Any, str, str | None]]:
+def _search_keys() -> dict[str, tuple[str, Any, str, str | None, str | None]]:
     """key -> (type tag, default, SearchConfig field, entry within that
-    field or None), read off the dataclasses."""
+    field or None, interval or None), read off the dataclasses."""
     keys = {}
     for f in fields(SearchConfig):
         if f.name == "constraints":
             for c in fields(Constraints):
-                keys[f"constraints.{c.name}"] = (_TAGS[c.type], c.default, f.name, c.name)
+                keys[f"constraints.{c.name}"] = (_TAGS[c.type], c.default, f.name,
+                                                 c.name, c.metadata["interval"])
         elif f.name == "mix":
             for kind, p in default_mix().items():
-                keys[f"morphisms.p_{kind}"] = ("float", p, f.name, kind)
+                keys[f"morphisms.p_{kind}"] = ("float", p, f.name, kind, None)
         elif f.name != "strict":
             default = list(f.default) if _TAGS[f.type] == "int_list" else f.default
             key = _RENAMED.get(f.name, f"search.{f.name}")
-            keys[key] = (_TAGS[f.type], default, f.name, None)
+            keys[key] = (_TAGS[f.type], default, f.name, None, f.metadata.get("interval"))
     return keys
 
 
 _SEARCH_KEYS = _search_keys()
 SCHEMA: dict[str, tuple[str, Any]] = {
     **_DATA_SCHEMA,
-    **{key: (tag, default) for key, (tag, default, _f, _e) in _SEARCH_KEYS.items()},
+    **{key: (tag, default) for key, (tag, default, *_) in _SEARCH_KEYS.items()},
 }
 
 
@@ -160,9 +162,9 @@ def require(cfg: dict[str, Any], key: str) -> Any:
 
 def build_dataset(cfg: dict[str, Any]) -> Dataset:
     kind = require(cfg, "data.kind")
-    seed = cfg["data.seed"]
-    if seed is None:
-        seed = cfg["search.seed"]
+    seed_key = "search.seed" if cfg["data.seed"] is None else "data.seed"
+    seed = cfg[seed_key]
+    check(f"config key {seed_key}", seed, "[0, inf)", BadParams)
     if kind == "blobs":
         data = make_blobs(
             cfg["data.n"], cfg["data.d"], cfg["data.classes"],
@@ -191,7 +193,10 @@ def build_search_config(cfg: dict[str, Any]) -> SearchConfig:
             f"config key search.mode wants one of {'/'.join(MODES)}, got {mode!r}"
         )
     kwargs: dict[str, Any] = {"constraints": {}, "mix": {}}
-    for key, (_tag, _default, name, entry) in _SEARCH_KEYS.items():
+    for key, (_tag, _default, name, entry, interval) in _SEARCH_KEYS.items():
+        # The dataclasses check these intervals again, naming their fields.
+        if interval is not None and cfg[key] is not None:
+            check(f"config key {key}", cfg[key], interval, BadConfig)
         if entry is None:
             kwargs[name] = cfg[key]
         else:

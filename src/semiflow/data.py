@@ -137,6 +137,7 @@ def spiral_arm(t: np.ndarray, label: int) -> np.ndarray:
 
 def two_spirals(n: int, noise: float = 0.1, seed: int = 0) -> Dataset:
     """Two interleaved spiral arms, one per class."""
+    check("n", n, "[0, inf)", BadParams)
     if n % 2 != 0:
         raise BadParams(f"n must be even, got {n}")
     check("noise", noise, "[0, inf)", BadParams)

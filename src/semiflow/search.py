@@ -1,20 +1,20 @@
 """Outer search loops.
 
-A search run is: pretrain an initial network, then repeat rounds. Each round
-builds a local graph (incumbent plus one-edit children), drops N particles on
-the incumbent and a ghost on every child, and runs the coupled train/mutate
-dynamics until some child holds twice the incumbent's particles (doubling),
-the round's iteration cap expires, or the global schedule budget runs dry.
-The winning node's architecture and live parameters become the next
-incumbent. A final training phase polishes the last incumbent until the
-validation loss plateaus.
+Every mode runs one loop (_run): pretrain an initial network, repeat rounds,
+then train the last incumbent until the validation loss plateaus. The loop
+owns the clock, the run's files, the checkpoint after each round and the
+counts; a mode supplies only its continue rule and round step.
 
-The step-size schedule is global: its clock keeps running across round
-boundaries and into final training, with warm restarts every epochs_neigh
-epochs.
+A particle round (nasgd, nasagd) builds a local graph (incumbent plus
+one-edit children), drops N particles on the incumbent and a ghost on every
+child, and runs the coupled train/mutate dynamics until some child holds
+twice the incumbent's particles (doubling), the round's iteration cap
+expires, or the global schedule budget runs dry. The winning node becomes
+the next incumbent. The step-size clock keeps running across rounds and into
+final training, with warm restarts every epochs_neigh epochs.
 
-A simplified hill-climbing baseline (train every child for epochs_neigh
-epochs, keep the best) is included for exploration-throughput comparisons.
+A hill-climb cycle (the baseline for exploration-throughput comparisons)
+trains every child for epochs_neigh epochs and keeps the best.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ import logging
 import math
 import os
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -743,16 +743,101 @@ def run_files(mode: str) -> list[str]:
     return files if mode == "hillclimb" else ["metrics.csv", *files]
 
 
-@contextmanager
-def _open_run(
-    config: SearchConfig, data: Dataset, out_dir: str | None,
-) -> Iterator[tuple[Candidate, MetricsWriter | None, JsonlWriter | None, str | None]]:
-    """Set up a search run and yield (pretrained incumbent, metrics writer,
-    audit writer, best.json path).
+def _particle_rounds(config: SearchConfig, data: Dataset, _incumbent: Candidate,
+                     clock: GlobalClock, metrics: MetricsWriter | None,
+                     _deadline: float) -> tuple[Callable, Callable]:
+    """The particle modes' rule and step for _run: one run_round on the run's
+    clock per round, while the clock is inside the budget of n_steps cycles
+    and the incumbent within size_threshold parameters."""
+    budget_iters = round(config.n_steps * config.epochs_neigh * clock.iters_per_epoch)
 
-    With an out_dir, opens the line logs of run_files(config.mode) there and
-    closes them on exit; without one, every writer and path is None.
+    def more(incumbent: Candidate, _rounds: int) -> bool:
+        return (clock.k < budget_iters
+                and param_count(incumbent.spec) <= config.size_threshold)
+
+    def step(incumbent: Candidate, round_idx: int, _explored: int):
+        incumbent, stats, audit = run_round(incumbent, config, data, clock, metrics,
+                                            round_idx, budget_iters - clock.k)
+        return incumbent, audit, len(audit), stats.stop
+
+    return more, step
+
+
+def _hill_climb_cycles(config: SearchConfig, data: Dataset, incumbent: Candidate,
+                       _clock: GlobalClock, _metrics: MetricsWriter | None,
+                       deadline: float) -> tuple[Callable, Callable]:
+    """The hill climber's rule and step for _run: max(1, round(n_steps))
+    cycles, size_threshold unread. A cycle trains every child by _step for
+    epochs_neigh epochs from zero velocity, on its own stream and a fresh
+    clock; the best validation loss wins. The incumbent's loss is scored
+    here, once, and then carried from the cycle that picked it.
+
+    Children of one spec train in one _fit, grouped by _stack and _seeds, in
+    the order of each group's first child. They are scored in graph order,
+    and one replaces the incumbent only on a strictly lower loss. A cycle
+    stops as "cap" at the first group that starts past the deadline.
     """
+    train_x, train_y = data.split("train")
+    val_x, val_y = data.split("val")
+    cycles = max(1, int(round(config.n_steps)))
+    incumbent_loss = evaluate(incumbent.spec, incumbent.params, val_x, val_y)[0]
+
+    def more(_incumbent: Candidate, rounds: int) -> bool:
+        return rounds < cycles
+
+    def step(incumbent: Candidate, cycle: int, explored: int):
+        nonlocal incumbent_loss
+        graph, audit = local_graph(config, cycle, incumbent.spec, incumbent.params)
+        children = [graph.payload(g) for g in graph if g != graph.center]
+        groups: dict[NetSpec, list[int]] = {}
+        for i, child in enumerate(children):
+            groups.setdefault(child.spec, []).append(i)
+        trained: dict[int, np.ndarray] = {}
+        added, stop = 0, "cycle"
+        for spec, group in groups.items():
+            if time.perf_counter() >= deadline:
+                added, stop = added + 1, "cap"
+                break
+            added += len(group)
+            x = _stack([children[i].params for i in group])
+            # Stream seeds number the children across all cycles.
+            seeds = [_stream_seed(config.seed, 7, cycle, explored + i) for i in group]
+            stream = BatchStream(train_x, train_y, config.s_x, _seeds(seeds))
+            # Every fresh clock has the same schedule, so one serves a stack.
+            clock = GlobalClock.for_search(config, stream.batches_per_epoch)
+            *_, fitted = _fit(
+                spec, NodeState(x, np.zeros_like(x)), stream, clock,
+                config.epochs_neigh, config, "baseline training",
+            )
+            trained.update(zip(group, np.atleast_2d(fitted.x)))
+        # A tie or a NaN loss keeps the earlier network.
+        kept = incumbent
+        for i in sorted(trained):
+            loss = evaluate(children[i].spec, trained[i], val_x, val_y)[0]
+            if loss < incumbent_loss:
+                incumbent_loss = loss
+                incumbent = Candidate(children[i].spec, trained[i], None, None)
+        log.debug("round %d: trained %d children, incumbent %s", cycle,
+                  len(trained), "kept" if incumbent is kept else "replaced")
+        return incumbent, audit, added, stop
+
+    return more, step
+
+
+def _run(config: SearchConfig, data: Dataset, out_dir: str | None,
+         rounds_of: Callable, wallclock_cap: float | None = None) -> SearchResult:
+    """The one run loop of every mode: pretrain, rounds, final training.
+
+    rounds_of(config, data, incumbent, clock, metrics, deadline) gives the
+    mode's rule more(incumbent, rounds) and step(incumbent, round_idx,
+    explored) -> (next incumbent, audit records, children explored, stop).
+    stop is a RoundStats.stop, "cycle", or "cap" once past the deadline
+    (wallclock_cap seconds after pretraining), which ends the search
+    uncounted, as the deadline does before a round. After each round its
+    records go to morphisms.jsonl and its incumbent to best.json. Final
+    training runs on the loop's clock unless there is a wallclock_cap.
+    """
+    t_start = time.perf_counter()
     with ExitStack() as owned:
         metrics = audit_writer = best_path = None
         if out_dir is not None:
@@ -768,58 +853,35 @@ def _open_run(
         spec, params = start_network(config, data)
         params = pretrain(spec, data, config, params)
         incumbent = Candidate(spec, params, np.zeros_like(params), None)
-        yield incumbent, metrics, audit_writer, best_path
-
-
-def run_search(
-    config: SearchConfig,
-    data: Dataset,
-    out_dir: str | None = None,
-) -> SearchResult:
-    """Full pipeline: pretrain, particle-dynamics rounds, final training.
-
-    With an out_dir, writes metrics.csv, morphisms.jsonl, and best.json there.
-    """
-    if config.mode == "hillclimb":
-        return hill_climb_baseline(config, data, out_dir)
-    t_start = time.perf_counter()
-    with _open_run(config, data, out_dir) as (
-        incumbent, metrics, audit_writer, best_path
-    ):
-        ipe = iters_per_epoch(data, config)
-        clock = GlobalClock.for_search(config, ipe)
-        budget_iters = round(config.n_steps * config.epochs_neigh * ipe)
-        explored = 1
-        timed_out = 0
+        clock = GlobalClock.for_search(config, iters_per_epoch(data, config))
         t_search = time.perf_counter()
-        round_idx = 0
-        while (clock.k < budget_iters
-               and param_count(incumbent.spec) <= config.size_threshold):
-            round_idx += 1
-            incumbent, stats, audit = run_round(
-                incumbent, config, data,
-                clock=clock,
-                metrics=metrics,
-                round_idx=round_idx,
-                budget_iters=budget_iters - clock.k,
-            )
-            explored += len(audit)
-            timed_out += int(stats.timed_out)
+        deadline = math.inf if wallclock_cap is None else t_search + wallclock_cap
+        more, step = rounds_of(config, data, incumbent, clock, metrics, deadline)
+        explored, rounds, timed_out = 1, 0, 0
+        while more(incumbent, rounds) and time.perf_counter() < deadline:
+            incumbent, audit, added, stop = step(incumbent, rounds + 1, explored)
             if audit_writer is not None:
                 for record in audit:
-                    audit_writer.write({"round": round_idx, **record})
+                    audit_writer.write({"round": rounds + 1, **record})
+            explored += added
+            rounds += stop != "cap"
+            timed_out += stop == "timeout"
             if best_path is not None:
                 save_checkpoint(best_path, incumbent.spec, incumbent.params)
+            if stop == "cap":
+                break
         search_secs = time.perf_counter() - t_search
 
-        best_params, test_metrics = final_train(
-            incumbent.spec, incumbent.params, data, config,
-            clock=clock, velocity=incumbent.velocity, checkpoint_path=best_path,
-        )
+        best_params, test_metrics = incumbent.params, {}
+        if wallclock_cap is None:
+            best_params, test_metrics = final_train(
+                incumbent.spec, incumbent.params, data, config,
+                clock=clock, velocity=incumbent.velocity, checkpoint_path=best_path,
+            )
         return SearchResult(
             best_spec=incumbent.spec,
             best_params=best_params,
-            rounds=round_idx,
+            rounds=rounds,
             architectures_explored=explored,
             wallclock=time.perf_counter() - t_start,
             search_wallclock=search_secs,
@@ -828,105 +890,32 @@ def run_search(
         )
 
 
+def run_search(
+    config: SearchConfig,
+    data: Dataset,
+    out_dir: str | None = None,
+) -> SearchResult:
+    """Full pipeline in config.mode: _run's loop with particle-dynamics
+    rounds, or hill_climb_baseline in hillclimb mode. With an out_dir,
+    writes run_files(config.mode) there.
+    """
+    if config.mode == "hillclimb":
+        return hill_climb_baseline(config, data, out_dir)
+    return _run(config, data, out_dir, _particle_rounds)
+
+
 def hill_climb_baseline(
     config: SearchConfig,
     data: Dataset,
     out_dir: str | None = None,
     wallclock_cap: float | None = None,
 ) -> SearchResult:
-    """Sequential-training baseline: each cycle trains every child by _step
-    for epochs_neigh epochs from zero velocity, on its own stream and a
-    fresh clock; the best validation loss wins (the incumbent's is carried).
+    """Sequential-training baseline: _run's loop with _hill_climb_cycles;
+    n_steps is the number of cycles.
 
-    Children of one spec train in one _fit, grouped by _stack and _seeds,
-    in the order of each group's first child. They are scored in graph
-    order, and one replaces the incumbent only on a strictly lower loss.
-    n_steps is the number of cycles. With a wallclock_cap, the run stops as
-    soon as the search phase has run that long (checked before each cycle
-    and before each group of same-spec children) and skips final training;
-    architectures_explored counts every child trained plus the one at which
-    the cap fired. The search phase starts after pretraining, as in
-    run_search, so a cap taken from a particle search's search_wallclock
-    buys the same search time.
+    With a wallclock_cap, no cycle or group of same-spec children starts once
+    the search phase, which begins after pretraining as in run_search, has
+    run that long, and final training is skipped; architectures_explored
+    counts every child trained plus the one at which the cap fired.
     """
-    t_start = time.perf_counter()
-    train_x, train_y = data.split("train")
-    val_x, val_y = data.split("val")
-    with _open_run(config, data, out_dir) as (
-        incumbent, _metrics, audit_writer, best_path
-    ):
-        t_search = time.perf_counter()
-
-        def out_of_time() -> bool:
-            return (wallclock_cap is not None
-                    and time.perf_counter() - t_search >= wallclock_cap)
-
-        incumbent_loss = evaluate(incumbent.spec, incumbent.params, val_x, val_y)[0]
-        cycles = max(1, int(round(config.n_steps)))
-        explored = 1
-        rounds_done = 0
-        capped = False
-        for cycle in range(1, cycles + 1):
-            if out_of_time():
-                capped = True
-                break
-            graph, audit = local_graph(config, cycle, incumbent.spec, incumbent.params)
-            if audit_writer is not None:
-                for record in audit:
-                    audit_writer.write({"round": cycle, **record})
-            children = [graph.payload(g) for g in graph if g != graph.center]
-            # Stream seeds number the children across all cycles.
-            seeds = [_stream_seed(config.seed, 7, cycle, explored + i)
-                     for i in range(len(children))]
-            groups: dict[NetSpec, list[int]] = {}
-            for i, child in enumerate(children):
-                groups.setdefault(child.spec, []).append(i)
-            trained: dict[int, np.ndarray] = {}
-            for spec, group in groups.items():
-                if out_of_time():
-                    explored += 1
-                    capped = True
-                    break
-                explored += len(group)
-                x = _stack([children[i].params for i in group])
-                stream = BatchStream(train_x, train_y, config.s_x,
-                                     _seeds([seeds[i] for i in group]))
-                # Every fresh clock has the same schedule, so one serves a stack.
-                clock = GlobalClock.for_search(config, stream.batches_per_epoch)
-                *_, fitted = _fit(
-                    spec, NodeState(x, np.zeros_like(x)), stream, clock,
-                    config.epochs_neigh, config, "baseline training",
-                )
-                trained.update(zip(group, np.atleast_2d(fitted.x)))
-            # A tie or a NaN loss keeps the earlier network.
-            kept = incumbent
-            for i in sorted(trained):
-                loss = evaluate(children[i].spec, trained[i], val_x, val_y)[0]
-                if loss < incumbent_loss:
-                    incumbent_loss = loss
-                    incumbent = Candidate(children[i].spec, trained[i], None, None)
-            if best_path is not None:
-                save_checkpoint(best_path, incumbent.spec, incumbent.params)
-            if capped:
-                break
-            rounds_done += 1
-            log.debug("round %d: trained %d children, incumbent %s", cycle,
-                      len(trained), "kept" if incumbent is kept else "replaced")
-
-        search_secs = time.perf_counter() - t_search
-        test_metrics: dict[str, Any] = {}
-        best_params = incumbent.params
-        if wallclock_cap is None:
-            best_params, test_metrics = final_train(
-                incumbent.spec, incumbent.params, data, config,
-                checkpoint_path=best_path,
-            )
-        return SearchResult(
-            best_spec=incumbent.spec,
-            best_params=best_params,
-            rounds=rounds_done,
-            architectures_explored=explored,
-            wallclock=time.perf_counter() - t_start,
-            search_wallclock=search_secs,
-            test_metrics=test_metrics,
-        )
+    return _run(config, data, out_dir, _hill_climb_cycles, wallclock_cap)

@@ -57,9 +57,12 @@ def test_patched_hooks_resolve():
 def test_phase_marks_reach_the_search(monkeypatch, tmp_path, mode):
     # probe.py marks the phases by replacing the module attributes and then
     # runs cli.main, so every search must call pretrain and final_train
-    # through them, once each and in that order.
+    # through them, once each and in that order. layers.py counts rounds at
+    # run_round and spans the baseline at hill_climb_baseline, so a particle
+    # search enters run_round once per round and a hill-climb search enters
+    # hill_climb_baseline once.
     calls = []
-    for attr in ("pretrain", "final_train"):
+    for attr in ("pretrain", "final_train", "run_round", "hill_climb_baseline"):
         fn = getattr(search, attr)
 
         def marked(*args, _fn=fn, _attr=attr, **kwargs):
@@ -73,11 +76,17 @@ def test_phase_marks_reach_the_search(monkeypatch, tmp_path, mode):
         "search.epochs_neigh": 1, "search.n_steps": 1.0, "search.n_particles": 10,
         "pretrain.epochs": 1, "final.budget": 1,
     }))
-    with contextlib.redirect_stdout(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         code = cli.main(["search", "--config", str(config), "--mode", mode,
                          "--out", str(tmp_path / "run")])
     assert code == 0
-    assert calls == ["pretrain", "final_train"]
+    rounds = json.loads(out.getvalue())["rounds"]
+    if mode == "hillclimb":
+        assert calls == ["hill_climb_baseline", "pretrain", "final_train"]
+    else:
+        assert rounds >= 1
+        assert calls == ["pretrain", *["run_round"] * rounds, "final_train"]
 
 
 def test_child_steps_count_once_each(monkeypatch):

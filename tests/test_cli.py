@@ -75,10 +75,17 @@ def test_search_hillclimb_artifacts(tmp_path):
 def test_manifest_lists_exactly_the_files_written(mode, tmp_path):
     cfg = write_config(tmp_path, {"search.n_neigh": 3})
     out_dir = str(tmp_path / "run")
-    code, _ = run_cli(["search", "--config", cfg, "--mode", mode, "--out", out_dir])
+    code, summary = run_cli(["search", "--config", cfg, "--mode", mode,
+                             "--out", out_dir])
     assert code == 0
     manifest = sf.read_manifest(os.path.join(out_dir, "manifest.json"))
     assert sorted(os.listdir(out_dir)) == sorted(manifest["outputs"])
+    # One counting rule in every mode: each explored child but the start
+    # network has one audit record, and the records number rounds 1..rounds.
+    with open(os.path.join(out_dir, "morphisms.jsonl")) as fh:
+        audit = [json.loads(line) for line in fh]
+    assert len(audit) == summary["architectures_explored"] - 1
+    assert {record["round"] for record in audit} == set(range(1, summary["rounds"] + 1))
 
 
 def test_search_missing_data_kind(tmp_path, caplog):
@@ -142,16 +149,16 @@ NO_KINDS = {f"morphisms.p_{kind}": 0.0 for kind in sf.ALL_KINDS}
     pytest.param({"net.hidden": [0]}, "hidden", id="hidden"),
     pytest.param({"search.s_x": 0}, "s_x", id="s_x"),
     pytest.param({"search.s_y": 0}, "s_y", id="s_y"),
-    pytest.param({"final.budget": -1}, "final_budget", id="final_budget"),
+    pytest.param({"final.budget": -1}, "final.budget", id="final_budget"),
     pytest.param({"search.round_timeout_factor": 0.0}, "round_timeout_factor",
                  id="round_timeout_factor"),
     pytest.param({"dynamics.damping": -1.0}, "damping", id="damping"),
     pytest.param({"search.n_steps": float("inf")}, "n_steps", id="infinite-n_steps"),
     pytest.param({"search.round_timeout_factor": float("inf")}, "round_timeout_factor",
                  id="infinite-round_timeout_factor"),
-    pytest.param({"pretrain.lam_start": -1.0}, "pretrain_lam_start",
+    pytest.param({"pretrain.lam_start": -1.0}, "pretrain.lam_start",
                  id="pretrain_lam_start"),
-    pytest.param({"pretrain.epochs": -3}, "pretrain_epochs", id="pretrain_epochs"),
+    pytest.param({"pretrain.epochs": -3}, "pretrain.epochs", id="pretrain_epochs"),
     pytest.param({"dynamics.kappa": 10**400}, "kappa", id="integer-beyond-float-kappa"),
     pytest.param({"dynamics.kappa": float("inf")}, "kappa", id="infinite-kappa"),
     pytest.param({"dynamics.beta": float("inf")}, "beta", id="infinite-beta"),
@@ -164,10 +171,12 @@ NO_KINDS = {f"morphisms.p_{kind}": 0.0 for kind in sf.ALL_KINDS}
                  id="infinite-damping"),
     pytest.param({"search.lam_start": float("inf")}, "lam_start must be in (0, inf)",
                  id="infinite-lam_start"),
+    # An interval error names the key as written, not the field it sets.
     pytest.param({"pretrain.lam_start": float("inf")},
-                 "pretrain_lam_start must be in (0, inf)",
+                 "config key pretrain.lam_start must be in (0, inf), got inf",
                  id="infinite-pretrain_lam_start"),
-    pytest.param({"final.plateau_cycles": 0}, "plateau_cycles must be in [1, inf)",
+    pytest.param({"final.plateau_cycles": 0},
+                 "config key final.plateau_cycles must be in [1, inf), got 0",
                  id="zero-plateau_cycles"),
     pytest.param({"final.plateau_cycles": -2}, "plateau_cycles must be in [1, inf)",
                  id="negative-plateau_cycles"),
@@ -175,6 +184,12 @@ NO_KINDS = {f"morphisms.p_{kind}": 0.0 for kind in sf.ALL_KINDS}
                  "noise must be in [0, inf), got nan", id="nan-spirals-noise"),
     pytest.param({"data.spread": float("nan")}, "spread must be in [0, inf), got nan",
                  id="nan-blobs-spread"),
+    # Each of these once ended in a numpy traceback, exit 1.
+    pytest.param({"data.kind": "spirals", "data.seed": -1},
+                 "config key data.seed must be in [0, inf), got -1",
+                 id="negative-data-seed"),
+    pytest.param({"data.kind": "spirals", "data.n": -4}, "n must be in [0, inf), got -4",
+                 id="negative-spirals-n"),
 ])
 def test_bad_config_value_exits_2_before_running(overrides, message, tmp_path,
                                                  caplog):

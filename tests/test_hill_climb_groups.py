@@ -9,6 +9,7 @@ each group of same-spec children and counts every child trained plus the one
 at which the cap fired.
 """
 
+import json
 import types
 
 import numpy as np
@@ -150,7 +151,8 @@ def test_children_take_the_configs_step(monkeypatch, knob):
         assert spec == child.spec and same_bits(got, want)
 
 
-def test_capped_baseline_counts_trained_children_and_the_cap(monkeypatch, blobs_small):
+def test_capped_baseline_counts_trained_children_and_the_cap(monkeypatch, tmp_path,
+                                                            blobs_small):
     # The fake clock reads the number of _fit calls so far, so a cap of c
     # fires before the (c+1)-th group of same-spec children.
     fits = []
@@ -181,12 +183,20 @@ def test_capped_baseline_counts_trained_children_and_the_cap(monkeypatch, blobs_
     seen.clear()
     fits.clear()
     cap = len(first) + 1
-    result = search.hill_climb_baseline(config, blobs_small, wallclock_cap=cap)
+    result = search.hill_climb_baseline(config, blobs_small, out_dir=str(tmp_path),
+                                        wallclock_cap=cap)
     assert len(fits) == cap and len(seen) == 2
     # The start, cycle 1's children, cycle 2's first group, and the child
     # at which the cap fired.
     assert result.architectures_explored == 1 + config.n_neigh + len(second[0]) + 1
     assert result.rounds == 1 and result.test_metrics == {}
+    # Both drawn cycles leave their records, the capped one included, and
+    # best.json holds the incumbent the capped run returns.
+    with open(tmp_path / "morphisms.jsonl") as fh:
+        rounds = [json.loads(line)["round"] for line in fh]
+    assert rounds == [1] * (len(seen[0][2]) - 1) + [2] * (len(seen[1][2]) - 1)
+    spec, flat = sf.load_checkpoint(str(tmp_path / "best.json"))
+    assert spec == result.best_spec and same_bits(flat, result.best_params)
 
 
 def test_baseline_scores_its_incumbent_once(monkeypatch, blobs_small):
