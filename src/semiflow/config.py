@@ -2,11 +2,11 @@
 
 A config file is a single JSON object mapping dotted keys to scalars (or a
 list of ints for net.hidden). Unknown keys are rejected by name, values are
-type-checked, and anything not given falls back to its default: the data.*
-defaults are listed below, every other key takes its default and type from
-the SearchConfig, Constraints or default_mix() field it sets. The
-normalized table is what gets snapshotted into a run manifest, so a manifest
-alone is enough to replay a run bit for bit.
+type-checked, and anything not given falls back to its default: every key
+takes its default, type and any interval from the DataConfig, SearchConfig,
+Constraints or default_mix() field it sets. The normalized table is what
+gets snapshotted into a run manifest, so a manifest alone is enough to
+replay a run bit for bit.
 """
 
 from __future__ import annotations
@@ -14,33 +14,16 @@ from __future__ import annotations
 from dataclasses import fields
 from typing import Any
 
-from .data import Dataset, load_csv, make_blobs, two_spirals
-from .errors import BadConfig, BadParams
+from .data import DataConfig, Dataset, load_csv, make_blobs, two_spirals
+from .errors import BadConfig
 from .knobs import check
 from .morphisms import Constraints, default_mix
 from .recording import read_json
 from .search import MODES, SearchConfig
 
-# The data.* keys feed build_dataset, not a dataclass, so they are listed
-# here as key -> (type tag, default); None means "no default, must be
-# supplied when a command needs it".
-_DATA_SCHEMA: dict[str, tuple[str, Any]] = {
-    "data.kind": ("str", None),
-    "data.n": ("int", 2000),
-    "data.noise": ("float", 0.1),
-    "data.spread": ("float", 0.6),
-    "data.d": ("int", 2),
-    "data.classes": ("int", 4),
-    "data.path": ("str", None),
-    "data.label_column": ("int", -1),
-    "data.has_header": ("bool", False),
-    "data.seed": ("opt_int", None),
-    "data.standardize": ("bool", False),
-}
-
-# SearchConfig fields whose key is not "search.<field>". Constraints fields
-# are "constraints.<field>", the mix entries "morphisms.p_<kind>", and
-# strict is a command-line flag with no key.
+# SearchConfig fields whose key is not "search.<field>". DataConfig fields
+# are "data.<field>", Constraints fields "constraints.<field>", the mix
+# entries "morphisms.p_<kind>", and strict is a command-line flag with no key.
 _RENAMED = {
     **{name: f"dynamics.{name}" for name in (
         "kappa", "beta", "rate_mode", "damping", "val_decay",
@@ -54,15 +37,18 @@ _RENAMED = {
     "plateau_tol": "final.plateau_tol",
 }
 _TAGS = {
-    "bool": "bool", "int": "int", "float": "float", "str": "str",
-    "float | None": "opt_float", "tuple[int, ...]": "int_list",
+    "bool": "bool", "int": "int", "float": "float", "str": "str", "str | None": "str",
+    "int | None": "opt_int", "float | None": "opt_float", "tuple[int, ...]": "int_list",
 }
 
 
-def _search_keys() -> dict[str, tuple[str, Any, str, str | None, str | None]]:
-    """key -> (type tag, default, SearchConfig field, entry within that
-    field or None, interval or None), read off the dataclasses."""
+def _schema() -> dict[str, tuple[str, Any, str | None, str | None, str | None]]:
+    """key -> (type tag, default, SearchConfig field or None, entry within
+    that field or None, interval or None), read off the dataclasses."""
     keys = {}
+    for f in fields(DataConfig):
+        keys[f"data.{f.name}"] = (_TAGS[f.type], f.default, None, None,
+                                  f.metadata.get("interval"))
     for f in fields(SearchConfig):
         if f.name == "constraints":
             for c in fields(Constraints):
@@ -78,15 +64,11 @@ def _search_keys() -> dict[str, tuple[str, Any, str, str | None, str | None]]:
     return keys
 
 
-_SEARCH_KEYS = _search_keys()
-SCHEMA: dict[str, tuple[str, Any]] = {
-    **_DATA_SCHEMA,
-    **{key: (tag, default) for key, (tag, default, *_) in _SEARCH_KEYS.items()},
-}
+SCHEMA = _schema()
 
 
 def default_config() -> dict[str, Any]:
-    return {key: default for key, (_tag, default) in SCHEMA.items()}
+    return {key: default for key, (_tag, default, *_) in SCHEMA.items()}
 
 
 def _coerce(key: str, tag: str, value: Any) -> Any:
@@ -153,37 +135,38 @@ def load_config(path: str) -> dict[str, Any]:
     return raw
 
 
+def _checked(cfg: dict[str, Any], key: str) -> Any:
+    """cfg[key], refused outside the key's interval by an error naming the key."""
+    interval = SCHEMA[key][4]
+    if interval is not None and cfg[key] is not None:
+        check(f"config key {key}", cfg[key], interval, BadConfig)
+    return cfg[key]
+
+
 def require(cfg: dict[str, Any], key: str) -> Any:
-    value = cfg.get(key)
+    value = _checked(cfg, key)
     if value is None:
         raise BadConfig(f"missing config key: {key}")
     return value
 
 
+_GENERATORS = {
+    "blobs": (make_blobs, ("data.n", "data.d", "data.classes", "data.spread")),
+    "spirals": (two_spirals, ("data.n", "data.noise")),
+    "csv": (load_csv, ("data.path", "data.label_column", "data.has_header")),
+}
+
+
 def build_dataset(cfg: dict[str, Any]) -> Dataset:
+    """The dataset of data.kind: its generator takes the keys _GENERATORS
+    lists, then data.seed, which falls back to search.seed."""
     kind = require(cfg, "data.kind")
+    if kind not in _GENERATORS:
+        raise BadConfig(f"config key data.kind wants blobs, spirals, or csv, got {kind!r}")
+    make, keys = _GENERATORS[kind]
     seed_key = "search.seed" if cfg["data.seed"] is None else "data.seed"
-    seed = cfg[seed_key]
-    check(f"config key {seed_key}", seed, "[0, inf)", BadParams)
-    if kind == "blobs":
-        data = make_blobs(
-            cfg["data.n"], cfg["data.d"], cfg["data.classes"],
-            cfg["data.spread"], seed,
-        )
-    elif kind == "spirals":
-        data = two_spirals(cfg["data.n"], cfg["data.noise"], seed)
-    elif kind == "csv":
-        data = load_csv(
-            require(cfg, "data.path"), cfg["data.label_column"],
-            cfg["data.has_header"], split_seed=seed,
-        )
-    else:
-        raise BadConfig(
-            f"config key data.kind wants blobs, spirals, or csv, got {kind!r}"
-        )
-    if cfg["data.standardize"]:
-        data = data.standardized()
-    return data
+    data = make(*(require(cfg, key) for key in (*keys, seed_key)))
+    return data.standardized() if cfg["data.standardize"] else data
 
 
 def build_search_config(cfg: dict[str, Any]) -> SearchConfig:
@@ -193,14 +176,11 @@ def build_search_config(cfg: dict[str, Any]) -> SearchConfig:
             f"config key search.mode wants one of {'/'.join(MODES)}, got {mode!r}"
         )
     kwargs: dict[str, Any] = {"constraints": {}, "mix": {}}
-    for key, (_tag, _default, name, entry, interval) in _SEARCH_KEYS.items():
-        # The dataclasses check these intervals again, naming their fields.
-        if interval is not None and cfg[key] is not None:
-            check(f"config key {key}", cfg[key], interval, BadConfig)
-        if entry is None:
-            kwargs[name] = cfg[key]
-        else:
-            kwargs[name][entry] = cfg[key]
+    for key, (_tag, _default, name, entry, _interval) in SCHEMA.items():
+        if entry is not None:
+            kwargs[name][entry] = _checked(cfg, key)
+        elif name is not None:
+            kwargs[name] = _checked(cfg, key)
     try:
         kwargs["constraints"] = Constraints(**kwargs["constraints"])
         return SearchConfig(**kwargs)

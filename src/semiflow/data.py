@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
     SplitTooSmall,
 )
-from .knobs import check
+from .knobs import check, check_fields, knob
 from .recording import read_text
 
 SPIRAL_TURNS = 1.5
@@ -99,6 +99,13 @@ def _split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     )
 
 
+def _check_size(rows: int, cols: int) -> None:
+    """BadParams for a rows x cols float array too large for numpy to
+    represent (more bytes than an index can count)."""
+    if rows * cols * 8 > np.iinfo(np.intp).max:
+        raise BadParams(f"{rows} rows of {cols} features are more than numpy can hold")
+
+
 def make_blobs(
     n: int, d: int = 2, n_classes: int = 4, spread: float = 0.6, seed: int = 0
 ) -> Dataset:
@@ -108,6 +115,7 @@ def make_blobs(
     if d < 1 or n_classes < 2:
         raise BadParams(f"bad dimensions d={d}, classes={n_classes}")
     check("spread", spread, "[0, inf)", BadParams)
+    _check_size(n, d)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(91,)))
     centers = np.zeros((n_classes, d))
     if d == 1:
@@ -141,6 +149,7 @@ def two_spirals(n: int, noise: float = 0.1, seed: int = 0) -> Dataset:
     if n % 2 != 0:
         raise BadParams(f"n must be even, got {n}")
     check("noise", noise, "[0, inf)", BadParams)
+    _check_size(n, 2)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(92,)))
     half = n // 2
     feats, labels = [], []
@@ -225,6 +234,26 @@ def load_csv(
     return Dataset(
         features, labels_arr, *_split_indices(features.shape[0], split_seed)
     )
+
+
+@dataclass
+class DataConfig:
+    """The data.* config keys; a None seed is the run's, checked once resolved."""
+
+    kind: str | None = None
+    n: int = knob(2000, "[0, inf)")
+    noise: float = knob(0.1, "[0, inf)")
+    spread: float = knob(0.6, "[0, inf)")
+    d: int = knob(2, "[1, inf)")
+    classes: int = knob(4, "[2, inf)")
+    path: str | None = None
+    label_column: int = knob(-1, "[-inf, inf]")
+    has_header: bool = False
+    seed: int | None = knob(None, "[0, inf)")
+    standardize: bool = False
+
+    def __post_init__(self) -> None:
+        check_fields(self if self.seed is not None else replace(self, seed=0))
 
 
 @dataclass

@@ -918,4 +918,6 @@ def hill_climb_baseline(
     run that long, and final training is skipped; architectures_explored
     counts every child trained plus the one at which the cap fired.
     """
+    if config.mode != "hillclimb":
+        raise ValueError(f"hill_climb_baseline needs mode hillclimb, got {config.mode!r}")
     return _run(config, data, out_dir, _hill_climb_cycles, wallclock_cap)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -190,6 +191,16 @@ NO_KINDS = {f"morphisms.p_{kind}": 0.0 for kind in sf.ALL_KINDS}
                  id="negative-data-seed"),
     pytest.param({"data.kind": "spirals", "data.n": -4}, "n must be in [0, inf), got -4",
                  id="negative-spirals-n"),
+    # Sizes numpy cannot represent, refused before anything is allocated.
+    pytest.param({"data.kind": "spirals", "data.n": 1e300},
+                 "features are more than numpy can hold", id="huge-spirals-n"),
+    pytest.param({"data.kind": "blobs", "data.n": 1e300},
+                 "features are more than numpy can hold", id="huge-blobs-n"),
+    pytest.param({"data.kind": "blobs", "data.d": 1e300},
+                 "features are more than numpy can hold", id="huge-blobs-d"),
+    pytest.param({"data.kind": "spirals", "data.n": 4e18},
+                 "4000000000000000000 rows of 2 features are more than numpy can hold",
+                 id="spirals-n-past-the-array-size"),
 ])
 def test_bad_config_value_exits_2_before_running(overrides, message, tmp_path,
                                                  caplog):
@@ -746,6 +757,39 @@ def test_bench_flags_keep_the_exit_contract(tmp_path_factory, iters, particles,
             f"--betas={betas}", f"--kappas={kappas}", "--order", order]
     code, _, _ = run_cli_all(argv + ["--sampled"] * sampled)
     assert code in (0, 2, 3)
+
+
+def interval_ends(key):
+    """Each finite end of key's interval and the first value past it."""
+    interval = sf.SCHEMA[key][4]
+    if interval is None:
+        return []
+    whole = sf.SCHEMA[key][0] in ("int", "opt_int")
+    values = []
+    for end, way in zip((float(e) for e in interval[1:-1].split(",")), (-1, 1)):
+        if math.isfinite(end):
+            values += ([int(end), int(end) + way] if whole
+                       else [end, math.nextafter(end, way * math.inf)])
+    return values
+
+
+SCHEMA_VALUES = [None, True, False, "x", [1], {"a": 1},
+                 float("nan"), float("inf"), float("-inf")]
+
+
+# More examples than there are (key, value) pairs (483), so hypothesis, which
+# skips a pair it has run, runs each one.
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_any_value_of_any_key_keeps_the_exit_contract(tmp_path_factory, data):
+    # A wrong type, a non-finite number or an interval end (or just past
+    # it) for any one config key exits 0 or 2, never with an exception.
+    key = data.draw(st.sampled_from(sorted(sf.SCHEMA)))
+    value = data.draw(st.sampled_from(SCHEMA_VALUES + interval_ends(key)))
+    config = tmp_path_factory.mktemp("fuzz") / "config.json"
+    config.write_text(json.dumps({"data.kind": "spirals", "data.n": 200, key: value}))
+    code, _, _ = run_cli_all(["graph-dump", "--config", str(config)])
+    assert code in (0, 2)
 
 
 def assert_cells_parse(path):

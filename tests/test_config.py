@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import semiflow as sf
+from semiflow.data import DataConfig
 from semiflow.errors import BadConfig, MissingFile
 
 
@@ -218,10 +219,11 @@ def test_build_search_config_rejects_bad_values():
 
 # Every dataclass whose numeric fields take a stated interval, and the
 # annotations of the fields that are not numeric.
-INTERVAL_OWNERS = (sf.SearchConfig, sf.DynamicsParams, sf.Constraints, sf.ValTracker)
-NUMERIC_TYPES = {"int", "float", "float | None"}
-OTHER_TYPES = {"str", "bool", "Constraints", "tuple[int, ...]", "dict[str, float]",
-               "dict[int, float]"}
+INTERVAL_OWNERS = (sf.SearchConfig, sf.DynamicsParams, sf.Constraints, sf.ValTracker,
+                   DataConfig)
+NUMERIC_TYPES = {"int", "float", "float | None", "int | None"}
+OTHER_TYPES = {"str", "str | None", "bool", "Constraints", "tuple[int, ...]",
+               "dict[str, float]", "dict[int, float]"}
 NUMERIC_FIELDS = [(owner, f) for owner in INTERVAL_OWNERS
                   for f in dataclasses.fields(owner) if f.type in NUMERIC_TYPES]
 
@@ -236,21 +238,22 @@ def bounds(interval):
 
 def test_every_numeric_field_states_its_interval():
     # A new knob cannot skip the range rule: every int or float field of
-    # the four dataclasses declares an interval holding its default.
+    # the five dataclasses declares an interval holding its default.
     for owner in INTERVAL_OWNERS:
         for f in dataclasses.fields(owner):
             assert f.type in NUMERIC_TYPES | OTHER_TYPES, (owner.__name__, f.name)
         owner()  # the defaults are inside their intervals
-    assert len(NUMERIC_FIELDS) == 22 + 2 + 4 + 1
+    assert len(NUMERIC_FIELDS) == 22 + 2 + 4 + 1 + 7
     for owner, f in NUMERIC_FIELDS:
         assert "interval" in f.metadata, (owner.__name__, f.name)
         bounds(f.metadata["interval"])
 
 
 def build(owner, name, value):
-    """A SearchConfig, or the owner itself for DynamicsParams and ValTracker,
-    with one field set to value. The other end of a lam schedule is set so
-    that lam_start > lam_final holds whenever value is inside its interval."""
+    """A SearchConfig, or the owner itself for DynamicsParams, ValTracker and
+    DataConfig, with one field set to value. The other end of a lam schedule
+    is set so that lam_start > lam_final holds whenever value is inside its
+    interval."""
     kwargs = {name: value}
     if name.endswith("lam_start"):
         kwargs[name.replace("start", "final")] = 0.0
@@ -268,7 +271,7 @@ def inside(owner_field):
     lo, hi, lo_closed, hi_closed = bounds(f.metadata["interval"])
     ends = [end for end, closed in ((lo, lo_closed), (hi, hi_closed))
             if closed and math.isfinite(end)]
-    if f.type == "int":
+    if f.type.startswith("int"):
         return st.integers(
             None if math.isinf(lo) else int(lo) + (not lo_closed),
             None if math.isinf(hi) else int(hi) - (not hi_closed),
@@ -294,8 +297,8 @@ def outside(owner_field):
     for end, closed, way in ((lo, lo_closed, -1), (hi, hi_closed, 1)):
         if math.isfinite(end):
             if not closed:
-                values.append(int(end) if f.type == "int" else end)
-            values.append(int(end) + way if f.type == "int"
+                values.append(int(end) if f.type.startswith("int") else end)
+            values.append(int(end) + way if f.type.startswith("int")
                           else math.nextafter(end, way * math.inf))
     return values
 

@@ -199,6 +199,19 @@ def test_capped_baseline_counts_trained_children_and_the_cap(monkeypatch, tmp_pa
     assert spec == result.best_spec and same_bits(flat, result.best_params)
 
 
+@pytest.mark.parametrize("mode", ["nasgd", "nasagd"])
+def test_baseline_refuses_a_particle_mode_before_writing(mode, tmp_path, blobs_small):
+    # The files a run writes follow config.mode: a particle config once ran
+    # hill-climb cycles and left a metrics.csv holding only its header.
+    out_dir = tmp_path / "run"
+    config = sf.SearchConfig(mode=mode, seed=0, n_neigh=2, n_steps=1.0,
+                             epochs_neigh=1, hidden=(4,), pretrain_epochs=0,
+                             final_budget=0)
+    with pytest.raises(ValueError, match=f"needs mode hillclimb, got '{mode}'$"):
+        search.hill_climb_baseline(config, blobs_small, out_dir=str(out_dir))
+    assert not out_dir.exists()
+
+
 def test_baseline_scores_its_incumbent_once(monkeypatch, blobs_small):
     # The incumbent is scored when the search phase starts and its loss is
     # carried from the cycle that picked it: before final training, one
