@@ -27,7 +27,7 @@ def run_expected(graph, vals, beta, tau, iters):
     for _ in range(iters):
         f = marginal(ens)
         laws = sf.mutation_rates_first(f, vals, graph, dyn, tau)
-        ens = sf.apply_mutation(ens, laws, None)
+        ens = sf.apply_mutation_with_flows(ens, laws, None).ensemble
         energies.append(sf.energy(ens, vals, beta=beta))
     return marginal(ens), energies
 
@@ -41,7 +41,7 @@ def run_sampled(graph, vals, beta, tau, iters, n, seed):
     for it in range(iters):
         f = marginal(ens)
         laws = sf.mutation_rates_first(f, vals, graph, dyn, tau)
-        ens = sf.apply_mutation(ens, laws, rng)
+        ens = sf.apply_mutation_with_flows(ens, laws, rng).ensemble
         if it >= iters - tail_len:
             f = marginal(ens)
             for g in f:

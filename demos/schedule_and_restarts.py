@@ -50,7 +50,7 @@ def part_restarts():
     resets = 0
     for it in range(400):
         laws = sf.mutation_rates_second(phi, g, dyn, 0.05)
-        ens = sf.apply_mutation(ens, laws, rng)
+        ens = sf.apply_mutation_with_flows(ens, laws, rng).ensemble
         f = {i: ens.counts[i] / total for i in g}
         phi = update_potential(phi, ens, vals, g, dyn, 0.05)
         fired = sf.restart_check(phi, vals, g, f)

@@ -49,6 +49,7 @@ from .dynamics import (
     SECOND_ORDER,
     DynamicsParams,
     MoveLaw,
+    MoveLaws,
     MutationResult,
     NodeState,
     ParticleEnsemble,

@@ -120,7 +120,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--particles", type=int, default=10000)
     p.add_argument("--iters", type=int, default=2000)
     p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--order", type=int, choices=(1, 2), default=1)
+    p.add_argument("--order", type=int, choices=(1, 2), default=1,
+                   help="2 runs the second-order integrator bare, with no "
+                        "restarts: its potential blows up and the run exits 3 "
+                        "within a few hundred steps at --tau 0.05")
     p.add_argument("--sampled", action="store_true",
                    help="integer-particle sampling instead of expected flows")
 

@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
     SplitTooSmall,
 )
-from .knobs import check, check_fields, knob
+from .knobs import check, check_fields, knob, shown
 from .recording import read_text
 
 SPIRAL_TURNS = 1.5
@@ -103,7 +103,9 @@ def _check_size(rows: int, cols: int) -> None:
     """BadParams for a rows x cols float array too large for numpy to
     represent (more bytes than an index can count)."""
     if rows * cols * 8 > np.iinfo(np.intp).max:
-        raise BadParams(f"{rows} rows of {cols} features are more than numpy can hold")
+        raise BadParams(
+            f"{shown(rows)} rows of {shown(cols)} features are more than numpy can hold"
+        )
 
 
 def make_blobs(

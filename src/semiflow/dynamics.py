@@ -24,15 +24,16 @@ potential and the restart drift are n x n array expressions, each term
 multiplied in the order the per-edge formula gives. Sums over neighbours
 add left to right in ascending id, as the per-edge loops did, so a step
 gives the same bits as they did. Per-node work (scores, f**beta, finiteness
-checks, the draws) stays scalar.
+checks, the draws) stays scalar. The move laws stay that matrix (`MoveLaws`)
+until the mutation step draws a node's moves from its row.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -214,31 +215,45 @@ def _row_totals(m: np.ndarray) -> np.ndarray:
     return np.add.accumulate(m, axis=1)[:, -1]
 
 
-def _finish_laws(
-    raw: np.ndarray, kappa: float, tau_k: float
-) -> dict[int, MoveLaw]:
-    """Move laws from the raw rate matrix R: node g moves with probability
-    min(1, kappa*tau_k*sum_h R[g, h]), to h in proportion to R[g, h].
-
-    Only entries > 0 are rates: fmax also clears the NaN of an infinite
-    bracket times the zero kernel of a non-edge.
+class MoveLaws(Mapping):
+    """The move laws of nodes 0..n-1, kept as arrays read off a raw rate
+    matrix R: rates holds R's entries > 0 (fmax also clears the NaN of an
+    infinite bracket times the zero kernel of a non-edge), totals its rows
+    summed left to right, and move_prob = min(1, scale*totals), scale being
+    kappa*tau_k. A mover from g goes to h with probability
+    rates[g, h] / totals[g]. laws[g] builds g's MoveLaw on read; the
+    mutation step reads the arrays.
     """
-    rates = np.fmax(raw, 0.0)
-    totals = _row_totals(rates)
-    rows, cols = rates.nonzero()
-    shares = (rates[rows, cols] / totals[rows]).tolist()
-    rows, cols = rows.tolist(), cols.tolist()
-    laws = {}
-    start = 0
-    for g, total in enumerate(totals.tolist()):
-        if total > 0.0:
-            end = bisect_right(rows, g, start)
-            prob = min(1.0, kappa * tau_k * total)
-            laws[g] = MoveLaw(prob, dict(zip(cols[start:end], shares[start:end])))
-            start = end
-        else:
-            laws[g] = MoveLaw(0.0, {})
-    return laws
+
+    # fmin takes a product past the float range (inf) or a NaN one to 1,
+    # as min(1.0, x) does.
+    @np.errstate(over="ignore", invalid="ignore")
+    def __init__(self, raw, scale: float) -> None:
+        self.rates = np.fmax(raw, 0.0)
+        self.totals = _row_totals(self.rates)
+        moving = self.totals > 0.0
+        self.move_prob = np.where(moving, np.fmin(1.0, scale * self.totals), 0.0)
+
+    def dests(self, g: int) -> tuple[np.ndarray, np.ndarray]:
+        """Node g's destinations, the positive rates of its row in ascending
+        id, and each one's share of the row total. A share can underflow to
+        0 and still names a destination."""
+        row = self.rates[g]
+        dests = np.flatnonzero(row > 0.0)
+        return dests, row[dests] / self.totals[g]
+
+    def __getitem__(self, g: int) -> MoveLaw:
+        if not 0 <= g < len(self):
+            raise KeyError(g)
+        dests, shares = self.dests(g)
+        dest = dict(zip(dests.tolist(), shares.tolist()))
+        return MoveLaw(float(self.move_prob[g]), dest)
+
+    def __iter__(self):
+        return iter(range(len(self)))
+
+    def __len__(self) -> int:
+        return len(self.totals)
 
 
 def _check_rate_inputs(graph: ArchGraph, tau_k: float) -> None:
@@ -254,7 +269,7 @@ def mutation_rates_first(
     graph: ArchGraph,
     params: DynamicsParams,
     tau_k: float,
-) -> dict[int, MoveLaw]:
+) -> MoveLaws:
     """First-order rates: mass flows toward strictly lower score.
 
     Score s(g) = f(g)**beta + V~(g); raw rate toward a neighbor is
@@ -269,7 +284,7 @@ def mutation_rates_first(
             raise NonFiniteValue(f"score at node {g} is {s}")
         score.append(s)
     raw = _gap(np.array(score), False) * graph.kernel_matrix()
-    return _finish_laws(raw, params.kappa, tau_k)
+    return MoveLaws(raw, params.kappa * tau_k)
 
 
 def mutation_rates_second(
@@ -277,7 +292,7 @@ def mutation_rates_second(
     graph: ArchGraph,
     params: DynamicsParams,
     tau_k: float,
-) -> dict[int, MoveLaw]:
+) -> MoveLaws:
     """Second-order rates read the potential instead of the score.
 
     The raw rate toward a neighbor is (phi(g) - phi(g'))^- * K(g,g'), so
@@ -289,7 +304,7 @@ def mutation_rates_second(
         if not math.isfinite(p):
             raise NonFiniteValue(f"potential at node {g} is {p}")
     gap = _gap(potential, True)
-    return _finish_laws(gap * graph.kernel_matrix(), params.kappa, tau_k)
+    return MoveLaws(gap * graph.kernel_matrix(), params.kappa * tau_k)
 
 
 class MutationResult(NamedTuple):
@@ -299,36 +314,36 @@ class MutationResult(NamedTuple):
 
 def apply_mutation_with_flows(
     ensemble: ParticleEnsemble,
-    laws: Mapping[int, MoveLaw],
+    laws: MoveLaws,
     rng: np.random.Generator | None = None,
 ) -> MutationResult:
     """One synchronous mutation step, reporting per-edge flows.
 
-    All moves are decided from the pre-step counts and applied at once.
-    With an rng, each movable particle moves independently (binomial movers,
-    multinomial destinations; counts stay integral). Without one, the
-    expected fractional masses are transported instead.
+    All moves are decided from the pre-step counts and applied at once,
+    node by node in ascending id. With an rng, each movable particle moves
+    independently (binomial movers, multinomial destinations; counts stay
+    integral). Without one, the expected fractional masses are transported
+    instead.
     """
     counts = dict(ensemble.counts)
     flows: dict[tuple[int, int], float] = {}
-    for g in sorted(laws):
-        law = laws[g]
-        if law.move_prob <= 0.0 or not law.dest:
+    for g, prob in enumerate(laws.move_prob.tolist()):
+        if prob <= 0.0:
             continue
         movable = ensemble.movable(g)
         if movable <= 0:
             continue
-        dests = sorted(law.dest)
-        weights = np.array([law.dest[h] for h in dests])
+        dests, weights = laws.dests(g)
+        dests = dests.tolist()
         weights = weights / weights.sum()
         if rng is None:
-            moved = movable * law.move_prob
+            moved = movable * prob
             for h, w in zip(dests, weights):
                 amount = moved * w
                 if amount > 0.0:
                     flows[(g, h)] = amount
         else:
-            movers = int(rng.binomial(int(round(movable)), law.move_prob))
+            movers = int(rng.binomial(int(round(movable)), prob))
             if movers == 0:
                 continue
             alloc = rng.multinomial(movers, weights)
@@ -351,7 +366,7 @@ def apply_mutation_with_flows(
 
 def apply_mutation(
     ensemble: ParticleEnsemble,
-    laws: Mapping[int, MoveLaw],
+    laws: MoveLaws,
     rng: np.random.Generator | None = None,
 ) -> ParticleEnsemble:
     """apply_mutation_with_flows without the flow report."""

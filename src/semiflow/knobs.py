@@ -5,11 +5,21 @@ that end is infinite and closed ("[-inf, inf]" takes anything but NaN).
 """
 
 from dataclasses import field, fields
+from decimal import Decimal
 
 
 def knob(default, interval: str):
     """A dataclass field with its default and its accepted interval."""
     return field(default=default, metadata={"interval": interval})
+
+
+def shown(value) -> str:
+    """value as an error line prints it: an integer of more than 20 digits
+    (1e300 from a config becomes a 301-digit int) in .6g form."""
+    text = str(value)
+    if isinstance(value, int) and len(text.lstrip("-")) > 20:
+        return format(Decimal(value), ".6g")
+    return text
 
 
 def check(name: str, value, interval: str, error: type = ValueError) -> None:
@@ -18,7 +28,7 @@ def check(name: str, value, interval: str, error: type = ValueError) -> None:
     above = lo <= value if interval[0] == "[" else lo < value
     below = value <= hi if interval[-1] == "]" else value < hi
     if not (above and below):
-        raise error(f"{name} must be in {interval}, got {value}")
+        raise error(f"{name} must be in {interval}, got {shown(value)}")
 
 
 def check_fields(obj) -> None:

@@ -5,12 +5,15 @@ methods on a few classes; bench/probe.py wraps search.pretrain and
 search.final_train. A rename or removal there would break `--trace 1` or
 the phase split without failing anything else, so this imports the tracer
 as the bench does (bench/ on the path, nothing installed) and looks each
-name up.
+name up. bench/test_micro.py, outside the tier-1 paths, calls the dynamics
+and network kernels directly; it runs here once, untimed.
 """
 
 import contextlib
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,15 @@ def layers(monkeypatch):
     import layers
 
     return layers
+
+
+def test_micro_cases_pass():
+    argv = [sys.executable, "-m", "pytest", "bench/test_micro.py", "-q",
+            "-p", "no:cacheprovider", "--benchmark-disable"]
+    proc = subprocess.run(argv, cwd=BENCH.parent, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "8 passed" in proc.stdout, proc.stdout
 
 
 def test_search_spans_resolve(layers):

@@ -218,6 +218,26 @@ def test_bad_config_value_exits_2_before_running(overrides, message, tmp_path,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("n, message", [
+    pytest.param(1e300, "1.00000e+300 rows of 2 features are more than numpy can hold",
+                 id="huge-n"),
+    pytest.param(-1e300, "config key data.n must be in [0, inf), got -1.00000e+300",
+                 id="huge-negative-n"),
+])
+def test_huge_integer_keeps_the_error_line_short(n, message, tmp_path, caplog):
+    # data.n is coerced to a 301-digit int, which once went on the ERROR line
+    # digit by digit.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data.kind": "spirals", "data.n": n}))
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, out, err = run_cli_all(["graph-dump", "--config", str(config)])
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    [record] = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert record.getMessage() == message
+    assert len(record.getMessage()) < 80
+
+
 @pytest.mark.parametrize("overrides", [
     # 388 is the start network's own count, so it passes the start check
     # and every deepened child is over the cap.

@@ -138,7 +138,7 @@ def test_second_order_clipped():
 def test_apply_mutation_no_rates_noop():
     g = sf.star_graph(None, [None] * 3)
     ens = sf.seed_ensemble(g, 50)
-    laws = {i: sf.MoveLaw(0.0, {}) for i in g}
+    laws = sf.MoveLaws(np.zeros((len(g), len(g))), 1.0)
     out = sf.apply_mutation(ens, laws, np.random.default_rng(0))
     assert out.counts == ens.counts
 
@@ -146,7 +146,7 @@ def test_apply_mutation_no_rates_noop():
 def test_apply_mutation_binomial_consistency():
     g = two_node_graph()
     ens = sf.ParticleEnsemble({0: 10**4, 1: 0})
-    laws = {0: sf.MoveLaw(0.08, {1: 1.0}), 1: sf.MoveLaw(0.0, {})}
+    laws = sf.MoveLaws([[0.0, 1.0], [0.0, 0.0]], 0.08)
     out = sf.apply_mutation(ens, laws, np.random.default_rng(3))
     moved = out.counts[1]
     sigma = math.sqrt(10**4 * 0.08 * 0.92)
@@ -156,7 +156,7 @@ def test_apply_mutation_binomial_consistency():
 def test_ghost_never_moves():
     g = two_node_graph()
     ens = sf.ParticleEnsemble({0: 5, 1: 1}, ghost={1: 1})
-    laws = {0: sf.MoveLaw(0.0, {}), 1: sf.MoveLaw(1.0, {0: 1.0})}
+    laws = sf.MoveLaws([[0.0, 0.0], [1.0, 0.0]], 1.0)
     out = sf.apply_mutation(ens, laws, np.random.default_rng(0))
     assert out.counts[1] >= 1
 
@@ -178,7 +178,7 @@ def test_mass_conserved_sampled():
 def test_expected_mode_fractional_and_conserved():
     g = two_node_graph()
     ens = sf.ParticleEnsemble({0: 10, 1: 0})
-    laws = {0: sf.MoveLaw(0.25, {1: 1.0}), 1: sf.MoveLaw(0.0, {})}
+    laws = sf.MoveLaws([[0.0, 1.0], [0.0, 0.0]], 0.25)
     out = sf.apply_mutation(ens, laws, None)
     assert out.counts[0] == pytest.approx(7.5)
     assert out.counts[1] == pytest.approx(2.5)
@@ -188,7 +188,7 @@ def test_expected_mode_fractional_and_conserved():
 def test_mutation_flows_reported():
     g = two_node_graph()
     ens = sf.ParticleEnsemble({0: 100, 1: 0})
-    laws = {0: sf.MoveLaw(1.0, {1: 1.0}), 1: sf.MoveLaw(0.0, {})}
+    laws = sf.MoveLaws([[0.0, 1.0], [0.0, 0.0]], 1.0)
     res = sf.apply_mutation_with_flows(ens, laws, np.random.default_rng(1))
     assert res.flows[(0, 1)] == 100
     assert res.ensemble.counts[1] == 100

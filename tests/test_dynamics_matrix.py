@@ -7,6 +7,8 @@ stars and complete graphs) and random potentials and values with ties, signed
 zeros and extreme magnitudes, the rates, the potential update and the
 restart test must match it bit for bit, signed zeros included, and a
 non-finite input must be reported at the same node with the same message.
+The mutation step, which draws from the rate matrix, must match the step
+that drew from per-node destination dicts, draw for draw.
 """
 
 import math
@@ -19,9 +21,11 @@ from hypothesis import strategies as st
 import semiflow as sf
 from semiflow.dynamics import (
     EXPECTED,
+    ROUNDING_ULPS,
     SECOND_ORDER,
     DynamicsParams,
     MoveLaw,
+    MutationResult,
     ParticleEnsemble,
 )
 from semiflow.errors import NonFiniteValue
@@ -125,6 +129,44 @@ def ref_restart_total(phi, values, graph, marginal):
     return total
 
 
+def ref_apply_mutation_with_flows(ensemble, laws, rng=None):
+    """The mutation step over a dict of MoveLaw, one per node."""
+    counts = dict(ensemble.counts)
+    flows = {}
+    for g in sorted(laws):
+        law = laws[g]
+        if law.move_prob <= 0.0 or not law.dest:
+            continue
+        movable = ensemble.movable(g)
+        if movable <= 0:
+            continue
+        dests = sorted(law.dest)
+        weights = np.array([law.dest[h] for h in dests])
+        weights = weights / weights.sum()
+        if rng is None:
+            moved = movable * law.move_prob
+            for h, w in zip(dests, weights):
+                amount = moved * w
+                if amount > 0.0:
+                    flows[(g, h)] = amount
+        else:
+            movers = int(rng.binomial(int(round(movable)), law.move_prob))
+            if movers == 0:
+                continue
+            alloc = rng.multinomial(movers, weights)
+            for h, k in zip(dests, alloc.tolist()):
+                if k > 0:
+                    flows[(g, h)] = float(k)
+    for (g, h), amount in flows.items():
+        counts[g] -= amount
+        counts[h] += amount
+    for g, before in ensemble.counts.items():
+        floor = ensemble.ghost.get(g, 0)
+        if floor - ROUNDING_ULPS * math.ulp(before) <= counts[g] < floor:
+            counts[g] = float(floor)
+    return MutationResult(ParticleEnsemble(counts, dict(ensemble.ghost)), flows)
+
+
 # -- comparison -------------------------------------------------------------
 
 
@@ -146,11 +188,11 @@ def assert_same_laws(got, want):
         assert_same_floats(got[g].dest, want[g].dest)
 
 
-def outcome(fn, *args, **kw):
-    """(result, None) or (None, message of the NonFiniteValue raised)."""
+def outcome(fn, *args, error=NonFiniteValue, **kw):
+    """(result, None) or (None, message of the error raised)."""
     try:
         return fn(*args, **kw), None
-    except NonFiniteValue as exc:
+    except error as exc:
         return None, str(exc)
 
 
@@ -289,6 +331,40 @@ def test_non_finite_inputs_name_the_same_node(data, graph, params, tau_k):
 
     want = ref_restart_total(phi, values, graph, marginal) > 0.0
     assert sf.restart_check(phi, values, graph, marginal) is want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), graphs(), dyn_params(), tau, st.booleans(), st.booleans(),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_mutation_matches_the_dict_step(data, graph, params, tau_k, first, sampled,
+                                        ghosts, seed):
+    """From one seed, the same flows in the same order, the same counts and
+    the same rng state after, bit for bit; or the same error."""
+    ghost = {g: int(ghosts and g != graph.center) for g in graph}
+    amount = st.integers(0, 50).map(float) if sampled else st.floats(0.0, 50.0)
+    counts = {g: ghost[g] + data.draw(amount) for g in graph}
+    counts[graph.center] += 1.0
+    ensemble = ParticleEnsemble(counts, ghost)
+    if first:
+        args = (ensemble.marginal(), node_map(data.draw, graph, finite), graph,
+                params, tau_k)
+        laws, ref_laws = sf.mutation_rates_first(*args), ref_rates_first(*args)
+    else:
+        phi = node_map(data.draw, graph, finite)
+        laws = sf.mutation_rates_second(phi, graph, params, tau_k)
+        ref_laws = ref_rates_second(phi, graph, params, tau_k)
+    rngs = [np.random.default_rng(seed) if sampled else None for _ in range(2)]
+    got = outcome(sf.apply_mutation_with_flows, ensemble, laws, rngs[0],
+                  error=ValueError)
+    want = outcome(ref_apply_mutation_with_flows, ensemble, ref_laws, rngs[1],
+                   error=ValueError)
+    assert got[1] == want[1]
+    if want[0] is not None:
+        assert_same_floats(got[0].flows, want[0].flows)
+        assert_same_floats(got[0].ensemble.counts, want[0].ensemble.counts)
+        assert got[0].ensemble.ghost == want[0].ensemble.ghost
+    if sampled:
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 # A center row whose pairwise sum (np.sum) differs from its left-to-right

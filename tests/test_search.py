@@ -154,6 +154,19 @@ def test_round_initializes_phi_to_zero(blobs_small):
     assert stats.movers == 0
 
 
+@pytest.mark.parametrize("mode", ["nasgd", "nasagd"])
+def test_round_never_builds_a_per_node_law(monkeypatch, blobs_small, mode):
+    # The mutation step draws from the rate matrix; laws[g] builds a dict.
+    def no_dict(self, g):
+        raise AssertionError(f"MoveLaw of node {g} built on the search path")
+
+    monkeypatch.setattr(sf.MoveLaws, "__getitem__", no_dict)
+    cfg = small_config(mode=mode)
+    new_cand, stats, audit = sf.run_round(incumbent_for(blobs_small, cfg), cfg,
+                                          blobs_small, budget_iters=20)
+    assert stats.movers > 0
+
+
 # ---------------------------------------------------------------- rigged rounds
 
 def rigged_round(mode, seed, margin=1.0, n_particles=1000):
