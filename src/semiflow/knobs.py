@@ -5,7 +5,6 @@ that end is infinite and closed ("[-inf, inf]" takes anything but NaN).
 """
 
 from dataclasses import field, fields
-from decimal import Decimal
 
 
 def knob(default, interval: str):
@@ -15,10 +14,12 @@ def knob(default, interval: str):
 
 def shown(value) -> str:
     """value as an error line prints it: an integer of more than 20 digits
-    (1e300 from a config becomes a 301-digit int) in .6g form."""
+    (1e300 from a config becomes a 301-digit int) as its first six digits
+    and its power of ten, -1.23456e+300."""
     text = str(value)
-    if isinstance(value, int) and len(text.lstrip("-")) > 20:
-        return format(Decimal(value), ".6g")
+    digits = text.lstrip("-")
+    if isinstance(value, int) and len(digits) > 20:
+        return f"{text[:-len(digits)]}{digits[0]}.{digits[1:6]}e+{len(digits) - 1}"
     return text
 
 
