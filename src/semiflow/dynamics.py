@@ -225,8 +225,9 @@ class MoveLaws(Mapping):
     mutation step reads the arrays.
     """
 
-    # fmin takes a product past the float range (inf) or a NaN one to 1,
-    # as min(1.0, x) does.
+    # scale*totals can overflow to inf, or be NaN where an inf scale meets a
+    # zero total (a row np.where drops); fmin takes both to 1, as min(1.0, x)
+    # does.
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, raw, scale: float) -> None:
         self.rates = np.fmax(raw, 0.0)
