@@ -222,7 +222,8 @@ class MoveLaws(Mapping):
     summed left to right, and move_prob = min(1, scale*totals), scale being
     kappa*tau_k. A mover from g goes to h with probability
     rates[g, h] / totals[g]. laws[g] builds g's MoveLaw on read; the
-    mutation step reads the arrays.
+    mutation step reads the arrays. Raises NonFiniteValue, naming the node,
+    for the first row whose total is not finite: it has no shares to draw.
     """
 
     # scale*totals can overflow to inf, or be NaN where an inf scale meets a
@@ -232,6 +233,10 @@ class MoveLaws(Mapping):
     def __init__(self, raw, scale: float) -> None:
         self.rates = np.fmax(raw, 0.0)
         self.totals = _row_totals(self.rates)
+        unbounded = np.flatnonzero(~np.isfinite(self.totals))
+        if unbounded.size:
+            g = int(unbounded[0])
+            raise NonFiniteValue(f"move rates at node {g} total {self.totals[g]}", node=g)
         moving = self.totals > 0.0
         self.move_prob = np.where(moving, np.fmin(1.0, scale * self.totals), 0.0)
 
@@ -264,6 +269,9 @@ def _check_rate_inputs(graph: ArchGraph, tau_k: float) -> None:
         raise ValueError(f"tau_k must be positive, got {tau_k}")
 
 
+# An infinite bracket overflows _gap, or meets a zero kernel; MoveLaws
+# reports the row it leaves as NonFiniteValue, so numpy need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def mutation_rates_first(
     marginal: Mapping[int, float],
     values: Mapping[int, float],
@@ -288,6 +296,7 @@ def mutation_rates_first(
     return MoveLaws(raw, params.kappa * tau_k)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mutation_rates_second(
     phi: Mapping[int, float],
     graph: ArchGraph,

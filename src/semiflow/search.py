@@ -3,7 +3,8 @@
 Every mode runs one loop (_run): pretrain an initial network, repeat rounds,
 then train the last incumbent until the validation loss plateaus. The loop
 owns the clock, the run's files, the checkpoint after each round and the
-counts; a mode supplies only its continue rule and round step.
+counts; each mode is a generator of rounds, which yields every round's
+incumbent and records and ends when its own rule says so.
 
 A particle round (nasgd, nasagd) builds a local graph (incumbent plus
 one-edit children), drops N particles on the incumbent and a ghost on every
@@ -25,7 +26,7 @@ import os
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, NamedTuple
+from typing import Any, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -239,6 +240,9 @@ class RoundStats:
         return "budget" if self.budget_exhausted else "doubling"
 
 
+Round = tuple[Candidate, list[dict], int, str]  # one round, as a mode yields it to _run
+
+
 @dataclass
 class SearchResult:
     best_spec: NetSpec
@@ -364,17 +368,14 @@ def dynamics_round(
     stats = RoundStats()
     v_train: dict[int, float] = {}
     # One state per group of nodes that share a kernel call (_stack); row i
-    # of a group's x and v is its i-th node's. The groups take the nodes'
-    # states out of states for the round (so no second copy stays alive)
-    # and put them back, as row views, however the round ends.
+    # of a group's x and v is its i-th node's. states gets the rows back, as
+    # views, however the round ends.
     by_key: dict = {}
     for g in nodes:
         by_key.setdefault(objective.group_key(g), []).append(g)
     groups = [tuple(group) for group in by_key.values()]
-
-    taken = ([states.pop(g) for g in group] for group in groups)
-    stacked = [NodeState(_stack([m.x for m in members]), _stack([m.v for m in members]))
-               for members in taken]
+    stacked = [NodeState(_stack([states[g].x for g in group]),
+                         _stack([states[g].v for g in group])) for group in groups]
 
     try:
         # train_step writes each group's state in place, so the bound
@@ -743,50 +744,41 @@ def run_files(mode: str) -> list[str]:
     return files if mode == "hillclimb" else ["metrics.csv", *files]
 
 
-def _particle_rounds(config: SearchConfig, data: Dataset, _incumbent: Candidate,
-                     clock: GlobalClock, metrics: MetricsWriter | None,
-                     _deadline: float) -> tuple[Callable, Callable]:
-    """The particle modes' rule and step for _run: one run_round on the run's
-    clock per round, while the clock is inside the budget of n_steps cycles
-    and the incumbent within size_threshold parameters."""
+def _particle_rounds(config: SearchConfig, data: Dataset, incumbent: Candidate,
+                     clock: GlobalClock, metrics: MetricsWriter | None) -> Iterator[Round]:
+    """The particle modes' rounds for _run: one run_round on the run's clock
+    per round, while the clock is inside the budget of n_steps cycles and
+    the incumbent within size_threshold parameters."""
     budget_iters = round(config.n_steps * config.epochs_neigh * clock.iters_per_epoch)
-
-    def more(incumbent: Candidate, _rounds: int) -> bool:
-        return (clock.k < budget_iters
-                and param_count(incumbent.spec) <= config.size_threshold)
-
-    def step(incumbent: Candidate, round_idx: int, _explored: int):
+    round_idx = 0
+    while clock.k < budget_iters and param_count(incumbent.spec) <= config.size_threshold:
+        round_idx += 1
         incumbent, stats, audit = run_round(incumbent, config, data, clock, metrics,
                                             round_idx, budget_iters - clock.k)
-        return incumbent, audit, len(audit), stats.stop
-
-    return more, step
+        yield incumbent, audit, len(audit), stats.stop
 
 
 def _hill_climb_cycles(config: SearchConfig, data: Dataset, incumbent: Candidate,
-                       _clock: GlobalClock, _metrics: MetricsWriter | None,
-                       deadline: float) -> tuple[Callable, Callable]:
-    """The hill climber's rule and step for _run: max(1, round(n_steps))
-    cycles, size_threshold unread. A cycle trains every child by _step for
-    epochs_neigh epochs from zero velocity, on its own stream and a fresh
-    clock; the best validation loss wins. The incumbent's loss is scored
-    here, once, and then carried from the cycle that picked it.
+                       deadline: float) -> Iterator[Round]:
+    """The hill climber's rounds for _run: max(1, round(n_steps)) cycles,
+    each begun only before the deadline, size_threshold unread. A cycle
+    trains every child by _step for epochs_neigh epochs from zero velocity,
+    on its own stream and a fresh clock; the best validation loss wins. The
+    incumbent's loss is scored once, first, then carried from the cycle
+    that picked it.
 
     Children of one spec train in one _fit, grouped by _stack and _seeds, in
     the order of each group's first child. They are scored in graph order,
     and one replaces the incumbent only on a strictly lower loss. A cycle
-    stops as "cap" at the first group that starts past the deadline.
+    stops as "cap", its last, at the first group begun past the deadline.
     """
     train_x, train_y = data.split("train")
     val_x, val_y = data.split("val")
-    cycles = max(1, int(round(config.n_steps)))
     incumbent_loss = evaluate(incumbent.spec, incumbent.params, val_x, val_y)[0]
-
-    def more(_incumbent: Candidate, rounds: int) -> bool:
-        return rounds < cycles
-
-    def step(incumbent: Candidate, cycle: int, explored: int):
-        nonlocal incumbent_loss
+    explored = 1  # stream seeds number the children across all cycles
+    for cycle in range(1, max(1, int(round(config.n_steps))) + 1):
+        if not time.perf_counter() < deadline:
+            return
         graph, audit = local_graph(config, cycle, incumbent.spec, incumbent.params)
         children = [graph.payload(g) for g in graph if g != graph.center]
         groups: dict[NetSpec, list[int]] = {}
@@ -800,7 +792,6 @@ def _hill_climb_cycles(config: SearchConfig, data: Dataset, incumbent: Candidate
                 break
             added += len(group)
             x = _stack([children[i].params for i in group])
-            # Stream seeds number the children across all cycles.
             seeds = [_stream_seed(config.seed, 7, cycle, explored + i) for i in group]
             stream = BatchStream(train_x, train_y, config.s_x, _seeds(seeds))
             # Every fresh clock has the same schedule, so one serves a stack.
@@ -819,23 +810,21 @@ def _hill_climb_cycles(config: SearchConfig, data: Dataset, incumbent: Candidate
                 incumbent = Candidate(children[i].spec, trained[i], None, None)
         log.debug("round %d: trained %d children, incumbent %s", cycle,
                   len(trained), "kept" if incumbent is kept else "replaced")
-        return incumbent, audit, added, stop
-
-    return more, step
+        explored += added
+        yield incumbent, audit, added, stop
 
 
 def _run(config: SearchConfig, data: Dataset, out_dir: str | None,
-         rounds_of: Callable, wallclock_cap: float | None = None) -> SearchResult:
+         wallclock_cap: float | None = None) -> SearchResult:
     """The one run loop of every mode: pretrain, rounds, final training.
 
-    rounds_of(config, data, incumbent, clock, metrics, deadline) gives the
-    mode's rule more(incumbent, rounds) and step(incumbent, round_idx,
-    explored) -> (next incumbent, audit records, children explored, stop).
-    stop is a RoundStats.stop, "cycle", or "cap" once past the deadline
-    (wallclock_cap seconds after pretraining), which ends the search
-    uncounted, as the deadline does before a round. After each round its
-    records go to morphisms.jsonl and its incumbent to best.json. Final
-    training runs on the loop's clock unless there is a wallclock_cap.
+    Each mode is a generator of rounds, picked by config.mode: particle
+    rounds, or hill-climb cycles against a deadline wallclock_cap seconds
+    after pretraining. A round yields (next incumbent, audit records,
+    children explored, stop); stop is a RoundStats.stop, "cycle", or "cap"
+    for the cycle the deadline cut short, which goes uncounted. After each
+    round its records go to morphisms.jsonl and its incumbent to best.json.
+    Final training runs on the loop's clock unless there is a wallclock_cap.
     """
     t_start = time.perf_counter()
     with ExitStack() as owned:
@@ -855,11 +844,13 @@ def _run(config: SearchConfig, data: Dataset, out_dir: str | None,
         incumbent = Candidate(spec, params, np.zeros_like(params), None)
         clock = GlobalClock.for_search(config, iters_per_epoch(data, config))
         t_search = time.perf_counter()
-        deadline = math.inf if wallclock_cap is None else t_search + wallclock_cap
-        more, step = rounds_of(config, data, incumbent, clock, metrics, deadline)
+        if config.mode == "hillclimb":
+            deadline = math.inf if wallclock_cap is None else t_search + wallclock_cap
+            mode_rounds = _hill_climb_cycles(config, data, incumbent, deadline)
+        else:
+            mode_rounds = _particle_rounds(config, data, incumbent, clock, metrics)
         explored, rounds, timed_out = 1, 0, 0
-        while more(incumbent, rounds) and time.perf_counter() < deadline:
-            incumbent, audit, added, stop = step(incumbent, rounds + 1, explored)
+        for incumbent, audit, added, stop in mode_rounds:
             if audit_writer is not None:
                 for record in audit:
                     audit_writer.write({"round": rounds + 1, **record})
@@ -868,8 +859,6 @@ def _run(config: SearchConfig, data: Dataset, out_dir: str | None,
             timed_out += stop == "timeout"
             if best_path is not None:
                 save_checkpoint(best_path, incumbent.spec, incumbent.params)
-            if stop == "cap":
-                break
         search_secs = time.perf_counter() - t_search
 
         best_params, test_metrics = incumbent.params, {}
@@ -901,7 +890,7 @@ def run_search(
     """
     if config.mode == "hillclimb":
         return hill_climb_baseline(config, data, out_dir)
-    return _run(config, data, out_dir, _particle_rounds)
+    return _run(config, data, out_dir)
 
 
 def hill_climb_baseline(
@@ -920,4 +909,4 @@ def hill_climb_baseline(
     """
     if config.mode != "hillclimb":
         raise ValueError(f"hill_climb_baseline needs mode hillclimb, got {config.mode!r}")
-    return _run(config, data, out_dir, _hill_climb_cycles, wallclock_cap)
+    return _run(config, data, out_dir, wallclock_cap)

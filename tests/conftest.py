@@ -68,6 +68,17 @@ def nasagd_spirals_cli(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def hillclimb_spirals_cli(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("hillclimb_run"))
+    code, summary = run_cli(
+        ["search", "--mode", "hillclimb", "--data", "spirals", "--seed", "0",
+         "--out", out]
+    )
+    assert code == 0, summary
+    return {"out": out, "summary": summary}
+
+
+@pytest.fixture(scope="session")
 def exploration_runs(spirals):
     """nasgd searches and wallclock-matched hill-climb runs on seeds 0..4."""
     pairs = []

@@ -133,6 +133,29 @@ def test_second_order_clipped():
     assert laws[1].move_prob == 1.0
 
 
+def uniform(graph):
+    return {g: 1.0 / len(graph) for g in graph}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rates", [
+    lambda: sf.mutation_rates_second({0: -1e308, 1: 1e308}, two_node_graph(),
+                                     sf.DynamicsParams(), 0.05),
+    lambda: sf.mutation_rates_first(uniform(two_node_graph()), {0: 1e308, 1: -1e308},
+                                    two_node_graph(), sf.DynamicsParams(), 0.05),
+    # Each rate is finite; their sum is not.
+    lambda: sf.mutation_rates_first(
+        uniform(sf.complete_graph([None] * 3)), {0: 1.7e308, 1: 0.0, 2: 0.0},
+        sf.complete_graph([None] * 3), sf.DynamicsParams(), 0.05),
+], ids=["second-order-gap", "first-order-gap", "first-order-sum"])
+def test_an_infinite_rate_row_raises(rates):
+    # Such a row once moved nothing in expected mode, though its move
+    # probability is 1, and failed numpy's multinomial in sampled mode.
+    with pytest.raises(NonFiniteValue, match="^move rates at node 0 total inf$") as err:
+        rates()
+    assert err.value.node == 0
+
+
 # ---------------------------------------------------------------- mutation application
 
 def test_apply_mutation_no_rates_noop():

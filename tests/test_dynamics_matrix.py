@@ -30,14 +30,6 @@ from semiflow.dynamics import (
 )
 from semiflow.errors import NonFiniteValue
 
-# Inputs near the float range make the rate matrices overflow, which numpy
-# reports as a warning where the scalar code gave inf silently; the values
-# are still compared bit for bit.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:overflow encountered:RuntimeWarning",
-    "ignore:invalid value encountered:RuntimeWarning",
-)
-
 # -- reference --------------------------------------------------------------
 
 
@@ -58,6 +50,8 @@ def ref_finish_laws(raw, kappa, tau_k):
     laws = {}
     for g, out in raw.items():
         total = ref_sum(out.values())
+        if not math.isfinite(total):
+            raise NonFiniteValue(f"move rates at node {g} total {total}")
         if total <= 0.0:
             laws[g] = MoveLaw(0.0, {})
             continue
@@ -263,7 +257,8 @@ def test_second_order_rates_match_reference(data, graph, params, tau_k):
     want = outcome(ref_rates_second, phi, graph, params, tau_k)
     got = outcome(sf.mutation_rates_second, phi, graph, params, tau_k)
     assert got[1] == want[1]
-    assert_same_laws(got[0], want[0])
+    if want[0] is not None:
+        assert_same_laws(got[0], want[0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -339,7 +334,8 @@ def test_non_finite_inputs_name_the_same_node(data, graph, params, tau_k):
 def test_mutation_matches_the_dict_step(data, graph, params, tau_k, first, sampled,
                                         ghosts, seed):
     """From one seed, the same flows in the same order, the same counts and
-    the same rng state after, bit for bit; or the same error."""
+    the same rng state after, bit for bit; or the same error, from the rates
+    or from the step."""
     ghost = {g: int(ghosts and g != graph.center) for g in graph}
     amount = st.integers(0, 50).map(float) if sampled else st.floats(0.0, 50.0)
     counts = {g: ghost[g] + data.draw(amount) for g in graph}
@@ -348,11 +344,14 @@ def test_mutation_matches_the_dict_step(data, graph, params, tau_k, first, sampl
     if first:
         args = (ensemble.marginal(), node_map(data.draw, graph, finite), graph,
                 params, tau_k)
-        laws, ref_laws = sf.mutation_rates_first(*args), ref_rates_first(*args)
+        rates, ref_rates = sf.mutation_rates_first, ref_rates_first
     else:
-        phi = node_map(data.draw, graph, finite)
-        laws = sf.mutation_rates_second(phi, graph, params, tau_k)
-        ref_laws = ref_rates_second(phi, graph, params, tau_k)
+        args = (node_map(data.draw, graph, finite), graph, params, tau_k)
+        rates, ref_rates = sf.mutation_rates_second, ref_rates_second
+    (laws, error), (ref_laws, ref_error) = outcome(rates, *args), outcome(ref_rates, *args)
+    assert error == ref_error
+    if error is not None:
+        return
     rngs = [np.random.default_rng(seed) if sampled else None for _ in range(2)]
     got = outcome(sf.apply_mutation_with_flows, ensemble, laws, rngs[0],
                   error=ValueError)

@@ -14,9 +14,15 @@ a number on purpose updates the digests and says why.
 A fifth pins the training step off its default: a first-order search with
 damping 0.5. Its digests were recorded once every phase (pretraining,
 rounds, hill-climb children, final training) took the config's step.
+
+The README's reference runs, `search --data spirals --seed 0` in each mode
+at its defaults, are checked too. Their digests were recorded before the
+search modes became generators of rounds; the same digests come out whether
+the search runs in-process or as a CLI process.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +86,31 @@ GOLDEN = {
     },
 }
 
+REFERENCE = {
+    "nasgd": {
+        "metrics.csv":
+            "9c5f4511197e17c4dc4a1aeba687a6886274df520a1c1eaddb518b0ba29facb7",
+        "best.json":
+            "92ee1e0beaac309f75f9e2aad787b57cd556dfb6d4d1e1e616b3e5d5af496d5b",
+        "morphisms.jsonl":
+            "b51ae0d8cedd45f4c05c5c45822ee2c9bb8e0d28d5f433915dab8977407020be",
+    },
+    "nasagd": {
+        "metrics.csv":
+            "57e675b2801660cbf45150a1cd19b5c92b329404f923b13a1d96cd66c5c97d61",
+        "best.json":
+            "881fa8242d7ff981b0af9592bf55877b87814d31bbce78fdcd6a23978cbbbbd1",
+        "morphisms.jsonl":
+            "6b887031c6cb1d3019814b99782acef2f0046ced436dbbaa6f64f9d1a71427cc",
+    },
+    "hillclimb": {
+        "best.json":
+            "9af671bf5409a69ee263f767a4f8d0fb4cc2f458f82725b95ed74c1f2f474e62",
+        "morphisms.jsonl":
+            "885ed6227839507fa6baa17d9aa0fb10f4912d6c468c88f06e7ff67780636810",
+    },
+}
+
 
 def digests(out_dir):
     found = {}
@@ -100,3 +131,10 @@ def test_artifacts_match_goldens(name, spirals_small, tmp_path):
     sf.run_search(sf.SearchConfig(**CONFIGS[name]), spirals_small,
                   out_dir=str(tmp_path))
     assert digests(tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("mode", sorted(REFERENCE))
+def test_reference_runs_match_goldens(mode, request):
+    # The session's CLI runs (conftest.py), shared with the acceptance tests.
+    run = request.getfixturevalue(f"{mode}_spirals_cli")
+    assert digests(Path(run["out"])) == REFERENCE[mode]

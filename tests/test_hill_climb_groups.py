@@ -151,10 +151,14 @@ def test_children_take_the_configs_step(monkeypatch, knob):
         assert spec == child.spec and same_bits(got, want)
 
 
+@pytest.mark.parametrize("between_cycles", [False, True],
+                         ids=["inside-cycle-2", "between-cycles"])
 def test_capped_baseline_counts_trained_children_and_the_cap(monkeypatch, tmp_path,
-                                                            blobs_small):
+                                                            blobs_small, between_cycles):
     # The fake clock reads the number of _fit calls so far, so a cap of c
-    # fires before the (c+1)-th group of same-spec children.
+    # fires before the (c+1)-th group of same-spec children: inside cycle 2
+    # at its second group, or just as cycle 2 would begin, which it then
+    # does not.
     fits = []
     fit = search._fit
 
@@ -182,19 +186,21 @@ def test_capped_baseline_counts_trained_children_and_the_cap(monkeypatch, tmp_pa
     assert len(second) >= 2
     seen.clear()
     fits.clear()
-    cap = len(first) + 1
+    cap = len(first) + (not between_cycles)
     result = search.hill_climb_baseline(config, blobs_small, out_dir=str(tmp_path),
                                         wallclock_cap=cap)
-    assert len(fits) == cap and len(seen) == 2
-    # The start, cycle 1's children, cycle 2's first group, and the child
-    # at which the cap fired.
-    assert result.architectures_explored == 1 + config.n_neigh + len(second[0]) + 1
+    assert len(fits) == cap and len(seen) == 1 + (not between_cycles)
+    # The start, cycle 1's children and, inside cycle 2, its first group
+    # and the child at which the cap fired.
+    inside = 0 if between_cycles else len(second[0]) + 1
+    assert result.architectures_explored == 1 + config.n_neigh + inside
     assert result.rounds == 1 and result.test_metrics == {}
-    # Both drawn cycles leave their records, the capped one included, and
+    # Every drawn cycle leaves its records, a capped one included, and
     # best.json holds the incumbent the capped run returns.
     with open(tmp_path / "morphisms.jsonl") as fh:
         rounds = [json.loads(line)["round"] for line in fh]
-    assert rounds == [1] * (len(seen[0][2]) - 1) + [2] * (len(seen[1][2]) - 1)
+    assert rounds == [r for r, (*_, graph) in enumerate(seen, start=1)
+                      for _ in range(len(graph) - 1)]
     spec, flat = sf.load_checkpoint(str(tmp_path / "best.json"))
     assert spec == result.best_spec and same_bits(flat, result.best_params)
 

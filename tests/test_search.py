@@ -253,11 +253,15 @@ def test_hillclimb_round_count(blobs_small):
     assert res.architectures_explored == 3 * 4 + 1
 
 
-def test_hillclimb_respects_wallclock_cap(blobs_small):
+@pytest.mark.parametrize("cap", [0.0, -1.0, math.nan])
+def test_hillclimb_respects_wallclock_cap(blobs_small, cap):
+    # A cycle begins only while the clock reads below the deadline, which
+    # a NaN deadline never is.
     cfg = small_config(mode="hillclimb", n_steps=50.0, n_neigh=4)
-    res = sf.hill_climb_baseline(cfg, blobs_small, wallclock_cap=0.0)
+    res = sf.hill_climb_baseline(cfg, blobs_small, wallclock_cap=cap)
     assert res.rounds == 0
     assert res.architectures_explored == 1
+    assert res.test_metrics == {}
 
 
 def test_hillclimb_cap_starts_after_pretraining(monkeypatch, blobs_small):
