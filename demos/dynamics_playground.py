@@ -13,11 +13,7 @@ import argparse
 import numpy as np
 
 import semiflow as sf
-
-
-def marginal(ens):
-    total = sum(ens.counts.values())
-    return {g: ens.counts[g] / total for g in ens.counts}
+from semiflow.search import particle_step
 
 
 def run_expected(graph, vals, beta, tau, iters):
@@ -25,11 +21,10 @@ def run_expected(graph, vals, beta, tau, iters):
     ens = sf.seed_ensemble(graph, 1000, ghosts=False)
     energies = []
     for _ in range(iters):
-        f = marginal(ens)
-        laws = sf.mutation_rates_first(f, vals, graph, dyn, tau)
-        ens = sf.apply_mutation_with_flows(ens, laws, None).ensemble
-        energies.append(sf.energy(ens, vals, beta=beta))
-    return marginal(ens), energies
+        step = particle_step(ens, {}, vals, graph, dyn, tau, None)
+        ens = step.ensemble
+        energies.append(step.energy)
+    return ens.marginal(), energies
 
 
 def run_sampled(graph, vals, beta, tau, iters, n, seed):
@@ -39,13 +34,10 @@ def run_sampled(graph, vals, beta, tau, iters, n, seed):
     tail = {g: 0.0 for g in graph}
     tail_len = iters // 4
     for it in range(iters):
-        f = marginal(ens)
-        laws = sf.mutation_rates_first(f, vals, graph, dyn, tau)
-        ens = sf.apply_mutation_with_flows(ens, laws, rng).ensemble
+        ens = particle_step(ens, {}, vals, graph, dyn, tau, rng).ensemble
         if it >= iters - tail_len:
-            f = marginal(ens)
-            for g in f:
-                tail[g] += f[g] / tail_len
+            for g, share in ens.marginal().items():
+                tail[g] += share / tail_len
     return tail
 
 

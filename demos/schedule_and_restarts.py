@@ -11,13 +11,10 @@ drift check resets the potential to zero.
 Usage: python3 demos/schedule_and_restarts.py
 """
 
-import math
-
 import numpy as np
 
 import semiflow as sf
-from semiflow.dynamics import update_potential
-from semiflow.search import GlobalClock
+from semiflow.search import GlobalClock, particle_step
 
 
 def ascii_bar(x, lo, hi, width=40):
@@ -46,17 +43,11 @@ def part_restarts():
     ens = sf.seed_ensemble(g, 200)
     dyn = sf.DynamicsParams(kappa=3.0, beta=2.0, mode=sf.SECOND_ORDER)
     rng = np.random.default_rng(0)
-    total = sum(ens.counts.values())
     resets = 0
     for it in range(400):
-        laws = sf.mutation_rates_second(phi, g, dyn, 0.05)
-        ens = sf.apply_mutation_with_flows(ens, laws, rng).ensemble
-        f = {i: ens.counts[i] / total for i in g}
-        phi = update_potential(phi, ens, vals, g, dyn, 0.05)
-        fired = sf.restart_check(phi, vals, g, f)
-        if fired:
-            phi = {i: 0.0 for i in g}
-            resets += 1
+        step = particle_step(ens, phi, vals, g, dyn, 0.05, rng)
+        ens, phi = step.ensemble, step.phi
+        resets += step.reset
         if it % 50 == 0 or ens.counts[3] >= 2 * ens.counts[0]:
             print(f"  it={it:>3} counts(incumbent)={ens.counts[0]:>3} "
                   f"counts(planted)={ens.counts[3]:>3} "

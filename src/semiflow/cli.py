@@ -10,7 +10,7 @@ goes to stderr. Exit codes: 0 on success, 2 on an InputError (a config,
 data file or checkpoint that cannot be read or is malformed, an --out that
 cannot be made, constraints that no morphism can meet), 3 when training,
 the particle dynamics or an eval diverge (a non-finite loss, gradient or
-potential), 4 when a round times out under --strict.
+move-rate total), 4 when a round times out under --strict.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .config import (
     build_search_config,
     load_config,
     normalize,
+    require,
 )
 from .dynamics import (
     EXPECTED,
@@ -121,9 +122,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=2000)
     p.add_argument("--tau", type=float, default=0.05)
     p.add_argument("--order", type=int, choices=(1, 2), default=1,
-                   help="2 runs the second-order integrator bare, with no "
-                        "restarts: its potential blows up and the run exits 3 "
-                        "within a few hundred steps at --tau 0.05")
+                   help="2 runs the search's second-order step: the potential "
+                        "restarts, and resets to zero where it would blow up")
     p.add_argument("--sampled", action="store_true",
                    help="integer-particle sampling instead of expected flows")
 
@@ -303,10 +303,7 @@ def _bench_point(index, dyn, args, seed, out_dir):
     csv_path = os.path.join(out_dir, f"bench_{index:03d}.csv")
     with MetricsWriter(csv_path) as writer:
         for k in range(args.iters):
-            step = particle_step(
-                ensemble, phi, values, graph, dyn, args.tau, move_rng,
-                restart=False,
-            )
+            step = particle_step(ensemble, phi, values, graph, dyn, args.tau, move_rng)
             ensemble, phi = step.ensemble, step.phi
             step.write_rows(writer, k, 1, values, values, args.tau)
     target = stationary_oracle(values, dyn.beta)
@@ -320,9 +317,7 @@ def _bench_point(index, dyn, args, seed, out_dir):
 
 
 def _cmd_bench(args) -> int:
-    seed = _seed(args)
-    if seed is None:
-        seed = 0
+    seed = require(_load_table(args), "search.seed")
     grid = _bench_grid(args)
     _make_dir(args.out)
     points = []

@@ -290,7 +290,7 @@ def mutation_rates_first(
     for g in graph:
         s = marginal[g] ** params.beta + values[g]
         if not math.isfinite(s):
-            raise NonFiniteValue(f"score at node {g} is {s}")
+            raise NonFiniteValue(f"score at node {g} is {s}", node=g)
         score.append(s)
     raw = _gap(np.array(score), False) * graph.kernel_matrix()
     return MoveLaws(raw, params.kappa * tau_k)
@@ -312,7 +312,7 @@ def mutation_rates_second(
     potential = _node_array(phi, len(graph))
     for g, p in enumerate(potential.tolist()):
         if not math.isfinite(p):
-            raise NonFiniteValue(f"potential at node {g} is {p}")
+            raise NonFiniteValue(f"potential at node {g} is {p}", node=g)
     gap = _gap(potential, True)
     return MoveLaws(gap * graph.kernel_matrix(), params.kappa * tau_k)
 
@@ -412,7 +412,7 @@ def update_potential(
     for g, quad in enumerate(quads):
         val = phi[g] - tau_k * quad - tau_k * (f[g] ** beta + values[g])
         if not math.isfinite(val):
-            raise NonFiniteValue(f"potential update at node {g} gave {val}")
+            raise NonFiniteValue(f"potential update at node {g} gave {val}", node=g)
         new[g] = val
     return new
 

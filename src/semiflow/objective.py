@@ -94,7 +94,7 @@ class ValTracker:
 
     def update(self, g: int, sample: float) -> float:
         if not math.isfinite(sample):
-            raise NonFiniteValue(f"validation sample at node {g} is {sample}")
+            raise NonFiniteValue(f"validation sample at node {g} is {sample}", node=g)
         if g in self.running:
             self.running[g] = self.decay * self.running[g] + (1.0 - self.decay) * sample
         else:

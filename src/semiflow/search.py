@@ -256,13 +256,15 @@ class SearchResult:
 
 
 class ParticleStep(NamedTuple):
-    """What one particle step left: flows per edge, out_flow per source."""
+    """What one particle step left: flows per edge, out_flow per source;
+    reset is true when the step set phi to zero (a restart or a blow-up)."""
 
     ensemble: ParticleEnsemble
     phi: dict[int, float]
     flows: dict[tuple[int, int], float]
     out_flow: dict[int, float]
     energy: float
+    reset: bool
 
     def write_rows(
         self,
@@ -290,10 +292,9 @@ def particle_step(
     dyn: DynamicsParams,
     tau: float,
     rng: np.random.Generator | None,
-    restart: bool = True,
 ) -> ParticleStep:
     """One mutation step of the swarm at step size tau: rates, moves, the
-    potential update (second order only) and the energy monitor.
+    potential and its restart (second order only) and the energy monitor.
 
     rng drives the moves in sampled rate mode and is ignored otherwise.
     """
@@ -310,23 +311,20 @@ def particle_step(
     for (g, _h), amount in moved.flows.items():
         out_flow[g] += amount
 
-    # restart=False (dynamics-bench) runs the bare integrator against the
-    # stationary law: no potential resets, so a blow-up surfaces as an error.
+    reset = False
     if dyn.mode == SECOND_ORDER:
         try:
             phi = update_potential(phi, ensemble, values, graph, dyn, tau)
         except NonFiniteValue:
-            if not restart:
-                raise
             # The potential has a finite-time blow-up when a round runs
             # long with the drift check quiet; a reset is the same remedy
             # the restart rule applies, triggered at the integrator's limit.
-            phi = {g: 0.0 for g in nodes}
-        if restart and restart_check(phi, values, graph, ensemble.marginal()):
-            phi = {g: 0.0 for g in nodes}
+            phi, reset = {g: 0.0 for g in nodes}, True
+        if restart_check(phi, values, graph, ensemble.marginal()):
+            phi, reset = {g: 0.0 for g in nodes}, True
 
     e_now = energy(ensemble, values, dyn.beta)
-    return ParticleStep(ensemble, phi, moved.flows, out_flow, e_now)
+    return ParticleStep(ensemble, phi, moved.flows, out_flow, e_now, reset)
 
 
 # A diverging candidate overflows on its way to the non-finite loss or value

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semiflow as sf
-from semiflow import cli
+from semiflow import cli, search
 from semiflow.recording import METRICS_COLUMNS
 from conftest import run_cli
 
@@ -392,15 +392,14 @@ def test_timeout_tolerated_without_strict(tmp_path):
 @pytest.mark.parametrize("argv", [
     pytest.param(["search", "--data", "spirals", "--seed", "0"],
                  id="search-step-too-large"),
-    pytest.param(["dynamics-bench", "--order", "2", "--nodes", "5",
-                  "--iters", "200"], id="bench-potential-blowup"),
-    pytest.param(["dynamics-bench", "--order", "2", "--nodes", "5",
-                  "--iters", "200", "--sampled"],
-                 id="bench-potential-blowup-sampled"),
+    # The potential passes its update at -8.7e307, and at step 7 its gaps
+    # add up to an infinite move-rate row.
+    pytest.param(["dynamics-bench", "--order", "2", "--nodes", "6",
+                  "--tau", "100"], id="bench-rate-overflow"),
 ])
 def test_divergence_exits_3_with_one_line(argv, tmp_path, caplog):
-    # A non-finite loss (step size 50, no clipping) or potential blow-up is
-    # a divergence: exit 3 and one error line, never a traceback.
+    # A non-finite loss (step size 50, no clipping) or move rate is a
+    # divergence: exit 3 and one error line, never a traceback.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"data.n": 400, "search.lam_start": 50.0,
                                   "search.grad_clip": 0.0}))
@@ -721,6 +720,65 @@ def test_bench_writes_grid(tmp_path):
     body = open(os.path.join(out_dir, files[0])).read().splitlines()
     assert body[0].startswith("iter,")
     assert len(body) > 1
+
+
+@pytest.mark.parametrize("flags", [[], ["--sampled"]], ids=["expected", "sampled"])
+def test_bench_order_two_runs_the_search_step(flags, tmp_path):
+    # The bench's rows are those of search.particle_step, restarts and
+    # potential resets included, on the bench's seeded values and moves.
+    code, report = run_cli(["dynamics-bench", "--out", str(tmp_path / "b"),
+                            "--order", "2", "--nodes", "5", "--iters", "200",
+                            *flags])
+    assert code == 0
+    dyn = sf.DynamicsParams(mode=sf.SECOND_ORDER,
+                            rate_mode=sf.SAMPLED if flags else sf.EXPECTED)
+    values = {g: float(v) for g, v in
+              enumerate(search._rng(0, 40, 0).uniform(0.0, 1.0, 5))}
+    graph = sf.complete_graph([None] * 5)
+    ensemble = sf.seed_ensemble(graph, 10000, ghosts=False)
+    phi = {g: 0.0 for g in graph}
+    move_rng = search._rng(0, 41, 0)
+    resets = 0
+    with sf.MetricsWriter(str(tmp_path / "loop.csv")) as writer:
+        for k in range(200):
+            step = search.particle_step(ensemble, phi, values, graph, dyn, 0.05,
+                                        move_rng)
+            ensemble, phi = step.ensemble, step.phi
+            resets += step.reset
+            step.write_rows(writer, k, 1, values, values, 0.05)
+    assert resets > 0
+    assert ((tmp_path / "b" / report["points"][0]["csv"]).read_bytes()
+            == (tmp_path / "loop.csv").read_bytes())
+
+
+def test_bench_missing_config_exits_2_before_out(tmp_path, caplog):
+    # The bench once never opened its --config, and exited 0.
+    out, config = tmp_path / "b", tmp_path / "none.json"
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, stdout, err = run_cli_all(["dynamics-bench", "--config", str(config),
+                                         "--out", str(out), "--iters", "3"])
+    assert code == 2
+    assert stdout == "" and "Traceback" not in err
+    assert one_error(caplog).startswith(f"cannot read config file {config}")
+    assert not out.exists()
+
+
+def test_bench_seed_resolves_from_the_config(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"search.seed": 7}))
+    small = ["--iters", "20", "--nodes", "3", "--particles", "10", "--sampled"]
+    runs = {}
+    for name, flags in [("flag", ["--seed", "7"]),
+                        ("config", ["--config", str(config)]),
+                        ("both", ["--config", str(config), "--seed", "5"]),
+                        ("seed-5", ["--seed", "5"])]:
+        out = tmp_path / name
+        code, report = run_cli(["dynamics-bench", "--out", str(out), *small, *flags])
+        assert code == 0
+        runs[name] = (report["seed"], (out / "bench_000.csv").read_bytes())
+    assert runs["config"] == runs["flag"] and runs["flag"][0] == 7
+    assert runs["both"] == runs["seed-5"] and runs["both"][0] == 5
+    assert runs["flag"][1] != runs["seed-5"][1]
 
 
 def test_bench_saturated_expected_moves_complete(tmp_path):

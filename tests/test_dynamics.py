@@ -156,6 +156,28 @@ def test_an_infinite_rate_row_raises(rates):
     assert err.value.node == 0
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sf.mutation_rates_first(uniform(two_node_graph()), {0: 0.0, 1: NAN},
+                                     two_node_graph(), sf.DynamicsParams(), 0.05),
+     "score at node 1 is nan"),
+    (lambda: sf.mutation_rates_second({0: 0.0, 1: NAN}, two_node_graph(),
+                                      sf.DynamicsParams(), 0.05),
+     "potential at node 1 is nan"),
+    (lambda: sf.update_potential({0: 0.0, 1: 0.0},
+                                 sf.seed_ensemble(two_node_graph(), 10),
+                                 {0: 0.0, 1: NAN}, two_node_graph(),
+                                 sf.DynamicsParams(), 0.05),
+     "potential update at node 1 gave nan"),
+], ids=["score", "potential", "potential-update"])
+def test_a_non_finite_node_value_names_its_node(call, message):
+    with pytest.raises(NonFiniteValue, match=f"^{message}$") as err:
+        call()
+    assert err.value.node == 1
+
+
 # ---------------------------------------------------------------- mutation application
 
 def test_apply_mutation_no_rates_noop():

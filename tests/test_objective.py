@@ -62,6 +62,14 @@ def test_tracker_bit_deterministic():
     assert run() == run()
 
 
+def test_tracker_refuses_a_non_finite_sample_by_node():
+    t = sf.ValTracker()
+    with pytest.raises(NonFiniteValue, match="^validation sample at node 3 is inf$") as err:
+        t.update(3, float("inf"))
+    assert err.value.node == 3
+    assert t.snapshot() == {}
+
+
 def test_tracker_nodes_independent():
     t = sf.ValTracker(decay=0.5)
     t.update(0, 1.0)

@@ -167,6 +167,46 @@ def test_round_never_builds_a_per_node_law(monkeypatch, blobs_small, mode):
     assert stats.movers > 0
 
 
+# ---------------------------------------------------------------- particle step
+
+SECOND = sf.DynamicsParams(mode=sf.SECOND_ORDER, rate_mode=sf.EXPECTED)
+
+
+def second_order_step(phi, values):
+    graph = sf.star_graph(None, [None])
+    ensemble = sf.seed_ensemble(graph, 10)
+    return search.particle_step(ensemble, phi, values, graph, SECOND, 0.05, None), graph
+
+
+def test_particle_step_resets_a_blown_up_potential():
+    phi, values = {0: -1e200, 1: 1e200}, {0: 0.0, 1: 0.0}
+    step, graph = second_order_step(phi, values)
+    # The squared outflow of the 2e200 gap overflows in update_potential.
+    with pytest.raises(sf.NonFiniteValue):
+        sf.update_potential(phi, step.ensemble, values, graph, SECOND, 0.05)
+    assert step.reset
+    assert step.phi == {0: 0.0, 1: 0.0}
+
+
+def test_particle_step_resets_when_the_restart_fires():
+    # phi draws mass from node 0 toward node 1, whose loss is higher.
+    phi, values = {0: 0.0, 1: 1.0}, {0: 0.0, 1: 1.0}
+    step, graph = second_order_step(phi, values)
+    assert sf.restart_check(
+        sf.update_potential(phi, step.ensemble, values, graph, SECOND, 0.05),
+        values, graph, step.ensemble.marginal())
+    assert step.reset
+    assert step.phi == {0: 0.0, 1: 0.0}
+
+
+def test_quiet_particle_step_keeps_the_updated_potential():
+    phi, values = {0: 0.0, 1: 0.5}, {0: 1.0, 1: 0.0}
+    step, graph = second_order_step(phi, values)
+    assert not step.reset
+    assert step.phi == sf.update_potential(phi, step.ensemble, values, graph, SECOND, 0.05)
+    assert step.phi != {0: 0.0, 1: 0.0}
+
+
 # ---------------------------------------------------------------- rigged rounds
 
 def rigged_round(mode, seed, margin=1.0, n_particles=1000):
