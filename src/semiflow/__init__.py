@@ -84,7 +84,6 @@ from .nn import (
     loss_and_grad,
     loss_only,
     param_count,
-    predict,
     save_checkpoint,
     spec_digest,
     spec_from_descriptors,
@@ -114,7 +113,7 @@ from .data import (
     spiral_arm,
     two_spirals,
 )
-from .recording import JsonlWriter, MetricsWriter, read_manifest, write_manifest
+from .recording import JsonlWriter, MetricsWriter, write_manifest
 from .search import (
     GlobalClock,
     NetObjective,

@@ -348,7 +348,7 @@ def apply_mutation_with_flows(
         weights = weights / weights.sum()
         if rng is None:
             moved = movable * prob
-            for h, w in zip(dests, weights):
+            for h, w in zip(dests, weights.tolist()):
                 amount = moved * w
                 if amount > 0.0:
                     flows[(g, h)] = amount

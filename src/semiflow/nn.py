@@ -473,10 +473,6 @@ def loss_and_grad(
     return _per_net(loss, params), grad
 
 
-def predict(spec: NetSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    return np.argmax(logits(spec, params, inputs), axis=-1)
-
-
 def evaluate(
     spec: NetSpec,
     params: np.ndarray,

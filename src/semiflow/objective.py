@@ -101,12 +101,6 @@ class ValTracker:
             self.running[g] = float(sample)
         return self.running[g]
 
-    def value(self, g: int) -> float:
-        return self.running[g]
-
-    def snapshot(self) -> dict[int, float]:
-        return dict(self.running)
-
 
 def eval_val(
     bound: BoundGroup, tracker: ValTracker, group: tuple[int, ...]

@@ -193,7 +193,3 @@ def read_json(path: str, what: str) -> Any:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # also an int too long, or too deep
         raise BadConfig(f"{what} {path} is not valid JSON: {exc}") from exc
-
-
-def read_manifest(path: str) -> dict:
-    return read_json(path, "manifest")

@@ -389,15 +389,14 @@ def dynamics_round(
                 _step(state, grads, tau, config)
             # Every group is scored before a failure is raised, so a
             # non-finite loss names the first such node in node order.
-            failures = []
+            failures, values = [], {}
             for group, net in zip(groups, bound):
                 try:
-                    eval_val(net, tracker, group)
+                    values.update(zip(group, eval_val(net, tracker, group)))
                 except NonFiniteValue as exc:
                     failures.append(exc)
             if failures:
                 raise min(failures, key=lambda exc: exc.node)
-            values = {g: tracker.value(g) for g in nodes}
 
             step = particle_step(ensemble, phi, values, graph, dyn, tau, rng)
             ensemble, phi = step.ensemble, step.phi

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import logging
 import math
 import os
 import subprocess
@@ -10,12 +11,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semiflow as sf
 from semiflow import cli, search
-from semiflow.recording import METRICS_COLUMNS
+from semiflow.recording import METRICS_COLUMNS, read_json
 from conftest import run_cli
 
 
@@ -47,7 +48,7 @@ def test_search_writes_artifacts(tmp_path):
         assert os.path.exists(os.path.join(out_dir, name))
     assert summary["mode"] == "nasgd"
     assert summary["architectures_explored"] >= 1
-    manifest = sf.read_manifest(os.path.join(out_dir, "manifest.json"))
+    manifest = read_json(os.path.join(out_dir, "manifest.json"), "manifest")
     assert manifest["ended"] is not None
     assert manifest["config"]["search.n_particles"] == 20
 
@@ -61,7 +62,7 @@ def test_search_hillclimb_artifacts(tmp_path):
     assert summary["mode"] == "hillclimb"
     outputs = ["manifest.json", "best.json", "morphisms.jsonl"]
     assert sorted(os.listdir(out_dir)) == sorted(outputs)
-    manifest = sf.read_manifest(os.path.join(out_dir, "manifest.json"))
+    manifest = read_json(os.path.join(out_dir, "manifest.json"), "manifest")
     assert manifest["outputs"] == outputs
     assert manifest["config"]["search.mode"] == "hillclimb"
     audit = open(os.path.join(out_dir, "morphisms.jsonl")).read().splitlines()
@@ -79,7 +80,7 @@ def test_manifest_lists_exactly_the_files_written(mode, tmp_path):
     code, summary = run_cli(["search", "--config", cfg, "--mode", mode,
                              "--out", out_dir])
     assert code == 0
-    manifest = sf.read_manifest(os.path.join(out_dir, "manifest.json"))
+    manifest = read_json(os.path.join(out_dir, "manifest.json"), "manifest")
     assert sorted(os.listdir(out_dir)) == sorted(manifest["outputs"])
     # One counting rule in every mode: each explored child but the start
     # network has one audit record, and the records number rounds 1..rounds.
@@ -334,7 +335,7 @@ def test_env_seed_override(tmp_path, monkeypatch):
     code, summary = run_cli(["search", "--config", cfg, "--out", out_dir])
     assert code == 0
     assert summary["seed"] == 77
-    manifest = sf.read_manifest(os.path.join(out_dir, "manifest.json"))
+    manifest = read_json(os.path.join(out_dir, "manifest.json"), "manifest")
     assert manifest["seed"] == 77
 
 
@@ -824,17 +825,33 @@ KNOB_VALUES = st.sampled_from(["0", "-1", "nan", "inf", "0.05", "1"])
        nodes=st.integers(-2, 4), tau=KNOB_VALUES, betas=KNOB_VALUES,
        kappas=KNOB_VALUES, order=st.sampled_from(["1", "2"]),
        sampled=st.booleans())
+# A divergence the draws above cannot reach: the move-rate row overflows at
+# step 7 (with 20 particles the same flags exit 0).
+@example(iters=8, particles=10000, nodes=6, tau="100", betas="1", kappas="1",
+         order="2", sampled=False)
 def test_bench_flags_keep_the_exit_contract(tmp_path_factory, iters, particles,
                                             nodes, tau, betas, kappas, order,
                                             sampled):
     # Any mix of flags exits 0, 2 (bad flag) or 3 (divergence), never with
-    # an exception.
+    # an exception; a divergence logs one line.
     out = tmp_path_factory.mktemp("bench")
     argv = ["dynamics-bench", "--out", str(out), f"--iters={iters}",
             f"--particles={particles}", f"--nodes={nodes}", f"--tau={tau}",
             f"--betas={betas}", f"--kappas={kappas}", "--order", order]
-    code, _, _ = run_cli_all(argv + ["--sampled"] * sampled)
+    records = []
+    errors = logging.Handler(logging.ERROR)
+    errors.emit = records.append
+    logging.getLogger("semiflow").addHandler(errors)
+    try:
+        code, _, err = run_cli_all(argv + ["--sampled"] * sampled)
+    finally:
+        logging.getLogger("semiflow").removeHandler(errors)
     assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code == 3:
+        [record] = records
+        assert record.getMessage().startswith("diverged: ")
+        assert "\n" not in record.getMessage()
 
 
 def interval_ends(key):

@@ -19,6 +19,10 @@ The README's reference runs, `search --data spirals --seed 0` in each mode
 at its defaults, are checked too. Their digests were recorded before the
 search modes became generators of rounds; the same digests come out whether
 the search runs in-process or as a CLI process.
+
+Every file `dynamics-bench` writes at its defaults is pinned as well, for
+each order with expected and with sampled moves. No path enters those files,
+so any output directory gives the same digests.
 """
 
 import hashlib
@@ -27,6 +31,7 @@ from pathlib import Path
 import pytest
 
 import semiflow as sf
+from conftest import run_cli
 
 ARTIFACTS = ("metrics.csv", "best.json", "morphisms.jsonl")
 
@@ -111,6 +116,33 @@ REFERENCE = {
     },
 }
 
+BENCH = {
+    "order1-expected": {
+        "bench_000.csv":
+            "3fbb711ddeb02f25a78a2e1509276c37b2d45a2ed58c6020e860b4eedea66789",
+        "summary.json":
+            "290caae8e485361991138e25247089eeebc08120e851df1e2705bba98cba6d03",
+    },
+    "order1-sampled": {
+        "bench_000.csv":
+            "7e61fcf84523ac5385c389908a08a488e87fe57dfb0b745934b2b0048f2cd21a",
+        "summary.json":
+            "df2add12978b3e548f627959aca296c932626fb7d863796600503213ced64861",
+    },
+    "order2-expected": {
+        "bench_000.csv":
+            "aa9518ac38a5489ceaca60aab2fddc7d79e7668802a20e84333fe633b1f9cc96",
+        "summary.json":
+            "7f4363f3ca342e4b5314a9fb287e840d37e0bf30d96ef413db9852057d40c8d8",
+    },
+    "order2-sampled": {
+        "bench_000.csv":
+            "c69aa0127d49627eb50b6c92aaedbeed714b4d74779769c00b370bb524aa43ee",
+        "summary.json":
+            "c745b84704fdce8c82c63f9ef247d563433ededea8862d4ef6c5f1e0589ad25c",
+    },
+}
+
 
 def digests(out_dir):
     found = {}
@@ -138,3 +170,14 @@ def test_reference_runs_match_goldens(mode, request):
     # The session's CLI runs (conftest.py), shared with the acceptance tests.
     run = request.getfixturevalue(f"{mode}_spirals_cli")
     assert digests(Path(run["out"])) == REFERENCE[mode]
+
+
+@pytest.mark.parametrize("name", sorted(BENCH))
+def test_dynamics_bench_matches_goldens(name, tmp_path):
+    order, mode = name.removeprefix("order").split("-")
+    flags = ["--order", order] + ["--sampled"] * (mode == "sampled")
+    code, _ = run_cli(["dynamics-bench", *flags, "--out", str(tmp_path)])
+    assert code == 0
+    found = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+             for path in tmp_path.iterdir()}
+    assert found == BENCH[name]

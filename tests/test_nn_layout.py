@@ -197,7 +197,8 @@ def test_loss_only_and_evaluate_share_the_forward_pass(spec, seed, batch, zero_s
     assert sf.loss_only(spec, params, inputs, labels) == loss
     ev_loss, ev_acc = sf.evaluate(spec, params, inputs, labels)
     assert ev_loss == loss
-    assert ev_acc == float(np.mean(sf.predict(spec, params, inputs) == labels))
+    predicted = np.argmax(sf.logits(spec, params, inputs), axis=-1)
+    assert ev_acc == float(np.mean(predicted == labels))
 
 
 @settings(max_examples=60, deadline=None)

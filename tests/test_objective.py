@@ -57,7 +57,7 @@ def test_tracker_bit_deterministic():
         t = sf.ValTracker(decay=0.9)
         for s in samples:
             t.update(4, s)
-        return t.value(4)
+        return t.running[4]
 
     assert run() == run()
 
@@ -67,7 +67,7 @@ def test_tracker_refuses_a_non_finite_sample_by_node():
     with pytest.raises(NonFiniteValue, match="^validation sample at node 3 is inf$") as err:
         t.update(3, float("inf"))
     assert err.value.node == 3
-    assert t.snapshot() == {}
+    assert dict(t.running) == {}
 
 
 def test_tracker_nodes_independent():
@@ -75,8 +75,8 @@ def test_tracker_nodes_independent():
     t.update(0, 1.0)
     t.update(1, 9.0)
     t.update(0, 3.0)
-    assert t.value(0) == pytest.approx(2.0)
-    assert t.value(1) == pytest.approx(9.0)
+    assert t.running[0] == pytest.approx(2.0)
+    assert t.running[1] == pytest.approx(9.0)
 
 
 def test_eval_val_updates_tracker():
@@ -84,7 +84,7 @@ def test_eval_val_updates_tracker():
     t = sf.ValTracker(decay=0.9)
     out = sf.eval_val(obj.bind((0,), np.array([[1.0, -2.0]])), t, (0,))
     assert out == [pytest.approx(0.25)]
-    assert t.value(0) == pytest.approx(0.25)
+    assert t.running[0] == pytest.approx(0.25)
 
 
 def test_quadratic_bound_group_reads_stack_in_place():

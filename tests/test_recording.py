@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import semiflow as sf
-from semiflow.recording import METRICS_COLUMNS, utc_now
+from semiflow.recording import METRICS_COLUMNS, read_json, utc_now
 from conftest import run_cli
 
 
@@ -49,7 +49,7 @@ def test_manifest_roundtrip(tmp_path):
     cfg = sf.normalize({"search.mode": "nasgd"})
     sf.write_manifest(path, cfg, seed=5, version="0.1.0",
                       outputs={"metrics": "metrics.csv"}, started=utc_now())
-    m = sf.read_manifest(path)
+    m = read_json(path, "manifest")
     assert m["seed"] == 5
     assert m["config"] == cfg
     assert m["outputs"] == {"metrics": "metrics.csv"}
@@ -57,7 +57,7 @@ def test_manifest_roundtrip(tmp_path):
     sf.write_manifest(path, cfg, seed=5, version="0.1.0",
                       outputs={"metrics": "metrics.csv"},
                       started=m["started"], ended=utc_now())
-    m2 = sf.read_manifest(path)
+    m2 = read_json(path, "manifest")
     assert m2["ended"] is not None
     assert m2["started"] == m["started"]
 
@@ -134,7 +134,7 @@ def test_an_interrupted_write_leaves_the_previous_file(tmp_path, name):
         loaded_spec, loaded = sf.load_checkpoint(path)
         assert loaded_spec == spec and np.array_equal(loaded, params[0])
     elif name == "manifest.json":
-        assert sf.read_manifest(path)["ended"] is None
+        assert read_json(path, "manifest")["ended"] is None
     elif name == "summary.json":
         assert json.loads(before)["points"][0]["iterations"] == 3
     else:

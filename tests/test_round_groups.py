@@ -49,7 +49,7 @@ def reference_round(graph, specs, states, config, clock, rng, batches,
             if not math.isfinite(sample):
                 raise NonFiniteValue(f"validation loss at node {g} is {sample}")
             tracker.update(g, sample)
-        values = tracker.snapshot()
+        values = dict(tracker.running)
 
         step = search.particle_step(ensemble, phi, values, graph, dyn, tau, rng)
         ensemble, phi = step.ensemble, step.phi

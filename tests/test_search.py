@@ -207,6 +207,28 @@ def test_quiet_particle_step_keeps_the_updated_potential():
     assert step.phi != {0: 0.0, 1: 0.0}
 
 
+@pytest.mark.parametrize("rate_mode", [sf.EXPECTED, sf.SAMPLED])
+@pytest.mark.parametrize("mode", [sf.FIRST_ORDER, sf.SECOND_ORDER])
+def test_particle_step_scalars_are_floats_in_both_rate_modes(mode, rate_mode):
+    # Expected moves are computed from numpy weights; every amount they feed
+    # downstream must still be a plain float, as in sampled mode.
+    graph = sf.complete_graph([None] * 5)
+    dyn = sf.DynamicsParams(mode=mode, rate_mode=rate_mode)
+    values = {g: 1.0 - 0.2 * g for g in graph}
+    ensemble = sf.seed_ensemble(graph, 100, ghosts=False)
+    phi = {g: 0.0 for g in graph}
+    rng = np.random.default_rng(0)
+    moved = False
+    for _ in range(5):
+        step = search.particle_step(ensemble, phi, values, graph, dyn, 0.05, rng)
+        ensemble, phi = step.ensemble, step.phi
+        moved = moved or bool(step.flows)
+        scalars = [*ensemble.counts.values(), *step.flows.values(),
+                   *step.out_flow.values(), *phi.values(), step.energy]
+        assert [type(v) for v in scalars] == [float] * len(scalars)
+    assert moved
+
+
 # ---------------------------------------------------------------- rigged rounds
 
 def rigged_round(mode, seed, margin=1.0, n_particles=1000):
