@@ -64,13 +64,13 @@ def main():
         s, p = (src.spec, src.params) if src else (spec, params)
         for _ in range(20):
             try:
-                m, morph = sf.draw_morphism(s, p, kind, rng)
+                m = sf.draw_morphism(s, p, kind, rng)
             except (sf.ConstraintViolated, sf.DimensionMismatch,
                     sf.BadPosition) as err:
                 print(f"{kind:>12} redraw: {err}")
                 continue
             dev = float(np.max(np.abs(sf.forward(m.spec, m.params, X) - base_out)))
-            print(f"{kind:>12} args={dict(morph.args)!s:<28} max_dev={dev:.2e}")
+            print(f"{kind:>12} args={m.origin.args_dict()!s:<28} max_dev={dev:.2e}")
             break
 
     print("\nlocal graph around the incumbent (8 children, one operator each):")

@@ -50,6 +50,7 @@ from .errors import (
     SplitTooSmall,
 )
 from .graph import complete_graph
+from .knobs import check
 from .nn import (
     evaluate,
     load_checkpoint,
@@ -72,6 +73,12 @@ from .search import (
 )
 
 log = logging.getLogger("semiflow")
+
+# Like logging.basicConfig, the CLI's stderr handler joins the root logger
+# only while the root has none; each call points it at the sys.stderr of
+# that call, so a second call in one process logs to its own stream.
+_stderr = logging.StreamHandler()
+_stderr.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
 
 SEED_ENV = "SEMIFLOW_SEED"
 
@@ -146,8 +153,7 @@ def _seed(args) -> int | None:
             seed = int(raw)
         except ValueError:
             raise BadConfig(f"{SEED_ENV} must be an integer, got {raw!r}")
-    if seed < 0:
-        raise BadConfig(f"seed must be nonnegative, got {seed}")
+    check("seed", seed, "[0, inf)", BadConfig)
     return seed
 
 
@@ -274,11 +280,9 @@ def _bench_grid(args) -> list[DynamicsParams]:
     before anything is written."""
     betas = _grid(args.betas, "betas")
     kappas = _grid(args.kappas, "kappas")
-    for name, low in (("nodes", 1), ("particles", 1), ("iters", 0)):
-        if getattr(args, name) < low:
-            raise BadConfig(f"--{name} must be >= {low}, got {getattr(args, name)}")
-    if not 0 < args.tau < math.inf:
-        raise BadConfig(f"--tau must be positive and finite, got {args.tau}")
+    for name, interval in (("nodes", "[1, inf)"), ("particles", "[1, inf)"),
+                           ("iters", "[0, inf)"), ("tau", "(0, inf)")):
+        check(f"--{name}", getattr(args, name), interval, BadConfig)
     try:
         return [
             DynamicsParams(
@@ -371,7 +375,9 @@ def _cmd_graph_dump(args) -> int:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    _stderr.stream = sys.stderr
+    if not logging.root.handlers:
+        logging.root.addHandler(_stderr)
     # Set on every call, so -v holds per invocation even in one process.
     log.setLevel(logging.DEBUG if args.verbose else logging.INFO)
     handlers = {

@@ -114,8 +114,8 @@ def make_blobs(
     """Balanced Gaussian clusters around well-separated fixed centers."""
     if n < n_classes:
         raise BadParams(f"need n >= n_classes, got {n} < {n_classes}")
-    if d < 1 or n_classes < 2:
-        raise BadParams(f"bad dimensions d={d}, classes={n_classes}")
+    check("d", d, "[1, inf)", BadParams)
+    check("n_classes", n_classes, "[2, inf)", BadParams)
     check("spread", spread, "[0, inf)", BadParams)
     _check_size(n, d)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(91,)))
@@ -281,8 +281,7 @@ class BatchStream:
 
     def __post_init__(self) -> None:
         n = self.features.shape[0]
-        if self.batch_size < 1:
-            raise BadParams(f"batch_size must be positive, got {self.batch_size}")
+        check("batch_size", self.batch_size, "[1, inf)", BadParams)
         if n < self.batch_size:
             raise SplitTooSmall(
                 f"split has {n} rows, batch size is {self.batch_size}"

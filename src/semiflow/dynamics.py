@@ -45,7 +45,7 @@ from .errors import (
     OutOfPeriod,
 )
 from .graph import ArchGraph
-from .knobs import check_fields, knob
+from .knobs import check, check_fields, knob
 
 FIRST_ORDER = "first_order"
 SECOND_ORDER = "second_order"
@@ -169,8 +169,7 @@ def seed_ensemble(
     ghosts=False seeds the same counts with no floor, for density-style
     (expected-mode) runs where off-center mass must be free to vanish.
     """
-    if n_particles < 1:
-        raise ValueError(f"need at least one particle, got {n_particles}")
+    check("n_particles", n_particles, "[1, inf)")
     counts: dict[int, float] = {}
     ghost: dict[int, int] = {}
     for g in graph:
@@ -495,8 +494,7 @@ def stationary_oracle(
     """
     if not values:
         raise EmptyGraph("no nodes given")
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    check("beta", beta, "(0, inf]")
     ids = sorted(values)
     v = np.array([float(values[g]) for g in ids])
     if not np.all(np.isfinite(v)):

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .errors import BadPosition, ConstraintViolated, DimensionMismatch
 from .graph import ArchGraph, complete_graph, star_graph
-from .knobs import check_fields, knob
+from .knobs import check, check_fields, knob
 from .nn import NetParts, NetSpec, flatten, forward, param_count, unflatten
 
 
@@ -54,15 +54,10 @@ class Morphism:
         return dict(self.args)
 
 
-class Morphed(NamedTuple):
-    spec: NetSpec
-    params: np.ndarray
-    velocity: np.ndarray | None
-
-
 @dataclass
 class Candidate:
-    """Graph payload: an architecture with live parameters and velocity."""
+    """Graph payload: an architecture with live parameters and velocity,
+    and the edit that made it from its parent, if any."""
 
     spec: NetSpec
     params: np.ndarray
@@ -108,7 +103,7 @@ def _transform(
     params: np.ndarray,
     velocity: np.ndarray | None,
     change: Callable[[NetParts, float], None],
-) -> Morphed:
+) -> Candidate:
     """Apply one edit's index transform to the parameters and, if given, the
     velocity. change(parts, fill) edits parts in place; fill is 1.0 for
     parameters and 0.0 for velocity, the scale of any new identity block."""
@@ -118,7 +113,7 @@ def _transform(
         change(parts, fill)
         return flatten(new_spec, parts)
 
-    return Morphed(
+    return Candidate(
         new_spec, one(params, 1.0),
         one(velocity, 0.0) if velocity is not None else None,
     )
@@ -130,7 +125,7 @@ def deepen(
     position: int,
     velocity: np.ndarray | None = None,
     constraints: Constraints | None = None,
-) -> Morphed:
+) -> Candidate:
     """Insert an identity layer directly after hidden layer `position`.
 
     Valid positions are 1..len(hidden): the insertion point must sit behind a
@@ -164,14 +159,13 @@ def widen(
     rng: np.random.Generator,
     velocity: np.ndarray | None = None,
     constraints: Constraints | None = None,
-) -> Morphed:
+) -> Candidate:
     """Duplicate `delta` random units of a hidden layer (with replacement),
     splitting each unit's outgoing weights evenly across its copies."""
     n = len(spec.hidden)
     if not 1 <= layer <= n:
         raise BadPosition(f"widen layer {layer} not in [1, {n}]")
-    if delta < 1:
-        raise BadPosition(f"widen delta must be >= 1, got {delta}")
+    check("widen delta", delta, "[1, inf)", BadPosition)
     width = spec.hidden[layer - 1]
     if constraints is not None and width + delta > constraints.max_width:
         raise ConstraintViolated(
@@ -211,7 +205,7 @@ def add_skip(
     dst: int,
     velocity: np.ndarray | None = None,
     constraints: Constraints | None = None,
-) -> Morphed:
+) -> Candidate:
     """Add a zero-scale skip from activation src into hidden layer dst."""
     n = len(spec.hidden)
     if not (0 <= src < dst <= n) or dst < 1:
@@ -244,7 +238,7 @@ def remove_layer(
     position: int,
     velocity: np.ndarray | None = None,
     constraints: Constraints | None = None,
-) -> Morphed:
+) -> Candidate:
     """Delete a hidden layer; the next layer's input is truncated or
     zero-padded to the width that now feeds it. Not function preserving."""
     n = len(spec.hidden)
@@ -282,13 +276,12 @@ def narrow(
     delta: int,
     velocity: np.ndarray | None = None,
     constraints: Constraints | None = None,
-) -> Morphed:
+) -> Candidate:
     """Drop the trailing `delta` units of a hidden layer. Not preserving."""
     n = len(spec.hidden)
     if not 1 <= layer <= n:
         raise BadPosition(f"narrow layer {layer} not in [1, {n}]")
-    if delta < 1:
-        raise BadPosition(f"narrow delta must be >= 1, got {delta}")
+    check("narrow delta", delta, "[1, inf)", BadPosition)
     width = spec.hidden[layer - 1]
     floor = max(1, spec.output_dim)
     if width - delta < floor:
@@ -315,7 +308,7 @@ def remove_skip(
     index: int,
     velocity: np.ndarray | None = None,
     constraints: Constraints | None = None,
-) -> Morphed:
+) -> Candidate:
     """Delete skip number `index` (spec order) and its scale parameter."""
     if not 0 <= index < len(spec.skips):
         raise BadPosition(
@@ -343,8 +336,9 @@ def draw_morphism(
     rng: np.random.Generator,
     velocity: np.ndarray | None = None,
     constraints: Constraints | None = None,
-) -> tuple[Morphed, Morphism]:
-    """Apply one edit of the given kind with randomly drawn arguments.
+) -> Candidate:
+    """Apply one edit of the given kind with randomly drawn arguments; the
+    child's origin records the kind and the arguments.
 
     Raises ConstraintViolated, BadPosition or DimensionMismatch when the
     drawn edit is inadmissible."""
@@ -365,10 +359,11 @@ def draw_morphism(
             args = {"layer": layer, "delta": int(rng.integers(1, 5))}
     # widen draws the units it duplicates itself, after its checks
     extra = {"rng": rng} if kind == "widen" else {}
-    morphed = _EDITS[kind](
+    child = _EDITS[kind](
         spec, params, **args, **extra, velocity=velocity, constraints=constraints
     )
-    return morphed, Morphism(kind, tuple(args.items()))
+    child.origin = Morphism(kind, tuple(args.items()))
+    return child
 
 
 MAX_ATTEMPTS = 50  # draws per child before build_local_graph gives up
@@ -379,8 +374,7 @@ def draw_table(
 ) -> tuple[list[str], np.ndarray]:
     """Check build_local_graph's arguments; return the kinds it draws from
     and their probabilities. No mix means default_mix()."""
-    if n_neigh < 1:
-        raise ValueError(f"n_neigh must be >= 1, got {n_neigh}")
+    check("n_neigh", n_neigh, "[1, inf)")
     if topology not in ("star", "complete"):
         raise ValueError(f"unknown topology {topology!r}")
     mix = dict(mix) if mix else default_mix()
@@ -426,7 +420,7 @@ def build_local_graph(
         for _attempt in range(MAX_ATTEMPTS):
             kind = kinds[int(rng.choice(len(kinds), p=probs))]
             try:
-                morphed, record = draw_morphism(
+                child = draw_morphism(
                     incumbent_spec, incumbent_params, kind, rng,
                     velocity, constraints,
                 )
@@ -437,15 +431,15 @@ def build_local_graph(
             raise ConstraintViolated(
                 f"no admissible morphism after {MAX_ATTEMPTS} draws: {last_error}"
             )
-        child_out = forward(morphed.spec, morphed.params, probe)
+        child_out = forward(child.spec, child.params, probe)
         dev = float(np.max(np.abs(child_out - base_out)))
-        children.append(Candidate(*morphed, record))
+        children.append(child)
         audit.append(
             {
                 # Both builders number the children 1..n_neigh in list order.
                 "child_id": len(children),
-                "kind": record.kind,
-                "args": record.args_dict(),
+                "kind": child.origin.kind,
+                "args": child.origin.args_dict(),
                 "preserved": bool(dev <= 1e-6),
                 "dev": dev,
             }

@@ -35,7 +35,6 @@ same code.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -543,6 +542,8 @@ def spec_from_descriptors(items: Sequence) -> NetSpec:
 
 def spec_digest(spec: NetSpec) -> str:
     """Short stable hash of the architecture (not the parameters)."""
+    import hashlib  # here, so that only graph-dump loads OpenSSL
+
     blob = json.dumps(spec_to_descriptors(spec), separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

@@ -5,9 +5,12 @@ spiral runs used by several acceptance checks are session-scoped and reused.
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -15,6 +18,9 @@ import pytest
 
 import semiflow as sf
 from semiflow import cli
+
+SRC = os.path.dirname(os.path.dirname(sf.__file__))
+ROOT = os.path.dirname(SRC)
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +44,15 @@ def run_cli(argv):
     except ValueError:
         payload = text
     return code, payload
+
+
+@functools.cache
+def run_demo(script):
+    """Run demos/<script> once per session in a fresh interpreter; the
+    CompletedProcess, with stdout and stderr as bytes, is shared."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, os.path.join(ROOT, "demos", script)],
+                          env=env, capture_output=True, timeout=120)
 
 
 @pytest.fixture(scope="session")

@@ -352,7 +352,7 @@ def test_seed_flag_beats_env(tmp_path, monkeypatch):
 @pytest.mark.parametrize("raw, message", [
     pytest.param("abc", "SEMIFLOW_SEED must be an integer, got 'abc'",
                  id="not-int"),
-    pytest.param("-1", "seed must be nonnegative, got -1", id="negative"),
+    pytest.param("-1", "seed must be in [0, inf), got -1", id="negative"),
 ])
 def test_bad_env_seed_is_config_error(command, raw, message, tmp_path,
                                       monkeypatch, caplog):
@@ -962,6 +962,47 @@ def test_package_runs_on_numpy_alone(tmp_path):
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["nodes"] == 2
+
+
+def test_each_call_logs_to_its_own_stderr(tmp_path):
+    # Two calls in one fresh interpreter, each under its own stderr buffer:
+    # each call's log lines land in the buffer current at that call.
+    src = os.path.dirname(os.path.dirname(sf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import contextlib, io, json\n"
+        "from semiflow import cli\n"
+        "logs = []\n"
+        "for run in ('a', 'b'):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(err):\n"
+        "        cli.main(['dynamics-bench', '--nodes', '2', '--iters', '1',\n"
+        f"                  '--out', {str(tmp_path)!r} + '/' + run])\n"
+        "    logs.append(err.getvalue())\n"
+        "print(json.dumps(logs))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    line = "INFO semiflow: bench point beta=1.0 kappa=1.0\n"
+    assert json.loads(out.stdout) == [line, line]
+
+
+def test_import_leaves_out_hashlib():
+    # Only graph-dump hashes, so importing the CLI does not load OpenSSL.
+    src = os.path.dirname(os.path.dirname(sf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def loads_hashlib(module):
+        code = f"import sys, {module}; print('_hashlib' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        return out.stdout.strip() == "True"
+
+    if loads_hashlib("numpy"):
+        pytest.skip("numpy alone loads _hashlib")
+    assert not loads_hashlib("semiflow.cli")
 
 
 def test_divergence_prints_no_numpy_warning(tmp_path):

@@ -23,6 +23,11 @@ the search runs in-process or as a CLI process.
 Every file `dynamics-bench` writes at its defaults is pinned as well, for
 each order with expected and with sampled moves. No path enters those files,
 so any output directory gives the same digests.
+
+So are the stdout of each quick demo and the artifacts of the benchmark's
+nasagd-dense workload at seed 0 (`search --mode nasagd --data spirals
+--seed 0 --n-steps 0.5 --config bench/dense.json`), recorded before the
+edits returned the graph's Candidate.
 """
 
 import hashlib
@@ -31,7 +36,7 @@ from pathlib import Path
 import pytest
 
 import semiflow as sf
-from conftest import run_cli
+from conftest import ROOT, run_cli, run_demo
 
 ARTIFACTS = ("metrics.csv", "best.json", "morphisms.jsonl")
 
@@ -143,6 +148,24 @@ BENCH = {
     },
 }
 
+DEMOS = {
+    "dynamics_playground.py":
+        "23b3f8ada88f4ee37421a2b8b998538a1f4a7389884e61a64f548b53c981a5c6",
+    "morphism_gallery.py":
+        "059376dc4664056ef431463239139da95be95d3c8e9258370f80a94f379c28b5",
+    "schedule_and_restarts.py":
+        "e3fc28bf7e9429c0ad1efa5c26b885b7d24356bdffa979b8f9c2dd2b34845cb4",
+}
+
+DENSE = {
+    "metrics.csv":
+        "e2fe39bbeb8f8ff039a01c115f55d671a10f20a3733701a0aa381a1dc7c94558",
+    "best.json":
+        "d8b16c35f2c9c8c6aa85c9250ecd87159a05c865b4852c9ea67fa15225e8a261",
+    "morphisms.jsonl":
+        "91af0783dcee3221a992bf4339ad552b2f52cea8931442a761997af24d08b079",
+}
+
 
 def digests(out_dir):
     found = {}
@@ -181,3 +204,19 @@ def test_dynamics_bench_matches_goldens(name, tmp_path):
     found = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
              for path in tmp_path.iterdir()}
     assert found == BENCH[name]
+
+
+@pytest.mark.parametrize("script", sorted(DEMOS))
+def test_demo_stdout_matches_goldens(script):
+    done = run_demo(script)
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == DEMOS[script]
+
+
+def test_nasagd_dense_matches_goldens(tmp_path):
+    code, _ = run_cli(["search", "--mode", "nasagd", "--data", "spirals",
+                       "--seed", "0", "--n-steps", "0.5",
+                       "--config", str(Path(ROOT) / "bench" / "dense.json"),
+                       "--out", str(tmp_path)])
+    assert code == 0
+    assert digests(tmp_path) == DENSE

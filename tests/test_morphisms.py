@@ -129,17 +129,16 @@ def test_remove_zero_scale_skip_neutral():
 
 def test_negative_morphism_dispatch():
     spec, params = fresh(skips=((1, 2),))
-    m, morph = sf.draw_morphism(spec, params, "remove_skip",
-                                np.random.default_rng(0))
-    assert morph.kind == "remove_skip"
+    m = sf.draw_morphism(spec, params, "remove_skip", np.random.default_rng(0))
+    assert m.origin.kind == "remove_skip"
     assert m.spec.skips == ()
 
 
 def test_draw_morphism_records_args():
     spec, params = fresh()
-    m, morph = sf.draw_morphism(spec, params, "widen", np.random.default_rng(5))
-    assert morph.kind == "widen"
-    args = dict(morph.args)
+    m = sf.draw_morphism(spec, params, "widen", np.random.default_rng(5))
+    assert m.origin.kind == "widen"
+    args = m.origin.args_dict()
     assert m.spec.hidden[args["layer"] - 1] == spec.hidden[args["layer"] - 1] + args["delta"]
 
 

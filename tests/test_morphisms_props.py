@@ -4,12 +4,15 @@ function preservation along random chains of growing edits.
 The reference below is the former `draw_morphism`, `negative_morphism` and
 six edits, verbatim but for the `ref` prefix and the parameter budget check
 `remove_layer` has gained since: each edit split the parameter and velocity
-vectors, changed each, and merged them back. On random small
-specs with skips, every kind, random seeds and constraints, with and without
-a velocity, the one dispatcher must return the same record, spec and vector
-bits, raise the same exception with the same message, and leave the rng in
-the same state.
+vectors, changed each, and merged them back into a `Morphed` tuple, which
+the reference returns beside the record. On random small specs with skips,
+every kind, random seeds and constraints, with and without a velocity, the
+one dispatcher must return a Candidate with the same record as its origin,
+the same spec and vector bits, raise the same exception with the same
+message, and leave the rng in the same state.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 
 import semiflow as sf
 from semiflow.errors import BadPosition, ConstraintViolated, DimensionMismatch
-from semiflow.morphisms import Constraints, Morphed, Morphism
+from semiflow.morphisms import Constraints, Morphism
 from semiflow.nn import NetParts, NetSpec, flatten, param_count, unflatten
 
 NEGATIVE_KINDS = ("remove_layer", "narrow", "remove_skip")
@@ -26,6 +29,12 @@ GROWING_KINDS = ("deepen", "widen", "add_skip")
 INADMISSIBLE = (ConstraintViolated, BadPosition, DimensionMismatch)
 
 # -- reference --------------------------------------------------------------
+
+
+class Morphed(NamedTuple):
+    spec: NetSpec
+    params: np.ndarray
+    velocity: np.ndarray | None
 
 
 def ref_check_params_budget(spec: NetSpec, constraints: Constraints | None) -> None:
@@ -417,8 +426,8 @@ def test_draw_morphism_matches_reference(kind, spec, seed, with_velocity, cons):
     if isinstance(want[0], type):
         assert got == want
         return
-    (want_m, want_rec), (got_m, got_rec) = want, got
-    assert got_rec == want_rec
+    (want_m, want_rec), got_m = want, got
+    assert got_m.origin == want_rec
     assert got_m.spec == want_m.spec
     assert same_bits(got_m.params, want_m.params)
     assert same_bits(got_m.velocity, want_m.velocity)
@@ -434,17 +443,17 @@ def test_growing_chains_preserve_function(spec, kinds, seed):
     base_out = sf.forward(spec, params, probe)
     for kind in kinds:
         try:
-            m, record = sf.draw_morphism(spec, params, kind, rng, velocity)
+            m = sf.draw_morphism(spec, params, kind, rng, velocity)
         except INADMISSIBLE:
             continue
         assert m.velocity.shape == (param_count(m.spec),)
         new = unflatten(m.spec, m.velocity)
-        args = dict(record.args)
+        args = m.origin.args_dict()
         if kind == "deepen":
             assert not np.any(new.weights[args["position"]])
             assert not np.any(new.biases[args["position"]])
         elif kind == "add_skip":
             assert new.scales[-1] == 0.0
-        spec, params, velocity = m
+        spec, params, velocity = m.spec, m.params, m.velocity
         dev = np.max(np.abs(sf.forward(spec, params, probe) - base_out))
         assert dev <= 1e-6
