@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import semiflow as sf
 from semiflow import cli, search
 from semiflow.recording import METRICS_COLUMNS, read_json
-from conftest import run_cli
+from conftest import SRC, run_cli
 
 
 def run_cli_all(argv):
@@ -967,8 +967,7 @@ def test_package_runs_on_numpy_alone(tmp_path):
 def test_each_call_logs_to_its_own_stderr(tmp_path):
     # Two calls in one fresh interpreter, each under its own stderr buffer:
     # each call's log lines land in the buffer current at that call.
-    src = os.path.dirname(os.path.dirname(sf.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     code = (
         "import contextlib, io, json\n"
         "from semiflow import cli\n"
@@ -991,8 +990,7 @@ def test_each_call_logs_to_its_own_stderr(tmp_path):
 
 def test_import_leaves_out_hashlib():
     # Only graph-dump hashes, so importing the CLI does not load OpenSSL.
-    src = os.path.dirname(os.path.dirname(sf.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
 
     def loads_hashlib(module):
         code = f"import sys, {module}; print('_hashlib' in sys.modules)"
