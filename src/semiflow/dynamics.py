@@ -494,7 +494,7 @@ def stationary_oracle(
     """
     if not values:
         raise EmptyGraph("no nodes given")
-    check("beta", beta, "(0, inf]")
+    check("beta", beta, "(0, inf)")
     ids = sorted(values)
     v = np.array([float(values[g]) for g in ids])
     if not np.all(np.isfinite(v)):

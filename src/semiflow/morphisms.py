@@ -7,8 +7,10 @@ nonnegative), widening duplicates units and splits their outgoing weights,
 and a new skip starts at scale zero. Negative edits (remove_layer, narrow,
 remove_skip) shrink by plain truncation and make no preservation claim.
 
-Velocities ride along: every edit applies the same index transform to the
-velocity vector, with freshly created entries set to zero.
+The output layer is the last entry of NetParts' lists, so the layer that
+reads hidden layer i is always parts.weights[i]. Velocities ride along:
+every edit applies the same index transform to the velocity vector, with
+freshly created entries set to zero.
 
 Edits that would break a skip's width match (widening, narrowing, or removing
 a layer an existing skip touches) refuse with ConstraintViolated; the graph
@@ -85,16 +87,6 @@ def _check_params_budget(spec: NetSpec, constraints: Constraints | None) -> None
 
 def _skip_touches(spec: NetSpec, layer: int) -> bool:
     return any(s == layer or d == layer for s, d in spec.skips)
-
-
-def _replace_reader(
-    parts: NetParts, index: int, edit: Callable[[np.ndarray], np.ndarray]
-) -> None:
-    """Replace matrix `index` of weights + [w_out] by edit(matrix)."""
-    if index < len(parts.weights):
-        parts.weights[index] = edit(parts.weights[index])
-    else:
-        parts.w_out = edit(parts.w_out)
 
 
 def _transform(
@@ -184,16 +176,13 @@ def widen(
     chosen = rng.integers(0, width, size=delta)
     multiplicity = 1.0 + np.bincount(chosen, minlength=width)
 
-    def split_out(out: np.ndarray) -> np.ndarray:
-        out = out / multiplicity
-        return np.hstack([out, out[:, chosen]])
-
     def change(parts: NetParts, fill: float) -> None:
         w_in = parts.weights[layer - 1]
         b_in = parts.biases[layer - 1]
         parts.weights[layer - 1] = np.vstack([w_in, w_in[chosen]])
         parts.biases[layer - 1] = np.concatenate([b_in, b_in[chosen]])
-        _replace_reader(parts, layer, split_out)
+        out = parts.weights[layer] / multiplicity
+        parts.weights[layer] = np.hstack([out, out[:, chosen]])
 
     return _transform(spec, new_spec, params, velocity, change)
 
@@ -262,9 +251,8 @@ def remove_layer(
     def change(parts: NetParts, fill: float) -> None:
         del parts.weights[position - 1]
         del parts.biases[position - 1]
-        _replace_reader(
-            parts, position - 1, lambda m: np.pad(m[:, :w_feed], ((0, 0), (0, pad)))
-        )
+        reader = parts.weights[position - 1][:, :w_feed]
+        parts.weights[position - 1] = np.pad(reader, ((0, 0), (0, pad)))
 
     return _transform(spec, new_spec, params, velocity, change)
 
@@ -297,7 +285,7 @@ def narrow(
     def change(parts: NetParts, fill: float) -> None:
         parts.weights[layer - 1] = parts.weights[layer - 1][:-delta]
         parts.biases[layer - 1] = parts.biases[layer - 1][:-delta]
-        _replace_reader(parts, layer, lambda out: out[:, :-delta])
+        parts.weights[layer] = parts.weights[layer][:, :-delta]
 
     return _transform(spec, new_spec, params, velocity, change)
 

@@ -7,21 +7,21 @@ pre-activation of hidden layer ``dst``; source and destination widths must
 match. Keeping every hidden output a ReLU image is what lets an identity
 layer be inserted anywhere without changing the function.
 
-All parameters live in one flat float64 vector with a fixed layout:
-per hidden layer W then b, then the output layer, then one scale per skip.
+All parameters live in one flat float64 vector with a fixed layout: per
+layer W then b, the output layer last, then one scale per skip.
 layout(spec) is the only code that walks it. It compiles the offsets and
 shapes of every block, and the skips into each layer, once per spec.
-param_count, unflatten, flatten, init_params and the kernels all read it.
+_views(layout, buffer) is the only code that cuts a buffer into those
+blocks, as NetParts(weights, biases, scales) with the output layer last:
+unflatten, flatten, init_params and the kernels all take their blocks there.
 
 The kernel body is BoundNet: a network bound to its flat vector holds W and
-b as views into it, and writes the gradient straight into slices of one
+b as views into it, and writes the gradient straight into views of one
 gradient vector. bind and every public kernel check their arguments with
 one function, _check_call, under one label rule. A kernel then binds and
 runs the body once; a training loop, or a search round for each stack of
 networks it trains, binds once (bind), so its whole split is checked then,
 and runs the body every step, updating the bound vector in place.
-NetParts is for code that edits architectures (morphisms); the training
-path never builds one.
 
 The kernels take a leading stack axis: params (..., P), inputs
 (..., batch, input_dim) and labels (..., batch) train or score a stack of
@@ -100,9 +100,9 @@ class NetSpec:
 
 
 class LayerSlots(NamedTuple):
-    """Where hidden layer i's W (shape w_shape) and b sit in the flat vector,
-    and the skips into it as (index of the skip's scale, source
-    activation), in spec order."""
+    """Where layer i's W (shape w_shape) and b sit in the flat vector, and
+    the skips into it as (index of the skip's scale, source activation), in
+    spec order."""
 
     w: slice
     w_shape: tuple[int, int]
@@ -111,20 +111,18 @@ class LayerSlots(NamedTuple):
 
 
 class Layout(NamedTuple):
-    """The compiled parameter layout of one NetSpec."""
+    """The compiled parameter layout of one NetSpec: layers[-1] is the
+    output layer, which no skip enters."""
 
     layers: tuple[LayerSlots, ...]
-    w_out: slice
-    w_out_shape: tuple[int, int]
-    b_out: slice
     scales: slice
     n_params: int
 
 
 @lru_cache(maxsize=256)
 def layout(spec: NetSpec) -> Layout:
-    """Walk the flat layout once: per hidden layer W then b, then the
-    output layer, then one scale per skip.
+    """Walk the flat layout once: per layer W then b, the output layer
+    last, then one scale per skip.
 
     Every other function reads the layout from here. It is cached per spec
     (NetSpec is frozen and hashable) and holds only immutable values.
@@ -136,17 +134,15 @@ def layout(spec: NetSpec) -> Layout:
         end += size
         return slice(end - size, end)
 
-    widths = spec.widths()
+    widths = [*spec.widths(), spec.output_dim]
     layers = []
     for i in range(1, len(widths)):
         h, p = widths[i], widths[i - 1]
         w, b = take(h * p), take(h)
         into = tuple((k, s) for k, (s, d) in enumerate(spec.skips) if d == i)
         layers.append(LayerSlots(w, (h, p), b, into))
-    out, h_last = spec.output_dim, widths[-1]
-    w_out, b_out = take(out * h_last), take(out)
     scales = take(len(spec.skips))
-    return Layout(tuple(layers), w_out, (out, h_last), b_out, scales, end)
+    return Layout(tuple(layers), scales, end)
 
 
 def param_count(spec: NetSpec) -> int:
@@ -157,67 +153,57 @@ def param_count(spec: NetSpec) -> int:
 class NetParts:
     """Structured view of the flat parameter vector."""
 
-    weights: list[np.ndarray]   # per hidden layer, shape (h_i, h_{i-1})
-    biases: list[np.ndarray]    # per hidden layer, shape (h_i,)
-    w_out: np.ndarray           # (output_dim, h_L)
-    b_out: np.ndarray           # (output_dim,)
+    weights: list[np.ndarray]   # per layer, shape (h_i, h_{i-1}); output last
+    biases: list[np.ndarray]    # per layer, shape (h_i,); output last
     scales: np.ndarray          # one scalar per skip, spec order
 
 
-def _check_params(lay: Layout, flat: np.ndarray) -> np.ndarray:
-    flat = np.asarray(flat, dtype=float)
-    if flat.ndim != 1 or flat.size != lay.n_params:
-        raise BadParams(
-            f"expected {lay.n_params} parameters, got shape {flat.shape}"
-        )
-    return flat
+def _views(lay: Layout, buf: np.ndarray) -> NetParts:
+    """NetParts of views into buf (..., P), each block with buf's leading
+    axes: writing to a part writes to buf."""
+    lead = buf.shape[:-1]
+    return NetParts(
+        [buf[..., layer.w].reshape(lead + layer.w_shape) for layer in lay.layers],
+        [buf[..., layer.b] for layer in lay.layers],
+        buf[..., lay.scales],
+    )
 
 
 def unflatten(spec: NetSpec, flat: np.ndarray) -> NetParts:
     """NetParts of views into flat: writing to a part writes to flat."""
     lay = layout(spec)
-    flat = _check_params(lay, flat)
-    return NetParts(
-        [flat[layer.w].reshape(layer.w_shape) for layer in lay.layers],
-        [flat[layer.b] for layer in lay.layers],
-        flat[lay.w_out].reshape(lay.w_out_shape),
-        flat[lay.b_out],
-        flat[lay.scales],
-    )
+    flat = np.asarray(flat, dtype=float)
+    if flat.ndim != 1 or flat.size != lay.n_params:
+        raise BadParams(f"expected {lay.n_params} parameters, got shape {flat.shape}")
+    return _views(lay, flat)
 
 
 def flatten(spec: NetSpec, parts: NetParts) -> np.ndarray:
     lay = layout(spec)
-    n_layers = len(lay.layers)
-    if len(parts.weights) != n_layers or len(parts.biases) != n_layers:
+    flat = np.empty(lay.n_params)
+    dest = _views(lay, flat)
+    if len(parts.weights) != len(dest.weights) or len(parts.biases) != len(dest.biases):
         raise BadParams(
             f"parts hold {len(parts.weights)} weight and {len(parts.biases)} "
-            f"bias blocks, spec has {n_layers} hidden layers"
+            f"bias blocks, spec has {len(dest.weights)} layers"
         )
-    slots = [s for layer in lay.layers for s in (layer.w, layer.b)]
-    pieces = [p for wb in zip(parts.weights, parts.biases) for p in wb]
-    slots += [lay.w_out, lay.b_out, lay.scales]
-    pieces += [parts.w_out, parts.b_out, parts.scales]
-    flat = np.empty(lay.n_params)
-    for slot, piece in zip(slots, pieces):
+    for slot, piece in zip([*dest.weights, *dest.biases, dest.scales],
+                           [*parts.weights, *parts.biases, parts.scales]):
         piece = np.asarray(piece, dtype=float)
-        if piece.size != slot.stop - slot.start:
+        if piece.size != slot.size:
             raise BadParams(
                 f"a part holds {piece.size} parameters where the spec wants "
-                f"{slot.stop - slot.start}"
+                f"{slot.size}"
             )
-        flat[slot] = piece.ravel()
+        slot[...] = piece.reshape(slot.shape)
     return flat
 
 
 def init_params(spec: NetSpec, rng: np.random.Generator) -> np.ndarray:
     """He-scaled weights (std sqrt(2/fan_in)), zero biases and skip scales."""
-    lay = layout(spec)
-    flat = np.zeros(lay.n_params)
-    slots = [(layer.w, layer.w_shape) for layer in lay.layers]
-    for w, shape in slots + [(lay.w_out, lay.w_out_shape)]:
-        fan_in = shape[1]
-        flat[w] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).ravel()
+    flat = np.zeros(param_count(spec))
+    for w in _views(layout(spec), flat).weights:
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[1]), size=w.shape)
     return flat
 
 
@@ -281,27 +267,17 @@ class BoundNet:
         self.lay = lay
         self.params = params
         self.lead = lead = params.shape[:-1]
-        self.weights = [params[..., layer.w].reshape(lead + layer.w_shape)
-                        for layer in lay.layers]
-        self.biases = [params[..., None, layer.b] for layer in lay.layers]
-        self.w_out = params[..., lay.w_out].reshape(lead + lay.w_out_shape)
-        self.b_out = params[..., None, lay.b_out]
-        self.scales = params[..., lay.scales]
+        views = _views(lay, params)
+        self.weights, self.scales = views.weights, views.scales
+        # (skips, W, b with a batch axis) per hidden layer, zipped only once.
+        self.hidden = [(layer.skips, w, b[..., None, :]) for layer, w, b
+                       in zip(lay.layers[:-1], views.weights, views.biases)]
+        self.head = (views.weights[-1], views.biases[-1][..., None, :])
         # Where each batch row's logits start in the flattened (stack,
         # batch, classes) logits: row r's label logit is at starts[r] + label.
-        n_classes = lay.w_out_shape[0]
+        n_classes = lay.layers[-1].w_shape[0]
         self.starts = np.arange(0, math.prod(lead) * batch * n_classes, n_classes)
         self.grad: np.ndarray | None = None
-
-    def _bind_grad(self) -> None:
-        lead, lay = self.lead, self.lay
-        self.grad = out = np.empty(self.params.shape)
-        self.d_weights = [out[..., layer.w].reshape(lead + layer.w_shape)
-                          for layer in lay.layers]
-        self.d_biases = [out[..., layer.b] for layer in lay.layers]
-        self.d_w_out = out[..., lay.w_out].reshape(lead + lay.w_out_shape)
-        self.d_b_out = out[..., lay.b_out]
-        self.d_scales = out[..., lay.scales]
 
     def forward(self, inputs: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         """Returns (post-activations a_0..a_L, logits).
@@ -312,14 +288,14 @@ class BoundNet:
         acts = [inputs]
         # A contiguous W.T copy per call speeds up small products, but BLAS
         # then takes another path and the bits change, so the view stays.
-        for layer, w, b in zip(self.lay.layers, self.weights, self.biases):
+        for skips, w, b in self.hidden:
             z = acts[-1] @ w.mT
             z += b
-            for k, s in layer.skips:
+            for k, s in skips:
                 z += self.scales[..., k, None, None] * acts[s]
             acts.append(np.maximum(z, 0.0, out=z))
-        logits = acts[-1] @ self.w_out.mT + self.b_out
-        return acts, logits
+        w, b = self.head
+        return acts, acts[-1] @ w.mT + b
 
     def loss(self, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Mean cross-entropy of each network."""
@@ -331,8 +307,9 @@ class BoundNet:
         """Mean cross-entropy of each network and its gradient, written into
         the bound gradient buffer, which is returned."""
         if self.grad is None:
-            self._bind_grad()
-        lay, lead, scales = self.lay, self.lead, self.scales
+            self.grad = np.empty(self.params.shape)
+            self.d_parts = _views(self.lay, self.grad)
+        d, lead, scales, weights = self.d_parts, self.lead, self.scales, self.weights
         acts, z = self.forward(inputs)
 
         loss, dlogits, sums, picks = _cross_entropy(z, labels, self.starts)
@@ -340,30 +317,28 @@ class BoundNet:
         dlogits.reshape(-1)[picks] -= 1.0
         dlogits /= inputs.shape[-2]
 
-        np.matmul(dlogits.mT, acts[-1], out=self.d_w_out)
-        np.add.reduce(dlogits, axis=-2, out=self.d_b_out)
+        np.matmul(dlogits.mT, acts[-1], out=d.weights[-1])
+        np.add.reduce(dlogits, axis=-2, out=d.biases[-1])
 
-        d_scales = self.d_scales
-        d_scales[...] = 0.0
+        d.scales[...] = 0.0
         # Activation gradients start as the float 0.0 and become arrays at
         # their first contribution; 0.0 + c keeps the signed zeros a
         # zero-filled accumulator would. The input's gradient (index 0) is
         # never read, so it is never formed.
-        n_hidden = len(lay.layers)
+        n_hidden = len(self.hidden)
         d_acts: list = [0.0] * n_hidden
-        d_acts.append(dlogits @ self.w_out)
+        d_acts.append(dlogits @ weights[-1])
         for i in range(n_hidden, 0, -1):
-            layer = lay.layers[i - 1]
             dz = d_acts[i]
             dz *= acts[i] > 0.0
             # No lower layer reads this layer's activation or its gradient.
             acts[i] = d_acts[i] = None
-            np.matmul(dz.mT, acts[i - 1], out=self.d_weights[i - 1])
-            np.add.reduce(dz, axis=-2, out=self.d_biases[i - 1])
+            np.matmul(dz.mT, acts[i - 1], out=d.weights[i - 1])
+            np.add.reduce(dz, axis=-2, out=d.biases[i - 1])
             if i > 1:
-                d_acts[i - 1] += dz @ self.weights[i - 1]
-            for k, s in layer.skips:
-                d_scales[..., k] += (dz * acts[s]).reshape(lead + (-1,)).sum(axis=-1)
+                d_acts[i - 1] += dz @ weights[i - 1]
+            for k, s in self.hidden[i - 1][0]:
+                d.scales[..., k] += (dz * acts[s]).reshape(lead + (-1,)).sum(axis=-1)
                 if s > 0:
                     d_acts[s] += scales[..., k, None, None] * dz
         return loss, self.grad

@@ -393,6 +393,16 @@ def test_stationary_raises_on_a_bracket_beyond_the_float_range(values):
         sf.stationary_oracle(values, beta=2.0)
 
 
+@pytest.mark.parametrize("values", [{0: 0.1, 1: 0.5, 2: 0.9}, {0: 0.5}],
+                         ids=["three-nodes", "one-node"])
+def test_stationary_refuses_infinite_beta(values):
+    # At beta = inf every profile entry is x**0 == 1 at any level, so the
+    # bisection's two ends have the same excess; this once passed the beta
+    # check and then divided by zero.
+    with pytest.raises(ValueError, match=r"beta must be in \(0, inf\), got inf"):
+        sf.stationary_oracle(values, beta=float("inf"))
+
+
 def test_stationary_sums_to_one():
     rng = np.random.default_rng(2)
     for beta in (0.5, 1.0, 2.0):

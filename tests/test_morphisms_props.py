@@ -136,13 +136,13 @@ def ref_widen(
         parts.weights[layer - 1] = np.vstack([w_in, w_in[chosen]])
         parts.biases[layer - 1] = np.concatenate([b_in, b_in[chosen]])
         if layer == n:
-            out = parts.w_out.copy()
+            out = parts.weights[-1].copy()
         else:
             out = parts.weights[layer].copy()
         out[:, :width] = out[:, :width] / multiplicity
         out = np.hstack([out, out[:, chosen]])
         if layer == n:
-            parts.w_out = out
+            parts.weights[-1] = out
         else:
             parts.weights[layer] = out
 
@@ -225,10 +225,10 @@ def ref_remove_layer(
     def cut(parts: NetParts) -> None:
         del parts.weights[position - 1]
         del parts.biases[position - 1]
-        if position - 1 < len(parts.weights):
+        if position - 1 < len(parts.weights) - 1:
             parts.weights[position - 1] = adjust_columns(parts.weights[position - 1])
         else:
-            parts.w_out = adjust_columns(parts.w_out)
+            parts.weights[-1] = adjust_columns(parts.weights[-1])
 
     p, v = ref_split_vectors(params, velocity, spec)
     cut(p)
@@ -267,7 +267,7 @@ def ref_narrow(
         parts.weights[layer - 1] = parts.weights[layer - 1][:-delta]
         parts.biases[layer - 1] = parts.biases[layer - 1][:-delta]
         if layer == n:
-            parts.w_out = parts.w_out[:, :-delta]
+            parts.weights[-1] = parts.weights[-1][:, :-delta]
         else:
             parts.weights[layer] = parts.weights[layer][:, :-delta]
 

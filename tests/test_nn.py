@@ -1,5 +1,7 @@
 """Forward pass, backprop, initialization, and checkpoint format."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import semiflow as sf
-from semiflow.errors import BadLabel, ShapeMismatch
+from semiflow.errors import BadLabel, BadParams, ShapeMismatch
 from semiflow.nn import bind
 from test_nn_layout import specs
 
@@ -36,7 +38,7 @@ def test_single_logit_dominance():
     spec = sf.NetSpec(2, 2, (2,))
     parts = sf.unflatten(spec, np.zeros(sf.param_count(spec)))
     parts.weights[0][:] = np.eye(2)
-    parts.w_out[:] = np.array([[10.0, 0.0], [0.0, 0.0]])
+    parts.weights[-1][:] = np.array([[10.0, 0.0], [0.0, 0.0]])
     params = sf.flatten(spec, parts)
     probs = sf.forward(spec, params, np.array([[1.0, 0.0]]))
     assert probs[0, 0] == pytest.approx(0.9999546, abs=1e-7)
@@ -56,7 +58,7 @@ def test_loss_perfect_prediction_near_zero():
     spec = sf.NetSpec(2, 2, (2,))
     parts = sf.unflatten(spec, np.zeros(sf.param_count(spec)))
     parts.weights[0][:] = np.eye(2) * 50
-    parts.w_out[:] = np.eye(2) * 50
+    parts.weights[-1][:] = np.eye(2) * 50
     params = sf.flatten(spec, parts)
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
     y = np.array([0, 1])
@@ -165,7 +167,7 @@ def test_init_biases_and_scales_zero():
     parts = sf.unflatten(spec, sf.init_params(spec, np.random.default_rng(0)))
     for b in parts.biases:
         assert np.all(b == 0)
-    assert np.all(parts.b_out == 0)
+    assert np.all(parts.biases[-1] == 0)
     assert np.all(parts.scales == 0)
 
 
@@ -185,6 +187,33 @@ def test_flatten_roundtrip_exact():
     parts = sf.unflatten(spec, params)
     back = sf.flatten(spec, parts)
     assert np.array_equal(back, params)
+
+
+MISFITS = {
+    "missing-output-block": "parts hold 2 weight and 2 bias blocks, spec has 3 layers",
+    "output-bias-mis-sized": "a part holds 4 parameters where the spec wants 3",
+    "scales-mis-sized": "a part holds 2 parameters where the spec wants 1",
+    "vector-one-short": "expected 48 parameters, got shape (47,)",
+}
+
+
+@pytest.mark.parametrize("case", MISFITS)
+def test_flatten_and_unflatten_refuse_misfit_blocks(case):
+    # 2-4-4-3 with one skip: (2*4+4) + (4*4+4) + (4*3+3) + 1 = 48 parameters.
+    spec = sf.NetSpec(2, 3, (4, 4), skips=((1, 2),))
+    params = sf.init_params(spec, np.random.default_rng(0))
+    parts = sf.unflatten(spec, params)
+    if case == "missing-output-block":
+        del parts.weights[-1], parts.biases[-1]
+    elif case == "output-bias-mis-sized":
+        parts.biases[-1] = np.zeros(4)
+    elif case == "scales-mis-sized":
+        parts.scales = np.zeros(2)
+    with pytest.raises(BadParams, match=re.escape(MISFITS[case])):
+        if case == "vector-one-short":
+            sf.unflatten(spec, params[:-1])
+        else:
+            sf.flatten(spec, parts)
 
 
 def test_param_count_matches_layout():

@@ -2,22 +2,36 @@
 
 The reference below is the loss_and_grad that unflattened the parameters,
 filled a list of zero buffers and flattened the gradient back on every call,
-with its own walk of the flat layout. The compiled kernel must reproduce its
-loss and gradient bit for bit, signed zeros included, on random
-architectures (skips from the input, several skips into one layer), random
-batches and non-zero skip scales. A stack of one to four networks of one
+with its own walk of the flat layout and its own record of the blocks, the
+output layer apart. The compiled kernel must reproduce its loss and
+gradient bit for bit, signed zeros included, on random architectures (skips
+from the input, several skips into one layer), random batches and non-zero
+skip scales. A stack of one to four networks of one
 spec, each with its own parameters and batch, goes through the kernel in one
 call, and every row must match the reference for that network alone.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semiflow as sf
-from semiflow.nn import NetParts, NetSpec
+from semiflow.nn import NetSpec
 
 # -- reference --------------------------------------------------------------
+
+
+class RefParts(NamedTuple):
+    """The reference's blocks: the hidden layers' W and b, then the output
+    layer's apart."""
+
+    weights: list
+    biases: list
+    w_out: np.ndarray
+    b_out: np.ndarray
+    scales: np.ndarray
 
 
 def ref_unflatten(spec, flat):
@@ -37,7 +51,7 @@ def ref_unflatten(spec, flat):
     k += out
     scales = flat[k:k + len(spec.skips)]
     assert k + len(spec.skips) == flat.size
-    return NetParts(weights, biases, w_out, b_out, scales)
+    return RefParts(weights, biases, w_out, b_out, scales)
 
 
 def ref_flatten(parts):
@@ -91,7 +105,7 @@ def ref_loss_and_grad(spec, params, inputs, labels):
                 d_scales[k] += float(np.sum(dz * acts[s]))
                 d_acts[s] += parts.scales[k] * dz
 
-    grad = ref_flatten(NetParts(d_weights, d_biases, d_w_out, d_b_out, d_scales))
+    grad = ref_flatten(RefParts(d_weights, d_biases, d_w_out, d_b_out, d_scales))
     return loss, grad
 
 
@@ -208,8 +222,8 @@ def test_layout_matches_reference_walk(spec, seed):
     ref = ref_unflatten(spec, flat)
     parts = sf.unflatten(spec, flat)
     for got, want in zip(
-        [*parts.weights, *parts.biases, parts.w_out, parts.b_out, parts.scales],
-        [*ref.weights, *ref.biases, ref.w_out, ref.b_out, ref.scales],
+        [*parts.weights, *parts.biases, parts.scales],
+        [*ref.weights, ref.w_out, *ref.biases, ref.b_out, ref.scales],
     ):
         assert got.shape == want.shape
         assert got.size == 0 or np.shares_memory(got, flat)
