@@ -31,6 +31,7 @@ from .config import (
     normalize,
     require,
 )
+from .data import seeded_rng
 from .dynamics import (
     EXPECTED,
     FIRST_ORDER,
@@ -69,7 +70,6 @@ from .search import (
     run_files,
     run_search,
     start_network,
-    _rng,
 )
 
 log = logging.getLogger("semiflow")
@@ -297,13 +297,13 @@ def _bench_grid(args) -> list[DynamicsParams]:
 
 
 def _bench_point(index, dyn, args, seed, out_dir):
-    rng = _rng(seed, 40, index)
+    rng = seeded_rng(seed, 40, index)
     values = {g: float(v) for g, v in enumerate(rng.uniform(0.0, 1.0, args.nodes))}
     graph = complete_graph([None] * args.nodes)
     # No floor: off-support mass must be free to drain toward the oracle.
     ensemble = seed_ensemble(graph, args.particles, ghosts=False)
     phi = {g: 0.0 for g in graph}
-    move_rng = _rng(seed, 41, index)
+    move_rng = seeded_rng(seed, 41, index)
     csv_path = os.path.join(out_dir, f"bench_{index:03d}.csv")
     with MetricsWriter(csv_path) as writer:
         for k in range(args.iters):

@@ -85,9 +85,15 @@ class Dataset:
         )
 
 
+def seeded_rng(seed: int, *key: int) -> np.random.Generator:
+    """The generator of every seeded draw: the child of seed at spawn key
+    key. search.py's module docstring lists the keys in use."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
 def _split_indices(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Seeded 70/15/15 permutation split; the remainder goes to train."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(90,)))
+    rng = seeded_rng(seed, 90)
     perm = rng.permutation(n)
     n_val = int(0.15 * n)
     n_test = int(0.15 * n)
@@ -118,7 +124,7 @@ def make_blobs(
     check("n_classes", n_classes, "[2, inf)", BadParams)
     check("spread", spread, "[0, inf)", BadParams)
     _check_size(n, d)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(91,)))
+    rng = seeded_rng(seed, 91)
     centers = np.zeros((n_classes, d))
     if d == 1:
         centers[:, 0] = 5.0 * (np.arange(n_classes) - (n_classes - 1) / 2.0)
@@ -152,7 +158,7 @@ def two_spirals(n: int, noise: float = 0.1, seed: int = 0) -> Dataset:
         raise BadParams(f"n must be even, got {n}")
     check("noise", noise, "[0, inf)", BadParams)
     _check_size(n, 2)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(92,)))
+    rng = seeded_rng(seed, 92)
     half = n // 2
     feats, labels = [], []
     for label in (0, 1):
@@ -168,67 +174,62 @@ def two_spirals(n: int, noise: float = 0.1, seed: int = 0) -> Dataset:
     return Dataset(features[order], labels[order], *_split_indices(n, seed))
 
 
-def _csv_rows(text: str):
-    """The csv module's rows of text; a row it cannot read (a field over its
-    size limit, say) raises ParseError at that row's physical line."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ParseError(str(exc), reader.line_num, 1) from None
-
-
 def load_csv(
     path: str,
     label_column: int = -1,
     has_header: bool = False,
     split_seed: int = 0,
 ) -> Dataset:
-    """Numeric CSV with one integer label column; row order kept pre-split."""
-    rows = _csv_rows(read_text(path, "data file"))
+    """Numeric CSV with one integer label column; row order kept pre-split.
+    A quoted cell may span lines, so errors name the reader's physical line."""
+    reader = csv.reader(io.StringIO(read_text(path, "data file"), newline=""))
     feats, labels = [], []
     n_cols = None
-    for line_no, row in enumerate(rows, start=1):
-        if has_header and line_no == 1:
-            continue
-        if not row:
-            continue
-        if n_cols is None:
-            n_cols = len(row)
-            if n_cols < 2:
-                raise ParseError("need at least two columns", line_no, 1)
-            lc = label_column if label_column >= 0 else n_cols + label_column
-            if not 0 <= lc < n_cols:
-                raise BadParams(
-                    f"label column {label_column} out of range for {n_cols} columns"
-                )
-        if len(row) != n_cols:
-            raise ParseError(
-                f"expected {n_cols} columns, found {len(row)}",
-                line_no,
-                len(row),
-            )
-        vals = []
-        for col_no, cell in enumerate(row, start=1):
-            if col_no - 1 == lc:
+    try:
+        if has_header:
+            next(reader, None)
+        for row in reader:
+            if not row:
                 continue
-            try:
-                vals.append(float(cell))
-            except ValueError:
+            line_no = reader.line_num
+            if n_cols is None:
+                n_cols = len(row)
+                if n_cols < 2:
+                    raise ParseError("need at least two columns", line_no, 1)
+                lc = label_column if label_column >= 0 else n_cols + label_column
+                if not 0 <= lc < n_cols:
+                    raise BadParams(
+                        f"label column {label_column} out of range for {n_cols} columns"
+                    )
+            if len(row) != n_cols:
                 raise ParseError(
-                    f"not a number: {cell!r}", line_no, col_no
+                    f"expected {n_cols} columns, found {len(row)}",
+                    line_no,
+                    len(row),
+                )
+            vals = []
+            for col_no, cell in enumerate(row, start=1):
+                if col_no - 1 == lc:
+                    continue
+                try:
+                    vals.append(float(cell))
+                except ValueError:
+                    raise ParseError(
+                        f"not a number: {cell!r}", line_no, col_no
+                    ) from None
+            cell = row[lc].strip()
+            try:
+                label = int(cell)
+            except ValueError:
+                raise NonIntegerLabel(
+                    f"label {cell!r} on line {line_no} is not an integer"
                 ) from None
-        cell = row[lc].strip()
-        try:
-            label = int(cell)
-        except ValueError:
-            raise NonIntegerLabel(
-                f"label {cell!r} on line {line_no} is not an integer"
-            ) from None
-        if label < 0:
-            raise NonIntegerLabel(f"negative label {label} on line {line_no}")
-        feats.append(vals)
-        labels.append(label)
+            if label < 0:
+                raise NonIntegerLabel(f"negative label {label} on line {line_no}")
+            feats.append(vals)
+            labels.append(label)
+    except csv.Error as exc:
+        raise ParseError(str(exc), reader.line_num, 1) from None
     if not feats:
         raise ParseError("no data rows", 1, 1)
     features = np.asarray(feats, dtype=float)
@@ -289,10 +290,7 @@ class BatchStream:
         seeds = self.seed if isinstance(self.seed, tuple) else (self.seed,)
         if not seeds:
             raise BadParams("a stack of streams needs at least one seed")
-        self._rngs = [
-            np.random.default_rng(np.random.SeedSequence(entropy=s, spawn_key=(93,)))
-            for s in seeds
-        ]
+        self._rngs = [seeded_rng(s, 93) for s in seeds]
         self._orders = np.array([rng.permutation(n) for rng in self._rngs])
         self._pos = 0
 

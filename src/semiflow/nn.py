@@ -195,7 +195,11 @@ def flatten(spec: NetSpec, parts: NetParts) -> np.ndarray:
                 f"a part holds {piece.size} parameters where the spec wants "
                 f"{slot.size}"
             )
-        slot[...] = piece.reshape(slot.shape)
+        if piece.shape != slot.shape:
+            raise BadParams(
+                f"a part has shape {piece.shape} where the spec wants {slot.shape}"
+            )
+        slot[...] = piece
     return flat
 
 

@@ -16,6 +16,20 @@ final training, with warm restarts every epochs_neigh epochs.
 
 A hill-climb cycle (the baseline for exploration-throughput comparisons)
 trains every child for epochs_neigh epochs and keeps the best.
+
+Every draw comes from data.seeded_rng(seed, *key), so two runs of one
+config draw the same. The spawn keys under the run's seed:
+  1             the start network's parameters;
+  2, r          round (or hill-climb cycle) r's local graph;
+  3, r          round r's particle moves;
+  5, r, g, k    node g's stream in round r, k 0 for train and 1 for val;
+                round 0 is pretraining, (5, 0, 0, 0);
+  6, 0          final training's stream;
+  7, c, i       hill-climb child i of cycle c, numbered across cycles;
+  40, b / 41, b dynamics-bench point b's values / moves (cli.py).
+A stream's key gives its int seed (_stream_seed). Under data.py's seeds:
+  90, 91, 92    the data split, blobs and spirals, under the data seed;
+  93            each BatchStream's reshuffles, under its int seed.
 """
 
 from __future__ import annotations
@@ -26,7 +40,7 @@ import os
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, NamedTuple
+from typing import Any, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -81,7 +95,7 @@ from .objective import (
     clip_gradient,
     eval_val,
 )
-from .data import BatchStream, Dataset
+from .data import BatchStream, Dataset, seeded_rng
 from .knobs import check_fields, knob
 from .recording import JsonlWriter, MetricsWriter
 
@@ -169,10 +183,6 @@ class SearchConfig:
         )
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
 def _stream_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1)[0])
 
@@ -183,9 +193,21 @@ def _stack(rows: list[np.ndarray]) -> np.ndarray:
     return np.array(rows[0] if len(rows) == 1 else rows, dtype=float)
 
 
-def _seeds(seeds: list[int]) -> int | tuple[int, ...]:
-    """A group's BatchStream seed by _stack's rule: an int or a tuple."""
-    return seeds[0] if len(seeds) == 1 else tuple(seeds)
+def _stream(config: SearchConfig, split: tuple, size: int, keys: list) -> BatchStream:
+    """Every trainer's batch stream on a (features, labels) split, one node
+    per spawn key, seeded _stream_seed(config.seed, *key): the seed is an int
+    for one node and a tuple for more, by _stack's rule."""
+    seeds = tuple(_stream_seed(config.seed, *key) for key in keys)
+    return BatchStream(*split, size, seeds[0] if len(seeds) == 1 else seeds)
+
+
+def _groups(keys: Iterable[Hashable]) -> list[tuple[int, ...]]:
+    """The positions of equal keys, one group per key in order of first
+    appearance: the nodes that share a kernel call and a _stack."""
+    by_key: dict = {}
+    for i, key in enumerate(keys):
+        by_key.setdefault(key, []).append(i)
+    return [tuple(group) for group in by_key.values()]
 
 
 def _step(state: NodeState, grad: np.ndarray, tau: float, config: SearchConfig) -> None:
@@ -367,11 +389,8 @@ def dynamics_round(
     v_train: dict[int, float] = {}
     # One state per group of nodes that share a kernel call (_stack); row i
     # of a group's x and v is its i-th node's. states gets the rows back, as
-    # views, however the round ends.
-    by_key: dict = {}
-    for g in nodes:
-        by_key.setdefault(objective.group_key(g), []).append(g)
-    groups = [tuple(group) for group in by_key.values()]
+    # views, however the round ends. Node ids are their positions.
+    groups = _groups(objective.group_key(g) for g in nodes)
     stacked = [NodeState(_stack([states[g].x for g in group]),
                          _stack([states[g].v for g in group])) for group in groups]
 
@@ -457,16 +476,12 @@ class NetObjective:
         return self.specs[g]
 
     def streams(self, group: tuple[int, ...]) -> tuple[BatchStream, BatchStream]:
-        """The group's train and val streams for the round (seeded by
-        _seeds); row i of each is node group[i]'s own seeded stream."""
-
-        def stack(split, size, kind):
-            seeds = [_stream_seed(self.config.seed, 5, self.round_idx, g, kind)
-                     for g in group]
-            return BatchStream(*split, size, _seeds(seeds))
-
+        """The group's train and val streams for the round, by _stream: row i
+        of each is node group[i]'s own stream, keyed (5, round, node, kind)."""
         train, val = self.splits
-        return stack(train, self.config.s_x, 0), stack(val, self.config.s_y, 1)
+        config, r = self.config, self.round_idx
+        return (_stream(config, train, config.s_x, [(5, r, g, 0) for g in group]),
+                _stream(config, val, config.s_y, [(5, r, g, 1) for g in group]))
 
     def bind(self, group: tuple[int, ...], x: np.ndarray) -> BoundGroup:
         spec = self.specs[group[0]]
@@ -502,7 +517,7 @@ def local_graph(
     velocity rides along into every child."""
     return build_local_graph(
         spec, params, config.n_neigh, config.constraints, config.mix,
-        _rng(config.seed, 2, round_idx), velocity=velocity, topology=config.topology,
+        seeded_rng(config.seed, 2, round_idx), velocity=velocity, topology=config.topology,
     )
 
 
@@ -524,25 +539,20 @@ def run_round(
     if clock is None:
         clock = GlobalClock.for_search(config, iters_per_epoch(data, config))
 
-    graph, audit = local_graph(
-        config, round_idx, incumbent.spec, incumbent.params, incumbent.velocity
-    )
-    objective = NetObjective(
-        {g: graph.payload(g).spec for g in graph}, data, config, round_idx
-    )
+    velocity = incumbent.velocity
+    if velocity is None:  # rides into every child: every payload has one
+        velocity = np.zeros_like(incumbent.params, dtype=float)
+    graph, audit = local_graph(config, round_idx, incumbent.spec, incumbent.params, velocity)
+    payloads = {g: graph.payload(g) for g in graph}
+    specs = {g: cand.spec for g, cand in payloads.items()}
+    objective = NetObjective(specs, data, config, round_idx)
     # No copies here: dynamics_round trains its own stacked copies, and
     # leaves every payload's arrays as they were.
-    states = {}
-    for g in graph:
-        cand = graph.payload(g)
-        vel = cand.velocity
-        if vel is None:
-            vel = np.zeros_like(cand.params)
-        states[g] = NodeState(cand.params, np.asarray(vel, dtype=float))
+    states = {g: NodeState(cand.params, cand.velocity) for g, cand in payloads.items()}
 
     stats = dynamics_round(
         graph, objective, states, config, clock,
-        _rng(config.seed, 3, round_idx), metrics, round_idx, budget_iters,
+        seeded_rng(config.seed, 3, round_idx), metrics, round_idx, budget_iters,
     )
     next_incumbent, adopted = incumbent, "none"
     if stats.adopted is not None:
@@ -609,10 +619,7 @@ def pretrain(
     epochs = config.pretrain_epochs
     if epochs == 0:
         return np.asarray(params, dtype=float)
-    x_feat, x_lab = data.split("train")
-    stream = BatchStream(
-        x_feat, x_lab, config.s_x, _stream_seed(config.seed, 5, 0, 0, 0)
-    )
+    stream = _stream(config, data.split("train"), config.s_x, [(5, 0, 0, 0)])
     # The first cycle of a warm-restart clock is exactly one cosine arc.
     clock = GlobalClock(
         stream.batches_per_epoch, epochs,
@@ -643,7 +650,7 @@ def start_network(config: SearchConfig, data: Dataset) -> tuple[NetSpec, np.ndar
             f"the start network has {n_params} parameters, over "
             f"constraints.max_params {cap}"
         )
-    return spec, init_params(spec, _rng(config.seed, 1))
+    return spec, init_params(spec, seeded_rng(config.seed, 1))
 
 
 def check_search(config: SearchConfig, data: Dataset) -> None:
@@ -680,13 +687,10 @@ def final_train(
     With a checkpoint_path, the best parameters so far are saved there after
     every schedule cycle, and the returned ones on return.
     """
-    x_feat, x_lab = data.split("train")
     val_x, val_y = data.split("val")
     test_x, test_y = data.split("test")
     params = np.asarray(params, dtype=float)
-    stream = BatchStream(
-        x_feat, x_lab, config.s_x, _stream_seed(config.seed, 6, 0)
-    )
+    stream = _stream(config, data.split("train"), config.s_x, [(6, 0)])
     if clock is None:
         clock = GlobalClock.for_search(config, stream.batches_per_epoch)
     vel = np.zeros_like(params) if velocity is None else np.asarray(velocity, dtype=float)
@@ -764,12 +768,13 @@ def _hill_climb_cycles(config: SearchConfig, data: Dataset, incumbent: Candidate
     incumbent's loss is scored once, first, then carried from the cycle
     that picked it.
 
-    Children of one spec train in one _fit, grouped by _stack and _seeds, in
-    the order of each group's first child. They are scored in graph order,
-    and one replaces the incumbent only on a strictly lower loss. A cycle
-    stops as "cap", its last, at the first group begun past the deadline.
+    Children of one spec train in one _fit, grouped by _groups and stacked
+    by _stack and _stream, in the order of each group's first child. They
+    are scored in graph order, and one replaces the incumbent only on a
+    strictly lower loss. A cycle stops as "cap", its last, at the first
+    group begun past the deadline.
     """
-    train_x, train_y = data.split("train")
+    train = data.split("train")
     val_x, val_y = data.split("val")
     incumbent_loss = evaluate(incumbent.spec, incumbent.params, val_x, val_y)[0]
     explored = 1  # stream seeds number the children across all cycles
@@ -778,23 +783,20 @@ def _hill_climb_cycles(config: SearchConfig, data: Dataset, incumbent: Candidate
             return
         graph, audit = local_graph(config, cycle, incumbent.spec, incumbent.params)
         children = [graph.payload(g) for g in graph if g != graph.center]
-        groups: dict[NetSpec, list[int]] = {}
-        for i, child in enumerate(children):
-            groups.setdefault(child.spec, []).append(i)
         trained: dict[int, np.ndarray] = {}
         added, stop = 0, "cycle"
-        for spec, group in groups.items():
+        for group in _groups(child.spec for child in children):
             if time.perf_counter() >= deadline:
                 added, stop = added + 1, "cap"
                 break
             added += len(group)
             x = _stack([children[i].params for i in group])
-            seeds = [_stream_seed(config.seed, 7, cycle, explored + i) for i in group]
-            stream = BatchStream(train_x, train_y, config.s_x, _seeds(seeds))
+            stream = _stream(config, train, config.s_x,
+                             [(7, cycle, explored + i) for i in group])
             # Every fresh clock has the same schedule, so one serves a stack.
             clock = GlobalClock.for_search(config, stream.batches_per_epoch)
             *_, fitted = _fit(
-                spec, NodeState(x, np.zeros_like(x)), stream, clock,
+                children[group[0]].spec, NodeState(x, np.zeros_like(x)), stream, clock,
                 config.epochs_neigh, config, "baseline training",
             )
             trained.update(zip(group, np.atleast_2d(fitted.x)))

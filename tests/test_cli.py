@@ -53,6 +53,26 @@ def test_search_writes_artifacts(tmp_path):
     assert manifest["config"]["search.n_particles"] == 20
 
 
+@pytest.mark.parametrize("mode", ["nasgd", "nasagd", "hillclimb"])
+def test_rerun_summary_differs_only_in_out_dir_and_wallclock(tmp_path, mode):
+    # Criterion 12's run, long enough for two rounds in every mode (the
+    # first nasgd round times out).
+    cfg = write_config(tmp_path, {
+        "data.n": 600, "data.seed": 3, "search.mode": mode, "search.seed": 5,
+        "search.epochs_neigh": 4, "search.n_particles": 50, "search.n_steps": 6,
+        "pretrain.epochs": 4, "final.budget": 20})
+    summaries = []
+    for run in ("a", "b"):
+        out_dir = str(tmp_path / run)
+        code, summary = run_cli(["search", "--config", cfg, "--out", out_dir])
+        assert code == 0
+        assert summary.pop("out_dir") == out_dir
+        assert summary.pop("wallclock_seconds") > 0
+        summaries.append(summary)
+    assert summaries[0]["rounds"] >= 2
+    assert summaries[0] == summaries[1]
+
+
 def test_search_hillclimb_artifacts(tmp_path):
     cfg = write_config(tmp_path, {"search.n_neigh": 3})
     out_dir = str(tmp_path / "run")
@@ -734,11 +754,11 @@ def test_bench_order_two_runs_the_search_step(flags, tmp_path):
     dyn = sf.DynamicsParams(mode=sf.SECOND_ORDER,
                             rate_mode=sf.SAMPLED if flags else sf.EXPECTED)
     values = {g: float(v) for g, v in
-              enumerate(search._rng(0, 40, 0).uniform(0.0, 1.0, 5))}
+              enumerate(sf.data.seeded_rng(0, 40, 0).uniform(0.0, 1.0, 5))}
     graph = sf.complete_graph([None] * 5)
     ensemble = sf.seed_ensemble(graph, 10000, ghosts=False)
     phi = {g: 0.0 for g in graph}
-    move_rng = search._rng(0, 41, 0)
+    move_rng = sf.data.seeded_rng(0, 41, 0)
     resets = 0
     with sf.MetricsWriter(str(tmp_path / "loop.csv")) as writer:
         for k in range(200):

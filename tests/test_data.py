@@ -130,6 +130,26 @@ def test_load_csv_fractional_label(tmp_path):
         sf.load_csv(str(p))
 
 
+@pytest.mark.parametrize("head, has_header", [
+    ('0.5,1.5,0\n"0.5\n",1.5,1\n', False),  # a data cell spans lines 2-3
+    ('"a\nb",c,label\n0.5,1.5,0\n', True),  # the header spans lines 1-2
+], ids=["multi-line-cell", "multi-line-header"])
+@pytest.mark.parametrize("bad_row, error, message", [
+    ("0.5,x,0", ParseError, "not a number: 'x' (line 4, column 2)"),
+    ("0.5,1.5,0.5", NonIntegerLabel, "label '0.5' on line 4 is not an integer"),
+    ("0.5,1.5", ParseError, "expected 3 columns, found 2 (line 4, column 2)"),
+], ids=["not-a-number", "non-integer-label", "column-count"])
+def test_load_csv_errors_name_the_physical_line(tmp_path, head, has_header,
+                                                bad_row, error, message):
+    # A quoted cell may span lines, and such a row is valid data; the bad
+    # row after it sits on physical line 4, its file's third record.
+    p = tmp_path / "d.csv"
+    p.write_text(head + bad_row + "\n")
+    with pytest.raises(error) as err:
+        sf.load_csv(str(p), has_header=has_header)
+    assert str(err.value) == message
+
+
 def index_of_rows(ds):
     return {tuple(row): i for i, row in enumerate(ds.features)}
 

@@ -38,7 +38,7 @@ def reference_hill_climb(config, data):
     for cycle in range(1, max(1, int(round(config.n_steps))) + 1):
         graph, _audit = search.build_local_graph(
             incumbent.spec, incumbent.params, config.n_neigh,
-            config.constraints, config.mix, search._rng(config.seed, 2, cycle),
+            config.constraints, config.mix, sf.data.seeded_rng(config.seed, 2, cycle),
             topology=config.topology,
         )
         scored = [

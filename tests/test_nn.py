@@ -193,6 +193,7 @@ MISFITS = {
     "missing-output-block": "parts hold 2 weight and 2 bias blocks, spec has 3 layers",
     "output-bias-mis-sized": "a part holds 4 parameters where the spec wants 3",
     "scales-mis-sized": "a part holds 2 parameters where the spec wants 1",
+    "transposed-weight": "a part has shape (2, 4) where the spec wants (4, 2)",
     "vector-one-short": "expected 48 parameters, got shape (47,)",
 }
 
@@ -209,6 +210,8 @@ def test_flatten_and_unflatten_refuse_misfit_blocks(case):
         parts.biases[-1] = np.zeros(4)
     elif case == "scales-mis-sized":
         parts.scales = np.zeros(2)
+    elif case == "transposed-weight":
+        parts.weights[0] = parts.weights[0].T.copy()
     with pytest.raises(BadParams, match=re.escape(MISFITS[case])):
         if case == "vector-one-short":
             sf.unflatten(spec, params[:-1])
