@@ -35,6 +35,7 @@ from .data import seeded_rng
 from .dynamics import (
     EXPECTED,
     FIRST_ORDER,
+    N_PARTICLES,
     SAMPLED,
     SECOND_ORDER,
     DynamicsParams,
@@ -176,20 +177,19 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json_text(payload))
 
 
-def _make_dir(path: str) -> None:
-    """Make the directory path and its parents before any compute: an --out
-    that cannot be made is bad input."""
+def _make_out(directory: str, *files: str) -> None:
+    """Before any compute, refuse a file the command will write that is
+    taken by a directory, then make the directory the files go into and its
+    parents: an --out that cannot be made is bad input."""
+    for path in files:
+        if os.path.isdir(path):
+            raise BadConfig(f"{path} is a directory, not a file")
     try:
-        os.makedirs(path, exist_ok=True)
+        os.makedirs(directory, exist_ok=True)
     except OSError as exc:
-        raise BadConfig(f"cannot make output directory {path}: {exc.strerror}") from exc
-
-
-def _make_out_file(path: str) -> None:
-    """Make the directory of the file --out names before any compute."""
-    if os.path.isdir(path):
-        raise BadConfig(f"--out {path} is a directory, not a file")
-    _make_dir(os.path.dirname(path) or ".")
+        raise BadConfig(
+            f"cannot make output directory {directory}: {exc.strerror}"
+        ) from exc
 
 
 def _cmd_search(args) -> int:
@@ -199,8 +199,8 @@ def _cmd_search(args) -> int:
     data = build_dataset(table)
     check_search(config, data)
     out_dir = args.out or f"semiflow_run_{config.mode}_s{config.seed}"
-    _make_dir(out_dir)
     outputs = ["manifest.json", *run_files(config.mode)]
+    _make_out(out_dir, *(os.path.join(out_dir, name) for name in outputs))
     manifest_path = os.path.join(out_dir, "manifest.json")
     started = utc_now()
     write_manifest(manifest_path, table, config.seed, __version__, outputs, started)
@@ -254,7 +254,7 @@ def _cmd_pretrain(args) -> int:
     config = build_search_config(table)
     data = build_dataset(table)
     spec, params0 = start_network(config, data)
-    _make_out_file(args.out)
+    _make_out(os.path.dirname(args.out) or ".", args.out)
     params = pretrain(spec, data, config, params0)
     train_x, train_y = data.split("train")
     initial_loss = loss_only(spec, params0, train_x, train_y)
@@ -280,7 +280,7 @@ def _bench_grid(args) -> list[DynamicsParams]:
     before anything is written."""
     betas = _grid(args.betas, "betas")
     kappas = _grid(args.kappas, "kappas")
-    for name, interval in (("nodes", "[1, inf)"), ("particles", "[1, inf)"),
+    for name, interval in (("nodes", "[1, inf)"), ("particles", N_PARTICLES),
                            ("iters", "[0, inf)"), ("tau", "(0, inf)")):
         check(f"--{name}", getattr(args, name), interval, BadConfig)
     try:
@@ -296,7 +296,7 @@ def _bench_grid(args) -> list[DynamicsParams]:
         raise BadConfig(str(exc)) from exc
 
 
-def _bench_point(index, dyn, args, seed, out_dir):
+def _bench_point(index, dyn, args, seed, csv_path):
     rng = seeded_rng(seed, 40, index)
     values = {g: float(v) for g, v in enumerate(rng.uniform(0.0, 1.0, args.nodes))}
     graph = complete_graph([None] * args.nodes)
@@ -304,7 +304,6 @@ def _bench_point(index, dyn, args, seed, out_dir):
     ensemble = seed_ensemble(graph, args.particles, ghosts=False)
     phi = {g: 0.0 for g in graph}
     move_rng = seeded_rng(seed, 41, index)
-    csv_path = os.path.join(out_dir, f"bench_{index:03d}.csv")
     with MetricsWriter(csv_path) as writer:
         for k in range(args.iters):
             step = particle_step(ensemble, phi, values, graph, dyn, args.tau, move_rng)
@@ -323,11 +322,13 @@ def _bench_point(index, dyn, args, seed, out_dir):
 def _cmd_bench(args) -> int:
     seed = require(_load_table(args), "search.seed")
     grid = _bench_grid(args)
-    _make_dir(args.out)
+    csvs = [os.path.join(args.out, f"bench_{i:03d}.csv") for i in range(len(grid))]
+    summary_path = os.path.join(args.out, "summary.json")
+    _make_out(args.out, summary_path, *csvs)
     points = []
-    for index, dyn in enumerate(grid):
+    for index, (dyn, csv_path) in enumerate(zip(grid, csvs)):
         log.info("bench point beta=%s kappa=%s", dyn.beta, dyn.kappa)
-        points.append(_bench_point(index, dyn, args, seed, args.out))
+        points.append(_bench_point(index, dyn, args, seed, csv_path))
     summary = {
         "points": points,
         "nodes": args.nodes,
@@ -336,7 +337,7 @@ def _cmd_bench(args) -> int:
         "order": args.order,
         "seed": seed,
     }
-    write_atomic(os.path.join(args.out, "summary.json"), json_text(summary))
+    write_atomic(summary_path, json_text(summary))
     _emit(summary)
     return 0
 
@@ -346,10 +347,11 @@ def _cmd_graph_dump(args) -> int:
     config = build_search_config(table)
     if args.checkpoint:
         spec, flat = load_checkpoint(args.checkpoint)
+        config.constraints.admit(spec, "the checkpoint network")
     else:
         spec, flat = start_network(config, build_dataset(table))
     if args.out:
-        _make_out_file(args.out)
+        _make_out(os.path.dirname(args.out) or ".", args.out)
     graph, _audit = local_graph(config, 1, spec, flat)
     payload = {
         "nodes": [

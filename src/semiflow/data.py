@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
+    BadLabel,
     BadParams,
     NonIntegerLabel,
     ParseError,
@@ -43,7 +44,14 @@ class Dataset:
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind == "f":
+            fractional = ~np.isfinite(labels) | (labels != np.trunc(labels))
+            if fractional.any():
+                raise BadLabel(
+                    f"labels must be whole numbers, got {labels[fractional][0]}"
+                )
+        self.labels = np.asarray(labels, dtype=int)
         if self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:
             raise ShapeMismatch(
                 f"features {self.features.shape} vs labels {self.labels.shape}"

@@ -52,6 +52,11 @@ SECOND_ORDER = "second_order"
 SAMPLED = "sampled"
 EXPECTED = "expected"
 
+# The accepted particle counts. Counts are float64, whole numbers only up to
+# 2**53 (about 9.007e15): up to 1e15 a center's count stays exact with the
+# ghosts added, and fits the C long the sampled moves' binomial draw takes.
+N_PARTICLES = "[1, 1e15]"
+
 # How far, in ulps of a node's pre-step count, float rounding of one
 # expected-mode mutation step may take the count below its floor.
 ROUNDING_ULPS = 1024
@@ -169,7 +174,7 @@ def seed_ensemble(
     ghosts=False seeds the same counts with no floor, for density-style
     (expected-mode) runs where off-center mass must be free to vanish.
     """
-    check("n_particles", n_particles, "[1, inf)")
+    check("n_particles", n_particles, N_PARTICLES)
     counts: dict[int, float] = {}
     ghost: dict[int, int] = {}
     for g in graph:

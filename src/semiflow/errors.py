@@ -46,8 +46,9 @@ class ShapeMismatch(ValueError):
 
 
 class BadLabel(InputError):
-    """Labels a classifier cannot take: a non-integer dtype, a label outside
-    [0, n_classes), or data with fewer than two classes."""
+    """Labels a classifier cannot take: a non-integer dtype, a float label
+    that is not a whole number, a label outside [0, n_classes), or data with
+    fewer than two classes."""
 
 
 class NonIntegerLabel(InputError):

@@ -12,9 +12,10 @@ reads hidden layer i is always parts.weights[i]. Velocities ride along:
 every edit applies the same index transform to the velocity vector, with
 freshly created entries set to zero.
 
-Edits that would break a skip's width match (widening, narrowing, or removing
-a layer an existing skip touches) refuse with ConstraintViolated; the graph
-builder simply retries with a fresh draw.
+Shared checks: _hidden_index refuses a hidden-layer index outside
+1..len(hidden) (BadPosition); _untied refuses to widen, narrow or remove a
+layer a skip touches (ConstraintViolated); NetSpec refuses a skip between
+unequal widths (DimensionMismatch). The graph builder retries a refused draw.
 """
 
 from __future__ import annotations
@@ -43,6 +44,21 @@ class Constraints:
 
     def __post_init__(self) -> None:
         check_fields(self)
+
+    def admit(self, spec: NetSpec, name: str) -> None:
+        """Raise ConstraintViolated, calling spec `name`, if spec is over a limit."""
+        incoming = max(map(spec.incoming, range(1, len(spec.hidden) + 1)))
+        for value, key, has in (
+            (param_count(spec), "max_params", "{} parameters"),
+            (len(spec.hidden), "max_layers", "{} hidden layers"),
+            (max(spec.hidden), "max_width", "a hidden layer of width {}"),
+            (incoming, "max_incoming", "a hidden layer with {} incoming skips"),
+        ):
+            cap = getattr(self, key)
+            if value > cap:
+                raise ConstraintViolated(
+                    f"{name} has {has.format(value)}, over constraints.{key} {cap}"
+                )
 
 
 @dataclass(frozen=True)
@@ -85,8 +101,18 @@ def _check_params_budget(spec: NetSpec, constraints: Constraints | None) -> None
         )
 
 
-def _skip_touches(spec: NetSpec, layer: int) -> bool:
-    return any(s == layer or d == layer for s, d in spec.skips)
+def _hidden_index(spec: NetSpec, what: str, index: int) -> int:
+    """Refuse an index outside 1..len(hidden); return len(hidden)."""
+    n = len(spec.hidden)
+    if not 1 <= index <= n:
+        raise BadPosition(f"{what} {index} not in [1, {n}]")
+    return n
+
+
+def _untied(spec: NetSpec, layer: int, why: str = "") -> None:
+    """Refuse to edit a hidden layer that a skip starts or ends at."""
+    if any(layer in skip for skip in spec.skips):
+        raise ConstraintViolated(f"layer {layer} is tied to a skip connection{why}")
 
 
 def _transform(
@@ -123,9 +149,7 @@ def deepen(
     Valid positions are 1..len(hidden): the insertion point must sit behind a
     ReLU so the identity survives the new ReLU unchanged.
     """
-    n = len(spec.hidden)
-    if not 1 <= position <= n:
-        raise BadPosition(f"deepen position {position} not in [1, {n}]")
+    n = _hidden_index(spec, "deepen position", position)
     if constraints is not None and n + 1 > constraints.max_layers:
         raise ConstraintViolated(f"already at max_layers {constraints.max_layers}")
     width = spec.hidden[position - 1]
@@ -154,20 +178,14 @@ def widen(
 ) -> Candidate:
     """Duplicate `delta` random units of a hidden layer (with replacement),
     splitting each unit's outgoing weights evenly across its copies."""
-    n = len(spec.hidden)
-    if not 1 <= layer <= n:
-        raise BadPosition(f"widen layer {layer} not in [1, {n}]")
+    _hidden_index(spec, "widen layer", layer)
     check("widen delta", delta, "[1, inf)", BadPosition)
     width = spec.hidden[layer - 1]
     if constraints is not None and width + delta > constraints.max_width:
         raise ConstraintViolated(
             f"width {width + delta} would exceed max_width {constraints.max_width}"
         )
-    if _skip_touches(spec, layer):
-        raise ConstraintViolated(
-            f"layer {layer} is tied to a skip connection; widening would "
-            f"break the width match"
-        )
+    _untied(spec, layer, "; widening would break the width match")
     hidden = list(spec.hidden)
     hidden[layer - 1] = width + delta
     new_spec = NetSpec(spec.input_dim, spec.output_dim, tuple(hidden), spec.skips)
@@ -199,20 +217,16 @@ def add_skip(
     n = len(spec.hidden)
     if not (0 <= src < dst <= n) or dst < 1:
         raise BadPosition(f"skip ({src},{dst}) out of range for {n} hidden layers")
-    widths = spec.widths()
-    if widths[src] != widths[dst]:
-        raise DimensionMismatch(
-            f"skip ({src},{dst}) joins widths {widths[src]} and {widths[dst]}"
-        )
     if (src, dst) in spec.skips:
         raise ConstraintViolated(f"skip ({src},{dst}) already present")
+    # NetSpec refuses a skip between unequal widths (DimensionMismatch).
+    new_spec = NetSpec(
+        spec.input_dim, spec.output_dim, spec.hidden, spec.skips + ((src, dst),)
+    )
     if constraints is not None and spec.incoming(dst) + 1 > constraints.max_incoming:
         raise ConstraintViolated(
             f"layer {dst} already has {spec.incoming(dst)} incoming skips"
         )
-    new_spec = NetSpec(
-        spec.input_dim, spec.output_dim, spec.hidden, spec.skips + ((src, dst),)
-    )
     _check_params_budget(new_spec, constraints)
 
     def change(parts: NetParts, fill: float) -> None:
@@ -230,15 +244,9 @@ def remove_layer(
 ) -> Candidate:
     """Delete a hidden layer; the next layer's input is truncated or
     zero-padded to the width that now feeds it. Not function preserving."""
-    n = len(spec.hidden)
-    if not 1 <= position <= n:
-        raise BadPosition(f"remove_layer position {position} not in [1, {n}]")
-    if n < 2:
+    if _hidden_index(spec, "remove_layer position", position) < 2:
         raise ConstraintViolated("cannot remove the only hidden layer")
-    if _skip_touches(spec, position):
-        raise ConstraintViolated(
-            f"layer {position} is tied to a skip connection"
-        )
+    _untied(spec, position)
     w_feed = spec.widths()[position - 1]
     pad = max(0, w_feed - spec.hidden[position - 1])
     hidden = spec.hidden[:position - 1] + spec.hidden[position:]
@@ -266,9 +274,7 @@ def narrow(
     constraints: Constraints | None = None,
 ) -> Candidate:
     """Drop the trailing `delta` units of a hidden layer. Not preserving."""
-    n = len(spec.hidden)
-    if not 1 <= layer <= n:
-        raise BadPosition(f"narrow layer {layer} not in [1, {n}]")
+    _hidden_index(spec, "narrow layer", layer)
     check("narrow delta", delta, "[1, inf)", BadPosition)
     width = spec.hidden[layer - 1]
     floor = max(1, spec.output_dim)
@@ -276,8 +282,7 @@ def narrow(
         raise ConstraintViolated(
             f"narrowing layer {layer} to {width - delta} would go below {floor}"
         )
-    if _skip_touches(spec, layer):
-        raise ConstraintViolated(f"layer {layer} is tied to a skip connection")
+    _untied(spec, layer)
     hidden = list(spec.hidden)
     hidden[layer - 1] = width - delta
     new_spec = NetSpec(spec.input_dim, spec.output_dim, tuple(hidden), spec.skips)

@@ -46,6 +46,7 @@ import numpy as np
 
 from .dynamics import (
     FIRST_ORDER,
+    N_PARTICLES,
     SAMPLED,
     SECOND_ORDER,
     DynamicsParams,
@@ -63,7 +64,6 @@ from .dynamics import (
 )
 from .errors import (
     BadLabel,
-    ConstraintViolated,
     Divergence,
     NonFiniteValue,
     RoundTimeout,
@@ -119,7 +119,7 @@ class SearchConfig:
 
     mode: str = "nasgd"
     seed: int = knob(0, "[0, inf)")
-    n_particles: int = knob(100, "[1, inf)")
+    n_particles: int = knob(100, N_PARTICLES)
     n_neigh: int = knob(8, "[1, inf)")
     epochs_neigh: int = knob(18, "[1, inf)")
     n_steps: float | None = knob(None, "(0, inf)")  # schedule budget in cycles
@@ -637,26 +637,21 @@ def start_network(config: SearchConfig, data: Dataset) -> tuple[NetSpec, np.ndar
     on the data's shape, initialized from the config's seed.
 
     Raises BadLabel if the data has fewer than two classes, and
-    ConstraintViolated if that network is over constraints.max_params.
+    ConstraintViolated if that network is over any constraints.* limit.
     """
     if data.n_classes < 2:
         raise BadLabel(
             f"a classifier needs at least two classes, the data has {data.n_classes}"
         )
     spec = NetSpec(data.input_dim, data.n_classes, config.hidden)
-    n_params, cap = param_count(spec), config.constraints.max_params
-    if n_params > cap:
-        raise ConstraintViolated(
-            f"the start network has {n_params} parameters, over "
-            f"constraints.max_params {cap}"
-        )
+    config.constraints.admit(spec, "the start network")
     return spec, init_params(spec, seeded_rng(config.seed, 1))
 
 
 def check_search(config: SearchConfig, data: Dataset) -> None:
     """Raise, before anything trains, what a search would raise later on
     its start network, splits or batch sizes: ConstraintViolated for a start
-    network over constraints.max_params, SplitTooSmall for an empty val or
+    network over a constraints.* limit, SplitTooSmall for an empty val or
     test split, a train split that cannot fill a batch of s_x or, in the
     particle modes, a val split that cannot fill one of s_y (the hill
     climber scores the whole val split)."""

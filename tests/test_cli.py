@@ -222,6 +222,10 @@ NO_KINDS = {f"morphisms.p_{kind}": 0.0 for kind in sf.ALL_KINDS}
     pytest.param({"data.kind": "spirals", "data.n": 4e18},
                  "4000000000000000000 rows of 2 features are more than numpy can hold",
                  id="spirals-n-past-the-array-size"),
+    # Past a C long, the first sampled move draw raised an OverflowError.
+    pytest.param({"search.n_particles": 10**31},
+                 "n_particles must be in [1, 1e15], got 1.00000e+31",
+                 id="n_particles-past-a-c-long"),
 ])
 def test_bad_config_value_exits_2_before_running(overrides, message, tmp_path,
                                                  caplog):
@@ -318,6 +322,13 @@ def test_single_class_data_exits_2_before_its_output(command, tmp_path, caplog):
     # Six rows leave the val and test splits empty.
     pytest.param({"search.mode": "hillclimb", "data.n": 6, "search.s_x": 1},
                  "val split is empty", id="empty-val-split"),
+    # Each of these once ran, and every child was over the limit too.
+    pytest.param({"net.hidden": [100, 100], "constraints.max_params": 200000},
+                 "the start network has a hidden layer of width 100, over "
+                 "constraints.max_width 64", id="start-over-max_width"),
+    pytest.param({"net.hidden": [8] * 9},
+                 "the start network has 9 hidden layers, over constraints.max_layers 8",
+                 id="start-over-max_layers"),
 ])
 def test_search_start_errors_exit_2_before_the_run_directory(overrides, message,
                                                              tmp_path, caplog):
@@ -582,6 +593,32 @@ def test_malformed_checkpoint_exits_2(command, mutate, tmp_path, caplog):
     assert one_error(caplog)
 
 
+@pytest.mark.parametrize("limit, cap, has", [
+    pytest.param("max_params", 73, "74 parameters", id="max_params"),
+    pytest.param("max_layers", 2, "3 hidden layers", id="max_layers"),
+    pytest.param("max_width", 3, "a hidden layer of width 4", id="max_width"),
+    pytest.param("max_incoming", 1, "a hidden layer with 2 incoming skips",
+                 id="max_incoming"),
+])
+def test_graph_dump_refuses_a_checkpoint_over_a_limit(limit, cap, has, tmp_path,
+                                                      caplog):
+    # Each of these once drew a graph of children over the same limit.
+    spec = sf.NetSpec(2, 4, (4, 4, 4), ((1, 3), (2, 3)))
+    path = str(tmp_path / "net.json")
+    sf.save_checkpoint(path, spec, sf.init_params(spec, np.random.default_rng(0)))
+    out = tmp_path / "graph.json"
+    argv = ["graph-dump", "--config",
+            write_config(tmp_path, {f"constraints.{limit}": cap}),
+            "--checkpoint", path, "--out", str(out)]
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, stdout, err = run_cli_all(argv)
+    assert code == 2
+    assert stdout == "" and "Traceback" not in err
+    assert one_error(caplog) == (
+        f"the checkpoint network has {has}, over constraints.{limit} {cap}")
+    assert not out.exists()
+
+
 def test_eval_with_a_non_finite_loss_exits_3(tmp_path, caplog):
     # Parameters scaled by 1e200 overflow the logits to a NaN loss, which
     # eval once printed as "loss": NaN (not JSON) with exit 0 and two
@@ -706,6 +743,33 @@ def test_out_that_cannot_be_made_exits_2_before_compute(command, compute, out,
     assert seen == []
 
 
+@pytest.mark.parametrize("command, compute, taken", [
+    ("search", "run_search", "manifest.json"),
+    ("search", "run_search", "metrics.csv"),
+    ("search", "run_search", "best.json"),
+    ("search", "run_search", "morphisms.jsonl"),
+    ("dynamics-bench", "_bench_point", "summary.json"),
+    ("dynamics-bench", "_bench_point", "bench_000.csv"),
+])
+def test_output_file_taken_by_a_directory_exits_2_before_compute(
+        command, compute, taken, tmp_path, monkeypatch, caplog):
+    # Each of these once ended in an IsADirectoryError traceback (exit 1),
+    # best.json after round 1 and summary.json after every grid point.
+    out = tmp_path / "run"
+    (out / taken).mkdir(parents=True)
+    seen = []
+    monkeypatch.setattr(cli, compute, lambda *a, **kw: seen.append(a))
+    argv = [command, "--out", str(out)]
+    if command == "search":
+        argv += ["--config", write_config(tmp_path, {})]
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, stdout, err = run_cli_all(argv)
+    assert code == 2
+    assert stdout == "" and "Traceback" not in err
+    assert one_error(caplog) == f"{out / taken} is a directory, not a file"
+    assert seen == [] and os.listdir(out) == [taken]
+
+
 @pytest.mark.parametrize("mode", ["nasgd", "nasagd", "hillclimb"])
 def test_verbose_logs_one_debug_line_per_round(mode, tmp_path, caplog):
     cfg = write_config(tmp_path, {"search.n_neigh": 3})
@@ -822,6 +886,9 @@ def test_bench_saturated_expected_moves_complete(tmp_path):
     pytest.param(["--tau=-1"], "--tau", id="negative-tau"),
     pytest.param(["--tau", "nan"], "--tau", id="nan-tau"),
     pytest.param(["--betas", "inf"], "beta", id="infinite-beta"),
+    # Past a C long, the first sampled move draw raised an OverflowError.
+    pytest.param(["--sampled", "--particles", "10000000000000000000"],
+                 "--particles must be in [1, 1e15]", id="particles-past-a-c-long"),
 ])
 def test_bad_bench_flag_exits_2_before_out(flags, message, tmp_path, caplog):
     # Each of these once ended in a traceback (exit 1) or, --iters -2, in a
@@ -892,7 +959,7 @@ SCHEMA_VALUES = [None, True, False, "x", [1], {"a": 1},
                  float("nan"), float("inf"), float("-inf")]
 
 
-# More examples than there are (key, value) pairs (483), so hypothesis, which
+# More examples than there are (key, value) pairs (485), so hypothesis, which
 # skips a pair it has run, runs each one.
 @settings(max_examples=600, deadline=None)
 @given(data=st.data())

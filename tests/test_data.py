@@ -9,6 +9,7 @@ import semiflow as sf
 from semiflow import search
 from semiflow.data import SPIRAL_INNER, SPIRAL_OUTER
 from semiflow.errors import (
+    BadLabel,
     BadParams,
     MissingFile,
     NonIntegerLabel,
@@ -128,6 +129,19 @@ def test_load_csv_fractional_label(tmp_path):
     p.write_text("1.0,2.0,0.5\n")
     with pytest.raises(NonIntegerLabel):
         sf.load_csv(str(p))
+
+
+@pytest.mark.parametrize("label", [0.5, float("nan"), float("inf")])
+def test_dataset_refuses_a_label_that_is_not_a_whole_number(label):
+    # 0.5 was once truncated to 0 without a word, and NaN raised numpy's
+    # cast warning before the error named negative labels.
+    labels = np.array([0.0, 1.0, label, 1.0])
+    with pytest.raises(BadLabel, match=f"whole numbers, got {label}$"):
+        sf.Dataset(np.zeros((4, 2)), labels, np.array([0, 1]), np.array([2]),
+                   np.array([3]))
+    kept = sf.Dataset(np.zeros((4, 2)), np.array([0.0, 1.0, 0.0, 1.0]),
+                      np.array([0, 1]), np.array([2]), np.array([3]))
+    assert kept.labels.tolist() == [0, 1, 0, 1]
 
 
 @pytest.mark.parametrize("head, has_header", [
