@@ -32,6 +32,7 @@ from .recording import read_text
 SPIRAL_TURNS = 1.5
 SPIRAL_INNER = 0.2
 SPIRAL_OUTER = 2.0
+LABEL_END = 2**63  # labels are int64, so each lies in [0, LABEL_END)
 
 
 @dataclass
@@ -51,6 +52,10 @@ class Dataset:
                 raise BadLabel(
                     f"labels must be whole numbers, got {labels[fractional][0]}"
                 )
+        # Judged before the cast, which wraps, warns or overflows outside it.
+        outside = (labels < 0) | (labels >= LABEL_END)
+        if outside.any():
+            raise BadLabel(f"labels must lie in [0, 2**63), got {labels[outside][0]}")
         self.labels = np.asarray(labels, dtype=int)
         if self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:
             raise ShapeMismatch(
@@ -64,8 +69,6 @@ class Dataset:
             raise BadParams("splits overlap")
         if all_idx.size and (all_idx.min() < 0 or all_idx.max() >= n):
             raise BadParams("split indices out of range")
-        if self.labels.size and self.labels.min() < 0:
-            raise BadParams("negative labels")
 
     @property
     def n_classes(self) -> int:
@@ -232,8 +235,10 @@ def load_csv(
                 raise NonIntegerLabel(
                     f"label {cell!r} on line {line_no} is not an integer"
                 ) from None
-            if label < 0:
-                raise NonIntegerLabel(f"negative label {label} on line {line_no}")
+            if not 0 <= label < LABEL_END:
+                raise NonIntegerLabel(
+                    f"label {label} on line {line_no} is not in [0, 2**63)"
+                )
             feats.append(vals)
             labels.append(label)
     except csv.Error as exc:

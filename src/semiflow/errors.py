@@ -47,12 +47,12 @@ class ShapeMismatch(ValueError):
 
 class BadLabel(InputError):
     """Labels a classifier cannot take: a non-integer dtype, a float label
-    that is not a whole number, a label outside [0, n_classes), or data with
-    fewer than two classes."""
+    that is not a whole number, a label outside [0, 2**63) or [0, n_classes),
+    or data with fewer than two classes."""
 
 
 class NonIntegerLabel(InputError):
-    """A label column entry could not be parsed as an integer."""
+    """A label column entry is not an integer in [0, 2**63)."""
 
 
 class ConstraintViolated(InputError):

@@ -15,13 +15,15 @@ freshly created entries set to zero.
 Shared checks: _hidden_index refuses a hidden-layer index outside
 1..len(hidden) (BadPosition); _untied refuses to widen, narrow or remove a
 layer a skip touches (ConstraintViolated); NetSpec refuses a skip between
-unequal widths (DimensionMismatch). The graph builder retries a refused draw.
+unequal widths (DimensionMismatch); _admit passes every edit's child to
+Constraints.admit, the one judge of the four limits (ConstraintViolated).
+The graph builder retries a refused draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -94,11 +96,11 @@ def default_mix() -> dict[str, float]:
     }
 
 
-def _check_params_budget(spec: NetSpec, constraints: Constraints | None) -> None:
-    if constraints is not None and param_count(spec) > constraints.max_params:
-        raise ConstraintViolated(
-            f"{param_count(spec)} parameters exceed the cap {constraints.max_params}"
-        )
+def _admit(child: NetSpec, constraints: Constraints | None, edit: str) -> NetSpec:
+    """Return an edit's child; with constraints, refuse one over a limit."""
+    if constraints is not None:
+        constraints.admit(child, f"the {edit} child")
+    return child
 
 
 def _hidden_index(spec: NetSpec, what: str, index: int) -> int:
@@ -149,16 +151,13 @@ def deepen(
     Valid positions are 1..len(hidden): the insertion point must sit behind a
     ReLU so the identity survives the new ReLU unchanged.
     """
-    n = _hidden_index(spec, "deepen position", position)
-    if constraints is not None and n + 1 > constraints.max_layers:
-        raise ConstraintViolated(f"already at max_layers {constraints.max_layers}")
+    _hidden_index(spec, "deepen position", position)
     width = spec.hidden[position - 1]
     hidden = spec.hidden[:position] + (width,) + spec.hidden[position:]
     skips = tuple(
         (s + (s > position), d + (d > position)) for s, d in spec.skips
     )
-    new_spec = NetSpec(spec.input_dim, spec.output_dim, hidden, skips)
-    _check_params_budget(new_spec, constraints)
+    new_spec = _admit(replace(spec, hidden=hidden, skips=skips), constraints, "deepen")
 
     def change(parts: NetParts, fill: float) -> None:
         parts.weights.insert(position, fill * np.eye(width))
@@ -181,15 +180,10 @@ def widen(
     _hidden_index(spec, "widen layer", layer)
     check("widen delta", delta, "[1, inf)", BadPosition)
     width = spec.hidden[layer - 1]
-    if constraints is not None and width + delta > constraints.max_width:
-        raise ConstraintViolated(
-            f"width {width + delta} would exceed max_width {constraints.max_width}"
-        )
     _untied(spec, layer, "; widening would break the width match")
     hidden = list(spec.hidden)
     hidden[layer - 1] = width + delta
-    new_spec = NetSpec(spec.input_dim, spec.output_dim, tuple(hidden), spec.skips)
-    _check_params_budget(new_spec, constraints)
+    new_spec = _admit(replace(spec, hidden=tuple(hidden)), constraints, "widen")
 
     chosen = rng.integers(0, width, size=delta)
     multiplicity = 1.0 + np.bincount(chosen, minlength=width)
@@ -220,14 +214,9 @@ def add_skip(
     if (src, dst) in spec.skips:
         raise ConstraintViolated(f"skip ({src},{dst}) already present")
     # NetSpec refuses a skip between unequal widths (DimensionMismatch).
-    new_spec = NetSpec(
-        spec.input_dim, spec.output_dim, spec.hidden, spec.skips + ((src, dst),)
+    new_spec = _admit(
+        replace(spec, skips=spec.skips + ((src, dst),)), constraints, "add_skip"
     )
-    if constraints is not None and spec.incoming(dst) + 1 > constraints.max_incoming:
-        raise ConstraintViolated(
-            f"layer {dst} already has {spec.incoming(dst)} incoming skips"
-        )
-    _check_params_budget(new_spec, constraints)
 
     def change(parts: NetParts, fill: float) -> None:
         parts.scales = np.concatenate([parts.scales, [0.0]])
@@ -253,8 +242,9 @@ def remove_layer(
     skips = tuple(
         (s - (s > position), d - (d > position)) for s, d in spec.skips
     )
-    new_spec = NetSpec(spec.input_dim, spec.output_dim, hidden, skips)
-    _check_params_budget(new_spec, constraints)
+    new_spec = _admit(
+        replace(spec, hidden=hidden, skips=skips), constraints, "remove_layer"
+    )
 
     def change(parts: NetParts, fill: float) -> None:
         del parts.weights[position - 1]
@@ -285,7 +275,7 @@ def narrow(
     _untied(spec, layer)
     hidden = list(spec.hidden)
     hidden[layer - 1] = width - delta
-    new_spec = NetSpec(spec.input_dim, spec.output_dim, tuple(hidden), spec.skips)
+    new_spec = _admit(replace(spec, hidden=tuple(hidden)), constraints, "narrow")
 
     def change(parts: NetParts, fill: float) -> None:
         parts.weights[layer - 1] = parts.weights[layer - 1][:-delta]
@@ -308,7 +298,7 @@ def remove_skip(
             f"skip index {index} out of range for {len(spec.skips)} skips"
         )
     skips = spec.skips[:index] + spec.skips[index + 1:]
-    new_spec = NetSpec(spec.input_dim, spec.output_dim, spec.hidden, skips)
+    new_spec = _admit(replace(spec, skips=skips), constraints, "remove_skip")
 
     def change(parts: NetParts, fill: float) -> None:
         parts.scales = np.delete(parts.scales, index)

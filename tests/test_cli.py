@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ def test_search_hillclimb_artifacts(tmp_path):
     manifest = read_json(os.path.join(out_dir, "manifest.json"), "manifest")
     assert manifest["outputs"] == outputs
     assert manifest["config"]["search.mode"] == "hillclimb"
-    audit = open(os.path.join(out_dir, "morphisms.jsonl")).read().splitlines()
+    audit = Path(out_dir, "morphisms.jsonl").read_text().splitlines()
     assert len(audit) == summary["architectures_explored"] - 1
     code, report = run_cli(["eval", "--config", cfg,
                             "--checkpoint", os.path.join(out_dir, "best.json")])
@@ -550,6 +551,19 @@ def test_csv_field_over_the_csv_limit_exits_2_at_its_line(tmp_path, caplog):
     assert not out.exists()
 
 
+def test_csv_label_past_int64_exits_2_at_its_line(tmp_path, caplog):
+    # This label once ended in an OverflowError traceback (exit 1).
+    data = tmp_path / "big.csv"
+    data.write_text("0.5,1.5,0\n0.5,1.5,1\n0.5,1.5,9223372036854775808\n")
+    cfg = write_config(tmp_path, {"data.kind": "csv", "data.path": str(data)})
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, stdout, err = run_cli_all(["graph-dump", "--config", cfg])
+    assert code == 2
+    assert stdout == "" and "Traceback" not in err
+    assert one_error(caplog) == (
+        "label 9223372036854775808 on line 3 is not in [0, 2**63)")
+
+
 def test_every_exit_2_type_is_an_input_error():
     from semiflow import errors
     for kind in (errors.BadConfig, errors.MissingFile, errors.ParseError,
@@ -582,9 +596,9 @@ def test_malformed_checkpoint_exits_2(command, mutate, tmp_path, caplog):
     # Each of these once ended in a traceback (exit 1) or was read as some
     # other network and scored (exit 0).
     path = save_blobs_checkpoint(tmp_path / "net.json")
-    checkpoint = json.loads(open(path).read())
+    checkpoint = json.loads(Path(path).read_text())
     mutate(checkpoint)
-    open(path, "w").write(json.dumps(checkpoint))
+    Path(path).write_text(json.dumps(checkpoint))
     with caplog.at_level("ERROR", logger="semiflow"):
         code, stdout, err = run_cli_all([command, "--config", write_config(tmp_path, {}),
                                          "--checkpoint", path])
@@ -648,7 +662,7 @@ def test_mutated_checkpoint_keeps_the_exit_contract(tmp_path_factory, data, targ
     folder = tmp_path_factory.mktemp("fuzz")
     cfg = write_config(folder, {})
     path = save_blobs_checkpoint(folder / "net.json")
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     checkpoint = json.loads(blob)
     if target == "flat":
         index = data.draw(st.integers(0, len(checkpoint["flat"]) - 1))
@@ -664,7 +678,7 @@ def test_mutated_checkpoint_keeps_the_exit_contract(tmp_path_factory, data, targ
         blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
     else:
         blob = data.draw(st.sampled_from([b"\xff", b"\xc3", b"\x80\x80"])) + blob
-    open(path, "wb").write(blob)
+    Path(path).write_bytes(blob)
     code, stdout, _ = run_cli_all(["eval", "--config", cfg, "--checkpoint", path])
     assert code in (0, 2, 3)
     if code == 0:
@@ -686,7 +700,7 @@ def test_graph_dump_schema(tmp_path):
     out = str(tmp_path / "graph.json")
     code, _ = run_cli(["graph-dump", "--config", cfg, "--out", out])
     assert code == 0
-    payload = json.load(open(out))
+    payload = json.loads(Path(out).read_text())
     assert len(payload["nodes"]) == 9
     assert len(payload["edges"]) == 8
     for node in payload["nodes"]:
@@ -802,7 +816,7 @@ def test_bench_writes_grid(tmp_path):
     assert code == 0
     files = [f for f in os.listdir(out_dir) if f.endswith(".csv")]
     assert len(files) == 1
-    body = open(os.path.join(out_dir, files[0])).read().splitlines()
+    body = Path(out_dir, files[0]).read_text().splitlines()
     assert body[0].startswith("iter,")
     assert len(body) > 1
 
@@ -976,7 +990,7 @@ def test_any_value_of_any_key_keeps_the_exit_contract(tmp_path_factory, data):
 
 def assert_cells_parse(path):
     """Every cell of a metrics.csv is a plain number that float() reads."""
-    rows = open(path).read().splitlines()
+    rows = Path(path).read_text().splitlines()
     assert rows[0].split(",") == list(METRICS_COLUMNS)
     assert len(rows) > 1
     for row in rows[1:]:
@@ -1013,7 +1027,7 @@ def test_bench_single_node_never_moves(tmp_path):
                             "--particles", "100", "--iters", "200",
                             "--tau", "0.05", "--sampled"])
     assert code == 0
-    rows = open(os.path.join(out_dir, report["points"][0]["csv"])).read().splitlines()
+    rows = Path(out_dir, report["points"][0]["csv"]).read_text().splitlines()
     moved = rows[0].split(",").index("moved")
     assert all(row.split(",")[moved] == "0" for row in rows[1:])
 

@@ -144,6 +144,20 @@ def test_dataset_refuses_a_label_that_is_not_a_whole_number(label):
     assert kept.labels.tolist() == [0, 1, 0, 1]
 
 
+@pytest.mark.parametrize("labels, shown", [
+    pytest.param(np.array([0.0, 1.0, 1e19, 1.0]), "1e+19", id="float-1e19"),
+    pytest.param(np.array([0, 1, 2**63, 1], dtype=np.uint64), str(2**63),
+                 id="uint64-2**63"),
+    pytest.param([0, 1, 2**64, 1], str(2**64), id="int-2**64"),
+])
+def test_dataset_refuses_a_label_past_int64(labels, shown):
+    # These once warned and failed as negative labels, or overflowed.
+    with pytest.raises(BadLabel) as err:
+        sf.Dataset(np.zeros((4, 2)), labels, np.array([0, 1]), np.array([2]),
+                   np.array([3]))
+    assert str(err.value) == f"labels must lie in [0, 2**63), got {shown}"
+
+
 @pytest.mark.parametrize("head, has_header", [
     ('0.5,1.5,0\n"0.5\n",1.5,1\n', False),  # a data cell spans lines 2-3
     ('"a\nb",c,label\n0.5,1.5,0\n', True),  # the header spans lines 1-2

@@ -113,7 +113,8 @@ def test_remove_layer_over_param_cap_rejected():
     params = sf.init_params(spec, np.random.default_rng(0))
     assert sf.param_count(spec) == 259
     assert sf.param_count(sf.remove_layer(spec, params, 2).spec) == 1218
-    with pytest.raises(ConstraintViolated, match="1218 parameters exceed the cap 500"):
+    with pytest.raises(ConstraintViolated, match="^the remove_layer child has 1218 "
+                       "parameters, over constraints.max_params 500$"):
         sf.remove_layer(spec, params, 2, constraints=sf.Constraints(max_params=500))
     kept = sf.remove_layer(spec, params, 2, constraints=sf.Constraints(max_params=1218))
     assert sf.param_count(kept.spec) == 1218

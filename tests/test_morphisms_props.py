@@ -2,14 +2,17 @@
 function preservation along random chains of growing edits.
 
 The reference below is the former `draw_morphism`, `negative_morphism` and
-six edits, verbatim but for the `ref` prefix and the parameter budget check
-`remove_layer` has gained since: each edit split the parameter and velocity
-vectors, changed each, and merged them back into a `Morphed` tuple, which
-the reference returns beside the record. On random small specs with skips,
-every kind, random seeds and constraints, with and without a velocity, the
-one dispatcher must return a Candidate with the same record as its origin,
-the same spec and vector bits, raise the same exception with the same
-message, and leave the rng in the same state.
+six edits, verbatim but for the `ref` prefix and the limit rule they have
+gained since: every edit passes its child to `ref_admit`, a copy of
+`Constraints.admit`, in place of its own limit checks. Each edit split the
+parameter and velocity vectors, changed each, and merged them back into a
+`Morphed` tuple, which the reference returns beside the record. On random
+small specs with skips, every kind, random seeds and constraints, with and
+without a velocity, the one dispatcher must return a Candidate with the
+same record as its origin, the same spec and vector bits, raise the same
+exception with the same message, and leave the rng in the same state. A
+further property checks the rule itself: no child is over a limit, even
+when its parent is.
 """
 
 from typing import NamedTuple
@@ -37,11 +40,22 @@ class Morphed(NamedTuple):
     velocity: np.ndarray | None
 
 
-def ref_check_params_budget(spec: NetSpec, constraints: Constraints | None) -> None:
-    if constraints is not None and param_count(spec) > constraints.max_params:
-        raise ConstraintViolated(
-            f"{param_count(spec)} parameters exceed the cap {constraints.max_params}"
-        )
+def ref_admit(spec: NetSpec, constraints: Constraints | None, edit: str) -> None:
+    if constraints is None:
+        return
+    incoming = max(spec.incoming(d) for d in range(1, len(spec.hidden) + 1))
+    for key, value, has in (
+        ("max_params", param_count(spec), "{} parameters"),
+        ("max_layers", len(spec.hidden), "{} hidden layers"),
+        ("max_width", max(spec.hidden), "a hidden layer of width {}"),
+        ("max_incoming", incoming, "a hidden layer with {} incoming skips"),
+    ):
+        cap = getattr(constraints, key)
+        if value > cap:
+            raise ConstraintViolated(
+                f"the {edit} child has {has.format(value)}, "
+                f"over constraints.{key} {cap}"
+            )
 
 
 def ref_skip_touches(spec: NetSpec, layer: int) -> bool:
@@ -75,15 +89,13 @@ def ref_deepen(
     n = len(spec.hidden)
     if not 1 <= position <= n:
         raise BadPosition(f"deepen position {position} not in [1, {n}]")
-    if constraints is not None and n + 1 > constraints.max_layers:
-        raise ConstraintViolated(f"already at max_layers {constraints.max_layers}")
     width = spec.hidden[position - 1]
     hidden = spec.hidden[:position] + (width,) + spec.hidden[position:]
     skips = tuple(
         (s + (s > position), d + (d > position)) for s, d in spec.skips
     )
     new_spec = NetSpec(spec.input_dim, spec.output_dim, hidden, skips)
-    ref_check_params_budget(new_spec, constraints)
+    ref_admit(new_spec, constraints, "deepen")
 
     p, v = ref_split_vectors(params, velocity, spec)
     p.weights.insert(position, np.eye(width))
@@ -111,10 +123,6 @@ def ref_widen(
     if delta < 1:
         raise BadPosition(f"widen delta must be >= 1, got {delta}")
     width = spec.hidden[layer - 1]
-    if constraints is not None and width + delta > constraints.max_width:
-        raise ConstraintViolated(
-            f"width {width + delta} would exceed max_width {constraints.max_width}"
-        )
     if ref_skip_touches(spec, layer):
         raise ConstraintViolated(
             f"layer {layer} is tied to a skip connection; widening would "
@@ -123,7 +131,7 @@ def ref_widen(
     hidden = list(spec.hidden)
     hidden[layer - 1] = width + delta
     new_spec = NetSpec(spec.input_dim, spec.output_dim, tuple(hidden), spec.skips)
-    ref_check_params_budget(new_spec, constraints)
+    ref_admit(new_spec, constraints, "widen")
 
     chosen = rng.integers(0, width, size=delta)
     multiplicity = np.ones(width)
@@ -172,14 +180,10 @@ def ref_add_skip(
         )
     if (src, dst) in spec.skips:
         raise ConstraintViolated(f"skip ({src},{dst}) already present")
-    if constraints is not None and spec.incoming(dst) + 1 > constraints.max_incoming:
-        raise ConstraintViolated(
-            f"layer {dst} already has {spec.incoming(dst)} incoming skips"
-        )
     new_spec = NetSpec(
         spec.input_dim, spec.output_dim, spec.hidden, spec.skips + ((src, dst),)
     )
-    ref_check_params_budget(new_spec, constraints)
+    ref_admit(new_spec, constraints, "add_skip")
 
     p, v = ref_split_vectors(params, velocity, spec)
     p.scales = np.concatenate([p.scales, [0.0]])
@@ -214,7 +218,7 @@ def ref_remove_layer(
         (s - (s > position), d - (d > position)) for s, d in spec.skips
     )
     new_spec = NetSpec(spec.input_dim, spec.output_dim, hidden, skips)
-    ref_check_params_budget(new_spec, constraints)
+    ref_admit(new_spec, constraints, "remove_layer")
 
     def adjust_columns(mat: np.ndarray) -> np.ndarray:
         if w_feed <= w_removed:
@@ -262,6 +266,7 @@ def ref_narrow(
     hidden = list(spec.hidden)
     hidden[layer - 1] = width - delta
     new_spec = NetSpec(spec.input_dim, spec.output_dim, tuple(hidden), spec.skips)
+    ref_admit(new_spec, constraints, "narrow")
 
     def cut(parts: NetParts) -> None:
         parts.weights[layer - 1] = parts.weights[layer - 1][:-delta]
@@ -292,6 +297,7 @@ def ref_remove_skip(
         )
     skips = spec.skips[:index] + spec.skips[index + 1:]
     new_spec = NetSpec(spec.input_dim, spec.output_dim, spec.hidden, skips)
+    ref_admit(new_spec, constraints, "remove_skip")
 
     p, v = ref_split_vectors(params, velocity, spec)
     p.scales = np.delete(p.scales, index)
@@ -378,13 +384,14 @@ def specs(draw):
     return NetSpec(input_dim, draw(st.integers(2, 3)), hidden, tuple(skips))
 
 
-constraints = st.one_of(st.none(), st.builds(
+limits = st.builds(
     Constraints,
     max_layers=st.integers(1, 6),
     max_width=st.integers(1, 10),
     max_incoming=st.integers(1, 3),
     max_params=st.integers(10, 300),
-))
+)
+constraints = st.one_of(st.none(), limits)
 
 
 def vectors(spec, seed):
@@ -431,6 +438,21 @@ def test_draw_morphism_matches_reference(kind, spec, seed, with_velocity, cons):
     assert got_m.spec == want_m.spec
     assert same_bits(got_m.params, want_m.params)
     assert same_bits(got_m.velocity, want_m.velocity)
+
+
+@pytest.mark.parametrize("kind", sf.ALL_KINDS)
+@settings(max_examples=120, deadline=None)
+@given(specs(), st.integers(0, 2**32 - 1), limits)
+def test_every_child_is_within_the_limits(kind, spec, seed, cons):
+    # The parent may itself be over a limit; its children never are. Once
+    # deepen or narrow kept a parent's over-wide layer in the child.
+    params, velocity = vectors(spec, seed)
+    try:
+        child = sf.draw_morphism(spec, params, kind, np.random.default_rng(seed),
+                                 velocity, cons)
+    except INADMISSIBLE:
+        return
+    cons.admit(child.spec, "the child")
 
 
 @settings(max_examples=150, deadline=None)

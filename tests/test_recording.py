@@ -1,6 +1,7 @@
 import builtins
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ def test_metrics_header_and_row(tmp_path):
     w = sf.MetricsWriter(path)
     w.write_row(0, 1, 2, 100.0, 0.5, 1.25, 1.5, 0.0, 0.05, 3.5, 4)
     w.close()
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "iter,round,node_id,count,f,V_train,V_val,phi,tau_k,energy,moved"
     assert lines[1].startswith("0,1,2,100")
     assert tuple(lines[0].split(",")) == METRICS_COLUMNS
@@ -25,10 +26,10 @@ def test_metrics_flush_makes_rows_visible(tmp_path):
     # rows must be on disk after flush, while the writer is still open
     path = str(tmp_path / "m.csv")
     w = sf.MetricsWriter(path)
-    assert open(path).read().startswith("iter,")
+    assert Path(path).read_text().startswith("iter,")
     w.write_row(7, 1, 0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.01, 0.0, 0)
     w.flush()
-    assert "7,1,0" in open(path).read()
+    assert "7,1,0" in Path(path).read_text()
     w.close()
 
 
@@ -40,7 +41,7 @@ def test_jsonl_roundtrip(tmp_path):
     for r in recs:
         w.write(r)
     w.close()
-    back = [json.loads(line) for line in open(path)]
+    back = [json.loads(line) for line in Path(path).read_text().splitlines()]
     assert back == recs
 
 
