@@ -29,7 +29,6 @@ from .config import (
     build_search_config,
     load_config,
     normalize,
-    require,
 )
 from .data import seeded_rng
 from .dynamics import (
@@ -65,6 +64,7 @@ from .recording import MetricsWriter, json_text, utc_now, write_atomic, write_ma
 from .search import (
     MODES,
     check_search,
+    iters_per_epoch,
     local_graph,
     particle_step,
     pretrain,
@@ -145,32 +145,25 @@ def _parser() -> argparse.ArgumentParser:
 
 def _seed(args) -> int | None:
     """The run seed: --seed, else $SEMIFLOW_SEED, else None."""
-    seed = args.seed
-    if seed is None:
-        raw = os.environ.get(SEED_ENV)
-        if raw is None:
-            return None
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise BadConfig(f"{SEED_ENV} must be an integer, got {raw!r}")
-    check("seed", seed, "[0, inf)", BadConfig)
-    return seed
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get(SEED_ENV)
+    if raw is None:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise BadConfig(f"{SEED_ENV} must be an integer, got {raw!r}")
 
 
 def _load_table(args) -> dict:
+    """The normalized table of --config, each flag's key replacing the file's."""
     overrides = load_config(args.config) if args.config else {}
-    table = normalize(overrides)
-    if getattr(args, "data", None):
-        table["data.kind"] = args.data
-    if getattr(args, "mode", None):
-        table["search.mode"] = args.mode
-    if getattr(args, "n_steps", None) is not None:
-        table["search.n_steps"] = args.n_steps
-    seed = _seed(args)
-    if seed is not None:
-        table["search.seed"] = seed
-    return table
+    flags = {"data.kind": getattr(args, "data", None),
+             "search.mode": getattr(args, "mode", None),
+             "search.n_steps": getattr(args, "n_steps", None),
+             "search.seed": _seed(args)}
+    return normalize(overrides, {k: v for k, v in flags.items() if v is not None})
 
 
 def _emit(payload: dict) -> None:
@@ -254,6 +247,8 @@ def _cmd_pretrain(args) -> int:
     config = build_search_config(table)
     data = build_dataset(table)
     spec, params0 = start_network(config, data)
+    if config.pretrain_epochs > 0:
+        iters_per_epoch(data, config)
     _make_out(os.path.dirname(args.out) or ".", args.out)
     params = pretrain(spec, data, config, params0)
     train_x, train_y = data.split("train")
@@ -320,7 +315,7 @@ def _bench_point(index, dyn, args, seed, csv_path):
 
 
 def _cmd_bench(args) -> int:
-    seed = require(_load_table(args), "search.seed")
+    seed = _load_table(args)["search.seed"]
     grid = _bench_grid(args)
     csvs = [os.path.join(args.out, f"bench_{i:03d}.csv") for i in range(len(grid))]
     summary_path = os.path.join(args.out, "summary.json")

@@ -4,9 +4,10 @@ A config file is a single JSON object mapping dotted keys to scalars (or a
 list of ints for net.hidden). Unknown keys are rejected by name, values are
 type-checked, and anything not given falls back to its default: every key
 takes its default, type and any interval from the DataConfig, SearchConfig,
-Constraints or default_mix() field it sets. The normalized table is what
-gets snapshotted into a run manifest, so a manifest alone is enough to
-replay a run bit for bit.
+Constraints or default_mix() field it sets. normalize judges every key,
+whichever command reads it, and the builders judge none again. The
+normalized table is what gets snapshotted into a run manifest, so a
+manifest alone is enough to replay a run bit for bit.
 """
 
 from __future__ import annotations
@@ -65,6 +66,11 @@ def _schema() -> dict[str, tuple[str, Any, str | None, str | None, str | None]]:
 
 
 SCHEMA = _schema()
+_GENERATORS = {
+    "blobs": (make_blobs, ("data.n", "data.d", "data.classes", "data.spread")),
+    "spirals": (two_spirals, ("data.n", "data.noise")),
+    "csv": (load_csv, ("data.path", "data.label_column", "data.has_header")),
+}
 
 
 def default_config() -> dict[str, Any]:
@@ -114,13 +120,25 @@ def _reject(key: str, tag: str, value: Any):
     raise BadConfig(f"config key {key} wants {wanted}, got {value!r}")
 
 
-def normalize(overrides: dict[str, Any] | None = None) -> dict[str, Any]:
-    """Apply defaults, reject unknown keys, coerce and type-check values."""
+def normalize(overrides: dict[str, Any] | None = None,
+              flags: dict[str, Any] | None = None) -> dict[str, Any]:
+    """The one judge of a table: defaults, then overrides, then flags (the
+    command line's keys, which replace the file's), each key refused by name
+    when unknown and coerced to its type. Then a search.mode or data.kind
+    that names nothing is refused, and after it any value outside its key's
+    interval, in key order. Every builder takes the table this returns."""
     table = default_config()
-    for key, value in (overrides or {}).items():
+    for key, value in [*(overrides or {}).items(), *(flags or {}).items()]:
         if key not in SCHEMA:
             raise BadConfig(f"unknown config key: {key}")
         table[key] = _coerce(key, SCHEMA[key][0], value)
+    for key, names in (("search.mode", MODES), ("data.kind", (*_GENERATORS, None))):
+        if table[key] not in names:
+            wanted = "/".join(name for name in names if name)
+            raise BadConfig(f"config key {key} wants one of {wanted}, got {table[key]!r}")
+    for key, (*_, interval) in SCHEMA.items():
+        if interval is not None and table[key] is not None:
+            check(f"config key {key}", table[key], interval, BadConfig)
     return table
 
 
@@ -135,52 +153,30 @@ def load_config(path: str) -> dict[str, Any]:
     return raw
 
 
-def _checked(cfg: dict[str, Any], key: str) -> Any:
-    """cfg[key], refused outside the key's interval by an error naming the key."""
-    interval = SCHEMA[key][4]
-    if interval is not None and cfg[key] is not None:
-        check(f"config key {key}", cfg[key], interval, BadConfig)
+def require(cfg: dict[str, Any], key: str) -> Any:
+    """cfg[key], refused when it is None by an error naming the key."""
+    if cfg[key] is None:
+        raise BadConfig(f"missing config key: {key}")
     return cfg[key]
 
 
-def require(cfg: dict[str, Any], key: str) -> Any:
-    value = _checked(cfg, key)
-    if value is None:
-        raise BadConfig(f"missing config key: {key}")
-    return value
-
-
-_GENERATORS = {
-    "blobs": (make_blobs, ("data.n", "data.d", "data.classes", "data.spread")),
-    "spirals": (two_spirals, ("data.n", "data.noise")),
-    "csv": (load_csv, ("data.path", "data.label_column", "data.has_header")),
-}
-
-
 def build_dataset(cfg: dict[str, Any]) -> Dataset:
-    """The dataset of data.kind: its generator takes the keys _GENERATORS
-    lists, then data.seed, which falls back to search.seed."""
-    kind = require(cfg, "data.kind")
-    if kind not in _GENERATORS:
-        raise BadConfig(f"config key data.kind wants blobs, spirals, or csv, got {kind!r}")
-    make, keys = _GENERATORS[kind]
+    """The dataset of data.kind in a normalized table: its generator takes
+    the keys _GENERATORS lists, then data.seed, else search.seed."""
+    make, keys = _GENERATORS[require(cfg, "data.kind")]
     seed_key = "search.seed" if cfg["data.seed"] is None else "data.seed"
     data = make(*(require(cfg, key) for key in (*keys, seed_key)))
     return data.standardized() if cfg["data.standardize"] else data
 
 
 def build_search_config(cfg: dict[str, Any]) -> SearchConfig:
-    mode = cfg["search.mode"]
-    if mode not in MODES:
-        raise BadConfig(
-            f"config key search.mode wants one of {'/'.join(MODES)}, got {mode!r}"
-        )
+    """The SearchConfig of a normalized table."""
     kwargs: dict[str, Any] = {"constraints": {}, "mix": {}}
     for key, (_tag, _default, name, entry, _interval) in SCHEMA.items():
         if entry is not None:
-            kwargs[name][entry] = _checked(cfg, key)
+            kwargs[name][entry] = cfg[key]
         elif name is not None:
-            kwargs[name] = _checked(cfg, key)
+            kwargs[name] = cfg[key]
     try:
         kwargs["constraints"] = Constraints(**kwargs["constraints"])
         return SearchConfig(**kwargs)

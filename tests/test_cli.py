@@ -264,6 +264,65 @@ def test_huge_integer_keeps_the_error_line_short(n, message, tmp_path, caplog):
     assert len(record.getMessage()) < 80
 
 
+SPIRALS_ONE_CLASS = {"data.kind": "spirals", "data.n": 200, "data.classes": 1}
+
+
+@pytest.mark.parametrize("argv, overrides, key", [
+    pytest.param(["graph-dump"], SPIRALS_ONE_CLASS, "data.classes", id="graph-dump"),
+    pytest.param(["pretrain"], SPIRALS_ONE_CLASS, "data.classes", id="pretrain"),
+    pytest.param(["eval", "--data", "blobs", "--checkpoint", "net.json"],
+                 {"search.n_neigh": 0}, "search.n_neigh", id="eval"),
+    pytest.param(["dynamics-bench", "--iters", "2"], {"dynamics.kappa": -1},
+                 "dynamics.kappa", id="dynamics-bench"),
+    pytest.param(["graph-dump", "--checkpoint", "net.json"],
+                 {"data.kind": "spirals", "data.n": -4}, "data.n",
+                 id="graph-dump-checkpoint"),
+])
+def test_every_command_judges_every_key(argv, overrides, key, tmp_path, monkeypatch,
+                                        caplog):
+    # Each of these once exited 0: the command never built the part of the
+    # config that reads the key (spirals reads no data.classes, eval builds
+    # no SearchConfig, dynamics-bench reads only search.seed, and graph-dump
+    # on a checkpoint builds no dataset).
+    monkeypatch.chdir(tmp_path)
+    save_blobs_checkpoint("net.json")
+    Path("config.json").write_text(json.dumps(overrides))
+    before = sorted(os.listdir())
+    argv = [*argv, "--config", "config.json"]
+    if argv[0] != "eval":
+        argv += ["--out", "out/out.json"]
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, out, err = run_cli_all(argv)
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert one_error(caplog).startswith(f"config key {key} must be in ")
+    assert sorted(os.listdir()) == before
+
+
+def test_pretrain_refuses_a_short_train_split_before_its_out(tmp_path, caplog):
+    # This once made new/sub, then exited 2 from pretraining with the
+    # batch stream's wording; search refused it before its run directory.
+    cfg = write_config(tmp_path, {"data.n": 40})
+    out = tmp_path / "new" / "sub" / "p.json"
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, stdout, err = run_cli_all(["pretrain", "--config", cfg, "--out", str(out)])
+    assert code == 2
+    assert stdout == "" and "Traceback" not in err
+    assert one_error(caplog) == "train split of 28 rows cannot fill a batch of 64"
+    assert not (tmp_path / "new").exists()
+
+
+def test_pretrain_of_no_epochs_takes_a_short_train_split(tmp_path):
+    cfg = write_config(tmp_path, {"data.n": 40, "pretrain.epochs": 0})
+    out = tmp_path / "new" / "p.json"
+    code, report = run_cli(["pretrain", "--config", cfg, "--out", str(out)])
+    assert code == 0
+    assert report["checkpoint"] == str(out)
+    assert report["final_loss"] == report["initial_loss"]
+    spec, params = sf.load_checkpoint(str(out))
+    assert len(params) == sf.param_count(spec) == report["param_count"]
+
+
 @pytest.mark.parametrize("overrides", [
     # 388 is the start network's own count, so it passes the start check
     # and every deepened child is over the cap.

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import semiflow as sf
 from semiflow.data import DataConfig
 from semiflow.errors import BadConfig, MissingFile
+from semiflow.search import MODES
 
 
 # The normalized table a manifest snapshots when no key is overridden.
@@ -395,10 +396,39 @@ def typed(table):
     return {key: (type(value), repr(value)) for key, value in table.items()}
 
 
+# The order normalize reports bad keys in: the names, then key order.
+JUDGE_ORDER = ["search.mode", "data.kind", *sf.SCHEMA]
+
+
+def refused(key, value):
+    """Whether normalize must refuse value for key: a mode or data kind that
+    does not exist, or a number outside the key's interval."""
+    if key == "search.mode":
+        return value not in MODES
+    if key == "data.kind":
+        return value not in ("blobs", "spirals", "csv", None)
+    interval = sf.SCHEMA[key][4]
+    if interval is None or value is None:
+        return False
+    lo, hi, lo_closed, hi_closed = bounds(interval)
+    return not ((lo <= value if lo_closed else lo < value)
+                and (value <= hi if hi_closed else value < hi))
+
+
 @settings(max_examples=200, deadline=None)
 @given(overrides())
 def test_manifest_replays_the_normalized_table(tmp_path_factory, raw):
-    table = sf.normalize(raw)
+    # Every drawn value is kept. normalize refuses a table that draws a
+    # value outside its key's interval or a mode or data kind that does not
+    # exist, naming the first bad key in JUDGE_ORDER; any table it accepts
+    # replays from its manifest to the same table.
+    bad = [key for key, value in raw.items() if refused(key, value)]
+    try:
+        table = sf.normalize(raw)
+    except BadConfig as err:
+        assert bad and str(err).split()[2] == min(bad, key=JUDGE_ORDER.index), str(err)
+        return
+    assert not bad
     path = str(tmp_path_factory.mktemp("manifest") / "manifest.json")
     sf.write_manifest(path, table, seed=0, version="0.1.0", outputs=[],
                       started="2020-01-01T00:00:00Z")
