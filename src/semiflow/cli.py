@@ -63,6 +63,7 @@ from .nn import (
 from .recording import MetricsWriter, json_text, utc_now, write_atomic, write_manifest
 from .search import (
     MODES,
+    SearchConfig,
     check_search,
     iters_per_epoch,
     local_graph,
@@ -156,14 +157,17 @@ def _seed(args) -> int | None:
         raise BadConfig(f"{SEED_ENV} must be an integer, got {raw!r}")
 
 
-def _load_table(args) -> dict:
-    """The normalized table of --config, each flag's key replacing the file's."""
+def _load_table(args) -> tuple[dict, SearchConfig]:
+    """The normalized table of --config, each flag's key replacing the file's,
+    and its SearchConfig, built in every command so that each judges every
+    rule of the table, the ones that are not intervals too."""
     overrides = load_config(args.config) if args.config else {}
     flags = {"data.kind": getattr(args, "data", None),
              "search.mode": getattr(args, "mode", None),
              "search.n_steps": getattr(args, "n_steps", None),
              "search.seed": _seed(args)}
-    return normalize(overrides, {k: v for k, v in flags.items() if v is not None})
+    table = normalize(overrides, {k: v for k, v in flags.items() if v is not None})
+    return table, build_search_config(table)
 
 
 def _emit(payload: dict) -> None:
@@ -186,8 +190,7 @@ def _make_out(directory: str, *files: str) -> None:
 
 
 def _cmd_search(args) -> int:
-    table = _load_table(args)
-    config = build_search_config(table)
+    table, config = _load_table(args)
     config.strict = bool(args.strict)
     data = build_dataset(table)
     check_search(config, data)
@@ -221,7 +224,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    table = _load_table(args)
+    table, _config = _load_table(args)
     spec, flat = load_checkpoint(args.checkpoint)
     data = build_dataset(table)
     if data.input_dim != spec.input_dim or data.n_classes != spec.output_dim:
@@ -243,8 +246,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    table = _load_table(args)
-    config = build_search_config(table)
+    table, config = _load_table(args)
     data = build_dataset(table)
     spec, params0 = start_network(config, data)
     if config.pretrain_epochs > 0:
@@ -315,7 +317,7 @@ def _bench_point(index, dyn, args, seed, csv_path):
 
 
 def _cmd_bench(args) -> int:
-    seed = _load_table(args)["search.seed"]
+    seed = _load_table(args)[1].seed
     grid = _bench_grid(args)
     csvs = [os.path.join(args.out, f"bench_{i:03d}.csv") for i in range(len(grid))]
     summary_path = os.path.join(args.out, "summary.json")
@@ -338,8 +340,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_graph_dump(args) -> int:
-    table = _load_table(args)
-    config = build_search_config(table)
+    table, config = _load_table(args)
     if args.checkpoint:
         spec, flat = load_checkpoint(args.checkpoint)
         config.constraints.admit(spec, "the checkpoint network")

@@ -15,7 +15,9 @@ the next incumbent. The step-size clock keeps running across rounds and into
 final training, with warm restarts every epochs_neigh epochs.
 
 A hill-climb cycle (the baseline for exploration-throughput comparisons)
-trains every child for epochs_neigh epochs and keeps the best.
+trains every child for epochs_neigh epochs and keeps the best. It and
+pretraining share the one fresh-start trainer, _train_fresh: zero velocity,
+a fresh one-arc clock and a stream per network, same-spec networks stacked.
 
 Every draw comes from data.seeded_rng(seed, *key), so two runs of one
 config draw the same. The spawn keys under the run's seed:
@@ -606,30 +608,40 @@ def _fit(
         yield state
 
 
+def _train_fresh(config: SearchConfig, train: tuple, nets: list[tuple[NetSpec, np.ndarray]],
+                 keys: list, epochs: int, lam_start: float, lam_final: float, what: str,
+                 deadline: float = math.inf) -> dict[int, np.ndarray]:
+    """The one fresh-start trainer: each (spec, params) of nets trains by _fit
+    from zero velocity on its own _stream of the train split (key keys[i])
+    and a fresh clock of one lam_start to lam_final arc over epochs epochs.
+    Nets of one spec train as one _stack, by _groups; no group starts at or
+    after the deadline. Returns the trained params by position in nets."""
+    trained: dict[int, np.ndarray] = {}
+    for group in _groups(spec for spec, _params in nets):
+        if time.perf_counter() >= deadline:
+            break
+        x = _stack([nets[i][1] for i in group])
+        stream = _stream(config, train, config.s_x, [keys[i] for i in group])
+        # A warm-restart clock's first cycle is one arc; one clock serves a stack.
+        clock = GlobalClock(stream.batches_per_epoch, epochs, lam_start, lam_final)
+        *_, fitted = _fit(nets[group[0]][0], NodeState(x, np.zeros_like(x)), stream,
+                          clock, epochs, config, what)
+        trained.update(zip(group, np.atleast_2d(fitted.x)))
+    return trained
+
+
 def pretrain(
     spec: NetSpec, data: Dataset, config: SearchConfig, params: np.ndarray
 ) -> np.ndarray:
-    """Train params by _step from zero velocity, with one cosine arc over
-    pretrain_epochs epochs from pretrain_lam_start to pretrain_lam_final, on
-    batches of s_x.
-
-    Returns the trained flat parameter vector. Raises Divergence if the loss
-    or parameters stop being finite.
-    """
-    epochs = config.pretrain_epochs
-    if epochs == 0:
+    """Train params by _train_fresh, keyed (5, 0, 0, 0), for pretrain_epochs
+    epochs from pretrain_lam_start to pretrain_lam_final on batches of s_x.
+    Returns the flat parameter vector; raises Divergence if the loss or the
+    parameters stop being finite."""
+    if config.pretrain_epochs == 0:
         return np.asarray(params, dtype=float)
-    stream = _stream(config, data.split("train"), config.s_x, [(5, 0, 0, 0)])
-    # The first cycle of a warm-restart clock is exactly one cosine arc.
-    clock = GlobalClock(
-        stream.batches_per_epoch, epochs,
-        config.pretrain_lam_start, config.pretrain_lam_final,
-    )
-    *_, state = _fit(
-        spec, NodeState(params, np.zeros_like(params)), stream, clock, epochs,
-        config, "pretraining",
-    )
-    return state.x
+    return _train_fresh(config, data.split("train"), [(spec, params)], [(5, 0, 0, 0)],
+                        config.pretrain_epochs, config.pretrain_lam_start,
+                        config.pretrain_lam_final, "pretraining")[0]
 
 
 def start_network(config: SearchConfig, data: Dataset) -> tuple[NetSpec, np.ndarray]:
@@ -758,16 +770,15 @@ def _hill_climb_cycles(config: SearchConfig, data: Dataset, incumbent: Candidate
                        deadline: float) -> Iterator[Round]:
     """The hill climber's rounds for _run: max(1, round(n_steps)) cycles,
     each begun only before the deadline, size_threshold unread. A cycle
-    trains every child by _step for epochs_neigh epochs from zero velocity,
-    on its own stream and a fresh clock; the best validation loss wins. The
-    incumbent's loss is scored once, first, then carried from the cycle
-    that picked it.
+    trains every child by _train_fresh for epochs_neigh epochs on the search
+    schedule, keyed (7, cycle, i) with i numbered across cycles; the best
+    validation loss wins. The incumbent's loss is scored once, first, then
+    carried from the cycle that picked it.
 
-    Children of one spec train in one _fit, grouped by _groups and stacked
-    by _stack and _stream, in the order of each group's first child. They
-    are scored in graph order, and one replaces the incumbent only on a
-    strictly lower loss. A cycle stops as "cap", its last, at the first
-    group begun past the deadline.
+    Children are scored in graph order, and one replaces the incumbent only
+    on a strictly lower loss. A cycle stops as "cap", its last, when the
+    deadline left a child untrained; it counts the children trained and the
+    one at which the cap fired.
     """
     train = data.split("train")
     val_x, val_y = data.split("val")
@@ -778,23 +789,11 @@ def _hill_climb_cycles(config: SearchConfig, data: Dataset, incumbent: Candidate
             return
         graph, audit = local_graph(config, cycle, incumbent.spec, incumbent.params)
         children = [graph.payload(g) for g in graph if g != graph.center]
-        trained: dict[int, np.ndarray] = {}
-        added, stop = 0, "cycle"
-        for group in _groups(child.spec for child in children):
-            if time.perf_counter() >= deadline:
-                added, stop = added + 1, "cap"
-                break
-            added += len(group)
-            x = _stack([children[i].params for i in group])
-            stream = _stream(config, train, config.s_x,
-                             [(7, cycle, explored + i) for i in group])
-            # Every fresh clock has the same schedule, so one serves a stack.
-            clock = GlobalClock.for_search(config, stream.batches_per_epoch)
-            *_, fitted = _fit(
-                children[group[0]].spec, NodeState(x, np.zeros_like(x)), stream, clock,
-                config.epochs_neigh, config, "baseline training",
-            )
-            trained.update(zip(group, np.atleast_2d(fitted.x)))
+        trained = _train_fresh(config, train, [(c.spec, c.params) for c in children],
+                               [(7, cycle, explored + i) for i in range(len(children))],
+                               config.epochs_neigh, config.lam_start, config.lam_final,
+                               "baseline training", deadline)
+        capped = len(trained) < len(children)
         # A tie or a NaN loss keeps the earlier network.
         kept = incumbent
         for i in sorted(trained):
@@ -804,8 +803,9 @@ def _hill_climb_cycles(config: SearchConfig, data: Dataset, incumbent: Candidate
                 incumbent = Candidate(children[i].spec, trained[i], None, None)
         log.debug("round %d: trained %d children, incumbent %s", cycle,
                   len(trained), "kept" if incumbent is kept else "replaced")
+        added = len(trained) + capped
         explored += added
-        yield incumbent, audit, added, stop
+        yield incumbent, audit, added, "cap" if capped else "cycle"
 
 
 def _run(config: SearchConfig, data: Dataset, out_dir: str | None,

@@ -299,6 +299,42 @@ def test_every_command_judges_every_key(argv, overrides, key, tmp_path, monkeypa
     assert sorted(os.listdir()) == before
 
 
+@pytest.mark.parametrize("overrides, message", [
+    pytest.param({"search.topology": "ring"}, "unknown topology 'ring'", id="topology"),
+    pytest.param({"dynamics.rate_mode": "fast"}, "unknown rate_mode 'fast'",
+                 id="rate-mode"),
+    pytest.param({"search.lam_start": 1e-9}, "need lam_start > lam_final, got 1e-09/1e-07",
+                 id="lam"),
+    pytest.param({"pretrain.lam_final": 0.5},
+                 "need pretrain_lam_start > pretrain_lam_final, got 0.5/0.5",
+                 id="pretrain-lam"),
+    pytest.param({"net.hidden": [16, 0]}, "hidden widths must be positive, got (16, 0)",
+                 id="hidden"),
+    pytest.param({"morphisms.p_deepen": -1.0},
+                 "morphism weight for deepen must be finite and nonnegative, got -1.0",
+                 id="mix"),
+])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["eval", "--data", "spirals", "--checkpoint", "net.json"], id="eval"),
+    pytest.param(["dynamics-bench", "--iters", "2", "--out", "out"], id="dynamics-bench"),
+])
+def test_every_command_judges_every_rule(argv, overrides, message, tmp_path, monkeypatch,
+                                         caplog):
+    # The rules that are not intervals once held only in the commands that
+    # ran a search: eval and dynamics-bench exited 0 on each of these.
+    monkeypatch.chdir(tmp_path)
+    spec = sf.NetSpec(2, 2, (4,))
+    sf.save_checkpoint("net.json", spec, sf.init_params(spec, np.random.default_rng(0)))
+    Path("config.json").write_text(json.dumps(overrides))
+    before = sorted(os.listdir())
+    with caplog.at_level("ERROR", logger="semiflow"):
+        code, out, err = run_cli_all([*argv, "--config", "config.json"])
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert one_error(caplog) == message
+    assert sorted(os.listdir()) == before
+
+
 def test_pretrain_refuses_a_short_train_split_before_its_out(tmp_path, caplog):
     # This once made new/sub, then exited 2 from pretraining with the
     # batch stream's wording; search refused it before its run directory.
@@ -481,15 +517,18 @@ def test_timeout_tolerated_without_strict(tmp_path):
 # The diverging search overflows its activations on the way to a NaN loss.
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("argv", [
-    pytest.param(["search", "--data", "spirals", "--seed", "0"],
+@pytest.mark.parametrize("argv, start", [
+    pytest.param(["search", "--data", "spirals", "--seed", "0"], "diverged: ",
                  id="search-step-too-large"),
     # The potential passes its update at -8.7e307, and at step 7 its gaps
     # add up to an infinite move-rate row.
     pytest.param(["dynamics-bench", "--order", "2", "--nodes", "6",
-                  "--tau", "100"], id="bench-rate-overflow"),
+                  "--tau", "100"], "diverged: ", id="bench-rate-overflow"),
+    # Pretraining keeps its own step size; the first cycle's children diverge.
+    pytest.param(["search", "--mode", "hillclimb", "--data", "spirals", "--seed", "0"],
+                 "diverged: baseline training", id="hillclimb-child-step-too-large"),
 ])
-def test_divergence_exits_3_with_one_line(argv, tmp_path, caplog):
+def test_divergence_exits_3_with_one_line(argv, start, tmp_path, caplog):
     # A non-finite loss (step size 50, no clipping) or move rate is a
     # divergence: exit 3 and one error line, never a traceback.
     config = tmp_path / "config.json"
@@ -501,7 +540,7 @@ def test_divergence_exits_3_with_one_line(argv, tmp_path, caplog):
     assert code == 3
     assert out == "" and "Traceback" not in err
     [record] = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert record.getMessage().startswith("diverged: ")
+    assert record.getMessage().startswith(start)
     assert "\n" not in record.getMessage()
 
 

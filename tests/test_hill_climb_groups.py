@@ -21,7 +21,7 @@ import semiflow as sf
 from semiflow import search
 from semiflow.dynamics import NodeState
 from semiflow.morphisms import Candidate
-from semiflow.search import GlobalClock, _fit, _stream_seed
+from semiflow.search import GlobalClock, _fit, _stream_seed, _train_fresh
 from test_fit_props import KNOBS, reference_steps
 from test_nn_layout import same_bits
 
@@ -242,3 +242,60 @@ def test_baseline_scores_its_incumbent_once(monkeypatch, blobs_small):
     assert result.rounds == 3
     assert result.architectures_explored == 1 + 3 * config.n_neigh
     assert at_final == [result.architectures_explored]
+
+
+SPECS = [sf.NetSpec(2, 4, (4,)), sf.NetSpec(2, 4, (5,)), sf.NetSpec(2, 4, (4, 4), ((1, 2),))]
+
+
+def fresh_problem(order):
+    """A train split, nets of the given SPECS indices (each with its own
+    parameters) and a key per net."""
+    config = sf.SearchConfig(seed=3, s_x=32, grad_clip=0.5, damping=0.7)
+    train = sf.make_blobs(200, seed=2).split("train")
+    rng = np.random.default_rng(1)
+    nets = [(SPECS[k], sf.init_params(SPECS[k], rng)) for k in order]
+    keys = [(7, 1, 1 + i) for i in range(len(nets))]
+    return config, train, nets, keys
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_train_fresh_trains_each_net_as_it_would_alone(epochs):
+    # Stacks of 3 and 2 beside a lone net, first appearances out of order:
+    # every net ends as the public steps end it alone on its key's stream
+    # and a fresh one-arc clock, and no caller's array is written.
+    config, train, nets, keys = fresh_problem([1, 0, 1, 2, 0, 1])
+    before = [params.copy() for _spec, params in nets]
+    trained = _train_fresh(config, train, nets, keys, epochs, 0.3, 1e-4, "test")
+    assert sorted(trained) == list(range(len(nets)))
+    for i, ((spec, params), key, was) in enumerate(zip(nets, keys, before)):
+        assert same_bits(params, was)
+        stream = sf.BatchStream(*train, config.s_x, _stream_seed(config.seed, *key))
+        clock = GlobalClock(stream.batches_per_epoch, epochs, 0.3, 1e-4)
+        want = reference_steps(spec, params, stream, clock, epochs, config)
+        assert same_bits(trained[i], want)
+
+
+@pytest.mark.parametrize("deadline, trained_nets", [(0.0, []), (1.0, [0, 2])],
+                         ids=["passed", "after-the-first-group"])
+def test_train_fresh_starts_no_group_at_the_deadline(monkeypatch, deadline, trained_nets):
+    # The fake clock reads the number of _fit calls so far: a deadline of 0
+    # has passed before any group, and one of 1 passes once the first
+    # group (nets 0 and 2, of one spec) has trained.
+    fits = []
+    fit = search._fit
+
+    def counted(*args, **kw):
+        fits.append(args[1].x.shape)
+        return fit(*args, **kw)
+
+    monkeypatch.setattr(search, "_fit", counted)
+    monkeypatch.setattr(search, "time",
+                        types.SimpleNamespace(perf_counter=lambda: float(len(fits))))
+    config, train, nets, keys = fresh_problem([0, 1, 0, 2])
+    whole = _train_fresh(config, train, nets, keys, 1, 0.3, 1e-4, "test")
+    assert len(fits) == 3
+    fits.clear()
+    trained = _train_fresh(config, train, nets, keys, 1, 0.3, 1e-4, "test", deadline)
+    assert sorted(trained) == trained_nets and len(fits) == len(trained) // 2
+    for i in trained_nets:
+        assert same_bits(trained[i], whole[i])
