@@ -395,7 +395,11 @@ def build_local_graph(
     """
     kinds, probs = draw_table(n_neigh, topology, mix)
     probe = rng.normal(size=(64, incumbent_spec.input_dim))
-    base_out = forward(incumbent_spec, incumbent_params, probe)
+    # As the trainers do: a diverged incumbent's huge parameters overflow
+    # the probe silently, and the round that trains them reports it.
+    quiet = dict(over="ignore", invalid="ignore")
+    with np.errstate(**quiet):
+        base_out = forward(incumbent_spec, incumbent_params, probe)
 
     children = []
     audit = []
@@ -414,8 +418,8 @@ def build_local_graph(
             raise ConstraintViolated(
                 f"no admissible morphism after {MAX_ATTEMPTS} draws: {last_error}"
             )
-        child_out = forward(child.spec, child.params, probe)
-        dev = float(np.max(np.abs(child_out - base_out)))
+        with np.errstate(**quiet):
+            dev = float(np.max(np.abs(forward(child.spec, child.params, probe) - base_out)))
         children.append(child)
         audit.append(
             {

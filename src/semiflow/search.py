@@ -42,7 +42,7 @@ import os
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -527,20 +527,17 @@ def run_round(
     incumbent: Candidate,
     config: SearchConfig,
     data: Dataset,
-    clock: GlobalClock | None = None,
+    clock: GlobalClock,
     metrics: MetricsWriter | None = None,
     round_idx: int = 1,
     budget_iters: int | None = None,
 ) -> tuple[Candidate, RoundStats, list[dict]]:
-    """One full search round on a real dataset.
+    """One search round on a real dataset, continuing the clock it is handed.
 
     Builds the local graph around the incumbent, runs the dynamics, and
     returns (next incumbent, stats, audit records). The incumbent comes back
     unchanged when the budget ran out before any stopping rule fired.
     """
-    if clock is None:
-        clock = GlobalClock.for_search(config, iters_per_epoch(data, config))
-
     velocity = incumbent.velocity
     if velocity is None:  # rides into every child: every payload has one
         velocity = np.zeros_like(incumbent.params, dtype=float)
@@ -575,6 +572,7 @@ def _fit(
     epochs: int,
     config: SearchConfig,
     what: str,
+    rows: Sequence[str] = (),
 ) -> Iterator[NodeState]:
     """Train one network, or a stack of networks of one spec, for epochs
     passes over the stream, one _step per batch at the clock's step size,
@@ -585,9 +583,10 @@ def _fit(
     Trains copies of state's arrays, so the caller's stay as they were; the
     same copies are yielded every epoch and the next epoch writes them. The
     network is bound to its copy once, checked against the stream's whole
-    split, and every step writes the copies in place. Raises Divergence,
-    naming what was being trained, if any loss stops being finite or,
-    checked after each epoch, any parameter does.
+    split, and every step writes the copies in place. Raises Divergence if
+    any loss stops being finite or, checked after each epoch, any parameter
+    does, on one line that names the first such row by _first_bad and, for
+    a loss, gives its value.
     """
     state = NodeState(state.x.copy(), state.v.copy())
     net = bind(spec, state.x, stream.features, stream.labels, stream.batch_size)
@@ -600,22 +599,33 @@ def _fit(
             for _ in range(stream.batches_per_epoch):
                 loss, grad_vec = net.loss_and_grad(*stream.next_batch())
                 if not finite(loss):
-                    raise Divergence(f"{what} loss became {loss}")
+                    row, name = _first_bad(np.isfinite(loss), what, rows)
+                    raise Divergence(f"{name} loss became {np.ravel(loss)[row]}")
                 _step(state, grad_vec, clock.tau(), config)
                 clock.advance()
-        if not np.all(np.isfinite(state.x)):
-            raise Divergence(f"{what} produced non-finite parameters")
+        rows_finite = np.isfinite(state.x).all(axis=-1)
+        if not rows_finite.all():
+            _, name = _first_bad(rows_finite, what, rows)
+            raise Divergence(f"{name} produced non-finite parameters")
         yield state
+
+
+def _first_bad(ok: Any, what: str, rows: Sequence[str]) -> tuple[int, str]:
+    """The first row whose ok is False (0 for one network), and its name:
+    what, of rows[row] when rows names each row of a stack."""
+    row = int(np.argmin(np.atleast_1d(ok)))
+    return row, f"{what} of {rows[row]}" if rows else what
 
 
 def _train_fresh(config: SearchConfig, train: tuple, nets: list[tuple[NetSpec, np.ndarray]],
                  keys: list, epochs: int, lam_start: float, lam_final: float, what: str,
-                 deadline: float = math.inf) -> dict[int, np.ndarray]:
+                 deadline: float = math.inf, rows: Sequence[str] = ()) -> dict[int, np.ndarray]:
     """The one fresh-start trainer: each (spec, params) of nets trains by _fit
     from zero velocity on its own _stream of the train split (key keys[i])
     and a fresh clock of one lam_start to lam_final arc over epochs epochs.
     Nets of one spec train as one _stack, by _groups; no group starts at or
-    after the deadline. Returns the trained params by position in nets."""
+    after the deadline. A divergence names net i as what, of rows[i] when
+    rows names each net. Returns the trained params by position in nets."""
     trained: dict[int, np.ndarray] = {}
     for group in _groups(spec for spec, _params in nets):
         if time.perf_counter() >= deadline:
@@ -625,7 +635,7 @@ def _train_fresh(config: SearchConfig, train: tuple, nets: list[tuple[NetSpec, n
         # A warm-restart clock's first cycle is one arc; one clock serves a stack.
         clock = GlobalClock(stream.batches_per_epoch, epochs, lam_start, lam_final)
         *_, fitted = _fit(nets[group[0]][0], NodeState(x, np.zeros_like(x)), stream,
-                          clock, epochs, config, what)
+                          clock, epochs, config, what, [rows[i] for i in group] if rows else ())
         trained.update(zip(group, np.atleast_2d(fitted.x)))
     return trained
 
@@ -681,13 +691,13 @@ def final_train(
     params: np.ndarray,
     data: Dataset,
     config: SearchConfig,
-    clock: GlobalClock | None = None,
+    clock: GlobalClock,
     velocity: np.ndarray | None = None,
     checkpoint_path: str | None = None,
 ) -> tuple[np.ndarray, dict[str, Any]]:
-    """Polish with warm-restart cosine training by _step until the
-    validation loss stalls for plateau_cycles consecutive cycles or the
-    final_budget of epochs ends.
+    """Polish with warm-restart cosine training by _step, continuing the
+    search clock it is handed, until the validation loss stalls for
+    plateau_cycles consecutive cycles or the final_budget of epochs ends.
 
     Returns the best parameters and their metrics, with the epochs trained
     and final_stop, the rule that ended training: "plateau" or "budget".
@@ -698,8 +708,6 @@ def final_train(
     test_x, test_y = data.split("test")
     params = np.asarray(params, dtype=float)
     stream = _stream(config, data.split("train"), config.s_x, [(6, 0)])
-    if clock is None:
-        clock = GlobalClock.for_search(config, stream.batches_per_epoch)
     vel = np.zeros_like(params) if velocity is None else np.asarray(velocity, dtype=float)
     best_val = evaluate(spec, params, val_x, val_y)[0]
     best_params = params.copy()
@@ -788,11 +796,13 @@ def _hill_climb_cycles(config: SearchConfig, data: Dataset, incumbent: Candidate
         if not time.perf_counter() < deadline:
             return
         graph, audit = local_graph(config, cycle, incumbent.spec, incumbent.params)
-        children = [graph.payload(g) for g in graph if g != graph.center]
+        child_ids = [g for g in graph if g != graph.center]
+        children = [graph.payload(g) for g in child_ids]
         trained = _train_fresh(config, train, [(c.spec, c.params) for c in children],
                                [(7, cycle, explored + i) for i in range(len(children))],
                                config.epochs_neigh, config.lam_start, config.lam_final,
-                               "baseline training", deadline)
+                               "baseline training", deadline,
+                               [f"cycle {cycle} child {g}" for g in child_ids])
         capped = len(trained) < len(children)
         # A tie or a NaN loss keeps the earlier network.
         kept = incumbent

@@ -46,6 +46,12 @@ def run_cli(argv):
     return code, payload
 
 
+def search_clock(data, config):
+    """A fresh search clock, as a run starts one, for run_round and
+    final_train."""
+    return sf.GlobalClock.for_search(config, sf.iters_per_epoch(data, config))
+
+
 @functools.cache
 def run_demo(script):
     """Run demos/<script> once per session in a fresh interpreter; the

@@ -4,6 +4,7 @@ unchanged: NodeState wraps arrays without copying them."""
 import numpy as np
 
 import semiflow as sf
+from conftest import search_clock
 from semiflow import search
 
 
@@ -31,7 +32,9 @@ def test_final_train_leaves_params_and_velocity_unchanged(blobs_small):
     params = sf.init_params(spec, rng)
     velocity = rng.normal(0.0, 0.01, params.size)
     p0, v0 = params.copy(), velocity.copy()
-    sf.final_train(spec, params, blobs_small, small_config(), velocity=velocity)
+    config = small_config()
+    sf.final_train(spec, params, blobs_small, config, search_clock(blobs_small, config),
+                   velocity=velocity)
     assert np.array_equal(params, p0)
     assert np.array_equal(velocity, v0)
 
@@ -57,7 +60,8 @@ def test_run_round_leaves_incumbent_unchanged(monkeypatch, blobs_small):
     velocity = rng.normal(0.0, 0.01, params.size)
     incumbent = sf.Candidate(spec, params, velocity)
     p0, v0 = params.copy(), velocity.copy()
-    _, stats, _ = sf.run_round(incumbent, config, blobs_small, budget_iters=3)
+    _, stats, _ = sf.run_round(incumbent, config, blobs_small,
+                               search_clock(blobs_small, config), budget_iters=3)
     assert stats.iterations >= 1
     assert np.array_equal(incumbent.params, p0)
     assert np.array_equal(incumbent.velocity, v0)

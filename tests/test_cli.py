@@ -514,26 +514,33 @@ def test_timeout_tolerated_without_strict(tmp_path):
     assert summary["timed_out_rounds"] >= 1
 
 
-# The diverging search overflows its activations on the way to a NaN loss.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("argv, start", [
-    pytest.param(["search", "--data", "spirals", "--seed", "0"], "diverged: ",
-                 id="search-step-too-large"),
+@pytest.mark.parametrize("argv, extra, start", [
+    pytest.param(["search", "--data", "spirals", "--seed", "0"], {"data.n": 400},
+                 "diverged: ", id="search-step-too-large"),
+    # Round 1 adopts a child after one step; its huge parameters overflow
+    # round 2's morphism probe before the round reports the NaN.
+    pytest.param(["search", "--data", "spirals", "--seed", "0"], {},
+                 "diverged: validation loss", id="search-probe-overflow"),
     # The potential passes its update at -8.7e307, and at step 7 its gaps
     # add up to an infinite move-rate row.
     pytest.param(["dynamics-bench", "--order", "2", "--nodes", "6",
-                  "--tau", "100"], "diverged: ", id="bench-rate-overflow"),
+                  "--tau", "100"], {"data.n": 400}, "diverged: ", id="bench-rate-overflow"),
     # Pretraining keeps its own step size; the first cycle's children diverge.
     pytest.param(["search", "--mode", "hillclimb", "--data", "spirals", "--seed", "0"],
-                 "diverged: baseline training", id="hillclimb-child-step-too-large"),
+                 {"data.n": 400}, "diverged: baseline training",
+                 id="hillclimb-child-step-too-large"),
+    # Fifteen children of one spec train as one stack: the message names one.
+    pytest.param(["search", "--mode", "hillclimb", "--data", "spirals", "--seed", "0"],
+                 {"data.n": 400, "search.n_neigh": 48},
+                 "diverged: baseline training of cycle 1 child ", id="hillclimb-stack-diverges"),
 ])
-def test_divergence_exits_3_with_one_line(argv, start, tmp_path, caplog):
+def test_divergence_exits_3_with_one_line(argv, extra, start, tmp_path, caplog):
     # A non-finite loss (step size 50, no clipping) or move rate is a
-    # divergence: exit 3 and one error line, never a traceback.
+    # divergence: exit 3 and one error line, never a traceback, and no
+    # overflow escapes as a RuntimeWarning (the suite makes them errors).
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"data.n": 400, "search.lam_start": 50.0,
-                                  "search.grad_clip": 0.0}))
+    config.write_text(json.dumps({"search.lam_start": 50.0, "search.grad_clip": 0.0,
+                                  **extra}))
     argv = argv + ["--config", str(config), "--out", str(tmp_path / "run")]
     with caplog.at_level("ERROR", logger="semiflow"):
         code, out, err = run_cli_all(argv)
@@ -1202,11 +1209,13 @@ def test_import_leaves_out_hashlib():
     assert not loads_hashlib("semiflow.cli")
 
 
-def test_divergence_prints_no_numpy_warning(tmp_path):
+@pytest.mark.parametrize("n", [400, 2000])
+def test_divergence_prints_no_numpy_warning(tmp_path, n):
     # The diverging search overflows on its way to the NaN loss it reports;
-    # stderr carries the one diverged: line and no RuntimeWarning.
+    # stderr carries the one diverged: line and no RuntimeWarning. At 2000
+    # rows the overflow comes in round 2's morphism probe.
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"data.n": 400, "search.lam_start": 50.0,
+    config.write_text(json.dumps({"data.n": n, "search.lam_start": 50.0,
                                   "search.grad_clip": 0.0}))
     src = os.path.dirname(os.path.dirname(sf.__file__))
     env = dict(os.environ, PYTHONPATH=src)

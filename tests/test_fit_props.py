@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semiflow as sf
+from conftest import search_clock
 from semiflow import search
 from semiflow.errors import BadLabel, Divergence, NonFiniteGradient
 from semiflow.search import GlobalClock, _fit
@@ -134,7 +135,7 @@ def test_pretrain_and_final_train_leave_caller_arrays(spec, seed):
     config = sf.SearchConfig(pretrain_epochs=2, final_budget=3, epochs_neigh=1,
                              s_x=16, grad_clip=0.05)
     trained = sf.pretrain(spec, data, config, x)
-    best, _ = sf.final_train(spec, x, data, config, velocity=v)
+    best, _ = sf.final_train(spec, x, data, config, search_clock(data, config), velocity=v)
     assert same_bits(x, x0) and same_bits(v, v0)
     assert not np.shares_memory(trained, x) and not np.shares_memory(best, x)
 
@@ -286,6 +287,23 @@ def test_stacked_fit_raises_on_any_rows_nonfinite_loss(spec, seed, n, data):
     assert clock.k == 0
 
 
+@settings(max_examples=20, deadline=None)
+@given(specs(), st.integers(0, 2**32 - 1), st.integers(2, 4), st.data())
+def test_stacked_fit_names_the_first_nonfinite_row(spec, seed, n, data):
+    # One line names the first row whose loss is not finite, and its value.
+    bad = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    _, _, features, labels = fit_problem(spec, seed, 24, 8)
+    xs = np.array([fit_problem(spec, seed + 1 + r, 1, 1)[0] for r in range(n)])
+    xs[bad] = np.nan
+    stream = sf.BatchStream(features, labels, 8, tuple(range(n)))
+    clock = GlobalClock(stream.batches_per_epoch, 2, 0.05, 1e-7)
+    names = [f"net {r}" for r in range(n)]
+    with pytest.raises(Divergence) as raised:
+        list(_fit(spec, sf.NodeState(xs, np.zeros_like(xs)), stream, clock, 2,
+                  sf.SearchConfig(grad_clip=1.0), "fit", names))
+    assert str(raised.value) == f"fit of net {bad[0]} loss became nan"
+
+
 # -- final training against its two-exit form ----------------------------------
 
 
@@ -387,7 +405,6 @@ def test_final_train_matches_two_exit_form(spec, seed, budget, epochs_neigh,
         seed=seed % 1000, s_x=16, final_budget=budget, epochs_neigh=epochs_neigh,
         plateau_cycles=plateau_cycles, plateau_tol=plateau_tol,
     )
-    ipe = search.iters_per_epoch(data, config)
     outcomes = []
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         saves = []
@@ -397,17 +414,15 @@ def test_final_train_matches_two_exit_form(spec, seed, budget, epochs_neigh,
         for name, fn in (("reference", reference_final_train),
                          ("final_train", search.final_train)):
             path = os.path.join(tmp, f"{name}.json")
-            clock = None
+            clock = search_clock(data, config)
             if clock_k is not None:
-                clock = GlobalClock.for_search(config, ipe)
                 clock.k = clock_k
             best, metrics = fn(spec, x, data, config, clock=clock,
                                velocity=v if with_velocity else None,
                                checkpoint_path=path)
             with open(path, "rb") as fh:
                 written = fh.read()
-            outcomes.append((best, metrics, written, saves.count(path),
-                             None if clock is None else clock.k))
+            outcomes.append((best, metrics, written, saves.count(path), clock.k))
     (want, want_m, want_file, want_saves, want_k), got = outcomes
     got_best, got_m, got_file, got_saves, got_k = got
     assert same_bits(got_best, want) and same_metrics(got_m, want_m)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import semiflow as sf
+from conftest import search_clock
 from semiflow import search
 from semiflow.errors import RoundTimeout
 from semiflow.search import DEFAULT_N_STEPS, GlobalClock, dynamics_round
@@ -125,7 +126,8 @@ def test_round_times_out_without_signal(blobs_small):
     cfg = small_config(kappa=1e-9)
     cand = incumbent_for(blobs_small, cfg)
     ipe = sf.iters_per_epoch(blobs_small, cfg)
-    new_cand, stats, audit = sf.run_round(cand, cfg, blobs_small)
+    new_cand, stats, audit = sf.run_round(cand, cfg, blobs_small,
+                                          search_clock(blobs_small, cfg))
     assert stats.timed_out
     assert stats.iterations == int(cfg.round_timeout_factor * cfg.epochs_neigh * ipe)
 
@@ -134,13 +136,14 @@ def test_round_timeout_raises_when_asked(blobs_small):
     cfg = small_config(kappa=1e-9, strict=True)
     cand = incumbent_for(blobs_small, cfg)
     with pytest.raises(RoundTimeout):
-        sf.run_round(cand, cfg, blobs_small)
+        sf.run_round(cand, cfg, blobs_small, search_clock(blobs_small, cfg))
 
 
 def test_round_budget_exhaustion(blobs_small):
     cfg = small_config(kappa=1e-9)
     cand = incumbent_for(blobs_small, cfg)
-    new_cand, stats, audit = sf.run_round(cand, cfg, blobs_small, budget_iters=5)
+    new_cand, stats, audit = sf.run_round(cand, cfg, blobs_small,
+                                          search_clock(blobs_small, cfg), budget_iters=5)
     assert stats.budget_exhausted
     assert stats.iterations == 5
 
@@ -150,7 +153,8 @@ def test_round_initializes_phi_to_zero(blobs_small):
     # at zero and kappa zero, no mutation can fire on the first iteration
     cfg = small_config(mode="nasagd", kappa=1e-12, n_steps=2.54)
     cand = incumbent_for(blobs_small, cfg)
-    new_cand, stats, audit = sf.run_round(cand, cfg, blobs_small, budget_iters=3)
+    new_cand, stats, audit = sf.run_round(cand, cfg, blobs_small,
+                                          search_clock(blobs_small, cfg), budget_iters=3)
     assert stats.movers == 0
 
 
@@ -163,7 +167,8 @@ def test_round_never_builds_a_per_node_law(monkeypatch, blobs_small, mode):
     monkeypatch.setattr(sf.MoveLaws, "__getitem__", no_dict)
     cfg = small_config(mode=mode)
     new_cand, stats, audit = sf.run_round(incumbent_for(blobs_small, cfg), cfg,
-                                          blobs_small, budget_iters=20)
+                                          blobs_small, search_clock(blobs_small, cfg),
+                                          budget_iters=20)
     assert stats.movers > 0
 
 
@@ -371,8 +376,9 @@ def test_each_phase_runs_once_per_search(monkeypatch, blobs_small, mode):
 def test_final_train_zero_budget(blobs_small):
     spec = sf.NetSpec(2, 4, (8, 8))
     params = sf.init_params(spec, np.random.default_rng(7))
-    out, metrics = sf.final_train(spec, params, blobs_small,
-                                  sf.SearchConfig(final_budget=0))
+    cfg = sf.SearchConfig(final_budget=0)
+    out, metrics = sf.final_train(spec, params, blobs_small, cfg,
+                                  search_clock(blobs_small, cfg))
     assert np.array_equal(out, params)
     assert {"val_loss", "val_accuracy", "test_loss", "test_accuracy"} <= set(metrics)
     assert metrics["epochs"] == 0.0 and metrics["final_stop"] == "budget"
@@ -385,9 +391,9 @@ def test_final_train_saves_what_it_returns(tmp_path, blobs_small, budget):
     spec = sf.NetSpec(2, 4, (8, 8))
     params = sf.init_params(spec, np.random.default_rng(7))
     path = str(tmp_path / "best.json")
-    out, _ = sf.final_train(spec, params, blobs_small,
-                            small_config(epochs_neigh=1, final_budget=budget),
-                            checkpoint_path=path)
+    cfg = small_config(epochs_neigh=1, final_budget=budget)
+    out, _ = sf.final_train(spec, params, blobs_small, cfg,
+                            search_clock(blobs_small, cfg), checkpoint_path=path)
     saved_spec, saved = sf.load_checkpoint(path)
     assert saved_spec == spec and np.array_equal(saved, out)
 
@@ -396,8 +402,10 @@ def test_final_train_plateau_stops_early(blobs_small):
     cfg = small_config(epochs_neigh=1, plateau_cycles=3, final_budget=100)
     spec = sf.NetSpec(2, 4, (8, 8))
     params = sf.init_params(spec, np.random.default_rng(8))
-    trained, m1 = sf.final_train(spec, params, blobs_small, cfg)
-    again, m2 = sf.final_train(spec, trained, blobs_small, cfg)
+    trained, m1 = sf.final_train(spec, params, blobs_small, cfg,
+                                 search_clock(blobs_small, cfg))
+    again, m2 = sf.final_train(spec, trained, blobs_small, cfg,
+                               search_clock(blobs_small, cfg))
     # a converged start should exit on the plateau rule, well inside budget
     assert m2["epochs"] < 100
 
@@ -407,6 +415,7 @@ def test_final_train_improves_accuracy(blobs_small):
     params = sf.init_params(spec, np.random.default_rng(9))
     X, y = blobs_small.split("test")
     _, acc0 = sf.evaluate(spec, params, X, y)
-    out, metrics = sf.final_train(spec, params, blobs_small,
-                                  sf.SearchConfig(final_budget=30))
+    cfg = sf.SearchConfig(final_budget=30)
+    out, metrics = sf.final_train(spec, params, blobs_small, cfg,
+                                  search_clock(blobs_small, cfg))
     assert metrics["test_accuracy"] > acc0
