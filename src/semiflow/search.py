@@ -4,7 +4,7 @@ Every mode runs one loop (_run): pretrain an initial network, repeat rounds,
 then train the last incumbent until the validation loss plateaus. The loop
 owns the clock, the run's files, the checkpoint after each round and the
 counts; each mode is a generator of rounds, which yields every round's
-incumbent and records and ends when its own rule says so.
+incumbent, audit and RoundStats and ends when its own rule says so.
 
 A particle round (nasgd, nasagd) builds a local graph (incumbent plus
 one-edit children), drops N particles on the incumbent and a ghost on every
@@ -27,7 +27,7 @@ config draw the same. The spawn keys under the run's seed:
   5, r, g, k    node g's stream in round r, k 0 for train and 1 for val;
                 round 0 is pretraining, (5, 0, 0, 0);
   6, 0          final training's stream;
-  7, c, i       hill-climb child i of cycle c, numbered across cycles;
+  7, c, i       hill-climb cycle c's children, i from 1 + (c-1)*n_neigh on;
   40, b / 41, b dynamics-bench point b's values / moves (cli.py).
 A stream's key gives its int seed (_stream_seed). Under data.py's seeds:
   90, 91, 92    the data split, blobs and spirals, under the data seed;
@@ -67,6 +67,7 @@ from .dynamics import (
 from .errors import (
     BadLabel,
     Divergence,
+    NonFiniteGradient,
     NonFiniteValue,
     RoundTimeout,
     SplitTooSmall,
@@ -248,23 +249,26 @@ class GlobalClock:
 
 @dataclass
 class RoundStats:
+    """One round's record, as both modes yield it to _run. stop is a particle
+    round's "doubling", "timeout" or "budget", or a hill-climb cycle's "cycle"
+    or "cap" (the deadline left a child untrained); adopted is the node's graph
+    id, None when the incumbent stays; explored counts the children the round
+    adds to architectures_explored; iterations are a cycle's steps per child."""
+
     iterations: int = 0
     adopted: int | None = None
-    timed_out: bool = False
-    budget_exhausted: bool = False
+    stop: str = "doubling"
+    explored: int = 0
     movers: float = 0.0
     energy_trace: list[float] = field(default_factory=list)
     final_counts: dict[int, float] = field(default_factory=dict)
 
     @property
-    def stop(self) -> str:
-        """The rule that ended the round: "doubling", "timeout" or "budget"."""
-        if self.timed_out:
-            return "timeout"
-        return "budget" if self.budget_exhausted else "doubling"
+    def timed_out(self) -> bool:
+        return self.stop == "timeout"
 
 
-Round = tuple[Candidate, list[dict], int, str]  # one round, as a mode yields it to _run
+Round = tuple[Candidate, list[dict], RoundStats]  # one round, as a mode yields it to _run
 
 
 @dataclass
@@ -407,7 +411,12 @@ def dynamics_round(
             for group, net, state in zip(groups, bound, stacked):
                 losses, grads = net.value_and_grad()
                 v_train.update(zip(group, np.atleast_1d(losses).tolist()))
-                _step(state, grads, tau, config)
+                try:
+                    _step(state, grads, tau, config)
+                except NonFiniteGradient:
+                    row = _first_bad(np.isfinite(grads).all(axis=-1), "gradient", ())[0]
+                    raise NonFiniteGradient(
+                        f"gradient at node {group[row]} contains NaN or inf") from None
             # Every group is scored before a failure is raised, so a
             # non-finite loss names the first such node in node order.
             failures, values = [], {}
@@ -438,10 +447,10 @@ def dynamics_round(
                     stats.adopted = best
                     break
             if budget_iters is not None and stats.iterations >= budget_iters:
-                stats.budget_exhausted = True
+                stats.stop = "budget"
                 break
             if stats.iterations >= timeout_iters:
-                stats.timed_out = True
+                stats.stop = "timeout"
                 if config.strict:
                     raise RoundTimeout(
                         f"no doubling after {stats.iterations} iterations"
@@ -553,15 +562,11 @@ def run_round(
         graph, objective, states, config, clock,
         seeded_rng(config.seed, 3, round_idx), metrics, round_idx, budget_iters,
     )
-    next_incumbent, adopted = incumbent, "none"
+    stats.explored = len(audit)
     if stats.adopted is not None:
         winner, state = graph.payload(stats.adopted), states[stats.adopted]
-        next_incumbent = Candidate(winner.spec, state.x.copy(), state.v.copy(),
-                                   winner.origin)
-        adopted = "incumbent" if stats.adopted == graph.center else winner.origin.kind
-    log.debug("round %d: %d iterations, stop %s, adopted %s",
-              round_idx, stats.iterations, stats.stop, adopted)
-    return next_incumbent, stats, audit
+        incumbent = Candidate(winner.spec, state.x.copy(), state.v.copy(), winner.origin)
+    return incumbent, stats, audit
 
 
 def _fit(
@@ -771,7 +776,7 @@ def _particle_rounds(config: SearchConfig, data: Dataset, incumbent: Candidate,
         round_idx += 1
         incumbent, stats, audit = run_round(incumbent, config, data, clock, metrics,
                                             round_idx, budget_iters - clock.k)
-        yield incumbent, audit, len(audit), stats.stop
+        yield incumbent, audit, stats
 
 
 def _hill_climb_cycles(config: SearchConfig, data: Dataset, incumbent: Candidate,
@@ -779,43 +784,41 @@ def _hill_climb_cycles(config: SearchConfig, data: Dataset, incumbent: Candidate
     """The hill climber's rounds for _run: max(1, round(n_steps)) cycles,
     each begun only before the deadline, size_threshold unread. A cycle
     trains every child by _train_fresh for epochs_neigh epochs on the search
-    schedule, keyed (7, cycle, i) with i numbered across cycles; the best
-    validation loss wins. The incumbent's loss is scored once, first, then
-    carried from the cycle that picked it.
+    schedule, keyed (7, cycle, i), i counting on past every earlier cycle's
+    n_neigh children; the best validation loss wins. The incumbent's loss
+    is scored once, first, then carried from the cycle that picked it.
 
     Children are scored in graph order, and one replaces the incumbent only
     on a strictly lower loss. A cycle stops as "cap", its last, when the
-    deadline left a child untrained; it counts the children trained and the
-    one at which the cap fired.
+    deadline left a child untrained; it explores the children trained and
+    the one at which the cap fired.
     """
     train = data.split("train")
     val_x, val_y = data.split("val")
+    iterations = config.epochs_neigh * iters_per_epoch(data, config)
     incumbent_loss = evaluate(incumbent.spec, incumbent.params, val_x, val_y)[0]
-    explored = 1  # stream seeds number the children across all cycles
     for cycle in range(1, max(1, int(round(config.n_steps))) + 1):
         if not time.perf_counter() < deadline:
             return
         graph, audit = local_graph(config, cycle, incumbent.spec, incumbent.params)
         child_ids = [g for g in graph if g != graph.center]
         children = [graph.payload(g) for g in child_ids]
+        first = 1 + (cycle - 1) * config.n_neigh
         trained = _train_fresh(config, train, [(c.spec, c.params) for c in children],
-                               [(7, cycle, explored + i) for i in range(len(children))],
+                               [(7, cycle, first + i) for i in range(len(children))],
                                config.epochs_neigh, config.lam_start, config.lam_final,
                                "baseline training", deadline,
                                [f"cycle {cycle} child {g}" for g in child_ids])
-        capped = len(trained) < len(children)
+        stop = "cap" if len(trained) < len(children) else "cycle"
+        stats = RoundStats(iterations, stop=stop, explored=len(trained) + (stop == "cap"))
         # A tie or a NaN loss keeps the earlier network.
-        kept = incumbent
         for i in sorted(trained):
             loss = evaluate(children[i].spec, trained[i], val_x, val_y)[0]
             if loss < incumbent_loss:
                 incumbent_loss = loss
                 incumbent = Candidate(children[i].spec, trained[i], None, None)
-        log.debug("round %d: trained %d children, incumbent %s", cycle,
-                  len(trained), "kept" if incumbent is kept else "replaced")
-        added = len(trained) + capped
-        explored += added
-        yield incumbent, audit, added, "cap" if capped else "cycle"
+                stats.adopted = child_ids[i]
+        yield incumbent, audit, stats
 
 
 def _run(config: SearchConfig, data: Dataset, out_dir: str | None,
@@ -825,9 +828,9 @@ def _run(config: SearchConfig, data: Dataset, out_dir: str | None,
     Each mode is a generator of rounds, picked by config.mode: particle
     rounds, or hill-climb cycles against a deadline wallclock_cap seconds
     after pretraining. A round yields (next incumbent, audit records,
-    children explored, stop); stop is a RoundStats.stop, "cycle", or "cap"
-    for the cycle the deadline cut short, which goes uncounted. After each
-    round its records go to morphisms.jsonl and its incumbent to best.json.
+    RoundStats); the loop numbers rounds and sums SearchResult's counts by
+    their RoundStats, a "cap" cycle no round, and writes each round's records,
+    incumbent and one DEBUG line to morphisms.jsonl, best.json and the log.
     Final training runs on the loop's clock unless there is a wallclock_cap.
     """
     t_start = time.perf_counter()
@@ -853,14 +856,16 @@ def _run(config: SearchConfig, data: Dataset, out_dir: str | None,
             mode_rounds = _hill_climb_cycles(config, data, incumbent, deadline)
         else:
             mode_rounds = _particle_rounds(config, data, incumbent, clock, metrics)
-        explored, rounds, timed_out = 1, 0, 0
-        for incumbent, audit, added, stop in mode_rounds:
+        records: list[RoundStats] = []
+        for incumbent, audit, stats in mode_rounds:
+            records.append(stats)
             if audit_writer is not None:
                 for record in audit:
-                    audit_writer.write({"round": rounds + 1, **record})
-            explored += added
-            rounds += stop != "cap"
-            timed_out += stop == "timeout"
+                    audit_writer.write({"round": len(records), **record})
+            kinds = {None: "none", **{record["child_id"]: record["kind"] for record in audit}}
+            log.debug("round %d: stop %s, %d iterations, %d explored, adopted %s", len(records),
+                      stats.stop, stats.iterations, stats.explored,
+                      kinds.get(stats.adopted, "incumbent"))
             if best_path is not None:
                 save_checkpoint(best_path, incumbent.spec, incumbent.params)
         search_secs = time.perf_counter() - t_search
@@ -874,12 +879,12 @@ def _run(config: SearchConfig, data: Dataset, out_dir: str | None,
         return SearchResult(
             best_spec=incumbent.spec,
             best_params=best_params,
-            rounds=rounds,
-            architectures_explored=explored,
+            rounds=sum(stats.stop != "cap" for stats in records),
+            architectures_explored=1 + sum(stats.explored for stats in records),
             wallclock=time.perf_counter() - t_start,
             search_wallclock=search_secs,
             test_metrics=test_metrics,
-            timed_out_rounds=timed_out,
+            timed_out_rounds=sum(stats.timed_out for stats in records),
         )
 
 

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -533,6 +534,12 @@ def test_timeout_tolerated_without_strict(tmp_path):
     pytest.param(["search", "--mode", "hillclimb", "--data", "spirals", "--seed", "0"],
                  {"data.n": 400, "search.n_neigh": 48},
                  "diverged: baseline training of cycle 1 child ", id="hillclimb-stack-diverges"),
+    # Clipped steps of 500 run 43 rounds; in round 44 a child's gradient
+    # is no longer finite, and the round names that node.
+    pytest.param(["search", "--data", "spirals", "--seed", "0"],
+                 {"data.n": 400, "search.lam_start": 500, "search.grad_clip": 1,
+                  "pretrain.epochs": 0},
+                 "diverged: gradient at node ", id="search-round-gradient"),
 ])
 def test_divergence_exits_3_with_one_line(argv, extra, start, tmp_path, caplog):
     # A non-finite loss (step size 50, no clipping) or move rate is a
@@ -903,8 +910,17 @@ def test_verbose_logs_one_debug_line_per_round(mode, tmp_path, caplog):
                               if r.levelname == "DEBUG"]
         artifacts[bool(flags)] = [(out_dir / name).read_bytes()
                                   for name in ("best.json", "morphisms.jsonl")]
-    rounds = [line for line in debug[True] if line.startswith("round ")]
-    assert len(rounds) == summary["rounds"] >= 1
+    # One format in both modes, rounds numbered 1.. in order, a stop of the
+    # mode's own rules and the explored counts that the summary sums.
+    line = re.compile(r"round (\d+): stop (\w+), (\d+) iterations, (\d+) explored, "
+                      r"adopted (\w+)$")
+    rounds = [line.match(text) for text in debug[True] if text.startswith("round ")]
+    assert all(rounds) and len(rounds) == summary["rounds"] >= 1
+    assert [int(m[1]) for m in rounds] == list(range(1, summary["rounds"] + 1))
+    stops = {"cycle", "cap"} if mode == "hillclimb" else {"doubling", "timeout", "budget"}
+    assert {m[2] for m in rounds} <= stops
+    assert {m[5] for m in rounds} <= {*sf.ALL_KINDS, "incumbent", "none"}
+    assert 1 + sum(int(m[4]) for m in rounds) == summary["architectures_explored"]
     assert debug[True][-1] == (f"final training: {summary['epochs']:.0f} epochs, "
                                f"stop {summary['final_stop']}")
     assert debug[False] == []

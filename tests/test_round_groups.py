@@ -73,10 +73,10 @@ def reference_round(graph, specs, states, config, clock, rng, batches,
             stats.adopted = best
             break
         if stats.iterations >= budget_iters:
-            stats.budget_exhausted = True
+            stats.stop = "budget"
             break
         if stats.iterations >= timeout_iters:
-            stats.timed_out = True
+            stats.stop = "timeout"
             stats.adopted = min(nodes, key=lambda g: (-ensemble.counts[g], g))
             break
     stats.final_counts = dict(ensemble.counts)
@@ -333,7 +333,8 @@ def test_nonfinite_gradient_on_nets_restores_states(blobs_small):
     assert len(group) >= 2
     states = fresh_states(graph, 1)
     states[group[1]].x[:] = math.nan
-    with pytest.raises(NonFiniteGradient):
+    with pytest.raises(NonFiniteGradient,
+                       match=f"^gradient at node {group[1]} contains NaN or inf$"):
         run_net_round(blobs_small, config, graph, specs, states)
     assert sorted(states) == graph.nodes()
     for g in graph.nodes():

@@ -2,6 +2,7 @@
 
 import math
 import time
+import types
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ def test_round_budget_exhaustion(blobs_small):
     cand = incumbent_for(blobs_small, cfg)
     new_cand, stats, audit = sf.run_round(cand, cfg, blobs_small,
                                           search_clock(blobs_small, cfg), budget_iters=5)
-    assert stats.budget_exhausted
+    assert stats.stop == "budget"
     assert stats.iterations == 5
 
 
@@ -329,6 +330,61 @@ def test_hillclimb_respects_wallclock_cap(blobs_small, cap):
     assert res.rounds == 0
     assert res.architectures_explored == 1
     assert res.test_metrics == {}
+
+
+@pytest.mark.parametrize("mode, capped", [
+    ("nasgd", False), ("nasagd", False), ("hillclimb", False), ("hillclimb", True),
+], ids=["nasgd", "nasagd", "hillclimb", "hillclimb-capped"])
+def test_search_counts_are_sums_over_round_records(monkeypatch, blobs_small, mode, capped):
+    # _run takes every count from the RoundStats its mode yields. A particle
+    # round explores its audit's children; a cycle, the children it trained
+    # and, when the deadline cut it, the one at which the cap fired.
+    records, trained = [], []
+    for name in ("_particle_rounds", "_hill_climb_cycles"):
+        def recorded(*args, _rounds=getattr(search, name), **kw):
+            for incumbent, audit, stats in _rounds(*args, **kw):
+                records.append((audit, stats))
+                yield incumbent, audit, stats
+
+        monkeypatch.setattr(search, name, recorded)
+    train_fresh = search._train_fresh
+
+    def counted(*args, **kw):
+        nets = train_fresh(*args, **kw)
+        trained.append(len(nets))
+        return nets
+
+    monkeypatch.setattr(search, "_train_fresh", counted)
+    cfg = small_config(mode=mode, n_neigh=5, n_steps=2.0, round_timeout_factor=1.0,
+                       pretrain_epochs=0, final_budget=0, hidden=(4,), epochs_neigh=1)
+    if capped:
+        # The clock reads the groups trained so far: cycle 2 trains its first
+        # group of same-spec children, and the cap fires at its second.
+        fits, fit = [], search._fit
+        monkeypatch.setattr(search, "_fit", lambda *a, **kw: fits.append(a) or fit(*a, **kw))
+        monkeypatch.setattr(search, "time",
+                            types.SimpleNamespace(perf_counter=lambda: float(len(fits))))
+        spec, params = search.start_network(cfg, blobs_small)
+        graph, _ = search.local_graph(cfg, 1, spec, params)
+        cap = len({graph.payload(g).spec for g in graph if g != graph.center}) + 1
+        result = sf.hill_climb_baseline(cfg, blobs_small, wallclock_cap=cap)
+        assert [stats.stop for _, stats in records] == ["cycle", "cap"]
+    else:
+        result = sf.run_search(cfg, blobs_small)
+    rounds = [stats for _, stats in records]
+    assert result.rounds == sum(stats.stop != "cap" for stats in rounds) >= 1
+    assert result.architectures_explored == 1 + sum(stats.explored for stats in rounds)
+    assert result.timed_out_rounds == sum(stats.timed_out for stats in rounds)
+    if mode != "hillclimb":
+        assert {stats.stop for stats in rounds} <= {"doubling", "timeout", "budget"}
+        assert all(stats.explored == len(audit) for audit, stats in records)
+        return
+    assert len(trained) == len(rounds)
+    for (audit, stats), n in zip(records, trained):
+        if stats.stop == "cap":
+            assert n < len(audit) and stats.explored == n + 1
+        else:
+            assert stats.stop == "cycle" and stats.explored == n == len(audit)
 
 
 def test_hillclimb_cap_starts_after_pretraining(monkeypatch, blobs_small):
