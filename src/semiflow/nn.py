@@ -25,12 +25,18 @@ and runs the body every step, updating the bound vector in place.
 
 The kernels take a leading stack axis: params (..., P), inputs
 (..., batch, input_dim) and labels (..., batch) train or score a stack of
-networks of one spec in one call, so a search round pays numpy's per-call
-cost once per architecture instead of once per candidate. Each row comes
-out bit for bit as its own call would give it: a stacked matmul makes the
-same per-matrix BLAS call, and every sum runs per row over the same
-contiguous data in the same order. A single network is the 1-D case of the
-same code.
+networks of one spec in one call. Each row comes out bit for bit as its own
+call would give it: a stacked matmul makes the same per-matrix BLAS call,
+and every sum runs per row over the same contiguous data in the same order.
+A single network is the 1-D case of the same code.
+
+Networks of one shape class (shape_class: depth and skips) stack as
+networks of the class's wide spec (wide_spec), each one's entries at
+places(spec, wide) and zeros elsewhere, so a search round pays numpy's
+per-call cost once per shape class instead of once per candidate. A padded
+network computes its own function: its padded units output zero and get a
+zero gradient. Its numbers agree with its own call's to rounding, since
+BLAS sums a widened product in other blocks.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -147,6 +153,39 @@ def layout(spec: NetSpec) -> Layout:
 
 def param_count(spec: NetSpec) -> int:
     return layout(spec).n_params
+
+
+def shape_class(spec: NetSpec) -> tuple:
+    """What networks must share to train as one zero-padded stack: input
+    and output widths, depth and skips. Hidden widths may differ."""
+    return spec.input_dim, spec.output_dim, len(spec.hidden), spec.skips
+
+
+def wide_spec(specs: Iterable[NetSpec]) -> NetSpec:
+    """The spec a shape class stacks as: at each hidden layer, the widest
+    member's width. Each skip joins equal widths in every member, so it
+    joins equal widths here too."""
+    specs = list(specs)
+    hidden = tuple(map(max, zip(*(spec.hidden for spec in specs))))
+    return NetSpec(specs[0].input_dim, specs[0].output_dim, hidden, specs[0].skips)
+
+
+@lru_cache(maxsize=1024)
+def places(spec: NetSpec, wide: NetSpec) -> np.ndarray:
+    """Where each of spec's flat entries sits in the flat vector of wide, a
+    spec of its shape class as wide or wider at every layer: each block of
+    spec fills the top left of wide's block. Cached, so read-only. A padded
+    unit has zero in-weights, bias and skip input, so its output and its
+    gradient are zero: every padded entry stays +0.0 under a step."""
+    wide_lay, own_lay = layout(wide), layout(spec)
+    wide_at = _views(wide_lay, np.arange(wide_lay.n_params))
+    out = np.empty(own_lay.n_params, dtype=np.intp)
+    own = _views(own_lay, out)
+    for dst, src in zip([*own.weights, *own.biases, own.scales],
+                        [*wide_at.weights, *wide_at.biases, wide_at.scales]):
+        dst[...] = src[tuple(slice(n) for n in dst.shape)]
+    out.flags.writeable = False
+    return out
 
 
 @dataclass

@@ -7,14 +7,22 @@ for the whole round, where x is (P,) for a group of one and the parameters
 stacked row by row, (n, P), for more. value_and_grad() gives one training
 loss per node and a gradient shaped as x; value() gives one validation loss
 per node. Each call draws the group's next batch itself, and each row is
-bit for bit what that node's own call on its own batch gives. The round
-writes x in place between calls, and the bound group reads those writes.
-Two implementations ship: an analytic quadratic (for dynamics tests and
-benches; nodes of one dimension form a group; it has no batches) and the
-miniature networks (search.NetObjective, the real workload; nodes of one
-NetSpec form a group, and each bound group holds its stacked train and val
-streams and one bound network per stream). Validation losses are smoothed
-per node by an exponential moving average and are never backpropagated.
+that node's own call on its own batch. The round writes x in place between
+calls, and the bound group reads those writes.
+
+Nodes of one group may differ in size. Such an objective also has
+packing(group): a Packing that zero-pads each node's vector to one row of
+the group's width, or None when the group's rows are whole. The round packs
+x and the velocity by it and takes each node's own entries back when it
+ends. Two implementations ship: an analytic quadratic (for dynamics tests
+and benches; nodes of one dimension form a group, rows whole; it has no
+batches) and the miniature networks (search.NetObjective, the real workload;
+nodes of one shape class, nn.shape_class, form a group, padded to its wide
+spec, nn.wide_spec; each bound group holds its stacked train and val streams
+and one bound network per stream). A node's row gives what its own call
+gives: bit for bit for whole rows, and to rounding where padding changed the
+shapes BLAS sums over. Validation losses are smoothed per node by an
+exponential moving average and are never backpropagated.
 """
 
 from __future__ import annotations
@@ -37,9 +45,20 @@ class BoundGroup(NamedTuple):
     value_and_grad: Callable[[], tuple[np.ndarray, np.ndarray]]
 
 
+class Packing(NamedTuple):
+    """How the nodes of one group that differ in size share a stacked row:
+    each row holds width entries, node i's own at places[i] and zeros
+    elsewhere."""
+
+    width: int
+    places: tuple[np.ndarray, ...]
+
+
 class ObjectiveHandle(Protocol):
     """group_key(g) names the nodes that share one call; bind(group, x)
-    binds them on x, (P,) for a group of one (see the module docstring)."""
+    binds them on x, (P,) for a group of one. An objective whose grouped
+    nodes differ in size also has packing(group) (see the module
+    docstring)."""
 
     def group_key(self, g: int) -> Hashable: ...
 
@@ -124,18 +143,20 @@ def eval_val(
 def clip_gradient(vec: np.ndarray, max_norm: float) -> np.ndarray:
     """Rescale vec in place to L2 norm max_norm when its norm exceeds it,
     and return it. A stack of gradients (..., P) is clipped row by row,
-    each by its own norm."""
+    each by its own norm, with the bits of its own 1-D call."""
     if max_norm <= 0:
-        return vec
-    if vec.ndim > 1:
-        # Each row by the 1-D arithmetic: norm(axis=-1) rounds otherwise.
-        for row in vec:
-            clip_gradient(row, max_norm)
         return vec
     # np.linalg.norm's arithmetic for a 1-D float vector: the dot product of
     # its contiguous copy (a strided dot can round differently), then sqrt.
+    # A stack's 1 x P by P x 1 products take the same dot routine per row.
     flat = np.ascontiguousarray(vec)
-    norm = math.sqrt(flat @ flat)
-    if norm > max_norm:
-        vec *= max_norm / norm
+    if vec.ndim == 1:
+        norm = math.sqrt(flat @ flat)
+        if norm > max_norm:
+            vec *= max_norm / norm
+        return vec
+    norm = np.sqrt(np.matmul(flat[..., None, :], flat[..., :, None])[..., 0, 0])
+    # max_norm / max(norm, max_norm): max_norm / norm above the bound and
+    # exactly 1.0 within it; a NaN norm, as the 1-D test, leaves its row be.
+    vec *= (max_norm / np.fmax(norm, max_norm))[..., None]
     return vec

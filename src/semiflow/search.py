@@ -17,7 +17,11 @@ final training, with warm restarts every epochs_neigh epochs.
 A hill-climb cycle (the baseline for exploration-throughput comparisons)
 trains every child for epochs_neigh epochs and keeps the best. It and
 pretraining share the one fresh-start trainer, _train_fresh: zero velocity,
-a fresh one-arc clock and a stream per network, same-spec networks stacked.
+a fresh one-arc clock and a stream per network.
+
+Both modes stack each shape class (nn.shape_class) of their networks, each
+zero-padded to the class's wide spec and cut back to its own entries when
+the round or cycle ends (_packing, _stack, _unstack).
 
 Every draw comes from data.seeded_rng(seed, *key), so two runs of one
 config draw the same. The spawn keys under the run's seed:
@@ -89,11 +93,15 @@ from .nn import (
     loss_and_grad,  # noqa: F401
     loss_only,  # noqa: F401
     param_count,
+    places,
     save_checkpoint,
+    shape_class,
+    wide_spec,
 )
 from .objective import (
     BoundGroup,
     ObjectiveHandle,
+    Packing,
     ValTracker,
     clip_gradient,
     eval_val,
@@ -190,10 +198,35 @@ def _stream_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1)[0])
 
 
-def _stack(rows: list[np.ndarray]) -> np.ndarray:
-    """A group of same-spec vectors as a new float array: a group of one is
-    1-D (P,), the shape of every lone network; more stack as (n, P)."""
-    return np.array(rows[0] if len(rows) == 1 else rows, dtype=float)
+def _packing(specs: Sequence[NetSpec]) -> Packing | None:
+    """How networks of one shape class stack: None when they share one spec,
+    whose rows stack whole, else each zero-padded to the class's wide spec
+    (nn.places)."""
+    wide = wide_spec(specs)
+    if all(spec == wide for spec in specs):
+        return None
+    return Packing(param_count(wide), tuple(places(spec, wide) for spec in specs))
+
+
+def _stack(rows: list[np.ndarray], packing: Packing | None = None) -> np.ndarray:
+    """A group's vectors as a new float array: a group of one is 1-D (P,),
+    the shape of every lone network; more stack as (n, P), each row
+    zero-padded to packing's width when there is a packing."""
+    if packing is None:
+        return np.array(rows[0] if len(rows) == 1 else rows, dtype=float)
+    x = np.zeros((len(rows), packing.width))
+    for row, place, values in zip(x, packing.places, rows):
+        row[place] = values
+    return x
+
+
+def _unstack(x: np.ndarray, packing: Packing | None = None) -> list[np.ndarray]:
+    """Each node's own vector out of a group's array, by _stack's rule:
+    views of whole rows, copies of each node's places when padded."""
+    rows = np.atleast_2d(x)
+    if packing is None:
+        return list(rows)
+    return [row[place] for row, place in zip(rows, packing.places)]
 
 
 def _stream(config: SearchConfig, split: tuple, size: int, keys: list) -> BatchStream:
@@ -253,12 +286,15 @@ class RoundStats:
     round's "doubling", "timeout" or "budget", or a hill-climb cycle's "cycle"
     or "cap" (the deadline left a child untrained); adopted is the node's graph
     id, None when the incumbent stays; explored counts the children the round
-    adds to architectures_explored; iterations are a cycle's steps per child."""
+    adds to architectures_explored; iterations are a cycle's steps per child;
+    stacks counts the groups the round trained, one kernel call each a step:
+    every group of a particle round, the groups of a cycle that trained."""
 
     iterations: int = 0
     adopted: int | None = None
     stop: str = "doubling"
     explored: int = 0
+    stacks: int = 0
     movers: float = 0.0
     energy_trace: list[float] = field(default_factory=list)
     final_counts: dict[int, float] = field(default_factory=dict)
@@ -378,9 +414,11 @@ def dynamics_round(
     (stats.adopted stays None: the caller keeps its incumbent).
 
     Each group of nodes with one objective.group_key is bound once on its
-    parameters, 1-D or stacked by _stack (objective.bind). Each clock tick
-    then trains (by _step) and scores every group with one call each, in
-    place. states[g] holds each node's last x and v when the round ends.
+    parameters, 1-D or stacked by _stack and, when its nodes differ in size,
+    padded by the objective's packing(group) (objective.bind). Each clock
+    tick then trains (by _step) and scores every group with one call each,
+    in place. states[g] holds each node's last x and v, its own entries cut
+    back out of its group's by _unstack, however the round ends.
     """
     dyn = config.dynamics()
     nodes = graph.nodes()
@@ -394,11 +432,15 @@ def dynamics_round(
     stats = RoundStats()
     v_train: dict[int, float] = {}
     # One state per group of nodes that share a kernel call (_stack); row i
-    # of a group's x and v is its i-th node's. states gets the rows back, as
-    # views, however the round ends. Node ids are their positions.
+    # of a group's x and v is its i-th node's. Node ids are their positions.
+    # An objective without packing stacks whole rows.
     groups = _groups(objective.group_key(g) for g in nodes)
-    stacked = [NodeState(_stack([states[g].x for g in group]),
-                         _stack([states[g].v for g in group])) for group in groups]
+    stats.stacks = len(groups)
+    packing = getattr(objective, "packing", lambda group: None)
+    packings = [packing(group) for group in groups]
+    stacked = [NodeState(_stack([states[g].x for g in group], pack),
+                         _stack([states[g].v for g in group], pack))
+               for group, pack in zip(groups, packings)]
 
     try:
         # train_step writes each group's state in place, so the bound
@@ -458,8 +500,8 @@ def dynamics_round(
                 stats.adopted = min(nodes, key=lambda g: (-ensemble.counts[g], g))
                 break
     finally:
-        for group, state in zip(groups, stacked):
-            rows = zip(np.atleast_2d(state.x), np.atleast_2d(state.v))
+        for group, state, pack in zip(groups, stacked, packings):
+            rows = zip(_unstack(state.x, pack), _unstack(state.v, pack))
             states.update(zip(group, (NodeState(x, v) for x, v in rows)))
 
     stats.final_counts = dict(ensemble.counts)
@@ -470,10 +512,12 @@ class NetObjective:
     """ObjectiveHandle over per-node architectures trained on one dataset
     in one round of a search.
 
-    Nodes of one NetSpec form a group. A bound group draws its batches from
-    its train and val streams (streams) and runs them through two networks
-    bound to its parameters, (P,) or (n, P) by _stack: one at s_x for
-    training, one at s_y for scoring, each checked against its split once.
+    Nodes of one shape class (nn.shape_class) form a group, packed by
+    _packing: padded to the class's wide spec when their specs differ. A
+    bound group draws its batches from its train and val streams (streams)
+    and runs them through two networks of the wide spec bound to its
+    parameters, (P,) or (n, P) by _stack: one at s_x for training, one at
+    s_y for scoring, each checked against its split once.
     """
 
     def __init__(self, specs: Mapping[int, NetSpec], data: Dataset,
@@ -484,7 +528,10 @@ class NetObjective:
         self.splits = (data.split("train"), data.split("val"))
 
     def group_key(self, g):
-        return self.specs[g]
+        return shape_class(self.specs[g])
+
+    def packing(self, group: tuple[int, ...]) -> Packing | None:
+        return _packing([self.specs[g] for g in group])
 
     def streams(self, group: tuple[int, ...]) -> tuple[BatchStream, BatchStream]:
         """The group's train and val streams for the round, by _stream: row i
@@ -495,7 +542,7 @@ class NetObjective:
                 _stream(config, val, config.s_y, [(5, r, g, 1) for g in group]))
 
     def bind(self, group: tuple[int, ...], x: np.ndarray) -> BoundGroup:
-        spec = self.specs[group[0]]
+        spec = wide_spec(self.specs[g] for g in group)
         train, val = self.streams(group)
         fit = bind(spec, x, train.features, train.labels, train.batch_size)
         score = bind(spec, x, val.features, val.labels, val.batch_size)
@@ -579,9 +626,10 @@ def _fit(
     what: str,
     rows: Sequence[str] = (),
 ) -> Iterator[NodeState]:
-    """Train one network, or a stack of networks of one spec, for epochs
-    passes over the stream, one _step per batch at the clock's step size,
-    yielding its state after each epoch.
+    """Train one network, or a stack of networks of one spec (a shape
+    class's wide spec, when padded), for epochs passes over the stream, one
+    _step per batch at the clock's step size, yielding its state after each
+    epoch.
 
     A stack's state is (n, P) and its stream stacks n seeds; each row trains
     bit for bit as its own network would on its own stream and clock.
@@ -628,20 +676,23 @@ def _train_fresh(config: SearchConfig, train: tuple, nets: list[tuple[NetSpec, n
     """The one fresh-start trainer: each (spec, params) of nets trains by _fit
     from zero velocity on its own _stream of the train split (key keys[i])
     and a fresh clock of one lam_start to lam_final arc over epochs epochs.
-    Nets of one spec train as one _stack, by _groups; no group starts at or
-    after the deadline. A divergence names net i as what, of rows[i] when
-    rows names each net. Returns the trained params by position in nets."""
+    Nets of one shape class train as one _stack of their wide spec, by
+    _groups and _packing; no group starts at or after the deadline. A
+    divergence names net i as what, of rows[i] when rows names each net.
+    Returns the trained params by position in nets, each its own size."""
     trained: dict[int, np.ndarray] = {}
-    for group in _groups(spec for spec, _params in nets):
+    for group in _groups(shape_class(spec) for spec, _params in nets):
         if time.perf_counter() >= deadline:
             break
-        x = _stack([nets[i][1] for i in group])
+        specs = [nets[i][0] for i in group]
+        packing = _packing(specs)
+        x = _stack([nets[i][1] for i in group], packing)
         stream = _stream(config, train, config.s_x, [keys[i] for i in group])
         # A warm-restart clock's first cycle is one arc; one clock serves a stack.
         clock = GlobalClock(stream.batches_per_epoch, epochs, lam_start, lam_final)
-        *_, fitted = _fit(nets[group[0]][0], NodeState(x, np.zeros_like(x)), stream,
+        *_, fitted = _fit(wide_spec(specs), NodeState(x, np.zeros_like(x)), stream,
                           clock, epochs, config, what, [rows[i] for i in group] if rows else ())
-        trained.update(zip(group, np.atleast_2d(fitted.x)))
+        trained.update(zip(group, _unstack(fitted.x, packing)))
     return trained
 
 
@@ -810,7 +861,8 @@ def _hill_climb_cycles(config: SearchConfig, data: Dataset, incumbent: Candidate
                                "baseline training", deadline,
                                [f"cycle {cycle} child {g}" for g in child_ids])
         stop = "cap" if len(trained) < len(children) else "cycle"
-        stats = RoundStats(iterations, stop=stop, explored=len(trained) + (stop == "cap"))
+        stats = RoundStats(iterations, stop=stop, explored=len(trained) + (stop == "cap"),
+                           stacks=len({shape_class(children[i].spec) for i in trained}))
         # A tie or a NaN loss keeps the earlier network.
         for i in sorted(trained):
             loss = evaluate(children[i].spec, trained[i], val_x, val_y)[0]
@@ -863,8 +915,8 @@ def _run(config: SearchConfig, data: Dataset, out_dir: str | None,
                 for record in audit:
                     audit_writer.write({"round": len(records), **record})
             kinds = {None: "none", **{record["child_id"]: record["kind"] for record in audit}}
-            log.debug("round %d: stop %s, %d iterations, %d explored, adopted %s", len(records),
-                      stats.stop, stats.iterations, stats.explored,
+            log.debug("round %d: stop %s, %d iterations, %d explored, %d stacks, adopted %s",
+                      len(records), stats.stop, stats.iterations, stats.explored, stats.stacks,
                       kinds.get(stats.adopted, "incumbent"))
             if best_path is not None:
                 save_checkpoint(best_path, incumbent.spec, incumbent.params)
@@ -911,7 +963,7 @@ def hill_climb_baseline(
     """Sequential-training baseline: _run's loop with _hill_climb_cycles;
     n_steps is the number of cycles.
 
-    With a wallclock_cap, no cycle or group of same-spec children starts once
+    With a wallclock_cap, no cycle or group of one shape class starts once
     the search phase, which begins after pretraining as in run_search, has
     run that long, and final training is skipped; architectures_explored
     counts every child trained plus the one at which the cap fired.

@@ -22,6 +22,7 @@ import semiflow.cli as cli
 import semiflow.morphisms as morphisms
 import semiflow.search as search
 from semiflow.data import BatchStream, make_blobs
+from semiflow.nn import shape_class
 from semiflow.search import SearchConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -104,7 +105,7 @@ def test_phase_marks_reach_the_search(monkeypatch, tmp_path, mode):
 def test_child_steps_count_once_each(monkeypatch):
     # The tracer counts search.candidate_steps at search.train_step, and
     # objective.clip_gradient at search.clip_gradient. Hill-climb children of
-    # one spec train as one stack, so each step of each same-spec group
+    # one shape class train as one stack, so each step of each class's group
     # calls each of them exactly once.
     calls = {"train_step": 0, "clip_gradient": 0}
     for attr in calls:
@@ -129,7 +130,7 @@ def test_child_steps_count_once_each(monkeypatch):
     data = make_blobs(200, seed=0)
     result = search.run_search(config, data)
     groups = sum(
-        len({graph.payload(g).spec for g in graph if g != graph.center})
+        len({shape_class(graph.payload(g).spec) for g in graph if g != graph.center})
         for graph in graphs
     )
     children = result.architectures_explored - 1

@@ -911,15 +911,19 @@ def test_verbose_logs_one_debug_line_per_round(mode, tmp_path, caplog):
         artifacts[bool(flags)] = [(out_dir / name).read_bytes()
                                   for name in ("best.json", "morphisms.jsonl")]
     # One format in both modes, rounds numbered 1.. in order, a stop of the
-    # mode's own rules and the explored counts that the summary sums.
+    # mode's own rules, the explored counts that the summary sums, and the
+    # stacks trained: at least one, at most one per node (a round's explored
+    # children and its incumbent, or a cycle's trained children).
     line = re.compile(r"round (\d+): stop (\w+), (\d+) iterations, (\d+) explored, "
-                      r"adopted (\w+)$")
+                      r"(\d+) stacks, adopted (\w+)$")
     rounds = [line.match(text) for text in debug[True] if text.startswith("round ")]
     assert all(rounds) and len(rounds) == summary["rounds"] >= 1
     assert [int(m[1]) for m in rounds] == list(range(1, summary["rounds"] + 1))
     stops = {"cycle", "cap"} if mode == "hillclimb" else {"doubling", "timeout", "budget"}
     assert {m[2] for m in rounds} <= stops
-    assert {m[5] for m in rounds} <= {*sf.ALL_KINDS, "incumbent", "none"}
+    nodes = [int(m[4]) + (mode != "hillclimb") for m in rounds]
+    assert all(1 <= int(m[5]) <= n for m, n in zip(rounds, nodes))
+    assert {m[6] for m in rounds} <= {*sf.ALL_KINDS, "incumbent", "none"}
     assert 1 + sum(int(m[4]) for m in rounds) == summary["architectures_explored"]
     assert debug[True][-1] == (f"final training: {summary['epochs']:.0f} epochs, "
                                f"stop {summary['final_stop']}")

@@ -18,7 +18,11 @@ rounds, hill-climb children, final training) took the config's step.
 The README's reference runs, `search --data spirals --seed 0` in each mode
 at its defaults, are checked too. Their digests were recorded before the
 search modes became generators of rounds; the same digests come out whether
-the search runs in-process or as a CLI process.
+the search runs in-process or as a CLI process. The nasgd and nasagd
+metrics.csv were re-recorded once rounds stacked every shape class
+zero-padded to its widest member: BLAS sums the widened products in other
+blocks, which moved the last bits of some recorded losses. Their best.json
+and morphisms.jsonl did not move.
 
 Every file `dynamics-bench` writes at its defaults is pinned as well, for
 each order with expected and with sampled moves. No path enters those files,
@@ -99,7 +103,7 @@ GOLDEN = {
 REFERENCE = {
     "nasgd": {
         "metrics.csv":
-            "9c5f4511197e17c4dc4a1aeba687a6886274df520a1c1eaddb518b0ba29facb7",
+            "43dea3f59f018d6a5400c9a6686dc3c7dcf513568992d63c6e21a0a59265d65e",
         "best.json":
             "92ee1e0beaac309f75f9e2aad787b57cd556dfb6d4d1e1e616b3e5d5af496d5b",
         "morphisms.jsonl":
@@ -107,7 +111,7 @@ REFERENCE = {
     },
     "nasagd": {
         "metrics.csv":
-            "57e675b2801660cbf45150a1cd19b5c92b329404f923b13a1d96cd66c5c97d61",
+            "cb6c7ec8b6c1ede6846912debc299ffb2f9bc3debc470c0ec7e6a661f35e9c7e",
         "best.json":
             "881fa8242d7ff981b0af9592bf55877b87814d31bbce78fdcd6a23978cbbbbd1",
         "morphisms.jsonl":

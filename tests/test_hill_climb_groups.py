@@ -1,12 +1,14 @@
 """The hill-climbing baseline against the child-by-child loop it replaced.
 
-hill_climb_baseline trains the children of one spec as one stack. The
-reference below is the loop as it was before: every child trained alone on
-its own stream and a fresh clock, with the wallclock cap checked before each
-child. Uncapped, both must pick the same incumbent, bit for bit, every cycle
-and count the same architectures; capped, the baseline checks the cap before
-each group of same-spec children and counts every child trained plus the one
-at which the cap fired.
+hill_climb_baseline trains the children of one shape class (depth and
+skips) as one stack, each zero-padded to the class's wide spec, the widest
+member's width at each hidden layer. The reference below is the loop as it
+was before: every child trained alone on its own stream and a fresh clock,
+padded alone to its class's wide spec, with the wallclock cap checked before
+each child. Uncapped, both must pick the same incumbent, bit for bit, every
+cycle and count the same architectures; capped, the baseline checks the cap
+before each group of one shape class and counts every child trained plus
+the one at which the cap fired.
 """
 
 import json
@@ -18,12 +20,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semiflow as sf
-from semiflow import search
+from semiflow import nn, search
 from semiflow.dynamics import NodeState
 from semiflow.morphisms import Candidate
 from semiflow.search import GlobalClock, _fit, _stream_seed, _train_fresh
 from test_fit_props import KNOBS, reference_steps
 from test_nn_layout import same_bits
+
+
+def wide_specs(specs):
+    """Each spec's class's wide spec, by shape class among specs."""
+    classes = {}
+    for spec in specs:
+        classes.setdefault(nn.shape_class(spec), []).append(spec)
+    return [nn.wide_spec(classes[nn.shape_class(spec)]) for spec in specs]
 
 
 def reference_hill_climb(config, data):
@@ -45,25 +55,25 @@ def reference_hill_climb(config, data):
             (sf.evaluate(incumbent.spec, incumbent.params, val_x, val_y)[0],
              incumbent.spec, incumbent.params)
         ]
-        for g in graph:
-            if g == graph.center:
-                continue
+        children = [graph.payload(g) for g in graph if g != graph.center]
+        for child, wide in zip(children, wide_specs([c.spec for c in children])):
             explored += 1
-            child = graph.payload(g)
             stream = sf.BatchStream(
                 train_x, train_y, config.s_x,
                 _stream_seed(config.seed, 7, cycle, explored - 1),
             )
             clock = GlobalClock.for_search(config, stream.batches_per_epoch)
-            params = np.asarray(child.params, dtype=float)
+            places = nn.places(child.spec, wide)
+            params = np.zeros(nn.param_count(wide))
+            params[places] = child.params
             *_, trained = _fit(
-                child.spec, NodeState(params, np.zeros(params.size)),
+                wide, NodeState(params, np.zeros(params.size)),
                 stream, clock, config.epochs_neigh,
                 config, "baseline training",
             )
             scored.append(
-                (sf.evaluate(child.spec, trained.x, val_x, val_y)[0],
-                 child.spec, trained.x)
+                (sf.evaluate(child.spec, trained.x[places], val_x, val_y)[0],
+                 child.spec, trained.x[places])
             )
         best = min(scored, key=lambda item: item[0])
         incumbent = Candidate(best[1], best[2], None, None)
@@ -94,7 +104,8 @@ def recording(monkeypatch):
     st.sampled_from([(4,), (4, 4), (3, 5)]),
     st.sampled_from([8, 16, 32]),
 )
-# Stacks of 4 and 2, 2 beside singletons (as in tests/test_bench_hooks.py).
+# Cycle 1: a stack of one spec beside a lone child; cycle 2: a stack of
+# mixed widths beside a stack of one spec.
 @example(0, 5, 2, 2, (4,), 32)
 def test_baseline_matches_the_child_by_child_loop(seed, n_neigh, cycles, epochs,
                                                   hidden, s_x):
@@ -156,9 +167,9 @@ def test_children_take_the_configs_step(monkeypatch, knob):
 def test_capped_baseline_counts_trained_children_and_the_cap(monkeypatch, tmp_path,
                                                             blobs_small, between_cycles):
     # The fake clock reads the number of _fit calls so far, so a cap of c
-    # fires before the (c+1)-th group of same-spec children: inside cycle 2
-    # at its second group, or just as cycle 2 would begin, which it then
-    # does not.
+    # fires before the (c+1)-th group of one shape class: inside cycle 2 at
+    # its second group, or just as cycle 2 would begin, which it then does
+    # not.
     fits = []
     fit = search._fit
 
@@ -175,11 +186,11 @@ def test_capped_baseline_counts_trained_children_and_the_cap(monkeypatch, tmp_pa
                              final_budget=0)
 
     def groups(graph):
-        by_spec = {}
+        by_class = {}
         for g in graph:
             if g != graph.center:
-                by_spec.setdefault(graph.payload(g).spec, []).append(g)
-        return list(by_spec.values())
+                by_class.setdefault(nn.shape_class(graph.payload(g).spec), []).append(g)
+        return list(by_class.values())
 
     search.hill_climb_baseline(config, blobs_small)
     first, second = groups(seen[0][2]), groups(seen[1][2])
@@ -260,9 +271,10 @@ def fresh_problem(order):
 
 @pytest.mark.parametrize("epochs", [1, 3])
 def test_train_fresh_trains_each_net_as_it_would_alone(epochs):
-    # Stacks of 3 and 2 beside a lone net, first appearances out of order:
-    # every net ends as the public steps end it alone on its key's stream
-    # and a fresh one-arc clock, and no caller's array is written.
+    # A stack of 5 of one shape class (widths 4 and 5, two padded) beside a
+    # lone net, out of order: every net ends as the public steps end it
+    # alone on its key's stream and a fresh one-arc clock, and no caller's
+    # array is written.
     config, train, nets, keys = fresh_problem([1, 0, 1, 2, 0, 1])
     before = [params.copy() for _spec, params in nets]
     trained = _train_fresh(config, train, nets, keys, epochs, 0.3, 1e-4, "test")
@@ -275,12 +287,12 @@ def test_train_fresh_trains_each_net_as_it_would_alone(epochs):
         assert same_bits(trained[i], want)
 
 
-@pytest.mark.parametrize("deadline, trained_nets", [(0.0, []), (1.0, [0, 2])],
+@pytest.mark.parametrize("deadline, trained_nets", [(0.0, []), (1.0, [0, 1, 2])],
                          ids=["passed", "after-the-first-group"])
 def test_train_fresh_starts_no_group_at_the_deadline(monkeypatch, deadline, trained_nets):
     # The fake clock reads the number of _fit calls so far: a deadline of 0
     # has passed before any group, and one of 1 passes once the first
-    # group (nets 0 and 2, of one spec) has trained.
+    # group (nets 0 to 2, of one shape class) has trained.
     fits = []
     fit = search._fit
 
@@ -293,9 +305,9 @@ def test_train_fresh_starts_no_group_at_the_deadline(monkeypatch, deadline, trai
                         types.SimpleNamespace(perf_counter=lambda: float(len(fits))))
     config, train, nets, keys = fresh_problem([0, 1, 0, 2])
     whole = _train_fresh(config, train, nets, keys, 1, 0.3, 1e-4, "test")
-    assert len(fits) == 3
+    assert len(fits) == 2
     fits.clear()
     trained = _train_fresh(config, train, nets, keys, 1, 0.3, 1e-4, "test", deadline)
-    assert sorted(trained) == trained_nets and len(fits) == len(trained) // 2
+    assert sorted(trained) == trained_nets and len(fits) == len(trained) // 3
     for i in trained_nets:
         assert same_bits(trained[i], whole[i])

@@ -1,13 +1,16 @@
 """A round's grouped kernel calls against the per-node loop they replaced.
 
-dynamics_round binds every group of nodes that share a NetSpec once per
-round, and trains and scores each group with one stacked kernel call per
-clock tick, on batches its stacked streams gather in one draw. The reference
-below is the round loop as it was before: per node and tick, one batch from
-the node's own BatchStream, one loss_and_grad and one loss_only. On a
-complete graph with repeated specs, both must write the same metrics rows
-(train losses, tracker values, counts, potentials), end in the same states
-bit for bit, and fail the same way.
+dynamics_round binds every group of nodes of one shape class (depth and
+skips) once per round, every node zero-padded to the class's wide spec, the
+widest member's width at each hidden layer, and trains and scores each
+group with one stacked kernel call per clock tick, on batches its stacked
+streams gather in one draw. The reference below is the round loop as it was
+before: per node and tick, one batch from the node's own BatchStream, one
+loss_and_grad and one loss_only, each node padded alone to its class's wide
+spec. On a complete graph with repeated specs and classes of mixed widths,
+both must write the same metrics rows (train losses, tracker values,
+counts, potentials), end in the same states bit for bit, and fail the same
+way.
 """
 
 import math
@@ -103,6 +106,31 @@ def round_rig(data, mode, seed):
     return config, graph, specs
 
 
+def shape_classes(specs):
+    """The nodes of each shape class, in order of first appearance: the
+    groups a round binds."""
+    classes = {}
+    for g, spec in specs.items():
+        classes.setdefault(nn.shape_class(spec), []).append(g)
+    return list(classes.values())
+
+
+def padded_alone(specs, states):
+    """Each node's class's wide spec, its places there and its state
+    zero-padded to it: the reference trains each node alone, as its class's
+    stack pads it."""
+    wide, places, padded = {}, {}, {}
+    for group in shape_classes(specs):
+        spec = nn.wide_spec(specs[g] for g in group)
+        for g in group:
+            wide[g], places[g] = spec, nn.places(specs[g], spec)
+            arrays = [np.zeros(nn.param_count(spec)) for _ in range(2)]
+            for array, own in zip(arrays, (states[g].x, states[g].v)):
+                array[places[g]] = own
+            padded[g] = sf.NodeState(*arrays)
+    return wide, places, padded
+
+
 def node_streams(data, config, round_idx, nodes):
     """The reference's batches: each node's own train and val BatchStream,
     seeded as a round's group streams seed that node's row."""
@@ -133,13 +161,13 @@ def fresh_states(graph, seed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_grouped_round_matches_per_node_loop(blobs_small, tmp_path, mode, seed):
     config, graph, specs = round_rig(blobs_small, mode, seed)
-    groups = {}
-    for g in graph.nodes():
-        groups.setdefault(specs[g], []).append(g)
-    assert max(len(nodes) for nodes in groups.values()) >= 2
-    assert len(groups) < len(graph.nodes())
-    # A group of one trains 1-D, so both of the round's paths are compared.
-    assert min(len(nodes) for nodes in groups.values()) == 1
+    groups = shape_classes(specs)
+    # Every stack path is compared: a stack of one spec, packed whole, and a
+    # stack of mixed widths, padded. Seed 0's graph also holds a group of
+    # one, which trains 1-D.
+    widths = [{specs[g].hidden for g in group} for group in groups if len(group) >= 2]
+    assert min(map(len, widths)) == 1 and max(map(len, widths)) >= 2
+    assert (min(len(group) for group in groups) == 1) == (seed == 0)
 
     runs = {}
     for name, run in (("grouped", None), ("reference", reference_round)):
@@ -154,8 +182,16 @@ def test_grouped_round_matches_per_node_loop(blobs_small, tmp_path, mode, seed):
                                        clock, rng, metrics, 1, 40)
             else:
                 batches = node_streams(blobs_small, config, 1, graph.nodes())
-                stats = run(graph, specs, states, config, clock, rng, batches,
+                wide, places, padded = padded_alone(specs, states)
+                stats = run(graph, wide, padded, config, clock, rng, batches,
                             metrics, 1, 40)
+                for g, state in padded.items():
+                    # Every padded entry stays +0.0.
+                    rest = np.ones(state.x.size, bool)
+                    rest[places[g]] = False
+                    for array in (state.x, state.v):
+                        assert not array[rest].any() and not np.signbit(array[rest]).any()
+                    states[g] = sf.NodeState(state.x[places[g]], state.v[places[g]])
         runs[name] = (stats, states, clock.k, (tmp_path / f"{name}.csv").read_bytes())
 
     (stats, states, k, rows), (ref_stats, ref_states, ref_k, ref_rows) = (
@@ -191,9 +227,7 @@ def test_round_binds_each_group_once_and_draws_stacks(blobs_small, monkeypatch):
     # one draw per node; a group of one draws (batch, d), a larger group
     # stacks (n, batch, d).
     config, graph, specs = round_rig(blobs_small, "nasgd", 0)
-    groups = {}
-    for g in graph.nodes():
-        groups.setdefault(specs[g], []).append(g)
+    groups = dict(enumerate(shape_classes(specs)))
     built, drawn = [], []
 
     class CountedNet(nn.BoundNet):
@@ -211,7 +245,7 @@ def test_round_binds_each_group_once_and_draws_stacks(blobs_small, monkeypatch):
     monkeypatch.setattr(nn, "BoundNet", CountedNet)
     monkeypatch.setattr(sf.BatchStream, "next_batch", counted_next_batch)
     stats = run_net_round(blobs_small, config, graph, specs, fresh_states(graph, 0))
-    assert stats.iterations > 1
+    assert stats.iterations > 1 and stats.stacks == len(groups)
     assert len(built) == 2 * len(groups)
     assert len(drawn) == 2 * len(groups) * stats.iterations
     sizes = [len(nodes) for nodes in groups.values()]
