@@ -1,21 +1,20 @@
 """Objective handles: V(x, g) evaluation, gradients, and the running
 validation average that drives mutation.
 
-An objective is anything with group_key/bind. A round groups its nodes by
-group_key and binds each group once: bind(group, x) returns its BoundGroup
-for the whole round, where x is (P,) for a group of one and the parameters
-stacked row by row, (n, P), for more. value_and_grad() gives one training
-loss per node and a gradient shaped as x; value() gives one validation loss
-per node. Each call draws the group's next batch itself, and each row is
-that node's own call on its own batch. The round writes x in place between
-calls, and the bound group reads those writes.
+An objective is anything with group_key/packing/bind. A round groups its
+nodes by group_key and binds each group once: bind(group, x) returns its
+BoundGroup for the whole round, where x is (P,) for a group of one and the
+parameters stacked row by row, (n, P), for more. value_and_grad() gives one
+training loss per node and a gradient shaped as x; value() gives one
+validation loss per node. Each call draws the group's next batch itself,
+and each row is that node's own call on its own batch. The round writes x
+in place between calls, and the bound group reads those writes.
 
-Nodes of one group may differ in size. Such an objective also has
-packing(group): a Packing that zero-pads each node's vector to one row of
-the group's width, or None when the group's rows are whole. The round packs
-x and the velocity by it and takes each node's own entries back when it
-ends. Two implementations ship: an analytic quadratic (for dynamics tests
-and benches; nodes of one dimension form a group, rows whole; it has no
+Nodes of one group may differ in size. packing(group) is a Packing that
+zero-pads each node's vector to one row of the group's width. The round
+packs x and the velocity by it and takes each node's own entries back when
+it ends. Two implementations ship: an analytic quadratic (for dynamics tests
+and benches; nodes of one dimension form a group, packed whole; it has no
 batches) and the miniature networks (search.NetObjective, the real workload;
 nodes of one shape class, nn.shape_class, form a group, padded to its wide
 spec, nn.wide_spec; each bound group holds its stacked train and val streams
@@ -46,21 +45,21 @@ class BoundGroup(NamedTuple):
 
 
 class Packing(NamedTuple):
-    """How the nodes of one group that differ in size share a stacked row:
-    each row holds width entries, node i's own at places[i] and zeros
-    elsewhere."""
+    """How the nodes of one group share a stacked row: each row holds width
+    entries, node i's own at places[i] and zeros elsewhere."""
 
     width: int
     places: tuple[np.ndarray, ...]
 
 
 class ObjectiveHandle(Protocol):
-    """group_key(g) names the nodes that share one call; bind(group, x)
-    binds them on x, (P,) for a group of one. An objective whose grouped
-    nodes differ in size also has packing(group) (see the module
-    docstring)."""
+    """group_key(g) names the nodes that share one call; packing(group)
+    places each of them in a row of the group's stack (see the module
+    docstring); bind(group, x) binds them on x, (P,) for a group of one."""
 
     def group_key(self, g: int) -> Hashable: ...
+
+    def packing(self, group: tuple[int, ...]) -> Packing: ...
 
     def bind(self, group: tuple[int, ...], x: np.ndarray) -> BoundGroup: ...
 
@@ -79,6 +78,10 @@ class QuadraticObjective:
 
     def group_key(self, g: int) -> Hashable:
         return self.centers[g].shape
+
+    def packing(self, group: tuple[int, ...]) -> Packing:
+        size = self.centers[group[0]].size
+        return Packing(size, (np.arange(size),) * len(group))
 
     def value(self, x: np.ndarray, g: int) -> float:
         d = np.asarray(x, dtype=float) - self.centers[g]

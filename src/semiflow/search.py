@@ -198,35 +198,27 @@ def _stream_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(1)[0])
 
 
-def _packing(specs: Sequence[NetSpec]) -> Packing | None:
-    """How networks of one shape class stack: None when they share one spec,
-    whose rows stack whole, else each zero-padded to the class's wide spec
-    (nn.places)."""
+def _packing(specs: Sequence[NetSpec]) -> Packing:
+    """How networks of one shape class stack: each zero-padded to the
+    class's wide spec (nn.places), the identity when they share one spec."""
     wide = wide_spec(specs)
-    if all(spec == wide for spec in specs):
-        return None
     return Packing(param_count(wide), tuple(places(spec, wide) for spec in specs))
 
 
-def _stack(rows: list[np.ndarray], packing: Packing | None = None) -> np.ndarray:
-    """A group's vectors as a new float array: a group of one is 1-D (P,),
-    the shape of every lone network; more stack as (n, P), each row
-    zero-padded to packing's width when there is a packing."""
-    if packing is None:
-        return np.array(rows[0] if len(rows) == 1 else rows, dtype=float)
+def _stack(rows: list[np.ndarray], packing: Packing) -> np.ndarray:
+    """A group's vectors as a new float array, each row zero-padded to
+    packing's width: (n, P), or 1-D (P,) for a group of one, the shape of
+    every lone network."""
     x = np.zeros((len(rows), packing.width))
     for row, place, values in zip(x, packing.places, rows):
         row[place] = values
-    return x
+    return x[0] if len(rows) == 1 else x
 
 
-def _unstack(x: np.ndarray, packing: Packing | None = None) -> list[np.ndarray]:
-    """Each node's own vector out of a group's array, by _stack's rule:
-    views of whole rows, copies of each node's places when padded."""
-    rows = np.atleast_2d(x)
-    if packing is None:
-        return list(rows)
-    return [row[place] for row, place in zip(rows, packing.places)]
+def _unstack(x: np.ndarray, packing: Packing) -> list[np.ndarray]:
+    """Each node's own vector out of a group's array, by _stack's rule: a
+    new array of its places, sharing no memory with x."""
+    return [row[place] for row, place in zip(np.atleast_2d(x), packing.places)]
 
 
 def _stream(config: SearchConfig, split: tuple, size: int, keys: list) -> BatchStream:
@@ -414,11 +406,11 @@ def dynamics_round(
     (stats.adopted stays None: the caller keeps its incumbent).
 
     Each group of nodes with one objective.group_key is bound once on its
-    parameters, 1-D or stacked by _stack and, when its nodes differ in size,
-    padded by the objective's packing(group) (objective.bind). Each clock
-    tick then trains (by _step) and scores every group with one call each,
-    in place. states[g] holds each node's last x and v, its own entries cut
-    back out of its group's by _unstack, however the round ends.
+    parameters, packed by the objective's packing(group) and stacked by
+    _stack, 1-D for a group of one (objective.bind). Each clock tick then
+    trains (by _step) and scores every group with one call each, in place.
+    states[g] holds each node's last x and v, new arrays of its own entries
+    cut back out of its group's by _unstack, however the round ends.
     """
     dyn = config.dynamics()
     nodes = graph.nodes()
@@ -433,11 +425,9 @@ def dynamics_round(
     v_train: dict[int, float] = {}
     # One state per group of nodes that share a kernel call (_stack); row i
     # of a group's x and v is its i-th node's. Node ids are their positions.
-    # An objective without packing stacks whole rows.
     groups = _groups(objective.group_key(g) for g in nodes)
     stats.stacks = len(groups)
-    packing = getattr(objective, "packing", lambda group: None)
-    packings = [packing(group) for group in groups]
+    packings = [objective.packing(group) for group in groups]
     stacked = [NodeState(_stack([states[g].x for g in group], pack),
                          _stack([states[g].v for g in group], pack))
                for group, pack in zip(groups, packings)]
@@ -513,7 +503,7 @@ class NetObjective:
     in one round of a search.
 
     Nodes of one shape class (nn.shape_class) form a group, packed by
-    _packing: padded to the class's wide spec when their specs differ. A
+    _packing to the class's wide spec, the identity when they share one. A
     bound group draws its batches from its train and val streams (streams)
     and runs them through two networks of the wide spec bound to its
     parameters, (P,) or (n, P) by _stack: one at s_x for training, one at
@@ -530,7 +520,7 @@ class NetObjective:
     def group_key(self, g):
         return shape_class(self.specs[g])
 
-    def packing(self, group: tuple[int, ...]) -> Packing | None:
+    def packing(self, group: tuple[int, ...]) -> Packing:
         return _packing([self.specs[g] for g in group])
 
     def streams(self, group: tuple[int, ...]) -> tuple[BatchStream, BatchStream]:
@@ -601,8 +591,9 @@ def run_round(
     payloads = {g: graph.payload(g) for g in graph}
     specs = {g: cand.spec for g, cand in payloads.items()}
     objective = NetObjective(specs, data, config, round_idx)
-    # No copies here: dynamics_round trains its own stacked copies, and
-    # leaves every payload's arrays as they were.
+    # No copies here or at adoption: dynamics_round trains its own stacked
+    # copies, leaves every payload's arrays as they were and hands back new
+    # ones (_unstack).
     states = {g: NodeState(cand.params, cand.velocity) for g, cand in payloads.items()}
 
     stats = dynamics_round(
@@ -612,7 +603,7 @@ def run_round(
     stats.explored = len(audit)
     if stats.adopted is not None:
         winner, state = graph.payload(stats.adopted), states[stats.adopted]
-        incumbent = Candidate(winner.spec, state.x.copy(), state.v.copy(), winner.origin)
+        incumbent = Candidate(winner.spec, state.x, state.v, winner.origin)
     return incumbent, stats, audit
 
 

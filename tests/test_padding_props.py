@@ -7,18 +7,22 @@ zeros elsewhere. On random classes (depth 1-4, widths 1-40, some past 32,
 with and without a skip, stacks of 2-6):
   - packing then unpacking gives back every member bit for bit;
   - training leaves every padded entry of x and v +0.0;
-  - a class of one spec packs whole rows, and it and a lone network train
-    bit for bit as each network alone;
+  - a class of one spec and a lone network pack by the identity (every
+    place is arange of the member's size), and they train bit for bit as
+    each network alone;
   - each member's loss and own-entry gradient from the padded call agree
     with its own call to within LOSS_RTOL and GRAD_RTOL, and its padded
     entries' gradient is zero. BLAS sums the widened products in other
     blocks, so the bits may differ.
+Unpacking gives each member a new array that shares no memory with the
+stack, in a one-spec class, a mixed-width class and a group of one alike.
 The stacked gradient clip gives each row the bits of its own 1-D clip.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -119,11 +123,16 @@ def test_training_leaves_every_padded_entry_plus_zero(specs, seed, epochs, dampi
 @settings(max_examples=20, deadline=None)
 @given(shape_classes(same_spec=True), st.integers(0, 2**32 - 1), st.integers(1, 2))
 def test_one_spec_and_a_lone_net_keep_their_own_bits(specs, seed, epochs):
-    # A class of one spec stacks whole rows (no packing), and its members
-    # and a lone network train as each would alone: 1-D, on its own stream.
-    assert _packing(specs) is None and _packing(specs[:1]) is None
+    # A class of one spec and a lone network pack by the identity, and its
+    # members and the lone network train as each would alone: 1-D, on its
+    # own stream.
+    whole = np.arange(nn.param_count(specs[0]))
+    packing, lone_packing = _packing(specs), _packing(specs[:1])
+    assert all(np.array_equal(place, whole)
+               for place in (*packing.places, *lone_packing.places))
     xs, _ = member_params(specs, seed)
-    assert same_bits(_stack(xs), np.array(xs)) and _stack(xs[:1]).shape == xs[0].shape
+    assert same_bits(_stack(xs, packing), np.array(xs))
+    assert same_bits(_stack(xs[:1], lone_packing), xs[0])
     rng = np.random.default_rng(seed)
     spec = specs[0]
     train = (rng.normal(size=(40, spec.input_dim)), rng.integers(0, spec.output_dim, 40))
@@ -140,6 +149,20 @@ def test_one_spec_and_a_lone_net_keep_their_own_bits(specs, seed, epochs):
         assert same_bits(stacked[i], alone.x)
         if i == 0:
             assert same_bits(lone[0], alone.x)
+
+
+@pytest.mark.parametrize("specs", [
+    [NetSpec(2, 3, (12, 16))] * 3,
+    [NetSpec(2, 3, (12, 16)), NetSpec(2, 3, (20, 16)), NetSpec(2, 3, (12, 33))],
+    [NetSpec(2, 3, (12, 16))],
+], ids=["one-spec", "mixed-width", "group-of-one"])
+def test_unstack_shares_no_memory_with_the_stack(specs):
+    xs, _ = member_params(specs, 0)
+    packing = _packing(specs)
+    x = _stack(xs, packing)
+    for got, want in zip(_unstack(x, packing), xs, strict=True):
+        assert same_bits(got, want)
+        assert not np.shares_memory(got, x)
 
 
 @settings(max_examples=80, deadline=None)

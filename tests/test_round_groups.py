@@ -287,6 +287,9 @@ class RecordedObjective:
     def group_key(self, g):
         return self.objective.group_key(g)
 
+    def packing(self, group):
+        return self.objective.packing(group)
+
     def bind(self, group, x):
         self.bound_shapes.append(x.shape)
         if not self.stack:
